@@ -10,6 +10,7 @@
 #include "obs/recorder.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
+#include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/harness.hpp"
@@ -196,12 +197,15 @@ void BM_NetworkConstruction3(benchmark::State& state) {
 BENCHMARK(BM_NetworkConstruction3)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RouteCompileFlat(benchmark::State& state) {
-  // Eager dense O(H^2) compilation on the 512-host tier (the 4096-host
-  // flat table is 218 MB — past the engine budget, hence the compressed
-  // rows below).  Counters report the resident table footprint.
+  // Dense O(H^2) compilation on the 512-host tier (the 4096-host flat table
+  // is 218 MB — past the engine budget, hence the compressed rows below).
+  // Arg 0 = d-mod-k, which compiles one route per NCA-level run; arg 1 =
+  // Random, which has no ascent guide and keeps the per-pair path.
+  // Counters report the resident table footprint.
   const auto topo = std::make_shared<const xgft::Topology>(xgft3Tier(0));
   const std::shared_ptr<const routing::Router> router =
-      routing::makeDModK(*topo);
+      state.range(0) == 0 ? routing::makeDModK(*topo)
+                          : routing::makeRandom(*topo, 1);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     const auto table =
@@ -211,12 +215,12 @@ void BM_RouteCompileFlat(benchmark::State& state) {
   }
   state.counters["flat_bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_RouteCompileFlat)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteCompileFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RouteCompileCompressed(benchmark::State& state) {
-  // Full (compileAll) interval-compressed compilation per tier; the
-  // compressed_bytes counter against BM_RouteCompileFlat's flat_bytes (or
-  // the analytic 218 MB at 4096 hosts) is the memory headline.
+  // Full interval-compressed d-mod-k compilation per tier; the
+  // compressed_bytes counter against the flat_bytes counter (218 MB at
+  // 4096 hosts) is the memory headline.
   const auto topo = std::make_shared<const xgft::Topology>(
       xgft3Tier(static_cast<int>(state.range(0))));
   const std::shared_ptr<const routing::Router> router =
@@ -225,7 +229,6 @@ void BM_RouteCompileCompressed(benchmark::State& state) {
   for (auto _ : state) {
     const auto table = core::CompiledRoutes::compile(
         router, 1, core::TableLayout::kCompressed);
-    table->compileAll(1);
     bytes = table->forwardingBytes();
     benchmark::DoNotOptimize(table->upPorts(0, 1).size());
   }
@@ -235,25 +238,6 @@ void BM_RouteCompileCompressed(benchmark::State& state) {
   state.SetLabel(topo->params().toString());
 }
 BENCHMARK(BM_RouteCompileCompressed)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_RouteCompileLazy(benchmark::State& state) {
-  // What a sweep job actually pays: lookups against one 64-destination
-  // chunk of the 4096-host tier build only that chunk.
-  const auto topo = std::make_shared<const xgft::Topology>(xgft3Tier(1));
-  const std::shared_ptr<const routing::Router> router =
-      routing::makeDModK(*topo);
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    const auto table = core::CompiledRoutes::compile(
-        router, 1, core::TableLayout::kCompressed);
-    for (xgft::NodeIndex d = 0; d < core::CompiledRoutes::kChunkCols; ++d) {
-      benchmark::DoNotOptimize(table->upPorts(1, d).size());
-    }
-    bytes = table->forwardingBytes();
-  }
-  state.counters["touched_bytes"] = static_cast<double>(bytes);
-}
-BENCHMARK(BM_RouteCompileLazy)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

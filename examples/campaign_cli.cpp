@@ -45,7 +45,7 @@ struct CliOptions {
   std::string list;           // One of: schemes, patterns, sources, faults,
                               // topologies, campaigns ("" = no listing).
   std::uint32_t threads = 0;     // 0 = hardware concurrency.
-  std::uint32_t simThreads = 0;  // 0 = pool idle share per job.
+  std::uint32_t simThreads = 0;  // 0 = serial event core.
   std::uint32_t seeds = 10;
   double msgScale = 0.125;
   bool contention = true;
@@ -74,10 +74,9 @@ void usage(std::ostream& os) {
         "  --sim-threads N   shard workers inside each job's event core\n"
         "                    (sim/shard.hpp).  --threads splits the campaign\n"
         "                    across jobs; --sim-threads splits one job's\n"
-        "                    simulation.  Default: each job gets the pool's\n"
-        "                    idle share (threads / concurrent jobs), so a\n"
-        "                    one-job campaign shards across the whole pool\n"
-        "                    and a saturated pool runs each core serially.\n"
+        "                    simulation.  Default: 1, the serial core —\n"
+        "                    sharding measured slower than serial at every\n"
+        "                    scale tried, so it only runs when asked for.\n"
         "                    A spec's own sim_threads= key overrides this\n"
         "                    per job.  Results are byte-identical for any\n"
         "                    value; the engine falls back to the serial core\n"

@@ -7,6 +7,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/mutex.hpp"
+#include "core/thread_annotations.hpp"
+
 namespace core {
 
 namespace {
@@ -30,6 +33,35 @@ struct FailureSink {
     if (first) std::rethrow_exception(first);
   }
 };
+
+/// Splits [0, n) into at most @p threads contiguous blocks and runs
+/// body(block, begin, end) for each on its own thread (inline for one
+/// block); rethrows the first failure once every worker has joined.
+template <typename Body>
+void forEachBlock(std::size_t n, std::uint32_t threads, const Body& body) {
+  if (threads <= 1) {
+    body(std::size_t{0}, std::size_t{0}, n);
+    return;
+  }
+  std::vector<std::thread> pool;
+  FailureSink failure;
+  pool.reserve(threads);
+  const std::size_t step = (n + threads - 1) / threads;
+  for (std::uint32_t w = 0; w < threads; ++w) {
+    const std::size_t begin = std::min(n, static_cast<std::size_t>(w) * step);
+    const std::size_t end = std::min(n, begin + step);
+    if (begin >= end) break;
+    pool.emplace_back([&, w, begin, end] {
+      try {
+        body(static_cast<std::size_t>(w), begin, end);
+      } catch (...) {
+        failure.capture(std::current_exception());
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  failure.rethrowIfSet();
+}
 
 /// Interval runs and stored port words one guide column would compress to.
 /// Router-only (no override, no validation): used for axis sampling and
@@ -71,6 +103,10 @@ CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
   stride_ = topo.height();
   if (stride_ > 0xff) {
     throw std::invalid_argument("CompiledRoutes: tree higher than 255 levels");
+  }
+  blockSize_.assign(stride_ + 1, 1);
+  for (std::uint32_t l = 1; l <= stride_; ++l) {
+    blockSize_[l] = blockSize_[l - 1] * topo.params().m(l);
   }
 }
 
@@ -131,15 +167,10 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   auto table =
       std::shared_ptr<CompiledRoutes>(new CompiledRoutes(std::move(router)));
   const routing::Router& r = *table->router_;
-  const xgft::Topology& topo = r.topology();
   const std::size_t n = table->numHosts_;
-  const std::uint32_t stride = table->stride_;
+  const std::optional<routing::Guide> guide = r.ascentGuide();
 
   if (compress) {
-    table->compressed_ = true;
-    table->numChunks_ = (n + kChunkCols - 1) / kChunkCols;
-    table->chunks_ =
-        std::make_unique<std::atomic<const Chunk*>[]>(table->numChunks_);
     // Axis by deterministic sampling: three spread guide columns scanned
     // both ways; fewer total runs wins, a tie keeps kByDst.  Always scans
     // the healthy router — a degraded table differs from it on few pairs,
@@ -148,212 +179,172 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     std::uint64_t byDstRuns = 0;
     std::uint64_t bySrcRuns = 0;
     std::uint32_t last = ~0u;
-    for (const std::uint32_t guide :
+    for (const std::uint32_t g :
          {0u, hosts / 2, hosts == 0 ? 0u : hosts - 1}) {
-      if (guide == last) continue;
-      last = guide;
-      byDstRuns += scanColumn(r, true, guide, hosts).intervals;
-      bySrcRuns += scanColumn(r, false, guide, hosts).intervals;
+      if (g == last) continue;
+      last = g;
+      byDstRuns += scanColumn(r, true, g, hosts).intervals;
+      bySrcRuns += scanColumn(r, false, g, hosts).intervals;
     }
     table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
-    if (routeFor) {
-      // Overridden tables never compile lazily: routeFor may reference
-      // caller-stack state (fault::compileDegraded's degraded view), so
-      // every chunk must be built before this call returns.
-      const PairRoute routeOf = [&r, &topo, &routeFor](xgft::NodeIndex s,
-                                                       xgft::NodeIndex d,
-                                                       xgft::Route& route) {
-        std::optional<xgft::Route> chosen = routeFor(s, d);
-        if (!chosen.has_value()) return false;
-        route = std::move(*chosen);
-        std::string error;
-        if (!xgft::validateRoute(topo, s, d, route, &error)) {
-          throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                      "): " + error);
-        }
-        return true;
-      };
-      table->compileAllWith(routeOf, threads);
-    }
-    return table;
+  } else {
+    // The flat layout is axis-free; the axis only orders the build: along
+    // the router's guide when runs apply, row by row otherwise.
+    table->axis_ = guide == routing::Guide::Destination && !routeFor
+                       ? Axis::kByDst
+                       : Axis::kBySrc;
   }
-
-  table->ports_.resize(n * n * stride);
-  table->lens_.resize(n * n);
-
-  // Each worker fills disjoint source rows, so no synchronization is needed
-  // and the table contents are thread-count independent (routers are
-  // required to be deterministic and immutable after construction; a
-  // routeFor override must uphold the same).
-  const auto fillRows = [&](std::size_t sBegin, std::size_t sEnd) {
-    for (std::size_t s = sBegin; s < sEnd; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        const std::size_t pair = s * n + d;
-        if (s == d) {
-          table->lens_[pair] = 0;
-          continue;
-        }
-        xgft::Route route;
-        if (routeFor) {
-          std::optional<xgft::Route> chosen =
-              routeFor(static_cast<xgft::NodeIndex>(s),
-                       static_cast<xgft::NodeIndex>(d));
-          if (!chosen.has_value()) {
-            table->lens_[pair] = 0;  // Unroutable (upPorts() empty span).
-            continue;
-          }
-          route = std::move(*chosen);
-        } else {
-          route = r.route(static_cast<xgft::NodeIndex>(s),
-                          static_cast<xgft::NodeIndex>(d));
-        }
-        std::string error;
-        if (!xgft::validateRoute(topo, static_cast<xgft::NodeIndex>(s),
-                                 static_cast<xgft::NodeIndex>(d), route,
-                                 &error)) {
-          throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                      "): " + error);
-        }
-        table->lens_[pair] = static_cast<std::uint8_t>(route.up.size());
-        std::copy(route.up.begin(), route.up.end(),
-                  table->ports_.begin() +
-                      static_cast<std::ptrdiff_t>(pair * stride));
-      }
-    }
-  };
+  table->levelRuns_ =
+      !routeFor && guide.has_value() &&
+      (*guide == routing::Guide::Destination) ==
+          (table->axis_ == Axis::kByDst);
 
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
   threads = static_cast<std::uint32_t>(
       std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
-  if (threads <= 1 || n < 2) {
-    fillRows(0, n);
-  } else {
-    std::vector<std::thread> pool;
-    FailureSink failure;
-    pool.reserve(threads);
-    const std::size_t chunk = (n + threads - 1) / threads;
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      const std::size_t begin = std::min(n, static_cast<std::size_t>(w) * chunk);
-      const std::size_t end = std::min(n, begin + chunk);
-      if (begin >= end) break;
-      pool.emplace_back([&, begin, end] {
-        try {
-          fillRows(begin, end);
-        } catch (...) {
-          failure.capture(std::current_exception());
-        }
-      });
+
+  // Workers own disjoint guide columns, so no synchronization is needed
+  // and the table contents are thread-count independent (routers are
+  // required to be deterministic and immutable after construction; a
+  // routeFor override must uphold the same).
+  if (compress) {
+    table->compressed_ = true;
+    std::vector<Columns> parts(threads);
+    forEachBlock(n, threads,
+                 [&](std::size_t w, std::size_t begin, std::size_t end) {
+                   for (std::size_t g = begin; g < end; ++g) {
+                     table->appendColumn(static_cast<std::uint32_t>(g),
+                                         routeFor, parts[w]);
+                   }
+                 });
+    // Concatenate the workers' column blocks in guide order.
+    Columns& all = table->columns_;
+    all.colOff.reserve(n + 1);
+    all.colOff.push_back(0);
+    for (const Columns& part : parts) {
+      const auto intervalBase =
+          static_cast<std::uint32_t>(all.intervals.size());
+      const auto portBase = static_cast<std::uint32_t>(all.ports.size());
+      for (const std::uint32_t off : part.colOff) {
+        all.colOff.push_back(intervalBase + off);
+      }
+      for (Interval run : part.intervals) {
+        if (run.len > 0) run.portsOff += portBase;
+        all.intervals.push_back(run);
+      }
+      all.ports.insert(all.ports.end(), part.ports.begin(), part.ports.end());
     }
-    for (std::thread& t : pool) t.join();
-    failure.rethrowIfSet();
+    return table;
   }
+
+  const std::uint32_t stride = table->stride_;
+  table->ports_.resize(n * n * stride);
+  table->lens_.resize(n * n);
+  const bool byDst = table->axis_ == Axis::kByDst;
+  forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
+                               std::size_t end) {
+    for (std::size_t g = begin; g < end; ++g) {
+      table->forEachRun(
+          static_cast<std::uint32_t>(g), routeFor,
+          [&](std::uint32_t runBegin, std::uint32_t runEnd,
+              std::span<const std::uint32_t> ports) {
+            for (std::size_t pos = runBegin; pos < runEnd; ++pos) {
+              const std::size_t pair = byDst ? pos * n + g : g * n + pos;
+              table->lens_[pair] = static_cast<std::uint8_t>(ports.size());
+              std::copy(ports.begin(), ports.end(),
+                        table->ports_.begin() +
+                            static_cast<std::ptrdiff_t>(pair * stride));
+            }
+          });
+    }
+  });
   return table;
 }
 
-CompiledRoutes::PairRoute CompiledRoutes::routerPairRoute() const {
-  return [this](xgft::NodeIndex s, xgft::NodeIndex d, xgft::Route& route) {
-    const routing::Router& r = *router_;
-    route = r.route(s, d);
-    std::string error;
-    if (!xgft::validateRoute(r.topology(), s, d, route, &error)) {
-      throw std::invalid_argument("CompiledRoutes(" + r.name() +
-                                  "): " + error);
+std::uint32_t CompiledRoutes::levelRunEnd(std::uint32_t guide,
+                                          std::uint32_t pos) const {
+  // Ranks at NCA level L from the guide fill its level-L block minus its
+  // level-(L-1) block: one range on each side of the guide.
+  const std::uint32_t level = topology().ncaLevel(guide, pos);
+  if (pos < guide) return guide - guide % blockSize_[level - 1];
+  return guide - guide % blockSize_[level] + blockSize_[level];
+}
+
+void CompiledRoutes::forEachRun(std::uint32_t guide,
+                                const RouteOverride& routeFor,
+                                const RunSink& emit) const {
+  const routing::Router& r = *router_;
+  const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
+  xgft::Route route;
+  for (std::uint32_t pos = 0; pos < n;) {
+    if (pos == guide) {  // Diagonal: its own zero-length run.
+      emit(pos, pos + 1, {});
+      ++pos;
+      continue;
     }
-    return true;
-  };
+    const std::uint32_t end = levelRuns_ ? levelRunEnd(guide, pos) : pos + 1;
+    const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
+    const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
+    bool routable = true;
+    if (routeFor) {
+      std::optional<xgft::Route> chosen = routeFor(s, d);
+      routable = chosen.has_value();
+      if (routable) route = std::move(*chosen);
+    } else {
+      route = r.route(s, d);
+    }
+    // Validating the run's first pair validates the run: every member has
+    // the same NCA level and takes the same in-range ascent, which reaches
+    // an ancestor of both its endpoints (DESIGN.md §13).
+    std::string error;
+    if (routable && !xgft::validateRoute(r.topology(), s, d, route, &error)) {
+      throw std::invalid_argument("CompiledRoutes(" + r.name() + "): " +
+                                  error);
+    }
+    emit(pos, end,
+         routable ? std::span<const std::uint32_t>(route.up)
+                  : std::span<const std::uint32_t>());
+    pos = end;
+  }
 }
 
 void CompiledRoutes::appendColumn(std::uint32_t guide,
-                                  const PairRoute& routeOf,
-                                  Chunk& chunk) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
-  xgft::Route route;
-  std::uint32_t prevOff = 0;
-  std::uint32_t prevLen = 0;
+                                  const RouteOverride& routeFor,
+                                  Columns& out) const {
   bool havePrev = false;
-  for (std::uint32_t pos = 0; pos < n; ++pos) {
-    bool routable = false;
-    if (pos != guide) {
-      const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
-      const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-      routable = routeOf(s, d, route);
-    }
-    if (routable) {
-      const std::uint32_t len = static_cast<std::uint32_t>(route.up.size());
-      if (havePrev && prevLen == len &&
-          std::equal(route.up.begin(), route.up.end(),
-                     chunk.ports.begin() + prevOff)) {
-        continue;  // Extends the previous run.
-      }
-      prevOff = static_cast<std::uint32_t>(chunk.ports.size());
-      prevLen = len;
-      havePrev = true;
-      chunk.intervals.push_back({pos, prevOff, len});
-      chunk.ports.insert(chunk.ports.end(), route.up.begin(), route.up.end());
-    } else {  // Diagonal or override-declared unroutable: zero-length run.
-      if (havePrev && prevLen == 0) continue;
-      prevLen = 0;
-      havePrev = true;
-      chunk.intervals.push_back({pos, 0, 0});
-    }
-  }
-}
-
-std::unique_ptr<CompiledRoutes::Chunk> CompiledRoutes::makeChunk(
-    std::size_t idx, const PairRoute& routeOf) const {
-  auto chunk = std::make_unique<Chunk>();
-  const std::uint32_t gBegin = static_cast<std::uint32_t>(idx * kChunkCols);
-  const std::uint32_t gEnd = static_cast<std::uint32_t>(
-      std::min(numHosts_, (idx + 1) * static_cast<std::size_t>(kChunkCols)));
-  chunk->colOff.reserve(gEnd - gBegin + 1);
-  chunk->colOff.push_back(0);
-  for (std::uint32_t guide = gBegin; guide < gEnd; ++guide) {
-    appendColumn(guide, routeOf, *chunk);
-    chunk->colOff.push_back(
-        static_cast<std::uint32_t>(chunk->intervals.size()));
-  }
-  return chunk;
-}
-
-const CompiledRoutes::Chunk& CompiledRoutes::publishChunk(
-    std::size_t idx, std::unique_ptr<Chunk> chunk) const {
-  LockGuard lock(chunkMu_);
-  if (const Chunk* existing = chunks_[idx].load(std::memory_order_relaxed)) {
-    return *existing;  // Raced build: identical content, drop the duplicate.
-  }
-  compressedBytes_.fetch_add(
-      chunk->colOff.size() * sizeof(std::uint32_t) +
-          chunk->intervals.size() * sizeof(Interval) +
-          chunk->ports.size() * sizeof(std::uint32_t),
-      std::memory_order_relaxed);
-  builtChunks_.fetch_add(1, std::memory_order_relaxed);
-  const Chunk* raw = chunk.get();
-  chunkOwner_.push_back(std::move(chunk));
-  chunks_[idx].store(raw, std::memory_order_release);
-  return *raw;
-}
-
-const CompiledRoutes::Chunk& CompiledRoutes::chunkFor(
-    std::uint32_t guide) const {
-  const std::size_t idx = guide / kChunkCols;
-  if (const Chunk* built = chunks_[idx].load(std::memory_order_acquire)) {
-    return *built;
-  }
-  // First touch: build outside the lock (a concurrent first touch builds a
-  // bit-identical duplicate that publishChunk then discards).
-  return publishChunk(idx, makeChunk(idx, routerPairRoute()));
+  forEachRun(guide, routeFor,
+             [&](std::uint32_t begin, std::uint32_t,
+                 std::span<const std::uint32_t> ports) {
+               // A run whose ports equal the previous interval's extends it
+               // (adjacent zero-length runs merge the same way).
+               if (havePrev) {
+                 const Interval& prev = out.intervals.back();
+                 if (prev.len == ports.size() &&
+                     std::equal(ports.begin(), ports.end(),
+                                out.ports.begin() + prev.portsOff)) {
+                   return;
+                 }
+               }
+               havePrev = true;
+               const auto off = static_cast<std::uint32_t>(
+                   ports.empty() ? 0 : out.ports.size());
+               out.intervals.push_back(
+                   {begin, off, static_cast<std::uint32_t>(ports.size())});
+               out.ports.insert(out.ports.end(), ports.begin(), ports.end());
+             });
+  out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
 }
 
 const CompiledRoutes::Interval& CompiledRoutes::intervalOf(
-    const Chunk& chunk, std::uint32_t localCol, std::uint32_t pos) const {
-  const std::uint32_t first = chunk.colOff[localCol];
+    std::uint32_t guide, std::uint32_t pos) const {
+  const std::uint32_t first = columns_.colOff[guide];
   // Branch-free lower bound over the column's sorted interval begins: every
   // column covers rank 0, so count >= 1 and the loop lands on the last
   // interval with begin <= pos.
-  const Interval* base = chunk.intervals.data() + first;
-  std::size_t count = chunk.colOff[localCol + 1] - first;
+  const Interval* base = columns_.intervals.data() + first;
+  std::size_t count = columns_.colOff[guide + 1] - first;
   while (count > 1) {
     const std::size_t half = count / 2;
     base += (base[half].begin <= pos) ? half : 0;
@@ -366,16 +357,15 @@ std::span<const std::uint32_t> CompiledRoutes::compressedLookup(
     xgft::NodeIndex s, xgft::NodeIndex d) const {
   const std::uint32_t guide = axis_ == Axis::kByDst ? d : s;
   const std::uint32_t pos = axis_ == Axis::kByDst ? s : d;
-  const Chunk& chunk = chunkFor(guide);
-  const Interval& run = intervalOf(chunk, guide % kChunkCols, pos);
-  return {chunk.ports.data() + run.portsOff, run.len};
+  const Interval& run = intervalOf(guide, pos);
+  return {columns_.ports.data() + run.portsOff, run.len};
 }
 
 xgft::NodeIndex CompiledRoutes::shareRep(xgft::NodeIndex s,
                                          xgft::NodeIndex d) const {
   if (!compressed_ || axis_ == Axis::kBySrc || s == d) return s;
-  const Chunk& chunk = chunkFor(d);
-  const Interval& run = intervalOf(chunk, d % kChunkCols, s);
+  const Interval& run = intervalOf(static_cast<std::uint32_t>(d),
+                                   static_cast<std::uint32_t>(s));
   // Same interval => same up-ports; clipping to s's leaf group also pins
   // the level-1 switch, so (rep, d)'s switch-tail path is bit-identical.
   const std::uint32_t m1 = topology().params().m(1);
@@ -383,65 +373,14 @@ xgft::NodeIndex CompiledRoutes::shareRep(xgft::NodeIndex s,
   return std::max<xgft::NodeIndex>(run.begin, leafBase);
 }
 
-void CompiledRoutes::compileAll(std::uint32_t threads) const {
-  if (!compressed_) return;
-  compileAllWith(routerPairRoute(), threads);
-}
-
-void CompiledRoutes::compileAllWith(const PairRoute& routeOf,
-                                    std::uint32_t threads) const {
-  std::vector<std::size_t> pending;
-  pending.reserve(numChunks_);
-  for (std::size_t i = 0; i < numChunks_; ++i) {
-    if (!chunks_[i].load(std::memory_order_acquire)) pending.push_back(i);
-  }
-  if (pending.empty()) return;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, pending.size()));
-  const auto buildRange = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      publishChunk(pending[k], makeChunk(pending[k], routeOf));
-    }
-  };
-  if (threads <= 1) {
-    buildRange(0, pending.size());
-    return;
-  }
-  std::vector<std::thread> pool;
-  FailureSink failure;
-  pool.reserve(threads);
-  const std::size_t step = (pending.size() + threads - 1) / threads;
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    const std::size_t begin =
-        std::min(pending.size(), static_cast<std::size_t>(w) * step);
-    const std::size_t end = std::min(pending.size(), begin + step);
-    if (begin >= end) break;
-    pool.emplace_back([&, begin, end] {
-      try {
-        buildRange(begin, end);
-      } catch (...) {
-        failure.capture(std::current_exception());
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  failure.rethrowIfSet();
-}
-
 std::uint64_t CompiledRoutes::forwardingBytes() const {
   if (!compressed_) {
     return ports_.size() * sizeof(std::uint32_t) +
            lens_.size() * sizeof(std::uint8_t);
   }
-  return compressedBytes_.load(std::memory_order_relaxed) +
-         numChunks_ * sizeof(std::atomic<const Chunk*>);
-}
-
-std::size_t CompiledRoutes::builtChunks() const {
-  return builtChunks_.load(std::memory_order_relaxed);
+  return columns_.colOff.size() * sizeof(std::uint32_t) +
+         columns_.intervals.size() * sizeof(Interval) +
+         columns_.ports.size() * sizeof(std::uint32_t);
 }
 
 xgft::Route CompiledRoutes::route(xgft::NodeIndex s, xgft::NodeIndex d) const {

@@ -5,15 +5,15 @@
 // (plus route validation and hop expansion) on the replayer's hot path.  A
 // CompiledRoutes handle is the compile-once/route-many split packet-routing
 // simulators rely on: routes are built once per (topology, scheme, seed),
-// validated exactly once, and looked up by (s, d) afterwards.  Two layouts
-// serve two scales:
+// validated at compile time, and looked up by (s, d) afterwards.  Two
+// layouts serve two scales:
 //
 //  * Flat (small topologies).  One dense O(H^2) array —
 //
 //      ports_[(s * numHosts + d) * stride + i]  =  up-port taken at level i,
 //      lens_ [ s * numHosts + d]                =  route length (NCA level),
 //
-//    compiled eagerly (in parallel when asked), O(1) lookup.
+//    O(1) lookup.
 //
 //  * Interval-compressed (large topologies).  The paper's oblivious schemes
 //    choose up-ports by arithmetic on node labels, so for a fixed guide
@@ -22,29 +22,32 @@
 //    piecewise-constant in the other endpoint: consecutive ranks sharing
 //    the same up-port vector collapse into sorted half-open intervals, each
 //    carrying one copy of the ports.  lookup(s, d) is a branch-free binary
-//    search over the column's intervals.  Columns compile lazily in
-//    64-column chunks on first touch — a sweep job only pays for the
-//    destinations it routes to — and compileAll() preserves the eager path
-//    for replays that touch every pair.  Tables shrink from O(H^2) entries
+//    search over the column's intervals.  Tables shrink from O(H^2) entries
 //    to O(H * levels * distinct-choices); schemes with per-pair randomness
 //    (Random) do not compress, which estimateCompressedBytes() detects so
 //    the engine can keep its virtual-routing fallback for them.
 //
-// The handle is immutable after compile() up to the lazily-built chunks,
-// which are published atomically and never mutated afterwards, so it is
-// freely shared across threads and campaign jobs (the engine memoizes it
-// next to the router).  sim::Network::addMessageCompiled consumes upPorts()
-// spans directly — a table lookup instead of virtual dispatch per message —
-// and the trace replayer goes one step further (RouteSetResolver): the span
-// is expanded and interned into the network's RouteStore once per shared
-// route set, so repeat sends are a pure record append with no per-message
-// table walk at all.  The same per-pair interning backs the virtual-route
-// fallback for topologies whose table would exceed every layout's memory
-// budget, which keeps route construction off the per-message hot path in
-// every mode.
+// Both layouts compile one guide column at a time from the same run
+// builder.  A run is a maximal rank range of the other endpoint that shares
+// one NCA level with the guide; for a self-routing router
+// (Router::ascentGuide()) every pair of a run takes the same route, so the
+// builder routes and validates once per run — at most 2h + 1 runs per
+// column — instead of once per pair.  Other routers and per-pair overrides
+// get runs of length 1.
+//
+// Compilation finishes inside compile(); the handle is immutable afterwards,
+// so it is freely shared across threads and campaign jobs (the engine
+// memoizes it next to the router).  sim::Network::addMessageCompiled
+// consumes upPorts() spans directly — a table lookup instead of virtual
+// dispatch per message — and the trace replayer goes one step further
+// (RouteSetResolver): the span is expanded and interned into the network's
+// RouteStore once per shared route set, so repeat sends are a pure record
+// append with no per-message table walk at all.  The same per-pair
+// interning backs the virtual-route fallback for topologies whose table
+// would exceed every layout's memory budget, which keeps route construction
+// off the per-message hot path in every mode.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,8 +55,6 @@
 #include <span>
 #include <vector>
 
-#include "core/mutex.hpp"
-#include "core/thread_annotations.hpp"
 #include "routing/router.hpp"
 #include "xgft/route.hpp"
 #include "xgft/topology.hpp"
@@ -67,16 +68,12 @@ enum class TableLayout : std::uint8_t { kAuto, kFlat, kCompressed };
 
 class CompiledRoutes {
  public:
-  /// Destinations per lazily-compiled chunk in the compressed layout.
-  static constexpr std::uint32_t kChunkCols = 64;
-
-  /// Compiles the ordered-pair table from @p router, splitting the work
-  /// across @p threads workers (0 means hardware concurrency; the result is
-  /// identical for any thread count).  Every route is validated against the
-  /// topology; a malformed route throws std::invalid_argument.  The router
-  /// (and through it the topology) is kept alive by the returned handle.
-  /// In the compressed layout nothing compiles up front: chunks build on
-  /// first lookup (see compileAll()).
+  /// Compiles the ordered-pair table from @p router, splitting the guide
+  /// columns across @p threads workers (0 means hardware concurrency; the
+  /// result is identical for any thread count).  Every stored route is
+  /// valid for the topology; a malformed route throws std::invalid_argument.
+  /// The router (and through it the topology) is kept alive by the returned
+  /// handle.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
       std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
       TableLayout layout = TableLayout::kAuto);
@@ -93,8 +90,6 @@ class CompiledRoutes {
   /// router's own — the degraded-topology recompilation path
   /// (fault::compileDegraded).  Returned routes are validated exactly like
   /// compile(); nullopt pairs are recorded unroutable instead of throwing.
-  /// Overridden tables always compile eagerly — @p routeFor may reference
-  /// caller-stack state, so no lazy chunk may outlive this call.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compileWith(
       std::shared_ptr<const routing::Router> router,
       const RouteOverride& routeFor, std::uint32_t threads = 1,
@@ -115,9 +110,7 @@ class CompiledRoutes {
 
   /// The ascending port choices for (s, d); length == ncaLevel(s, d), empty
   /// when s == d — and also empty for pairs a compileWith override marked
-  /// unroutable.  Valid for the handle's lifetime.  In the compressed
-  /// layout a first touch of an uncompiled column builds its chunk (and may
-  /// throw what compilation would have thrown).
+  /// unroutable.  Valid for the handle's lifetime.
   [[nodiscard]] std::span<const std::uint32_t> upPorts(
       xgft::NodeIndex s, xgft::NodeIndex d) const {
     if (!compressed_) {
@@ -137,11 +130,9 @@ class CompiledRoutes {
   /// Materializes the xgft::Route for (s, d) — for analysis-style callers.
   [[nodiscard]] xgft::Route route(xgft::NodeIndex s, xgft::NodeIndex d) const;
 
-  /// Compiles every not-yet-built chunk (no-op in the flat layout), across
-  /// @p threads workers; chunk contents are thread-count independent.
-  /// Replay-style callers that touch all pairs use this to keep compilation
-  /// off the simulation path.
-  void compileAll(std::uint32_t threads = 1) const;
+  /// No-op, kept for callers that predate eager compilation: every table
+  /// is complete when compile() returns.
+  void compileAll(std::uint32_t /*threads*/ = 1) const {}
 
   /// The representative source whose (rep, d) route set is bit-identical to
   /// (s, d)'s: the start of s's source interval, clipped to s's leaf group
@@ -153,14 +144,10 @@ class CompiledRoutes {
                                          xgft::NodeIndex d) const;
 
   [[nodiscard]] bool compressed() const { return compressed_; }
-  /// Bytes currently resident for the forwarding state: the dense arrays in
-  /// the flat layout, the built chunks' intervals + port arenas in the
-  /// compressed one (grows as lazy chunks build; equals the full footprint
-  /// after compileAll()).
+  /// Bytes resident for the forwarding state: the dense arrays in the flat
+  /// layout, the column offsets, intervals and port arena in the compressed
+  /// one.
   [[nodiscard]] std::uint64_t forwardingBytes() const;
-  /// Chunks built so far (always 0 in the flat layout).
-  [[nodiscard]] std::size_t builtChunks() const;
-  [[nodiscard]] std::size_t numChunks() const { return numChunks_; }
 
   [[nodiscard]] const routing::Router& router() const { return *router_; }
   [[nodiscard]] const xgft::Topology& topology() const {
@@ -170,53 +157,58 @@ class CompiledRoutes {
   [[nodiscard]] std::uint32_t stride() const { return stride_; }
 
  private:
-  /// Which endpoint indexes the compressed columns: guide = destination
-  /// (runs over sources — destination-oriented schemes like d-mod-k) or
-  /// guide = source (runs over destinations — s-mod-k and friends).
+  /// Which endpoint indexes the columns: guide = destination (runs over
+  /// sources — destination-oriented schemes like d-mod-k) or guide = source
+  /// (runs over destinations — s-mod-k and friends).
   enum class Axis : std::uint8_t { kByDst, kBySrc };
 
   /// One maximal run of ranks sharing a route within a guide column.
   struct Interval {
     std::uint32_t begin = 0;     ///< First rank of the run.
-    std::uint32_t portsOff = 0;  ///< Offset of the ports in Chunk::ports.
+    std::uint32_t portsOff = 0;  ///< Offset of the ports in Columns::ports.
     std::uint32_t len = 0;       ///< Route length; 0 = unroutable/diagonal.
   };
 
-  /// kChunkCols consecutive guide columns, immutable once published.
-  struct Chunk {
-    std::vector<std::uint32_t> colOff;  ///< Per-local-column interval bounds.
+  /// Compressed guide columns: column g's intervals are
+  /// intervals[colOff[g], colOff[g + 1]).
+  struct Columns {
+    std::vector<std::uint32_t> colOff;
     std::vector<Interval> intervals;
     std::vector<std::uint32_t> ports;
   };
 
-  /// Route supplier used by every compile path: fills @p route for (s, d)
-  /// or returns false for an unroutable pair.
-  using PairRoute =
-      std::function<bool(xgft::NodeIndex, xgft::NodeIndex, xgft::Route&)>;
+  /// Receives one run of a guide column: ranks [begin, end) all take
+  /// @p ports (empty for the diagonal and for unroutable pairs).
+  using RunSink = std::function<void(std::uint32_t begin, std::uint32_t end,
+                                     std::span<const std::uint32_t> ports)>;
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
+  /// Routes and validates guide column @p guide one run at a time, in rank
+  /// order — the single route + validate step of every compile path.
+  void forEachRun(std::uint32_t guide, const RouteOverride& routeFor,
+                  const RunSink& emit) const;
+  /// One past the last rank sharing ncaLevel(guide, pos) contiguously with
+  /// @p pos (pos != guide).
+  [[nodiscard]] std::uint32_t levelRunEnd(std::uint32_t guide,
+                                          std::uint32_t pos) const;
+  /// Appends column @p guide's merged intervals and ports to @p out.
+  void appendColumn(std::uint32_t guide, const RouteOverride& routeFor,
+                    Columns& out) const;
+  [[nodiscard]] const Interval& intervalOf(std::uint32_t guide,
+                                           std::uint32_t pos) const;
   [[nodiscard]] std::span<const std::uint32_t> compressedLookup(
       xgft::NodeIndex s, xgft::NodeIndex d) const;
-  [[nodiscard]] const Interval& intervalOf(const Chunk& chunk,
-                                           std::uint32_t guide,
-                                           std::uint32_t pos) const;
-  /// The chunk covering guide column @p guide, building it on first touch.
-  [[nodiscard]] const Chunk& chunkFor(std::uint32_t guide) const;
-  /// Appends column @p guide's intervals and ports to @p chunk.
-  void appendColumn(std::uint32_t guide, const PairRoute& routeOf,
-                    Chunk& chunk) const;
-  [[nodiscard]] std::unique_ptr<Chunk> makeChunk(
-      std::size_t idx, const PairRoute& routeOf) const;
-  /// Publishes @p chunk as chunk @p idx unless one is already installed.
-  const Chunk& publishChunk(std::size_t idx,
-                            std::unique_ptr<Chunk> chunk) const;
-  void compileAllWith(const PairRoute& routeOf, std::uint32_t threads) const;
-  [[nodiscard]] PairRoute routerPairRoute() const;
 
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;
   std::uint32_t stride_ = 0;           ///< Tree height.
+  /// blockSize_[l] = hosts under one level-l switch (prod_{j<=l} m_j).
+  std::vector<std::uint32_t> blockSize_;
+  Axis axis_ = Axis::kByDst;
+  /// Runs follow NCA levels: the column's guide endpoint is the router's
+  /// ascentGuide() and no override is in play.  Otherwise runs are pairs.
+  bool levelRuns_ = false;
 
   // Flat layout.
   std::vector<std::uint32_t> ports_;   ///< numHosts^2 * stride.
@@ -224,16 +216,7 @@ class CompiledRoutes {
 
   // Compressed layout.
   bool compressed_ = false;
-  Axis axis_ = Axis::kByDst;
-  std::size_t numChunks_ = 0;
-  /// Built chunks, published with release ordering; null until built.
-  std::unique_ptr<std::atomic<const Chunk*>[]> chunks_;
-  mutable Mutex chunkMu_;
-  /// Owns every published chunk (readers go through chunks_, never here).
-  mutable std::vector<std::unique_ptr<const Chunk>> chunkOwner_
-      XGFT_GUARDED_BY(chunkMu_);
-  mutable std::atomic<std::uint64_t> compressedBytes_{0};
-  mutable std::atomic<std::size_t> builtChunks_{0};
+  Columns columns_;
 };
 
 }  // namespace core

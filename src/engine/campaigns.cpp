@@ -119,7 +119,7 @@ void registerBuiltinCampaigns(core::Registry<CampaignInfo>& registry) {
       // The loadsweep methodology on the three-level scale-out tier, at two
       // operating points (below and near the knee).  The 512-host tree
       // still fits the flat table budget; the 4096-host tree does not
-      // (218 MB flat) and exercises the interval-compressed lazy path —
+      // (218 MB flat) and exercises the interval-compressed path —
       // its manifest reports the compressed cache counters and the
       // forwarding-state memory block (xgft-manifest-v3).
       std::ostringstream os;

@@ -94,12 +94,12 @@ struct CacheStats {
 
 /// Forwarding-state memory picture of one campaign run, aggregated over the
 /// cache's interval-compressed tables (engine::CampaignCache).  All sizes
-/// are deterministic: lazily-built chunks depend only on which pairs the
-/// workloads touched, never on thread count or scheduling.
+/// are deterministic: tables compile in full, independent of thread count
+/// and scheduling.
 struct ForwardingStats {
   /// What the same tables would occupy in the flat per-pair layout.
   std::uint64_t tableBytesFlat = 0;
-  /// Resident bytes of the compressed tables (built chunks only).
+  /// Resident bytes of the compressed tables.
   std::uint64_t tableBytesCompressed = 0;
 };
 
@@ -108,8 +108,9 @@ struct CampaignResults {
   std::vector<JobResult> jobs;  ///< Sorted by jobIndex after run().
 
   std::uint32_t threadsUsed = 0;
-  /// Per-job shard-worker budget the pool settled on (specs' own
-  /// sim_threads= keys override per job).  Host-volatile, like threadsUsed.
+  /// Per-job shard-worker budget (1 = serial core unless --sim-threads asked
+  /// for more; specs' own sim_threads= keys override per job).
+  /// Host-volatile, like threadsUsed.
   std::uint32_t simThreadsUsed = 0;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;

@@ -136,19 +136,19 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::compiledRoutes(
 std::shared_ptr<const core::CompiledRoutes> CampaignCache::compressedRoutes(
     const ExperimentSpec& spec,
     const std::shared_ptr<const routing::Router>& router,
-    std::uint64_t maxBytes) {
+    std::uint64_t maxBytes, std::uint32_t threads) {
   return compressed_.get(
       routerKey(spec, router->topology()),
       [&]() -> std::shared_ptr<const core::CompiledRoutes> {
         // Deterministic sampled estimate first: a scheme that does not
-        // compress (per-pair randomness) would blow the budget chunk by
-        // chunk at simulation time, so refuse up front — the memoized
-        // nullptr keeps such jobs on the virtual-routing path.
+        // compress (per-pair randomness) would blow the budget, so refuse
+        // before compiling — the memoized nullptr keeps such jobs on the
+        // virtual-routing path.
         if (core::CompiledRoutes::estimateCompressedBytes(*router) >
             maxBytes) {
           return nullptr;
         }
-        return core::CompiledRoutes::compile(router, /*threads=*/1,
+        return core::CompiledRoutes::compile(router, threads,
                                              core::TableLayout::kCompressed);
       });
 }
@@ -289,12 +289,12 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
       compiled = cache.compiledRoutes(spec, router,
                                       std::max(1u, opt.compileThreads));
     } else if (plan.empty()) {
-      // Flat table over budget: try the interval-compressed layout, left
-      // lazy on purpose — an open-loop sweep compiles only the destination
-      // chunks its source actually touches.  nullptr (scheme does not
-      // compress either) keeps the virtual-routing fallback.
+      // Flat table over budget: try the interval-compressed layout.
+      // nullptr (scheme does not compress either) keeps the virtual-routing
+      // fallback.
       compiled = cache.compressedRoutes(spec, router,
-                                        opt.maxCompiledTableBytes);
+                                        opt.maxCompiledTableBytes,
+                                        std::max(1u, opt.compileThreads));
     }
   }
   // The t = 0 degraded table replaces the healthy one for static failures;
@@ -315,8 +315,8 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   trace::OpenLoopOptions ol;
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
-  // The spec's own sim_threads= wins; otherwise the runner's idle-share
-  // budget applies.  Either way the result bytes cannot depend on it.
+  // The spec's own sim_threads= wins; otherwise the runner's option
+  // (serial unless asked).  Either way the result bytes cannot depend on it.
   ol.simThreads =
       spec.simThreads != 0 ? spec.simThreads : std::max(1u, opt.simThreads);
   ol.spray = sprayCfg;
@@ -407,11 +407,8 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
                                         std::max(1u, opt.compileThreads));
       } else {
         compiled = cache.compressedRoutes(spec, router,
-                                          opt.maxCompiledTableBytes);
-        // Closed-loop replay touches essentially every pair of the
-        // workload; build the remaining chunks eagerly (and in parallel)
-        // rather than one lazy miss at a time on the simulation path.
-        if (compiled) compiled->compileAll(std::max(1u, opt.compileThreads));
+                                          opt.maxCompiledTableBytes,
+                                          std::max(1u, opt.compileThreads));
       }
     }
 
@@ -522,12 +519,6 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   // blow-up).
   RunnerOptions jobOpt = opt_;
   jobOpt.compileThreads = std::max(1u, poolWidth / threads);
-  // Shard workers get the same idle-share deal: a one-job campaign shards
-  // its event core across the whole pool, a saturated campaign runs each
-  // job's core serially.  An explicit --sim-threads budget wins.
-  if (jobOpt.simThreads == 0) {
-    jobOpt.simThreads = std::max(1u, poolWidth / threads);
-  }
 
   core::Mutex doneMu;  // Serializes onJobDone.
   const auto finishJob = [&](std::uint32_t index) {
@@ -603,7 +594,7 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
 
   results.sortByIndex();
   results.threadsUsed = threads;
-  results.simThreadsUsed = jobOpt.simThreads;
+  results.simThreadsUsed = std::max(1u, opt_.simThreads);
   results.cache = cache_.stats();
   results.forwarding = cache_.forwardingStats();
   results.wallTimeNs = static_cast<std::uint64_t>(

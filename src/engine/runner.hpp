@@ -66,17 +66,15 @@ class CampaignCache {
       std::uint32_t threads);
 
   /// The interval-compressed forwarding table for @p router — the fallback
-  /// for topologies whose flat table exceeds the engine's memory budget.
-  /// Compilation is lazy (64-destination chunks build on first touch, so a
-  /// sweep only pays for pairs it routes); closed-loop callers eager-build
-  /// via CompiledRoutes::compileAll.  Returns (and memoizes) nullptr when
-  /// even the compressed layout's sampled estimate exceeds @p maxBytes —
-  /// schemes with per-pair randomness (Random) do not compress, and they
-  /// keep the virtual-routing fallback exactly as before.
+  /// for topologies whose flat table exceeds the engine's memory budget —
+  /// compiled in full across @p threads workers.  Returns (and memoizes)
+  /// nullptr when even the compressed layout's sampled estimate exceeds
+  /// @p maxBytes — schemes with per-pair randomness (Random) do not
+  /// compress, and they keep the virtual-routing fallback exactly as before.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compressedRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
-      std::uint64_t maxBytes);
+      std::uint64_t maxBytes, std::uint32_t threads = 1);
 
   /// The degraded forwarding table for @p router under @p plan's t = 0
   /// failed-link set (fault::compileDegraded).  Keyed by the router key
@@ -103,8 +101,8 @@ class CampaignCache {
   [[nodiscard]] CacheStats stats() const;
 
   /// Aggregate memory picture of the compressed tables built so far: their
-  /// resident (built-chunk) bytes and the flat-layout bytes the same
-  /// topologies would have cost.  Deterministic for a given campaign.
+  /// resident bytes and the flat-layout bytes the same topologies would
+  /// have cost.  Deterministic for a given campaign.
   [[nodiscard]] ForwardingStats forwardingStats() const;
 
  private:
@@ -155,10 +153,9 @@ struct RunnerOptions {
   std::uint32_t compileThreads = 1;
 
   /// Shard workers one job's event core may use (sim/shard.hpp); a spec's
-  /// own `sim_threads=` key overrides per job.  0 lets Runner::run trade
-  /// intra-job against inter-job parallelism the same way compileThreads
-  /// does (pool width / concurrent jobs) so a campaign never
-  /// oversubscribes; results are byte-identical for any value.
+  /// own `sim_threads=` key overrides per job.  0 (like 1) runs the serial
+  /// core: sharding is slower than serial at every measured scale, so it
+  /// is opt-in only.  Results are byte-identical for any value.
   std::uint32_t simThreads = 0;
 
   /// Simulator parameters shared by every job in the campaign.

@@ -79,9 +79,9 @@ struct DegradedRoutes {
 /// links (see the header comment for the pair-by-pair rules).  Deterministic
 /// for any @p threads.  Throws std::invalid_argument for unreachable pairs
 /// under kThrow, and propagates the router's own errors.  @p layout picks
-/// the table representation exactly as for CompiledRoutes::compile();
-/// degraded tables always compile eagerly (the degraded view is not kept
-/// alive by the table), so lazy chunking does not apply.
+/// the table representation exactly as for CompiledRoutes::compile(),
+/// which finishes before this returns (the degraded view is not kept alive
+/// by the table).
 [[nodiscard]] DegradedRoutes compileDegraded(
     std::shared_ptr<const routing::Router> router,
     const DegradedTopology& degraded, UnreachablePolicy policy,

@@ -39,12 +39,6 @@
 
 namespace routing {
 
-/// Which endpoint's label guides the ascent.
-enum class Guide {
-  Source,      ///< Unique path up per source (S-mod-k family).
-  Destination  ///< Unique path down per destination (D-mod-k family).
-};
-
 [[nodiscard]] std::string toString(Guide g);
 
 /// A full set of per-level, per-subtree digit maps.
@@ -116,6 +110,10 @@ class RelabelRouter final : public Router {
 
   [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
   [[nodiscard]] std::string name() const override { return name_; }
+  /// route() reads only the guide leaf's digits and the NCA level.
+  [[nodiscard]] std::optional<Guide> ascentGuide() const override {
+    return guide_;
+  }
 
   [[nodiscard]] Guide guide() const { return guide_; }
   [[nodiscard]] const RelabelScheme& scheme() const { return scheme_; }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "xgft/route.hpp"
@@ -23,6 +24,12 @@ namespace routing {
 using xgft::NodeIndex;
 using xgft::Route;
 using xgft::Topology;
+
+/// Which endpoint's label guides the ascent.
+enum class Guide {
+  Source,      ///< Unique path up per source (S-mod-k family).
+  Destination  ///< Unique path down per destination (D-mod-k family).
+};
 
 /// Abstract routing scheme over a fixed topology.
 class Router {
@@ -39,6 +46,15 @@ class Router {
 
   /// Short identifier used in reports ("s-mod-k", "r-NCA-u", ...).
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// The endpoint whose label alone picks the up-ports, for self-routing
+  /// schemes.  When set, route(s, d) depends on the other endpoint only
+  /// through ncaLevel(s, d) — the contract core::CompiledRoutes relies on
+  /// to compile one route per NCA-level run instead of one per pair.
+  /// std::nullopt (the default) promises nothing.
+  [[nodiscard]] virtual std::optional<Guide> ascentGuide() const {
+    return std::nullopt;
+  }
 
   /// True when the scheme ignores the communication pattern (Sec. I).
   [[nodiscard]] virtual bool isOblivious() const { return true; }

@@ -1,19 +1,23 @@
 // Tests for core::CompiledRoutes: the flat table agrees with the source
 // router on every ordered pair, parallel compilation is thread-count
 // independent, the interval-compressed layout is pair-for-pair equivalent
-// to the flat one for every registered table scheme, lazy chunks build
-// exactly once, and the simulator's compiled fast path reproduces the
-// virtual path's results exactly.
+// to the flat one for every registered table scheme, the run-based build of
+// self-routing schemes matches the per-pair build exactly, a compressed
+// compile is complete when it returns, and the simulator's compiled fast
+// path reproduces the virtual path's results exactly.
 #include "core/compiled_routes.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "routing/relabel.hpp"
 #include "trace/harness.hpp"
 #include "xgft/params.hpp"
 
@@ -140,77 +144,190 @@ void expectSamePorts(const CompiledRoutes& a, const CompiledRoutes& b,
   }
 }
 
+/// Forwards to another router but promises no ascent guide, which forces
+/// the per-pair compile path: the reference the run-based build must match.
+class PerPairRouter final : public routing::Router {
+ public:
+  explicit PerPairRouter(std::shared_ptr<const routing::Router> inner)
+      : Router(inner->topology()), inner_(std::move(inner)) {}
+
+  [[nodiscard]] routing::Route route(routing::NodeIndex s,
+                                     routing::NodeIndex d) const override {
+    return inner_->route(s, d);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<const routing::Router> inner_;
+};
+
+/// A self-routing router over user-supplied (unbalanced) digit tables —
+/// the RelabelScheme::fromTables extension point.
+std::shared_ptr<const routing::Router> makeTablesRouter(
+    const xgft::Topology& topo, routing::Guide guide) {
+  const routing::RelabelScheme geometry = routing::RelabelScheme::mod(topo);
+  std::vector<std::vector<std::uint32_t>> tables(topo.height());
+  for (std::uint32_t l = 0; l < topo.height(); ++l) {
+    const std::uint64_t entries =
+        geometry.contextCount(l) * geometry.digitRadix(l);
+    for (std::uint64_t i = 0; i < entries; ++i) {
+      tables[l].push_back(
+          static_cast<std::uint32_t>((i * 7 + l * 3 + i / 5) %
+                                     topo.params().w(l + 1)));
+    }
+  }
+  return std::make_shared<routing::RelabelRouter>(
+      topo, routing::RelabelScheme::fromTables(topo, std::move(tables)),
+      guide, guide == routing::Guide::Source ? "tables-u" : "tables-d");
+}
+
+/// upPorts and shareRep agree on every ordered pair, and the footprints
+/// match.
+void expectSameTable(const CompiledRoutes& a, const CompiledRoutes& b,
+                     const std::string& label) {
+  expectSamePorts(a, b, label);
+  EXPECT_EQ(a.forwardingBytes(), b.forwardingBytes()) << label;
+  const xgft::Count n = a.numHosts();
+  for (xgft::NodeIndex s = 0; s < n; ++s) {
+    for (xgft::NodeIndex d = 0; d < n; ++d) {
+      ASSERT_EQ(a.shareRep(s, d), b.shareRep(s, d))
+          << label << " (" << s << " -> " << d << ")";
+    }
+  }
+}
+
+void expectEveryRouteValid(const CompiledRoutes& table,
+                           const std::string& label) {
+  const xgft::Count n = table.numHosts();
+  for (xgft::NodeIndex s = 0; s < n; ++s) {
+    for (xgft::NodeIndex d = 0; d < n; ++d) {
+      if (s == d) continue;
+      std::string error;
+      ASSERT_TRUE(xgft::validateRoute(table.topology(), s, d,
+                                      table.route(s, d), &error))
+          << label << ": " << error;
+    }
+  }
+}
+
 TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
-  // The hard contract of the compressed layout: pair-for-pair identical
-  // lookups for every registered table scheme, on the paper's slimmed tree,
-  // a mid-size two-level tree and a small three-level (scale-out tier)
-  // tree.
+  // The hard contract of both layouts: pair-for-pair identical lookups for
+  // every registered table scheme and for user-supplied relabel tables, on
+  // the paper's slimmed tree, a mid-size two-level tree, a small
+  // three-level (scale-out tier) tree and a mixed-radix three-level tree.
+  // Self-routing schemes compile one route per NCA-level run; the same
+  // router behind a guide-less wrapper compiles per pair, and the two
+  // builds must agree on every lookup, every shareRep and the footprint.
   const std::vector<xgft::Params> tiers = {
       xgft::xgft2(16, 16, 10),             // paper-slim
       xgft::xgft2(8, 8, 4),
       xgft::Params({4, 4, 4}, {2, 2, 2}),  // xgft3:4:4:4:2:2:2
+      xgft::Params({3, 5, 2}, {1, 2, 3}),  // mixed radix
   };
   for (const xgft::Params& params : tiers) {
     const auto topo = std::make_shared<const xgft::Topology>(params);
+    std::vector<std::shared_ptr<const routing::Router>> routers;
     for (const std::string& scheme : tableSchemes()) {
-      const auto router = makeRouter(topo, scheme, 5);
+      routers.push_back(makeRouter(topo, scheme, 5));
+    }
+    routers.push_back(makeTablesRouter(*topo, routing::Guide::Source));
+    routers.push_back(makeTablesRouter(*topo, routing::Guide::Destination));
+    for (const auto& router : routers) {
+      const std::string label =
+          router->name() + " on " + topo->params().toString();
+      const auto perPair = std::make_shared<const PerPairRouter>(router);
       const auto flat =
           CompiledRoutes::compile(router, 1, TableLayout::kFlat);
       const auto packed =
           CompiledRoutes::compile(router, 2, TableLayout::kCompressed);
       ASSERT_FALSE(flat->compressed());
       ASSERT_TRUE(packed->compressed());
-      expectSamePorts(*flat, *packed,
-                      scheme + " on " + topo->params().toString());
+      expectSamePorts(*flat, *packed, label);
+      expectSameTable(
+          *flat, *CompiledRoutes::compile(perPair, 1, TableLayout::kFlat),
+          label + " (flat, per pair)");
+      expectSameTable(
+          *packed,
+          *CompiledRoutes::compile(perPair, 2, TableLayout::kCompressed),
+          label + " (compressed, per pair)");
+      expectEveryRouteValid(*flat, label);
     }
   }
 }
 
-TEST(CompiledRoutesCompressed, ChunksBuildLazilyAndExactlyOnce) {
-  // 256 hosts = 4 chunks of 64 guide columns.  Nothing builds up front;
-  // the first and the last pair build their own chunks only, a re-touch
-  // builds nothing, and compileAll() finishes the rest.
+/// Claims d-mod-k's guide but returns every route one level short.
+class ShortGuidedRouter final : public routing::Router {
+ public:
+  using Router::Router;
+
+  [[nodiscard]] routing::Route route(routing::NodeIndex s,
+                                     routing::NodeIndex d) const override {
+    routing::Route r;
+    r.up.assign(topology().ncaLevel(s, d) - (s == d ? 0 : 1), 0);
+    return r;
+  }
+  [[nodiscard]] std::string name() const override { return "short-guided"; }
+  [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
+    return routing::Guide::Destination;
+  }
+};
+
+TEST(CompiledRoutes, RunBuildStillRejectsMalformedRoutes) {
+  // Validating once per run must keep compile-time validation's verdict
+  // and its error text.
+  const auto topo =
+      std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
+  const auto router = std::make_shared<const ShortGuidedRouter>(*topo);
+  for (const TableLayout layout :
+       {TableLayout::kFlat, TableLayout::kCompressed}) {
+    try {
+      (void)CompiledRoutes::compile(router, 1, layout);
+      ADD_FAILURE() << "a too-short route compiled";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("CompiledRoutes(short-guided): route ", 0), 0u)
+          << what;
+      EXPECT_NE(what.find(": length 0 != NCA level 1"), std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(CompiledRoutesCompressed, CompileIsCompleteWhenItReturns) {
+  // Nothing is left to build after compile(): lookups do not grow the
+  // footprint, and the compileAll() kept for older callers changes nothing.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 10));
   const auto router = makeRouter(topo, "d-mod-k");
   const auto table =
       CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
   ASSERT_TRUE(table->compressed());
-  ASSERT_EQ(table->numChunks(), 4u);
-  EXPECT_EQ(table->builtChunks(), 0u);
+  const std::uint64_t bytes = table->forwardingBytes();
+  EXPECT_GT(bytes, 0u);
 
-  (void)table->upPorts(0, 0);  // Diagonal lookups build their chunk too.
-  EXPECT_EQ(table->builtChunks(), 1u);
   const xgft::NodeIndex last = topo->numHosts() - 1;
-  (void)table->upPorts(last, last);
-  EXPECT_EQ(table->builtChunks(), 2u);
-
   EXPECT_EQ(table->route(0, last), router->route(0, last));
-  const std::uint64_t bytesBefore = table->forwardingBytes();
-  const std::size_t chunksBefore = table->builtChunks();
-  (void)table->upPorts(0, last);  // Re-touch: both endpoint chunks exist.
-  EXPECT_EQ(table->builtChunks(), chunksBefore);
-  EXPECT_EQ(table->forwardingBytes(), bytesBefore);
+  EXPECT_EQ(table->route(last, 0), router->route(last, 0));
+  EXPECT_EQ(table->forwardingBytes(), bytes);
 
   table->compileAll(2);
-  EXPECT_EQ(table->builtChunks(), table->numChunks());
-  EXPECT_GT(table->forwardingBytes(), bytesBefore);
+  EXPECT_EQ(table->forwardingBytes(), bytes);
   const auto flat = CompiledRoutes::compile(router, 1, TableLayout::kFlat);
-  expectSamePorts(*flat, *table, "d-mod-k after compileAll");
+  expectSamePorts(*flat, *table, "d-mod-k compressed vs flat");
 }
 
-TEST(CompiledRoutesCompressed, CompileAllIsThreadCountIndependent) {
+TEST(CompiledRoutesCompressed, CompileIsThreadCountIndependent) {
+  // Per-pair (Random) and per-run (d-mod-k, s-mod-k) builds alike.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 4));
-  const auto router = makeRouter(topo, "Random", 3);
-  const auto serial =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-  const auto threaded =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-  serial->compileAll(1);
-  threaded->compileAll(4);
-  EXPECT_EQ(serial->forwardingBytes(), threaded->forwardingBytes());
-  expectSamePorts(*serial, *threaded, "Random compileAll 1 vs 4");
+  for (const char* scheme : {"Random", "d-mod-k", "s-mod-k"}) {
+    const auto router = makeRouter(topo, scheme, 3);
+    const auto serial =
+        CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
+    const auto threaded =
+        CompiledRoutes::compile(router, 4, TableLayout::kCompressed);
+    expectSameTable(*serial, *threaded, std::string(scheme) + " 1 vs 4");
+  }
 }
 
 TEST(CompiledRoutesCompressed, ShareRepPreservesRoutesWithinLeafGroups) {

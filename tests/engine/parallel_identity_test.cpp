@@ -77,6 +77,23 @@ INSTANTIATE_TEST_SUITE_P(Builtins, ParallelIdentity,
                            return name;
                          });
 
+TEST(ParallelIdentity, FewJobsOnAWidePoolRunTheSerialCore) {
+  // Idle pool threads must not shard a job's event core: sharding is slower
+  // than serial at every scale measured, so only sim_threads= or
+  // --sim-threads opt in.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "m1=8 m2=8 w2=2 source=poisson:uniform load=0.6 routing=d-mod-k "
+      "seed=1\n");
+  ASSERT_EQ(specs.size(), 1u);
+  RunnerOptions wide = optionsWith(0);
+  wide.threads = 4;
+  Runner pooled(wide);
+  const CampaignResults results = pooled.run(specs);
+  EXPECT_EQ(results.simThreadsUsed, 1u);
+  Runner serial(optionsWith(1));
+  EXPECT_EQ(results.toCsv(), serial.run(specs).toCsv());
+}
+
 TEST(ParallelIdentity, SpecLevelSimThreadsKeyOverridesTheRunner) {
   // sim_threads= inside a spec line parses, overrides the runner budget,
   // and stays out of the canonical line form (host-volatile).

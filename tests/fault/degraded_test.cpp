@@ -144,8 +144,6 @@ TEST(DegradedRouting, CompressedLayoutMatchesFlatAroundFailures) {
     EXPECT_FALSE(flat.table->compressed());
     ASSERT_TRUE(packed.table->compressed());
     EXPECT_EQ(packed.unreachable, flat.unreachable);
-    // Overridden tables compile eagerly — no chunk may outlive the view.
-    EXPECT_EQ(packed.table->builtChunks(), packed.table->numChunks());
     for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
       for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
         const auto a = flat.table->upPorts(s, d);
