@@ -72,9 +72,10 @@ BENCHMARK(BM_RouteColored);
 // into core::CompiledRoutes once and replaces the virtual dispatch below
 // with the flat lookup benchmarked here (numbers recorded in DESIGN.md §6).
 
-std::shared_ptr<const core::CompiledRoutes> compiledOf(routing::RouterPtr r) {
+std::shared_ptr<const core::CompiledRoutes> compiledOf(
+    routing::RouterPtr r, core::TableLayout layout = core::TableLayout::kAuto) {
   std::shared_ptr<const routing::Router> shared(std::move(r));
-  return core::CompiledRoutes::compile(std::move(shared), 1);
+  return core::CompiledRoutes::compile(std::move(shared), 1, layout);
 }
 
 void compiledSweep(benchmark::State& state,
@@ -96,6 +97,16 @@ void BM_CompiledLookupDModK(benchmark::State& state) {
   compiledSweep(state, *table);
 }
 BENCHMARK(BM_CompiledLookupDModK);
+
+void BM_CompiledLookupCompressed(benchmark::State& state) {
+  // The same d-mod-k table and pair sweep as BM_CompiledLookupDModK, in the
+  // interval-compressed layout: a binary search over the destination's
+  // intervals instead of one flat index.
+  static const auto table = compiledOf(routing::makeDModK(paperTopo()),
+                                       core::TableLayout::kCompressed);
+  compiledSweep(state, *table);
+}
+BENCHMARK(BM_CompiledLookupCompressed);
 
 void BM_CompiledLookupRandom(benchmark::State& state) {
   static const auto table = compiledOf(routing::makeRandom(paperTopo(), 1));

@@ -16,6 +16,8 @@
 #include "trace/harness.hpp"
 #include "trace/openloop.hpp"
 #include "trace/replayer.hpp"
+#include "trace/route_resolver.hpp"
+#include "xgft/rng.hpp"
 
 namespace {
 
@@ -238,6 +240,47 @@ void BM_RouteCompileCompressed(benchmark::State& state) {
   state.SetLabel(topo->params().toString());
 }
 BENCHMARK(BM_RouteCompileCompressed)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_RouteResolve(benchmark::State& state) {
+  // The per-message route query of every compiled-table injection: a fixed
+  // SplitMix64 stream of uniform (src, dst) pairs through a fresh Network's
+  // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts, flat
+  // d-mod-k table; the stream revisits pairs, so mostly memo hits), arg 1 =
+  // xgft3:16:16:16:1:8:8 (4096 hosts, compressed; mostly first sends that
+  // intern a route).  Counters: ns per resolved pair and the interned
+  // route arena's bytes after the stream.
+  constexpr std::uint32_t kPairs = 200'000;
+  const bool big = state.range(0) == 1;
+  const auto topo = std::make_shared<const xgft::Topology>(
+      big ? xgft3Tier(1) : xgft::xgft2(16, 16, 10));
+  const std::shared_ptr<const routing::Router> router =
+      routing::makeDModK(*topo);
+  const auto table = core::CompiledRoutes::compile(
+      router, 1,
+      big ? core::TableLayout::kCompressed : core::TableLayout::kFlat);
+  const std::uint64_t n = topo->numHosts();
+  std::uint64_t arenaBytes = 0;
+  for (auto _ : state) {
+    sim::Network net(*topo, sim::SimConfig{});
+    trace::RouteSetResolver resolver(net, *router, {}, table.get());
+    xgft::Rng rng(1);
+    for (std::uint32_t i = 0; i < kPairs; ++i) {
+      const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
+      const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
+      benchmark::DoNotOptimize(resolver.setFor(s, d));
+    }
+    arenaBytes = net.routes().arenaEntries() * sizeof(std::uint32_t);
+  }
+  // An inverted per-iteration rate is seconds per pair; the 1e-9 factor
+  // turns it into nanoseconds.
+  state.counters["ns_per_pair"] = benchmark::Counter(
+      kPairs * 1e-9,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.counters["arena_bytes"] = static_cast<double>(arenaBytes);
+  state.SetLabel(topo->params().toString());
+}
+BENCHMARK(BM_RouteResolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

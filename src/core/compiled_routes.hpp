@@ -141,7 +141,19 @@ class CompiledRoutes {
   /// shares one interned route set.  s itself in the flat layout, in the
   /// source-oriented compressed layout, and for s == d.
   [[nodiscard]] xgft::NodeIndex shareRep(xgft::NodeIndex s,
-                                         xgft::NodeIndex d) const;
+                                         xgft::NodeIndex d) const {
+    return shareLookup(s, d).rep;
+  }
+
+  /// shareRep(s, d) and upPorts(s, d) from one interval probe — the route
+  /// resolver's per-message query.  The pair is unroutable iff s != d and
+  /// upPorts is empty.
+  struct ShareLookup {
+    xgft::NodeIndex rep = 0;
+    std::span<const std::uint32_t> upPorts;
+  };
+  [[nodiscard]] ShareLookup shareLookup(xgft::NodeIndex s,
+                                        xgft::NodeIndex d) const;
 
   [[nodiscard]] bool compressed() const { return compressed_; }
   /// Bytes resident for the forwarding state: the dense arrays in the flat

@@ -46,6 +46,7 @@ Network::Network(const xgft::Topology& topo, SimConfig cfg)
     }
   }
   adaptiveRR_.assign(topo.numNodes(), 0);
+  adaptiveSets_.assign(topo.params().w(1), RouteStore::kNone);
 
   // Wire the peers: every up-link connects (child, upPort) <-> (parent,
   // downPort = child's M_{l+1} digit).
@@ -221,10 +222,16 @@ MsgId Network::addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
     const std::uint32_t port =
         static_cast<std::uint32_t>(messages_.size() % topo_->params().w(1));
     // Adaptive segments resolve every switch port on the fly, so the tail
-    // path is empty; only the NIC port (in the set) is predetermined.
-    scratchPath_.clear();
-    scratchSet_.assign(1, routes_.internPath(scratchPath_));
-    set = routes_.internSet(port, scratchSet_);
+    // path is empty; only the NIC port (in the set) is predetermined.  The
+    // set is interned on the port's first use and cached: later interns
+    // would return the same id, so ids and their order are unchanged.
+    set = adaptiveSets_[port];
+    if (set == RouteStore::kNone) {
+      scratchPath_.clear();
+      scratchSet_.assign(1, routes_.internPath(scratchPath_));
+      set = routes_.internSet(port, scratchSet_);
+      adaptiveSets_[port] = set;
+    }
   }
   return addRecord(src, dst, bytes, set, SprayPolicy::kRoundRobin, 1,
                    /*adaptive=*/true);

@@ -543,6 +543,8 @@ class Network {
   RouteStore routes_;
   std::vector<std::uint32_t> scratchPath_;  ///< Reused path-building buffer.
   std::vector<RouteId> scratchSet_;         ///< Reused set-building buffer.
+  /// Adaptive route set per local NIC port (kNone until first use).
+  std::vector<RouteSetId> adaptiveSets_;
 
   EventQueue queue_;
   std::vector<std::function<void()>> callbacks_;

@@ -1,7 +1,9 @@
 #include "sim/route_store.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "xgft/rng.hpp"
 
@@ -17,58 +19,61 @@ std::uint64_t hashSpan(std::span<const std::uint32_t> v) {
   return h;
 }
 
-bool equalsSlice(std::span<const std::uint32_t> value,
-                 const std::vector<std::uint32_t>& data, std::uint32_t off,
-                 std::uint32_t len) {
-  if (value.size() != len) return false;
-  for (std::uint32_t i = 0; i < len; ++i) {
-    if (data[off + i] != value[i]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
-std::uint32_t RouteStore::intern(
-    std::span<const std::uint32_t> value, std::vector<std::uint32_t>& data,
-    std::vector<Slice>& slices,
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>& index,
-    const char* what) {
-  const std::uint64_t h = hashSpan(value);
-  std::vector<std::uint32_t>& candidates = index[h];
-  for (const std::uint32_t id : candidates) {
-    const Slice s = slices[id];
-    if (equalsSlice(value, data, s.off, s.len)) return id;
+std::uint32_t RouteStore::intern(std::span<const std::uint32_t> value,
+                                 Pool& pool, const char* what) {
+  const auto h = static_cast<std::uint32_t>(hashSpan(value));
+  if (pool.index.empty()) growIndex(pool);
+  const std::size_t mask = pool.index.size() - 1;
+  std::size_t i = h & mask;
+  for (; pool.index[i].id != kEmptySlot; i = (i + 1) & mask) {
+    const IndexSlot slot = pool.index[i];
+    if (slot.hash == h && std::ranges::equal(pool.slice(slot.id), value)) {
+      return slot.id;
+    }
   }
   // New content: append to the arena, with checked 32-bit bounds instead of
   // a silent wrap on absurd scales.
-  if (data.size() + value.size() > 0xffffffffull) {
+  if (pool.data.size() + value.size() > 0xffffffffull) {
     throw std::length_error(std::string("RouteStore: ") + what +
                             " arena exceeds 2^32 entries — shard the "
                             "workload across simulations");
   }
-  if (slices.size() >= kNone) {
+  if (pool.slices.size() >= kIdLimit) {
     throw std::length_error(std::string("RouteStore: ") + what +
-                            " id space exhausted (2^32 - 1 entries)");
+                            " id space exhausted (2^32 - 2 ids)");
   }
-  const Slice s{static_cast<std::uint32_t>(data.size()),
-                static_cast<std::uint32_t>(value.size())};
-  data.insert(data.end(), value.begin(), value.end());
-  const std::uint32_t id = static_cast<std::uint32_t>(slices.size());
-  slices.push_back(s);
-  candidates.push_back(id);
+  const auto id = static_cast<std::uint32_t>(pool.slices.size());
+  pool.slices.push_back({static_cast<std::uint32_t>(pool.data.size()),
+                         static_cast<std::uint32_t>(value.size())});
+  pool.data.insert(pool.data.end(), value.begin(), value.end());
+  pool.index[i] = {h, id};
+  if (pool.slices.size() * 2 > pool.index.size()) growIndex(pool);
   return id;
 }
 
+void RouteStore::growIndex(Pool& pool) {
+  const std::vector<IndexSlot> old = std::move(pool.index);
+  pool.index.assign(old.empty() ? 16 : old.size() * 2, IndexSlot{});
+  const std::size_t mask = pool.index.size() - 1;
+  for (const IndexSlot slot : old) {
+    if (slot.id == kEmptySlot) continue;
+    std::size_t i = slot.hash & mask;
+    while (pool.index[i].id != kEmptySlot) i = (i + 1) & mask;
+    pool.index[i] = slot;
+  }
+}
+
 RouteId RouteStore::internPath(std::span<const std::uint32_t> gports) {
-  return intern(gports, pathData_, paths_, pathIndex_, "path");
+  return intern(gports, paths_, "path");
 }
 
 RouteSetId RouteStore::internSet(std::uint32_t firstUp,
                                  std::span<const RouteId> routes) {
   scratch_.assign(1, firstUp);
   scratch_.insert(scratch_.end(), routes.begin(), routes.end());
-  return intern(scratch_, setData_, sets_, setIndex_, "route-set");
+  return intern(scratch_, sets_, "route-set");
 }
 
 }  // namespace sim

@@ -23,15 +23,22 @@
 // interning (equal route lists leaving through different NIC ports stay
 // distinct sets) — and messages cache the expanded global port.
 //
-// Ids are dense uint32 handles; spans stay valid for the store's lifetime
-// (arenas only grow).  Exceeding the 32-bit arena or id space throws
-// std::length_error instead of silently wrapping (the overflow-hardening
-// contract of sim::Network).
+// Ids are dense uint32 handles below kIdLimit, handed out in first-intern
+// order; spans stay valid for the store's lifetime (arenas only grow).
+// Exceeding the 32-bit arena or id space throws std::length_error instead
+// of silently wrapping (the overflow-hardening contract of sim::Network) —
+// and never issues an id equal to one of the reserved handles kNone and
+// kUnroutable.
+//
+// Each arena's content index is one flat open-addressing array of
+// {content hash, id} slots (linear probing, power-of-two capacity, at most
+// half full): interning probes it once and compares the stored words on a
+// hash match, so a repeat intern allocates nothing and a new one appends to
+// two vectors (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace sim {
@@ -50,6 +57,9 @@ class RouteStore {
   /// refuse such messages (InjectionOptions::onDrop), not enqueue them.
   static constexpr std::uint32_t kUnroutable = 0xfffffffeu;
 
+  /// Path and set ids are < kIdLimit, so no id aliases a reserved handle.
+  static constexpr std::uint32_t kIdLimit = kUnroutable;
+
   /// Interns one switch-tail global-port path (no host hop; empty for
   /// adaptive messages, whose switches pick ports on the fly); returns the
   /// id of the existing copy when an identical path was interned before.
@@ -62,23 +72,21 @@ class RouteStore {
                                      std::span<const RouteId> routes);
 
   [[nodiscard]] std::span<const std::uint32_t> path(RouteId id) const {
-    const Slice s = paths_[id];
-    return {pathData_.data() + s.off, s.len};
+    return paths_.slice(id);
   }
   [[nodiscard]] std::span<const RouteId> set(RouteSetId id) const {
-    const Slice s = sets_[id];
-    return {setData_.data() + s.off + 1, s.len - 1};
+    return sets_.slice(id).subspan(1);
   }
   /// The local source-NIC port of every route in the set.
   [[nodiscard]] std::uint32_t setFirstUp(RouteSetId id) const {
-    return setData_[sets_[id].off];
+    return sets_.slice(id)[0];
   }
 
-  [[nodiscard]] std::size_t numPaths() const { return paths_.size(); }
-  [[nodiscard]] std::size_t numSets() const { return sets_.size(); }
+  [[nodiscard]] std::size_t numPaths() const { return paths_.slices.size(); }
+  [[nodiscard]] std::size_t numSets() const { return sets_.slices.size(); }
   /// Total interned uint32 entries (arena footprint, for reports).
   [[nodiscard]] std::size_t arenaEntries() const {
-    return pathData_.size() + setData_.size();
+    return paths_.data.size() + sets_.data.size();
   }
 
  private:
@@ -87,24 +95,40 @@ class RouteStore {
     std::uint32_t len = 0;
   };
 
-  /// Generic content-hashed interning into (data, slices, index).
-  static std::uint32_t intern(std::span<const std::uint32_t> value,
-                              std::vector<std::uint32_t>& data,
-                              std::vector<Slice>& slices,
-                              std::unordered_map<std::uint64_t,
-                                                 std::vector<std::uint32_t>>&
-                                  index,
-                              const char* what);
+  /// Marks a free content-index slot.
+  static constexpr std::uint32_t kEmptySlot = kNone;
+  static_assert(kEmptySlot >= kIdLimit,
+                "the index's empty-slot marker must not be a valid id");
 
-  std::vector<std::uint32_t> pathData_;
-  std::vector<Slice> paths_;
-  std::vector<std::uint32_t> setData_;
-  std::vector<Slice> sets_;
+  /// Low 32 bits of the content hash (they also give the home slot, so a
+  /// growing index re-places ids without rehashing content) and the id.
+  struct IndexSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t id = kEmptySlot;
+  };
+
+  /// One deduplicated arena: the words, each id's slice of them, and the
+  /// content index over the slices.
+  struct Pool {
+    std::vector<std::uint32_t> data;
+    std::vector<Slice> slices;
+    std::vector<IndexSlot> index;  ///< Power-of-two size, <= half full.
+
+    [[nodiscard]] std::span<const std::uint32_t> slice(std::uint32_t id) const {
+      const Slice s = slices[id];
+      return {data.data() + s.off, s.len};
+    }
+  };
+
+  /// Content-hashed interning of @p value into @p pool.
+  static std::uint32_t intern(std::span<const std::uint32_t> value, Pool& pool,
+                              const char* what);
+  /// Doubles @p pool's index (16 slots when empty) and re-places its ids.
+  static void growIndex(Pool& pool);
+
+  Pool paths_;
+  Pool sets_;
   std::vector<std::uint32_t> scratch_;  ///< internSet staging buffer.
-  // Content hash -> candidate ids (same-hash collisions are resolved by
-  // comparing the stored bytes).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> pathIndex_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> setIndex_;
 };
 
 }  // namespace sim

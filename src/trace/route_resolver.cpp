@@ -58,12 +58,13 @@ sim::RouteSetId RouteSetResolver::setFor(xgft::NodeIndex src,
   // every source in the same forwarding interval and leaf group maps to one
   // interned set (identical NIC port + switch tail), so the memo and the
   // route arenas stay O(intervals), not O(pairs).  shareRep == src for flat
-  // tables, making this the exact historical key there.
-  const xgft::NodeIndex srcKey =
-      compiled_ != nullptr ? compiled_->shareRep(src, dst) : src;
-  const std::uint64_t key = (static_cast<std::uint64_t>(srcKey) << 32) | dst;
-  const auto it = pairSets_.find(key);
-  if (it != pairSets_.end()) return it->second;
+  // tables, making this the exact historical key there.  The same interval
+  // probe yields the up-ports a memo miss interns.
+  core::CompiledRoutes::ShareLookup share{src, {}};
+  if (compiled_ != nullptr) share = compiled_->shareLookup(src, dst);
+  const std::uint64_t key =
+      (static_cast<std::uint64_t>(share.rep) << 32) | dst;
+  if (const sim::RouteSetId* memo = pairSets_.find(key)) return *memo;
   sim::RouteSetId set;
   if (spray_.enabled) {
     const xgft::Topology& topo = net_->topology();
@@ -90,15 +91,13 @@ sim::RouteSetId RouteSetResolver::setFor(xgft::NodeIndex src,
     }
     set = net_->internRoutes(src, dst, routes);
   } else if (compiled_ != nullptr) {
-    if (compiled_->unroutable(src, dst)) {
-      pairSets_.emplace(key, kUnroutable);
-      return kUnroutable;
-    }
-    set = net_->internCompiledPath(src, dst, compiled_->upPorts(src, dst));
+    set = src != dst && share.upPorts.empty()
+              ? kUnroutable
+              : net_->internCompiledPath(src, dst, share.upPorts);
   } else {
     set = net_->internRoutes(src, dst, {router_->route(src, dst)});
   }
-  pairSets_.emplace(key, set);
+  pairSets_.insert(key, set);
   return set;
 }
 

@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/compiled_routes.hpp"
 #include "routing/router.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/injection.hpp"
 #include "sim/network.hpp"
 
@@ -79,8 +79,8 @@ class RouteSetResolver {
   const routing::Router* router_;
   const core::CompiledRoutes* compiled_;
   SprayConfig spray_;
-  // (src, dst) -> interned route set in the network's RouteStore.
-  std::unordered_map<std::uint64_t, sim::RouteSetId> pairSets_;
+  // (shareRep, dst) -> interned route set in the network's RouteStore.
+  sim::FlatMap64 pairSets_;
 };
 
 /// The sim::InjectionOptions @p resolver's spray configuration implies —

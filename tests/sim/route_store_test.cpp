@@ -88,5 +88,48 @@ TEST(RouteStore, ManyCollidingLengthsStayConsistent) {
   EXPECT_EQ(store.numPaths(), 64u);
 }
 
+TEST(RouteStore, IdsSurviveIndexGrowthAndReinternInReverse) {
+  // 100k distinct paths and sets cross many index doublings; re-interning
+  // every one afterwards, newest first, must hand back the first-intern ids
+  // and add nothing.
+  constexpr std::uint32_t kCount = 100'000;
+  RouteStore store;
+  const auto pathOf = [](std::uint32_t i) {
+    return std::vector<std::uint32_t>{i, i * 7 + 1, i % 13};
+  };
+  const auto setOf = [](std::uint32_t i) {
+    return std::vector<RouteId>{i / 3, i % 3};
+  };
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(store.internPath(pathOf(i)), i);
+    ASSERT_EQ(store.internSet(i % 4, setOf(i)), i);
+  }
+  const std::size_t entries = store.arenaEntries();
+  for (std::uint32_t i = kCount; i-- > 0;) {
+    ASSERT_EQ(store.internPath(pathOf(i)), i);
+    ASSERT_EQ(store.internSet(i % 4, setOf(i)), i);
+  }
+  EXPECT_EQ(store.numPaths(), kCount);
+  EXPECT_EQ(store.numSets(), kCount);
+  EXPECT_EQ(store.arenaEntries(), entries);
+  EXPECT_EQ(store.setFirstUp(kCount - 1), (kCount - 1) % 4);
+}
+
+TEST(RouteStore, PathsDifferingInTheLastWordNeverAlias) {
+  // Same length, same prefix: only the final word tells them apart, so
+  // every one must get its own id and keep its own content.
+  RouteStore store;
+  std::vector<std::uint32_t> path{4, 8, 15, 16, 23, 0};
+  for (std::uint32_t last = 0; last < 20'000; ++last) {
+    path.back() = last;
+    ASSERT_EQ(store.internPath(path), last);
+  }
+  EXPECT_EQ(store.numPaths(), 20'000u);
+  for (std::uint32_t last = 0; last < 20'000; ++last) {
+    ASSERT_EQ(store.path(last).back(), last);
+    ASSERT_EQ(store.path(last).size(), path.size());
+  }
+}
+
 }  // namespace
 }  // namespace sim
