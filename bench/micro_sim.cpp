@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/compiled_routes.hpp"
 #include "obs/recorder.hpp"
@@ -115,21 +116,20 @@ void BM_CrossbarReference(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarReference)->Unit(benchmark::kMillisecond);
 
-void BM_EventCoreChurn(benchmark::State& state) {
-  // The event queue in isolation: a steady-state schedule/pop cycle with
-  // simulator-shaped deltas (transfer latency, wire free, wire arrive) at
-  // the given concurrency.  items = events popped.
+/// BM_EventCoreChurn's loop: @p width events pending, then 100k pops,
+/// each followed by a push delay(i) after the popped event.
+template <typename Delay>
+void churnQueue(benchmark::State& state, Delay delay) {
   const auto width = static_cast<std::uint32_t>(state.range(0));
-  static constexpr sim::TimeNs kDeltas[] = {100, 4096, 4116};
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::EventQueue q;
-    for (std::uint32_t i = 0; i < width; ++i) q.push(kDeltas[i % 3], 0, i, 0);
+    for (std::uint32_t i = 0; i < width; ++i) q.push(delay(i), 0, i, 0);
     sim::EventRecord ev{};
     for (std::uint32_t i = 0; i < 100000; ++i) {
       benchmark::DoNotOptimize(
           q.popUntil(std::numeric_limits<sim::TimeNs>::max(), ev));
-      q.push(ev.t + kDeltas[i % 3], 0, ev.a, 0);
+      q.push(ev.t + delay(i), 0, ev.a, 0);
     }
     events += 100000;
     benchmark::DoNotOptimize(q.size());
@@ -137,7 +137,30 @@ void BM_EventCoreChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.SetLabel("items = queue pops");
 }
-BENCHMARK(BM_EventCoreChurn)->Arg(8)->Arg(256)->Arg(4096);
+
+void BM_EventCoreChurn(benchmark::State& state) {
+  // The event queue in isolation at the concurrency of arg 0.  Arg 1 picks
+  // the delays: 0 = simulator-shaped (transfer latency, wire free, wire
+  // arrive), 1 = uniform random in [1, 8192] ns, where almost every push
+  // finds no lane for its delay and goes to the overflow heap — the lane
+  // design's worst case.  items = events popped.
+  if (state.range(1) == 0) {
+    static constexpr sim::TimeNs kDeltas[] = {100, 4096, 4116};
+    churnQueue(state, [](std::uint32_t i) { return kDeltas[i % 3]; });
+    return;
+  }
+  std::vector<sim::TimeNs> random(4096);
+  xgft::Rng rng(1);
+  for (sim::TimeNs& d : random) d = 1 + rng.next() % 8192;
+  churnQueue(state, [&random](std::uint32_t i) { return random[i & 4095]; });
+}
+BENCHMARK(BM_EventCoreChurn)
+    ->Args({8, 0})
+    ->Args({256, 0})
+    ->Args({4096, 0})
+    ->Args({8, 1})
+    ->Args({256, 1})
+    ->Args({4096, 1});
 
 void BM_ParallelRun(benchmark::State& state) {
   // The sharded event core (sim/shard.hpp) against the serial baseline on

@@ -5,7 +5,7 @@
 //
 //  1. the network's FaultPolicy is set (what happens to segments already
 //     committed to a dead port — wait / strand / reroute);
-//  2. every LinkFault is scheduled on the calendar queue
+//  2. every LinkFault is scheduled on the event queue
 //     (kLinkDown/kLinkUp events, FaultPlan::scheduleOn);
 //  3. when a resolver is supplied, each transition instant additionally
 //     gets a callback that recompiles the scheme's forwarding tables

@@ -1,44 +1,30 @@
 // event_queue.hpp — Flat, deterministic event core for the simulator.
 //
-// A bucketed calendar queue (Brown, CACM'88) over POD event records: the
-// timeline is cut into fixed-width slots (width = 2^log2WidthNs ns) and a
-// power-of-two array of buckets holds every pending event in the bucket of
-// its slot (slot & mask).  Future buckets are plain unsorted append-only
-// vectors, so push is one bounds check and a 24-byte store.  When the
-// cursor reaches a slot, that slot's events are extracted once into the
-// `cur_` run, sorted by the total order (t, tag), and then served by a
-// bump cursor — pops are a compare and an index increment.  Events pushed
-// *into the slot currently being served* (schedule-at-now, zero-latency
-// hops) are sorted-inserted into the live run; their insertion point is at
-// or after the cursor because simulated time never runs backwards, and at
-// the end of any equal-time group because `tag` grows monotonically — the
-// common burst case appends, it does not shift.
-//
-// Two workload adaptations, both pure constant-tuning (the service order
-// is the same total order either way):
-//
-//  * Small mode.  A simulation paced by a single saturated link keeps only
-//    a handful of events pending (the calendar's slot machinery is all
-//    overhead there), so below kSmallEnter events the queue degenerates to
-//    one descending-sorted array: pop is a pop_back, push a short memmove.
-//    Hysteresis (kSmallExit) keeps migrations rare.
-//  * Width adaptation.  When empty-slot probes dominate pops, events are
-//    far sparser than the slot width and the calendar quadruples its slot
-//    width and re-buckets.
+// Per-delay FIFO lanes over POD event records.  In the paper's network
+// model (fixed-size segments, a fixed switch latency, a fixed wire
+// latency) nearly every event is scheduled a constant delay after the
+// event being handled, and events pushed with one delay from a
+// non-decreasing `now` are already in (t, seq) order.  So the queue keeps
+// up to kLanes power-of-two ring buffers, each tagged with a delay
+// d = t - (time of the last pop).  A push appends to the lane tagged d —
+// retagging an empty lane for a new delay — when t is not earlier than that
+// lane's tail, and otherwise goes to a small overflow heap.  A pop takes
+// the (t, tag) minimum over the occupied lanes' heads (a bitmask, so a
+// nearly empty queue looks at one or two) and the heap top.
 //
 // Determinism is the contract (DESIGN.md §1/§7): `tag` packs a
 // monotonically increasing insertion sequence number above the 3-bit event
 // kind, giving a strict total order (t, seq) — equal-time events pop in
 // exactly insertion order, bit-for-bit reproducing the std::priority_queue
-// semantics this structure replaced.
-//
-// Sparse regions cost one empty-bucket probe per slot; after a fruitless
-// full lap the cursor jumps straight to the earliest pending slot.  A push
-// earlier than the cursor (legal: schedule-after-a-blocked-run(until))
-// returns the unserved run to its bucket and rewinds — rare and O(run).
+// semantics the event core started from.  The tail check alone keeps every
+// lane sorted in that order, whatever times the caller pushes (a push
+// earlier than the last pop, a time-skewed re-push); the delay tags only
+// decide how often the heap is needed, never the order served.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -61,123 +47,67 @@ struct EventRecord {
 
 class EventQueue {
  public:
-  /// @p log2WidthNs: log2 of the initial bucket width in nanoseconds.
-  /// 256 ns suits the simulator's event spacing (20–4128 ns deltas); any
-  /// value is correct, the width only shifts constants.  @p initialBuckets
-  /// must be a power of two; the calendar doubles itself whenever occupancy
-  /// exceeds kGrowOccupancy events per bucket.
-  explicit EventQueue(std::uint32_t log2WidthNs = 8,
-                      std::size_t initialBuckets = 256)
-      : log2Width_(log2WidthNs), buckets_(initialBuckets) {}
-
   void push(TimeNs t, std::uint8_t kind, std::uint32_t a, std::uint32_t seg) {
     assert(kind < 8 && "EventQueue: kind must fit the 3-bit tag field");
     const EventRecord e{t, (seq_++ << 3) | kind, a, seg};
-    ++size_;
-    if (smallMode_) {
-      if (size_ <= kSmallExit) {
-        // Descending-sorted array: later events sit nearer the front.
-        const auto it =
-            std::upper_bound(small_.begin(), small_.end(), e, Later{});
-        small_.insert(it, e);
+    // Wraps for t < lastPop_: still a usable key, the tail check decides.
+    const TimeNs d = t - lastPop_;
+    const unsigned i = laneFor(d);
+    if (i < kLanes) {
+      Lane& lane = lanes_[i];
+      if (lane.head == lane.tail ||
+          lane.ring[(lane.tail - 1) & lane.mask].t <= t) {
+        if (lane.tail - lane.head == lane.ring.size()) grow(lane);
+        lane.ring[lane.tail++ & lane.mask] = e;
+        occupied_ |= 1u << i;
         return;
       }
-      migrateToCalendar();
     }
-    const std::uint64_t slot = slotOf(t);
-    if (slot == curSlot_ && draining_) {
-      // Into the live run: keep it sorted.  The insertion point is >=
-      // cursor_ (time is monotone) and after every equal-time entry (tag is
-      // the largest yet), so bursts at one instant append in O(1).
-      const auto it = std::upper_bound(cur_.begin() + cursor_, cur_.end(), e,
-                                       Earlier{});
-      cur_.insert(it, e);
-      return;
-    }
-    if (slot < curSlot_) rewindTo(slot);
-    if (size_ >= buckets_.size() * kGrowOccupancy &&
-        buckets_.size() < kMaxBuckets) {
-      grow();
-    }
-    buckets_[slot & mask()].push_back(e);
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    ++overflowPushes_;
   }
 
   /// Extracts the earliest event — strict (t, insertion-seq) order — into
   /// @p out if its time is <= @p until.  Returns false (and removes
   /// nothing) when the queue is empty or the earliest event is later.
   [[nodiscard]] bool popUntil(TimeNs until, EventRecord& out) {
-    if (smallMode_) {
-      if (small_.empty() || small_.back().t > until) return false;
-      out = small_.back();
-      small_.pop_back();
-      --size_;
-      return true;
-    }
-    std::size_t probed = 0;
-    for (;;) {
-      if (draining_) {
-        if (cursor_ < cur_.size()) {
-          // Sorted run + slot partition order make this the global minimum.
-          if (cur_[cursor_].t > until) return false;
-          out = cur_[cursor_++];
-          --size_;
-          ++pops_;
-          return true;
-        }
-        draining_ = false;
-        cur_.clear();
-        cursor_ = 0;
-        ++curSlot_;
-        if (size_ <= kSmallEnter) {
-          migrateToSmall();
-          if (small_.empty() || small_.back().t > until) return false;
-          out = small_.back();
-          small_.pop_back();
-          --size_;
-          return true;
-        }
-        if (idleProbes_ + pops_ >= kAdaptWindow) maybeWiden();
-      }
-      if (size_ == 0) return false;
-      std::vector<EventRecord>& b = buckets_[curSlot_ & mask()];
-      if (!b.empty()) {
-        // Extract this slot's events (later laps stay) and sort them once.
-        std::size_t keep = 0;
-        for (const EventRecord& e : b) {
-          if (slotOf(e.t) == curSlot_) {
-            cur_.push_back(e);
-          } else {
-            b[keep++] = e;
-          }
-        }
-        b.resize(keep);
-        if (!cur_.empty()) {
-          if (cur_.size() > 1) std::sort(cur_.begin(), cur_.end(), Earlier{});
-          draining_ = true;
-          continue;
-        }
-      }
-      ++curSlot_;
-      ++idleProbes_;
-      if (++probed > buckets_.size()) {
-        // A whole lap of empty slots: jump to the earliest pending slot.
-        curSlot_ = earliestSlot();
-        probed = 0;
+    const EventRecord* best = heap_.empty() ? nullptr : &heap_.front();
+    unsigned from = kLanes;
+    for (unsigned m = occupied_; m != 0; m &= m - 1) {
+      const auto i = static_cast<unsigned>(std::countr_zero(m));
+      const Lane& lane = lanes_[i];
+      const EventRecord& head = lane.ring[lane.head & lane.mask];
+      if (best == nullptr || Earlier{}(head, *best)) {
+        best = &head;
+        from = i;
       }
     }
+    if (best == nullptr || best->t > until) return false;
+    out = *best;
+    if (from == kLanes) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      heap_.pop_back();
+    } else if (++lanes_[from].head == lanes_[from].tail) {
+      occupied_ &= ~(1u << from);
+    }
+    lastPop_ = out.t;
+    return true;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t numBuckets() const { return buckets_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = heap_.size();
+    for (const Lane& lane : lanes_) n += lane.tail - lane.head;
+    return n;
+  }
+  [[nodiscard]] bool empty() const { return occupied_ == 0 && heap_.empty(); }
+  /// Pushes no lane could take (served by the overflow heap instead).
+  [[nodiscard]] std::uint64_t overflowPushes() const { return overflowPushes_; }
 
  private:
-  static constexpr std::size_t kGrowOccupancy = 2;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-  static constexpr std::size_t kSmallEnter = 8;
-  static constexpr std::size_t kSmallExit = 64;
-  static constexpr std::uint64_t kAdaptWindow = 512;
-  static constexpr std::uint32_t kMaxLog2Width = 20;
+  static constexpr unsigned kLanes = 8;
+  static constexpr std::size_t kFirstRing = 64;
+  static_assert(std::has_single_bit(kFirstRing), "rings are powers of two");
 
   /// The (t, tag) total order.
   struct Earlier {
@@ -186,110 +116,55 @@ class EventQueue {
       return a.tag < b.tag;
     }
   };
-  /// Inverse order: sorts descending, so the earliest event is at back().
+  /// Inverse order: makes the std heap algorithms keep the earliest on top.
   struct Later {
     bool operator()(const EventRecord& a, const EventRecord& b) const {
       return Earlier{}(b, a);
     }
   };
 
-  [[nodiscard]] std::uint64_t slotOf(TimeNs t) const { return t >> log2Width_; }
-  [[nodiscard]] std::uint64_t mask() const { return buckets_.size() - 1; }
+  /// A FIFO ring; head/tail are running counts, the slot is count & mask.
+  struct Lane {
+    std::vector<EventRecord> ring;
+    std::size_t mask = 0;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+  };
 
-  [[nodiscard]] std::uint64_t earliestSlot() const {
-    std::uint64_t best = ~std::uint64_t{0};
-    for (const std::vector<EventRecord>& b : buckets_) {
-      for (const EventRecord& e : b) best = std::min(best, slotOf(e.t));
+  /// The lane tagged @p d, else an empty lane retagged to @p d, else
+  /// kLanes (every lane holds events of another delay).
+  [[nodiscard]] unsigned laneFor(TimeNs d) {
+    for (unsigned i = 0; i < kLanes; ++i) {
+      if (delay_[i] == d) return i;
     }
-    return best;
+    const unsigned idle = ~occupied_ & ((1u << kLanes) - 1);
+    if (idle == 0) return kLanes;
+    const auto i = static_cast<unsigned>(std::countr_zero(idle));
+    delay_[i] = d;
+    return i;
   }
 
-  /// Returns the unserved tail of the live run to its bucket and moves the
-  /// cursor back to @p slot (a push before the current slot — only possible
-  /// after a blocked run(until), never on the hot path).
-  void rewindTo(std::uint64_t slot) {
-    if (draining_) {
-      std::vector<EventRecord>& b = buckets_[curSlot_ & mask()];
-      b.insert(b.end(), cur_.begin() + cursor_, cur_.end());
-      cur_.clear();
-      cursor_ = 0;
-      draining_ = false;
+  /// Doubles a full ring, unwrapping it so the head restarts at slot 0.
+  static void grow(Lane& lane) {
+    const std::size_t n = lane.tail - lane.head;
+    std::vector<EventRecord> bigger(std::max(kFirstRing, 2 * n));
+    for (std::size_t k = 0; k < n; ++k) {
+      bigger[k] = lane.ring[(lane.head + k) & lane.mask];
     }
-    curSlot_ = slot;
+    lane.ring.swap(bigger);
+    lane.mask = lane.ring.size() - 1;
+    lane.head = 0;
+    lane.tail = n;
   }
 
-  /// Spills the sorted array into the calendar (the queue outgrew small
-  /// mode).  The cursor restarts at the earliest pending slot.
-  void migrateToCalendar() {
-    smallMode_ = false;
-    draining_ = false;
-    if (small_.empty()) return;
-    curSlot_ = slotOf(small_.back().t);
-    for (const EventRecord& e : small_) {
-      buckets_[slotOf(e.t) & mask()].push_back(e);
-    }
-    small_.clear();
-  }
-
-  /// Collapses the nearly-drained calendar into the sorted array.  O(all
-  /// buckets); the kSmallEnter/kSmallExit hysteresis keeps this rare.
-  void migrateToSmall() {
-    smallMode_ = true;
-    small_.clear();
-    for (std::vector<EventRecord>& b : buckets_) {
-      small_.insert(small_.end(), b.begin(), b.end());
-      b.clear();
-    }
-    std::sort(small_.begin(), small_.end(), Later{});
-    cur_.clear();
-    cursor_ = 0;
-    draining_ = false;
-    idleProbes_ = 0;
-    pops_ = 0;
-  }
-
-  void grow() {
-    std::vector<std::vector<EventRecord>> old = std::move(buckets_);
-    buckets_.assign(old.size() * 2, {});
-    redistribute(old);
-  }
-
-  /// Widens the slots x4 when empty probes dominate pops — the events are
-  /// far sparser than the slot width, so pay bigger sorted runs to skip
-  /// less.  Called only between runs (cur_ empty), so remapping the cursor
-  /// is a plain floor division and no event is skipped.
-  void maybeWiden() {
-    if (idleProbes_ > pops_ * 2 && log2Width_ + 2 <= kMaxLog2Width) {
-      log2Width_ += 2;
-      curSlot_ >>= 2;
-      std::vector<std::vector<EventRecord>> old = std::move(buckets_);
-      buckets_.assign(old.size(), {});
-      redistribute(old);
-    }
-    idleProbes_ = 0;
-    pops_ = 0;
-  }
-
-  void redistribute(std::vector<std::vector<EventRecord>>& old) {
-    for (std::vector<EventRecord>& b : old) {
-      for (const EventRecord& e : b) {
-        buckets_[slotOf(e.t) & mask()].push_back(e);
-      }
-    }
-  }
-
-  std::uint32_t log2Width_;
-  std::vector<std::vector<EventRecord>> buckets_;
-  std::vector<EventRecord> cur_;  ///< Sorted run of the slot being served.
-  std::size_t cursor_ = 0;        ///< Next unserved entry in cur_.
-  bool draining_ = false;         ///< cur_ holds curSlot_'s events.
-  std::vector<EventRecord> small_;  ///< Small mode: descending-sorted array.
-  bool smallMode_ = true;           ///< Start small; most tests stay there.
-  std::uint64_t curSlot_ = 0;
+  std::array<Lane, kLanes> lanes_;
+  /// Lane delay tags, unique; the initial 0..7 are as good as any.
+  std::array<TimeNs, kLanes> delay_{0, 1, 2, 3, 4, 5, 6, 7};
+  unsigned occupied_ = 0;  ///< Bit i: lane i holds events.
+  std::vector<EventRecord> heap_;  ///< Overflow, a (t, tag) min-heap.
+  TimeNs lastPop_ = 0;
   std::uint64_t seq_ = 0;  ///< 61 usable bits — never wraps in practice.
-  std::size_t size_ = 0;
-  std::uint64_t pops_ = 0;        ///< Events served in the adapt window.
-  std::uint64_t idleProbes_ = 0;  ///< Empty slots probed in the window.
+  std::uint64_t overflowPushes_ = 0;
 };
 
 }  // namespace sim

@@ -2,11 +2,11 @@
 //
 // One mechanism drives every traffic shape through the simulator: an
 // InjectionProcess pumps a patterns::TrafficSource and turns its actions
-// into Network calls, scheduled on the calendar queue —
+// into Network calls, scheduled on the event queue —
 //
 //  * kMessage at the current time injects immediately (addMessageSet /
 //    addMessageAdaptive + release);
-//  * kMessage with a future time parks until a calendar callback reaches
+//  * kMessage with a future time parks until a queued callback reaches
 //    it, so the source is asked for its next message only when the
 //    previous one's injection time arrived — open-loop streams are never
 //    materialized;
@@ -69,7 +69,7 @@ class InjectionProcess final : public TrafficSink {
   InjectionProcess(Network& net, patterns::TrafficSource& source,
                    InjectionOptions opt);
 
-  /// Pumps the source and processes events until the calendar queue drains
+  /// Pumps the source and processes events until the event queue drains
   /// (or @p until); resumable — the windowed measurement layer runs the
   /// same process across warmup/measurement/drain boundaries.
   void run(TimeNs until = std::numeric_limits<TimeNs>::max());
@@ -104,7 +104,7 @@ class InjectionProcess final : public TrafficSink {
 
  private:
   /// Pulls until the source blocks, exhausts, or hands out a future-time
-  /// message (which parks in pendingFuture_ behind a calendar callback).
+  /// message (which parks in pendingFuture_ behind a queued callback).
   void pump();
   void inject(const patterns::SourceMessage& m);
 

@@ -25,11 +25,11 @@
 // instead of throwing (DESIGN.md §10).
 //
 // Data layout (DESIGN.md §7): the inner loop runs entirely over flat
-// storage — POD events in a calendar queue (event_queue.hpp), segments in a
-// contiguous slot pool whose FIFO queues are intrusive `next` links (no
-// per-port deques, no allocation after warm-up), and routes interned once
-// in a shared arena (route_store.hpp) so messages/segments carry indices,
-// never copied port vectors.
+// storage — POD events in per-delay FIFO lanes (event_queue.hpp),
+// segments in a contiguous slot pool whose FIFO queues are intrusive
+// `next` links (no per-port deques, no allocation after warm-up), and
+// routes interned once in a shared arena (route_store.hpp) so
+// messages/segments carry indices, never copied port vectors.
 //
 // Determinism: ties in the event queue break by insertion order, so equal
 // configurations and inputs replay identically on every platform.
@@ -118,7 +118,7 @@ class TrafficSink {
 ///    After a clean full drain the two are equal.
 ///  * messagesDelivered — cumulative completions, including src == dst
 ///    local deliveries (which never touch segment counters).
-///  * eventsProcessed — calendar events handled.  Telemetry sampling events
+///  * eventsProcessed — queue events handled.  Telemetry sampling events
 ///    (Probe) are explicitly excluded, so the count is identical with and
 ///    without a probe attached; it feeds the campaign CSV `events` column.
 ///  * lastDeliveryNs — time of the latest completion so far; only after the
@@ -159,7 +159,7 @@ class Network {
 
   /// Attaches an observation probe (optional; nullptr detaches).  Hooks
   /// fire synchronously from the event core; if the probe samples
-  /// (samplePeriodNs() > 0) a dedicated calendar event drives periodic
+  /// (samplePeriodNs() > 0) a dedicated queue event drives periodic
   /// onSample calls.  Observation is guaranteed non-perturbing: makespan,
   /// NetworkStats (including eventsProcessed) and per-wire busy times are
   /// identical with and without a probe.  The probe must outlive the runs
@@ -278,6 +278,11 @@ class Network {
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
   [[nodiscard]] const xgft::Topology& topology() const { return *topo_; }
   [[nodiscard]] const RouteStore& routes() const { return routes_; }
+  /// Event pushes the queue's delay lanes could not take (event_queue.hpp);
+  /// zero on the paper's workloads, as tests/sim/event_queue_test pins.
+  [[nodiscard]] std::uint64_t queueOverflowPushes() const {
+    return queue_.overflowPushes();
+  }
 
   /// Completion time of a delivered message; throws if not yet delivered.
   [[nodiscard]] TimeNs deliveryTime(MsgId msg) const;
@@ -323,7 +328,7 @@ class Network {
   /// Intrusive-list terminator for segment/message/port links.
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
-  // The calendar queue packs the kind into 3 bits (event_queue.hpp), so at
+  // The event queue packs the kind into 3 bits (event_queue.hpp), so at
   // most 8 kinds exist; kLinkDown/kLinkUp fill the space exactly.
   enum class Kind : std::uint8_t {
     kRelease,

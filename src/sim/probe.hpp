@@ -3,7 +3,7 @@
 // A Probe attached via Network::setProbe observes the simulation without
 // perturbing it: hooks fire at the event core's state transitions (segment
 // enqueue/dequeue, wire busy/idle, message release/delivery, blocked-wake)
-// and an optional periodic sample rides the calendar queue as a dedicated
+// and an optional periodic sample rides the event queue as a dedicated
 // event kind that is excluded from NetworkStats::eventsProcessed and never
 // keeps a drained queue alive — a run's measured results (makespan, event
 // and queue counters, per-wire busy time) are byte-identical with and
@@ -98,7 +98,7 @@ class Probe {
   /// cadence mid-run (the downsampling recorder does).
   [[nodiscard]] virtual TimeNs samplePeriodNs() const { return 0; }
 
-  /// Periodic snapshot point, driven by the calendar queue.  @p net is
+  /// Periodic snapshot point, driven by the event queue.  @p net is
   /// safe for read-only queries (queue depths, wireBusyNs, stats).
   virtual void onSample(const Network& /*net*/, TimeNs /*t*/) {}
 };

@@ -10,7 +10,7 @@
 // inside the measurement window.
 //
 // The execution stack is the shared streaming mechanism (DESIGN.md §8):
-// sim::InjectionProcess pumps the source on the calendar queue and
+// sim::InjectionProcess pumps the source on the event queue and
 // trace::RouteSetResolver interns the per-pair route material, so an
 // open-loop run exercises exactly the injection/routing paths that phase
 // replay does.  Window boundaries are Network::run(until) partial runs —

@@ -1,7 +1,9 @@
-// Tests for the calendar-queue event core: exact (t, insertion-seq)
-// service order against a std::priority_queue reference model across the
-// regimes the queue adapts to (dense, sparse, time-bunched bursts, small),
-// plus the until/rewind semantics Network::run(until) relies on.
+// Tests for the per-delay FIFO lane event core: exact (t, insertion-seq)
+// service order against a std::priority_queue reference model — lanes
+// alone, lanes plus the overflow heap (more live delays than lanes, pushes
+// earlier than their lane's tail, equal-time ties across both), ring growth
+// and lane retagging — plus the until semantics Network::run(until) relies
+// on, and the claim that the paper's workloads never need the heap.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -9,12 +11,23 @@
 #include <queue>
 #include <vector>
 
+#include "patterns/applications.hpp"
+#include "patterns/source.hpp"
+#include "routing/relabel.hpp"
+#include "sim/injection.hpp"
+#include "sim/network.hpp"
+#include "trace/harness.hpp"
+#include "trace/mapping.hpp"
+#include "trace/replayer.hpp"
+#include "trace/route_resolver.hpp"
+#include "trace/trace.hpp"
 #include "xgft/rng.hpp"
+#include "xgft/topology.hpp"
 
 namespace sim {
 namespace {
 
-/// Reference model: the (t, seq) min-queue the calendar replaced.
+/// Reference model: the (t, seq) min-queue the event core must match.
 struct RefEvent {
   TimeNs t;
   std::uint64_t seq;
@@ -83,9 +96,9 @@ TEST(EventQueue, KindRidesInTheTag) {
 }
 
 TEST(EventQueue, MatchesReferenceOnMixedRandomLoad) {
-  // Interleaved pushes and pops over several time scales — exercises the
-  // small mode, the migration to the calendar, bucket growth, and the
-  // width adaptation, all against the reference order.
+  // Interleaved pushes and pops over several time scales — six delays and
+  // same-instant bursts, so lanes fill, drain and grow — all against the
+  // reference order.
   EventQueue q;
   Reference ref;
   xgft::Rng rng(42);
@@ -139,13 +152,13 @@ TEST(EventQueue, UntilBlocksWithoutConsuming) {
 }
 
 TEST(EventQueue, PushBeforeTheCursorAfterABlockedPop) {
-  // run(until) semantics: a blocked pop may leave the cursor deep in the
-  // future; a later push at an earlier time must still pop first.
+  // run(until) semantics: after a blocked pop, a push earlier than
+  // everything pending must still pop first.
   EventQueue q;
-  // Leave small mode so the calendar cursor is exercised.
+  // 200 pending far-future events ahead of the blocked pop.
   for (std::uint32_t i = 0; i < 200; ++i) q.push(1 << 20, 0, 1000 + i, 0);
   EventRecord out{};
-  EXPECT_FALSE(q.popUntil(10, out));  // Cursor hunts far forward.
+  EXPECT_FALSE(q.popUntil(10, out));  // Nothing due yet.
   q.push(50, 0, 7, 0);                // Earlier than everything pending.
   ASSERT_TRUE(q.popUntil(std::numeric_limits<TimeNs>::max(), out));
   EXPECT_EQ(out.a, 7u);
@@ -158,7 +171,8 @@ TEST(EventQueue, DrainRefillCyclesSurviveModeChanges) {
   std::uint32_t id = 0;
   TimeNs base = 0;
   for (int cycle = 0; cycle < 6; ++cycle) {
-    // Alternate tiny and large batches to force small <-> calendar moves.
+    // Alternate tiny and large batches; each drains fully, so every lane
+    // empties and the next batch retags them far in the future.
     const int n = (cycle % 2 == 0) ? 5 : 3000;
     for (int i = 0; i < n; ++i) {
       const TimeNs t = base + static_cast<TimeNs>(i % 97) * 64;
@@ -169,6 +183,158 @@ TEST(EventQueue, DrainRefillCyclesSurviveModeChanges) {
     expectSameDrain(q, ref);
     base += 1 << 24;  // Huge jump: the next batch is in a far slot.
   }
+}
+
+/// Pushes (t, id) into both queues.
+void pushBoth(EventQueue& q, Reference& ref, TimeNs t, std::uint32_t id) {
+  q.push(t, 0, id, 0);
+  ref.push(t, id);
+}
+
+/// Pops one event from each queue, asserting they agree; returns it.
+EventRecord popBoth(EventQueue& q, Reference& ref) {
+  EventRecord got{};
+  EXPECT_FALSE(ref.empty());
+  const RefEvent want = ref.pop();
+  EXPECT_TRUE(q.popUntil(std::numeric_limits<TimeNs>::max(), got));
+  EXPECT_EQ(got.t, want.t);
+  EXPECT_EQ(got.a, want.a);
+  return got;
+}
+
+TEST(EventQueue, MoreLiveDelaysThanLanesOverflowToTheHeap) {
+  // Sixteen delays live at once, twice the lane count: the heap serves the
+  // delays no lane holds, and the merge of both keeps the reference order.
+  EventQueue q;
+  Reference ref;
+  xgft::Rng rng(7);
+  std::uint32_t id = 0;
+  const auto delay = [&rng] { return 37 * (1 + rng.next() % 16); };
+  for (int i = 0; i < 64; ++i) pushBoth(q, ref, delay(), id++);
+  for (int round = 0; round < 20000; ++round) {
+    const EventRecord e = popBoth(q, ref);
+    pushBoth(q, ref, e.t + delay(), id++);
+  }
+  EXPECT_GT(q.overflowPushes(), 0u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueue, PushEarlierThanItsLaneTailGoesToTheHeap) {
+  // ParallelRunner::abortToSerial's shape: a window is popped, its
+  // executed prefix's pushes are replayed after the window's last pop, and
+  // the unexecuted rest is pushed back in order for the serial core.
+  EventQueue q;
+  Reference ref;
+  pushBoth(q, ref, 1000, 1);
+  pushBoth(q, ref, 1010, 2);
+  pushBoth(q, ref, 1020, 3);
+  for (int i = 0; i < 3; ++i) popBoth(q, ref);  // The window; last pop 1020.
+  // Event 1 ran: its successor 4116 later is pushed 20 ns after its own
+  // time, so its delay reads 4096 and it becomes that lane's tail.
+  pushBoth(q, ref, 1000 + 4116, 4);
+  pushBoth(q, ref, 1010, 2);  // Events 2 and 3 go back, in order.
+  pushBoth(q, ref, 1020, 3);
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  // The serial core runs event 2 at 1010, before the last pop: its
+  // successor 4096 later is earlier than the 4096 lane's tail.
+  EXPECT_EQ(popBoth(q, ref).a, 2u);
+  pushBoth(q, ref, 1010 + 4096, 5);
+  EXPECT_EQ(q.overflowPushes(), 1u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueue, EqualTimesAcrossLanesAndTheHeapPopInInsertionOrder) {
+  // Each tie push follows a pop at a later instant, so all twenty are
+  // measured from a different last pop and carry twenty different delays:
+  // eight lanes take some, the heap the rest.
+  EventQueue q;
+  constexpr TimeNs kTie = 1'000'000;
+  constexpr std::uint32_t kFiller = 999;
+  EventRecord out{};
+  for (std::uint32_t k = 0; k < 20; ++k) {
+    q.push(k + 1, 0, kFiller, 0);
+    ASSERT_TRUE(q.popUntil(kTie - 1, out));
+    ASSERT_EQ(out.a, kFiller);
+    q.push(kTie, 0, k, 0);
+  }
+  EXPECT_GE(q.overflowPushes(), 12u);
+  for (std::uint32_t k = 0; k < 20; ++k) {
+    ASSERT_TRUE(q.popUntil(kTie, out));
+    EXPECT_EQ(out.t, kTie);
+    EXPECT_EQ(out.a, k);
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, RingGrowsWhileItsHeadIsWrapped) {
+  // One delay only: every pop pushes two events one delay later, so the
+  // lane's population climbs by one per step and each time its ring fills,
+  // the pops have moved the head off slot 0 — the ring grows wrapped.
+  EventQueue q;
+  Reference ref;
+  constexpr TimeNs kDelay = 4096;
+  std::uint32_t id = 0;
+  pushBoth(q, ref, kDelay, id++);
+  for (int step = 0; step < 3000; ++step) {
+    const EventRecord e = popBoth(q, ref);
+    pushBoth(q, ref, e.t + kDelay, id++);
+    pushBoth(q, ref, e.t + kDelay, id++);
+  }
+  EXPECT_EQ(q.size(), 3001u);
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueue, DrainedLaneIsRetaggedForANewDelay) {
+  EventQueue q;
+  Reference ref;
+  std::uint32_t id = 0;
+  for (TimeNs k = 1; k <= 8; ++k) pushBoth(q, ref, 10 * k, id++);  // 8 lanes.
+  EXPECT_EQ(popBoth(q, ref).t, 10u);  // Drains the delay-10 lane.
+  pushBoth(q, ref, 10 + 95, id++);    // New delay: the drained lane.
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  pushBoth(q, ref, 10 + 96, id++);    // Another: no lane is free.
+  EXPECT_EQ(q.overflowPushes(), 1u);
+  expectSameDrain(q, ref);
+}
+
+// The lane design rests on the paper's network model scheduling nearly
+// every event a constant delay after `now`.  These runs pin that the
+// heap stays unused on the benchmark's two traffic shapes, so a change
+// that breaks the assumption shows here, not only as a slowdown.
+
+TEST(EventQueueLanes, PaperSlimOpenLoopNeverOverflows) {
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));  // paper-slim
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  for (const double load : {0.5, 0.9}) {
+    Network net(topo, SimConfig{});
+    trace::RouteSetResolver resolver(net, *router);
+    patterns::OpenLoopConfig cfg;
+    cfg.numRanks = static_cast<patterns::Rank>(topo.numHosts());
+    cfg.load = load;
+    cfg.messageBytes = 512;  // The loadsweep builtin at msg_scale 0.125.
+    cfg.stopNs = 300'000;
+    cfg.seed = 1;
+    patterns::OpenLoopSource src(cfg);
+    InjectionProcess process(net, src, trace::injectionOptions(resolver));
+    process.run();
+    EXPECT_GT(net.stats().eventsProcessed, 100'000u) << "load " << load;
+    EXPECT_EQ(net.queueOverflowPushes(), 0u) << "load " << load;
+  }
+}
+
+TEST(EventQueueLanes, ScaledCgReplayNeverOverflows) {
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const patterns::PhasedPattern cg =
+      trace::scaleMessages(patterns::cgD128(), 0.125);
+  const trace::Trace t = trace::traceFromPhases(cg);
+  const trace::Mapping mapping = trace::Mapping::sequential(cg.numRanks);
+  Network net(topo, SimConfig{});
+  trace::Replayer replayer(net, t, mapping, *router);
+  EXPECT_GT(replayer.run(), 0u);
+  EXPECT_GT(net.stats().eventsProcessed, 100'000u);
+  EXPECT_EQ(net.queueOverflowPushes(), 0u);
 }
 
 }  // namespace
