@@ -265,22 +265,28 @@ void BM_RouteCompileCompressed(benchmark::State& state) {
 BENCHMARK(BM_RouteCompileCompressed)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RouteResolve(benchmark::State& state) {
-  // The per-message route query of every compiled-table injection: a fixed
-  // SplitMix64 stream of uniform (src, dst) pairs through a fresh Network's
+  // The per-message route query of every injection: a fixed SplitMix64
+  // stream of uniform (src, dst) pairs through a fresh Network's
   // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts, flat
   // d-mod-k table; the stream revisits pairs, so mostly memo hits), arg 1 =
   // xgft3:16:16:16:1:8:8 (4096 hosts, compressed; mostly first sends that
-  // intern a route).  Counters: ns per resolved pair and the interned
-  // route arena's bytes after the stream.
+  // intern a route), arg 2 = paper-slim with the Random router and no
+  // table (every first send of a pair is a router-mode miss: one route(),
+  // one validation, one intern).  Counters: ns per resolved pair and the
+  // interned route arena's bytes after the stream.
   constexpr std::uint32_t kPairs = 200'000;
   const bool big = state.range(0) == 1;
+  const bool tableFree = state.range(0) == 2;
   const auto topo = std::make_shared<const xgft::Topology>(
       big ? xgft3Tier(1) : xgft::xgft2(16, 16, 10));
   const std::shared_ptr<const routing::Router> router =
-      routing::makeDModK(*topo);
-  const auto table = core::CompiledRoutes::compile(
-      router, 1,
-      big ? core::TableLayout::kCompressed : core::TableLayout::kFlat);
+      tableFree ? routing::makeRandom(*topo, 1) : routing::makeDModK(*topo);
+  const auto table =
+      tableFree ? nullptr
+                : core::CompiledRoutes::compile(
+                      router, 1,
+                      big ? core::TableLayout::kCompressed
+                          : core::TableLayout::kFlat);
   const std::uint64_t n = topo->numHosts();
   std::uint64_t arenaBytes = 0;
   for (auto _ : state) {
@@ -303,7 +309,11 @@ void BM_RouteResolve(benchmark::State& state) {
   state.counters["arena_bytes"] = static_cast<double>(arenaBytes);
   state.SetLabel(topo->params().toString());
 }
-BENCHMARK(BM_RouteResolve)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteResolve)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

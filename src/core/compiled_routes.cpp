@@ -170,7 +170,13 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   const std::size_t n = table->numHosts_;
   const std::optional<routing::Guide> guide = r.ascentGuide();
 
-  if (compress) {
+  if (guide.has_value() && !routeFor) {
+    // A self-routing router's columns follow its guide in either layout:
+    // at most 2h + 1 runs each, with no sampling (a sampled tie would pick
+    // kByDst and cost a source-guided scheme one route() per pair).
+    table->axis_ =
+        *guide == routing::Guide::Destination ? Axis::kByDst : Axis::kBySrc;
+  } else if (compress) {
     // Axis by deterministic sampling: three spread guide columns scanned
     // both ways; fewer total runs wins, a tie keeps kByDst.  Always scans
     // the healthy router — a degraded table differs from it on few pairs,
@@ -188,16 +194,10 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     }
     table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
   } else {
-    // The flat layout is axis-free; the axis only orders the build: along
-    // the router's guide when runs apply, row by row otherwise.
-    table->axis_ = guide == routing::Guide::Destination && !routeFor
-                       ? Axis::kByDst
-                       : Axis::kBySrc;
+    // The flat layout is axis-free; without runs it builds row by row.
+    table->axis_ = Axis::kBySrc;
   }
-  table->levelRuns_ =
-      !routeFor && guide.has_value() &&
-      (*guide == routing::Guide::Destination) ==
-          (table->axis_ == Axis::kByDst);
+  table->levelRuns_ = guide.has_value() && !routeFor;
 
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());

@@ -18,7 +18,8 @@
 //  * Interval-compressed (large topologies).  The paper's oblivious schemes
 //    choose up-ports by arithmetic on node labels, so for a fixed guide
 //    column (the destination for d-mod-k-style schemes, the source for
-//    s-mod-k-style ones — chosen by deterministic sampling) the route is
+//    s-mod-k-style ones — the router's ascentGuide() when it has one,
+//    deterministic sampling otherwise) the route is
 //    piecewise-constant in the other endpoint: consecutive ranks sharing
 //    the same up-port vector collapse into sorted half-open intervals, each
 //    carrying one copy of the ports.  lookup(s, d) is a branch-free binary
@@ -36,16 +37,16 @@
 // get runs of length 1.
 //
 // Compilation finishes inside compile(); the handle is immutable afterwards,
-// so it is freely shared across threads and campaign jobs (the engine
-// memoizes it next to the router).  sim::Network::addMessageCompiled
-// consumes upPorts() spans directly — a table lookup instead of virtual
-// dispatch per message — and the trace replayer goes one step further
-// (RouteSetResolver): the span is expanded and interned into the network's
-// RouteStore once per shared route set, so repeat sends are a pure record
-// append with no per-message table walk at all.  The same per-pair
-// interning backs the virtual-route fallback for topologies whose table
-// would exceed every layout's memory budget, which keeps route construction
-// off the per-message hot path in every mode.
+// so it is freely shared across threads.  The engine memoizes open-loop
+// jobs' tables next to the router; a closed-loop job compiles a compressed
+// table of its own for a self-routing scheme and frees it when the job
+// ends, while Random and Colored closed-loop jobs build no table at all.
+// RouteSetResolver expands and interns a table's upPorts() span into the
+// network's RouteStore once per shared route set, so repeat sends are a
+// pure record append with no per-message table walk.  Without a table the
+// resolver calls route() once per distinct pair and interns the result the
+// same way, which keeps route construction off the per-message hot path in
+// every mode.
 #pragma once
 
 #include <cstdint>
@@ -96,8 +97,9 @@ class CompiledRoutes {
       TableLayout layout = TableLayout::kAuto);
 
   /// Flat-layout size in bytes for a topology, before building — callers
-  /// bound memory with this (the engine tries the compressed layout above
-  /// its limit, then falls back to virtual routing).
+  /// bound memory with this (the engine's open-loop jobs try the
+  /// compressed layout above its limit, then fall back to virtual
+  /// routing).
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
 
   /// Deterministic sampled estimate of the compressed-layout footprint for

@@ -393,25 +393,6 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     const std::shared_ptr<const routing::Router> router =
         cache.router(spec, topo, app);
 
-    // Static schemes route through the compiled forwarding table (shared
-    // across every job with the same router key) unless the topology's
-    // table would blow the memory budget — then the virtual path serves,
-    // which since the interned-route rework costs one route() per distinct
-    // (src, dst) pair rather than per message (Replayer::routeSetFor), so
-    // the fallback is off every workload's per-message hot path.
-    std::shared_ptr<const core::CompiledRoutes> compiled;
-    if (scheme.mode == core::RouteMode::kTable && opt.compileRoutes) {
-      if (core::CompiledRoutes::tableBytes(*topo) <=
-          opt.maxCompiledTableBytes) {
-        compiled = cache.compiledRoutes(spec, router,
-                                        std::max(1u, opt.compileThreads));
-      } else {
-        compiled = cache.compressedRoutes(spec, router,
-                                          opt.maxCompiledTableBytes,
-                                          std::max(1u, opt.compileThreads));
-      }
-    }
-
     // Closed-loop fault path: static plans only.  The degraded table is
     // compiled under kThrow (a partitioned pair would stall the phase
     // barrier forever, so it must fail loudly at compile time), and the
@@ -440,6 +421,22 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
                                  plan, fault::UnreachablePolicy::kThrow,
                                  std::max(1u, opt.compileThreads));
       }
+    }
+
+    // Healthy closed-loop forwarding state belongs to the job alone: a
+    // replay talks to few partners, and the slimming sweeps key every
+    // seeded or pattern-aware router per seed, so a cached n^2 table is
+    // memory no later job reads.  Self-routing schemes compile a
+    // compressed table — at most 2h + 1 runs per guide column, well under
+    // a millisecond at 256 hosts — freed when the job ends.  Random and
+    // colored would route every pair to build one, so they get none: the
+    // resolver routes each pattern pair once.
+    std::shared_ptr<const core::CompiledRoutes> compiled;
+    if (!degradedTable && scheme.mode == core::RouteMode::kTable &&
+        opt.compileRoutes && router->ascentGuide()) {
+      compiled = core::CompiledRoutes::compile(
+          router, std::max(1u, opt.compileThreads),
+          core::TableLayout::kCompressed);
     }
 
     sim::Network net(*topo, opt.sim);

@@ -5,10 +5,12 @@
 // work-stealing pool of workers, each executing whole ExperimentSpecs with
 // its own sim::Network.  Two properties make campaigns fast and exact:
 //
-//  * Memoization.  Topology construction, routing tables and the
-//    Full-Crossbar reference run are cached behind keys derived from the
-//    spec, so a sweep that varies only the seed or the pattern reuses the
-//    expensive pieces (the Colored optimizer dominates cold-start cost).
+//  * Memoization.  Topology construction, routers, open-loop and degraded
+//    forwarding tables and the Full-Crossbar reference run are cached
+//    behind keys derived from the spec, so a sweep that varies only the
+//    seed or the pattern reuses the expensive pieces (the Colored optimizer
+//    dominates cold-start cost).  Healthy closed-loop jobs keep their
+//    forwarding state per job (see runJob).
 //    In-flight builds are shared: two workers missing on the same key wait
 //    on one build instead of duplicating it.
 //
@@ -58,15 +60,15 @@ class CampaignCache {
   /// The compiled forwarding table for @p router (see core::CompiledRoutes):
   /// flat per-(src, dst) port-index arrays built once per router cache key —
   /// in parallel across @p threads workers (0 = hardware concurrency) — and
-  /// shared immutably across campaign jobs, so the simulation hot path does
-  /// a table lookup instead of a virtual route() call per message.
+  /// shared immutably across open-loop jobs, whose uniform sources reach
+  /// most pairs.  runJob's closed-loop path never asks for it.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compiledRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
       std::uint32_t threads);
 
-  /// The interval-compressed forwarding table for @p router — the fallback
-  /// for topologies whose flat table exceeds the engine's memory budget —
+  /// The interval-compressed forwarding table for @p router — the open-loop
+  /// fallback for topologies whose flat table exceeds the memory budget —
   /// compiled in full across @p threads workers.  Returns (and memoizes)
   /// nullptr when even the compressed layout's sampled estimate exceeds
   /// @p maxBytes — schemes with per-pair randomness (Random) do not
@@ -136,14 +138,18 @@ struct RunnerOptions {
   /// route sweep per job for algorithms with static routes).
   bool collectContention = true;
 
-  /// Compile static routes into flat forwarding tables (CompiledRoutes)
-  /// shared across jobs, removing virtual route() dispatch from the
-  /// replayer's per-message hot path.  Results are bit-identical either
-  /// way; disable to measure the virtual path or to save memory.
+  /// Compile static routes into forwarding tables (CompiledRoutes): a
+  /// cached flat (or, past the budget, compressed) table per router key for
+  /// open-loop jobs, and a compressed table compiled for the job alone for
+  /// closed-loop jobs of self-routing schemes (Random and Colored
+  /// closed-loop jobs route each distinct pair once instead).  Results are
+  /// bit-identical either way; disable to measure the table-free path.
   bool compileRoutes = true;
 
-  /// Upper bound on one compiled table's size; topologies whose full
-  /// ordered-pair table would exceed it fall back to virtual routing.
+  /// Upper bound on one flat table's size.  Open-loop jobs past it try the
+  /// compressed layout, then fall back to routing each pair once; fault
+  /// plans past it are rejected.  Closed-loop tables are compressed and
+  /// per job, so healthy closed-loop jobs never read it.
   std::uint64_t maxCompiledTableBytes = 64ull << 20;
 
   /// Worker threads one table compilation may use.  Runner::run sets this
@@ -186,7 +192,9 @@ struct RunnerOptions {
 /// Executes one spec against a caller-provided cache.  Never throws: any
 /// failure is captured in JobResult::error.  This is the unit of work the
 /// pool schedules, exposed for tests and for callers that want their own
-/// scheduling.
+/// scheduling.  A healthy closed-loop job takes no forwarding table from
+/// the cache: self-routing schemes (Router::ascentGuide()) compile a
+/// compressed table for the job alone, Random and Colored get none.
 [[nodiscard]] JobResult runJob(const ExperimentSpec& spec,
                                std::uint32_t jobIndex, CampaignCache& cache,
                                const RunnerOptions& opt);

@@ -20,8 +20,11 @@
 // kWake timers for compute bursts) as it unblocks — and run() drives it
 // through a sim::InjectionProcess, the same process that runs open-loop
 // streams.  Route material resolves through trace::RouteSetResolver
-// (compiled table, virtual route() fallback, or spray enumeration),
-// memoized per (src, dst): no per-message route construction on any path.
+// (compiled table, one route() per pair without a table, or spray
+// enumeration), memoized per (src, dst): no per-message route construction
+// on any path.  The engine hands closed-loop jobs of self-routing schemes a
+// compressed table compiled for the job alone and gives Random and Colored
+// jobs none, since a replay reaches few of the n^2 pairs.
 //
 // The replayer is single-use: construct, run(), read the makespan.  A
 // second run() throws std::logic_error; results of the first run stay
@@ -48,10 +51,9 @@ class Replayer final : public patterns::TrafficSource {
  public:
   /// All references must outlive the replayer.  The replayer's injection
   /// process installs itself as the network's sink.  When @p compiled is
-  /// given (and no per-segment mode is active) messages route through the
-  /// compiled forwarding table — a flat lookup instead of a virtual
-  /// route() call per message; the table must be compiled against @p net's
-  /// topology.
+  /// given (and no per-segment mode is active) pairs route through the
+  /// compiled forwarding table, which must be compiled against @p net's
+  /// topology; without one each distinct pair costs one router.route().
   Replayer(sim::Network& net, const Trace& trace, const Mapping& mapping,
            const routing::Router& router, SprayConfig spray = {},
            const core::CompiledRoutes* compiled = nullptr);

@@ -1,9 +1,11 @@
 #include "trace/route_resolver.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "xgft/rng.hpp"
+#include "xgft/route.hpp"
 
 namespace trace {
 
@@ -94,8 +96,17 @@ sim::RouteSetId RouteSetResolver::setFor(xgft::NodeIndex src,
     set = src != dst && share.upPorts.empty()
               ? kUnroutable
               : net_->internCompiledPath(src, dst, share.upPorts);
+  } else if (src == dst) {
+    set = sim::RouteStore::kNone;
   } else {
-    set = net_->internRoutes(src, dst, {router_->route(src, dst)});
+    // internRoutes' checks and error text for one route, without its
+    // vector temporaries.
+    const xgft::Route route = router_->route(src, dst);
+    std::string error;
+    if (!xgft::validateRoute(net_->topology(), src, dst, route, &error)) {
+      throw std::invalid_argument("addMessage: " + error);
+    }
+    set = net_->internCompiledPath(src, dst, route.up);
   }
   pairSets_.insert(key, set);
   return set;

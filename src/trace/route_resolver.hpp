@@ -7,8 +7,11 @@
 // closed-loop replay and open-loop sources (trace/openloop.hpp) resolve
 // routes through one path:
 //
-//  * compiled   — flat forwarding-table lookup (core::CompiledRoutes);
-//  * virtual    — one router->route() call per distinct pair;
+//  * compiled   — a forwarding-table lookup (core::CompiledRoutes, flat or
+//                 interval-compressed), memoized per share representative;
+//  * router     — no table: one router->route() call and one validation per
+//                 distinct pair (Random and Colored closed-loop jobs,
+//                 open-loop jobs past the table budget, compileRoutes off);
 //  * spray      — up to maxPaths NCA-distinct routes per pair, sprayed per
 //                 segment (the Greenberg–Leiserson extension);
 //  * adaptive   — no resolver at all (per-hop choice inside the simulator).
@@ -60,7 +63,8 @@ class RouteSetResolver {
 
   /// The interned route set for host pair (src, dst) under the active
   /// routing mode, built on first use and memoized — or kUnroutable for a
-  /// pair the compiled table declares unreachable.
+  /// pair the compiled table declares unreachable.  Router mode rejects an
+  /// invalid route with std::invalid_argument("addMessage: route ...").
   [[nodiscard]] sim::RouteSetId setFor(xgft::NodeIndex src,
                                        xgft::NodeIndex dst);
 

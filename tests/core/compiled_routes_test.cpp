@@ -2,15 +2,18 @@
 // router on every ordered pair, parallel compilation is thread-count
 // independent, the interval-compressed layout is pair-for-pair equivalent
 // to the flat one for every registered table scheme, the run-based build of
-// self-routing schemes matches the per-pair build exactly, a compressed
-// compile is complete when it returns, and the simulator's compiled fast
-// path reproduces the virtual path's results exactly.
+// self-routing schemes matches the per-pair build exactly (and takes its
+// axis from the router's guide), a compressed compile is complete when it
+// returns, and the simulator's compiled fast path reproduces the virtual
+// path's results exactly.
 #include "core/compiled_routes.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -290,6 +293,47 @@ TEST(CompiledRoutes, RunBuildStillRejectsMalformedRoutes) {
       EXPECT_NE(what.find(": length 0 != NCA level 1"), std::string::npos)
           << what;
     }
+  }
+}
+
+/// Forwards to another router, guide included, and counts route() calls.
+class CountingRouter final : public routing::Router {
+ public:
+  explicit CountingRouter(std::shared_ptr<const routing::Router> inner)
+      : Router(inner->topology()), inner_(std::move(inner)) {}
+
+  [[nodiscard]] routing::Route route(routing::NodeIndex s,
+                                     routing::NodeIndex d) const override {
+    ++calls_;
+    return inner_->route(s, d);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
+    return inner_->ascentGuide();
+  }
+  [[nodiscard]] std::uint64_t calls() const { return calls_; }
+
+ private:
+  std::shared_ptr<const routing::Router> inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(CompiledRoutesCompressed, SourceGuidedSchemesCompileByRunsAtEveryWidth) {
+  // XGFT(2;16,16;1,1): with one root both axes sample the same run count,
+  // and the tie must not cost a source-guided scheme one route() per pair.
+  // The axis comes from the guide, so the compile routes once per run.
+  const auto topo =
+      std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 1));
+  const std::uint64_t n = topo->numHosts();
+  for (const char* scheme : {"s-mod-k", "r-NCA-u"}) {
+    const auto inner = makeRouter(topo, scheme, 4);
+    ASSERT_EQ(inner->ascentGuide(), routing::Guide::Source) << scheme;
+    const auto counting = std::make_shared<const CountingRouter>(inner);
+    const auto packed =
+        CompiledRoutes::compile(counting, 1, TableLayout::kCompressed);
+    EXPECT_LE(counting->calls(), n * (2 * topo->height() + 1)) << scheme;
+    expectSamePorts(*CompiledRoutes::compile(inner, 1, TableLayout::kFlat),
+                    *packed, std::string(scheme) + " compressed vs flat");
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the campaign engine: thread-count-independent results, cache
-// hit/miss behaviour (including shared in-flight builds), failure capture
-// and the single-job execution path.
+// hit/miss behaviour (including shared in-flight builds), closed-loop jobs'
+// per-job forwarding state, failure capture and the single-job execution
+// path.
 #include "engine/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,32 @@ TEST(Runner, CacheStaysWarmAcrossCampaigns) {
   EXPECT_EQ(again.cache.topologyMisses, 2u);   // No new misses.
   EXPECT_EQ(again.cache.topologyHits, 22u);
   EXPECT_EQ(again.cache.referenceMisses, 1u);
+}
+
+TEST(Runner, ClosedLoopJobsTakeNoForwardingTableFromTheCache) {
+  // A closed-loop job keeps its forwarding state to itself: self-routing
+  // schemes compile a compressed table for the job alone, Random and
+  // colored route each pattern pair on demand.  Neither path asks the cache
+  // for a flat or compressed table, the bytes equal the table-free run's,
+  // and a static fault plan still builds exactly one degraded table.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=cg128 msg_scale=0.03125 w2={16,1} "
+      "routing={s-mod-k,d-mod-k,colored,Random,r-NCA-u,r-NCA-d} seed=1\n"
+      "pattern=cg128 msg_scale=0.03125 w2=16 routing=d-mod-k "
+      "faults=links:2 seed=1\n");
+  ASSERT_EQ(specs.size(), 13u);
+  RunnerOptions opt;
+  opt.threads = 2;
+  const CampaignResults results = Runner(opt).run(specs);
+  for (const JobResult& job : results.jobs) {
+    ASSERT_TRUE(job.ok) << job.error;
+  }
+  EXPECT_EQ(results.cache.tableMisses, 0u);
+  EXPECT_EQ(results.cache.compressedMisses, 0u);
+  EXPECT_EQ(results.cache.degradedMisses, 1u);
+
+  opt.compileRoutes = false;
+  EXPECT_EQ(Runner(opt).run(specs).toCsv(), results.toCsv());
 }
 
 TEST(Runner, SeededRoutersGetDistinctCacheEntries) {
