@@ -396,7 +396,7 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     // Closed-loop fault path: static plans only.  The degraded table is
     // compiled under kThrow (a partitioned pair would stall the phase
     // barrier forever, so it must fail loudly at compile time), and the
-    // dead links still get their calendar events so linkDownNs accounts —
+    // dead links still get their kLinkDown events so linkDownNs accounts —
     // no traffic touches them, every recompiled route avoids the failures.
     fault::FaultPlan plan;
     std::shared_ptr<const core::CompiledRoutes> degradedTable;

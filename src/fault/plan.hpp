@@ -62,7 +62,7 @@ struct FaultPlan {
 
   /// Any fault whose transition happens after t = 0 (a mid-run failure or
   /// any restore)?  Static-only plans are fully handled by table
-  /// recompilation; timed plans additionally need calendar events.
+  /// recompilation; timed plans additionally need kLinkDown/kLinkUp events.
   [[nodiscard]] bool hasTimed() const;
 
   /// The links that are down at simulated time @p t, sorted ascending.

@@ -28,9 +28,8 @@ void InjectionProcess::inject(const patterns::SourceMessage& m) {
     const RouteSetId set = opt_.routeSet(src, dst);
     if (set == RouteStore::kUnroutable) {
       // The degraded forwarding table has no path for this pair: refuse the
-      // message before it exists.  No MsgId is allocated, so the dense
-      // token/latency vectors stay aligned, and closed-loop callers (which
-      // would deadlock awaiting the delivery) must opt in via onDrop.
+      // message before it exists.  Closed-loop callers (which would
+      // deadlock awaiting the delivery) must opt in via onDrop.
       if (!opt_.onDrop) {
         throw std::runtime_error(
             "InjectionProcess: pair " + std::to_string(src) + " -> " +
@@ -44,14 +43,9 @@ void InjectionProcess::inject(const patterns::SourceMessage& m) {
     id = net_->addMessageSet(src, dst, m.bytes, set, opt_.policy,
                              opt_.spraySeed);
   }
-  if (id != tokenOf_.size()) {
-    // Delivery lookup is a dense vector; a foreign addMessage* call in
-    // between would silently misattribute completions.
-    throw std::logic_error("InjectionProcess: non-dense message ids");
-  }
-  tokenOf_.push_back(m.token);
-  injectNs_.push_back(net_->now());
-  bytesOf_.push_back(m.bytes);
+  // The record carries the token to onMessageDelivered; release() stamps
+  // the release time next to it.
+  net_->messages_[id].token = m.token;
   net_->release(id, net_->now());
 }
 
@@ -92,8 +86,11 @@ void InjectionProcess::pump() {
 }
 
 void InjectionProcess::onMessageDelivered(MsgId msg, TimeNs time) {
-  const std::uint64_t token = tokenOf_[msg];
-  if (onDelivery) onDelivery(token, bytesOf_[msg], injectNs_[msg], time);
+  // The network frees the slot only after this call returns, but pump()
+  // may add messages and move the table: read the record first.
+  const Network::Message& rec = net_->messages_[msg];
+  const std::uint64_t token = rec.token;
+  if (onDelivery) onDelivery(token, rec.bytes, rec.releaseNs, time);
   src_->onDelivered(token, time);
   pump();
 }

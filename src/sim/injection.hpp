@@ -20,6 +20,12 @@
 // open-loop streaming (patterns::OpenLoopSource) are both instances of
 // this process; neither owns a private injection path.
 //
+// The process keeps no per-message state of its own: each message's
+// source token rides in the network's message record (release() stamps
+// the release time beside it), and onMessageDelivered reads both back
+// before the network recycles the slot.  A run's memory therefore follows
+// the messages in flight, however long the source streams.
+//
 // Route construction stays out of this layer: the caller supplies a
 // resolver mapping (src, dst) host pairs to interned route sets (see
 // trace::RouteSetResolver) or opts into per-hop adaptive routing.
@@ -28,7 +34,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <vector>
 
 #include "patterns/source.hpp"
 #include "sim/network.hpp"
@@ -91,10 +96,6 @@ class InjectionProcess final : public TrafficSink {
     return src_->passiveDeliveries();
   }
 
-  [[nodiscard]] std::uint64_t injectedMessages() const {
-    return tokenOf_.size();
-  }
-
   /// Optional per-delivery observer: (source token, message bytes,
   /// injection time, delivery time).  Runs before the source's
   /// onDelivered().
@@ -111,10 +112,6 @@ class InjectionProcess final : public TrafficSink {
   Network* net_;
   patterns::TrafficSource* src_;
   InjectionOptions opt_;
-
-  std::vector<std::uint64_t> tokenOf_;  ///< MsgId -> source token.
-  std::vector<TimeNs> injectNs_;        ///< MsgId -> release time.
-  std::vector<Bytes> bytesOf_;          ///< MsgId -> message bytes.
 
   patterns::SourceMessage future_;  ///< Parked next message, if any.
   bool pendingFuture_ = false;

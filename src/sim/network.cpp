@@ -96,14 +96,15 @@ std::uint32_t Network::segmentCountOf(Bytes bytes) const {
 MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                          RouteSetId set, SprayPolicy policy,
                          std::uint64_t spraySeed, bool adaptive) {
-  if (messages_.size() >= 0xffffffffull) {
+  if (nextSeq_ == kNil) {
     throw std::length_error(
         "Network: message-id space exhausted (2^32 - 1 messages) — shard "
         "the workload across simulations or widen sim::MsgId");
   }
   Message m;
-  m.src = src;
-  m.dst = dst;
+  m.src = static_cast<std::uint32_t>(src);
+  m.dst = static_cast<std::uint32_t>(dst);
+  m.seq = nextSeq_;
   m.bytes = bytes;
   m.numSegments = segmentCountOf(bytes);
   m.set = set;
@@ -115,9 +116,20 @@ MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
   }
   m.spraySeed = spraySeed;
   m.policy = policy;
+  m.state = MsgState::kAdded;
   m.adaptive = adaptive;
-  messages_.push_back(m);
-  return static_cast<MsgId>(messages_.size() - 1);
+  ++nextSeq_;
+  // Slots never outnumber sequence numbers, so a new slot index stays
+  // below kNil.
+  MsgId slot = freeMessages_;
+  if (slot != kNil) {
+    freeMessages_ = messages_[slot].nextActive;
+    messages_[slot] = m;
+  } else {
+    slot = static_cast<MsgId>(messages_.size());
+    messages_.push_back(m);
+  }
+  return slot;
 }
 
 MsgId Network::addMessage(xgft::NodeIndex src, xgft::NodeIndex dst,
@@ -218,9 +230,9 @@ MsgId Network::addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
   RouteSetId set = RouteStore::kNone;
   if (src != dst) {
     // The host uplink is fixed per message (w1 = 1 in the paper's trees;
-    // for w1 > 1 messages stripe across NIC ports by id).
-    const std::uint32_t port =
-        static_cast<std::uint32_t>(messages_.size() % topo_->params().w(1));
+    // for w1 > 1 messages stripe across NIC ports by sequence number, the
+    // id this message is about to get).
+    const std::uint32_t port = nextSeq_ % topo_->params().w(1);
     // Adaptive segments resolve every switch port on the fly, so the tail
     // path is empty; only the NIC port (in the set) is predetermined.  The
     // set is interned on the port's first use and cached: later interns
@@ -238,12 +250,13 @@ MsgId Network::addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
 }
 
 void Network::release(MsgId msg, TimeNs t) {
-  if (msg >= messages_.size()) {
-    throw std::out_of_range("release: unknown message");
+  if (msg >= messages_.size() || messages_[msg].state == MsgState::kFree) {
+    throw std::out_of_range("release: unknown or already finished message");
   }
   if (t < now_) {
     throw std::invalid_argument("release: time in the past");
   }
+  messages_[msg].releaseNs = t;
   schedule(t, Kind::kRelease, msg);
 }
 
@@ -337,20 +350,25 @@ void Network::finishRun() {
   // Stats are valid at every run() boundary: fold pending outage time in.
   if (!downLinks_.empty()) accrueLinkDownTo(now_);
   if (queue_.empty()) {
+    // Completed messages already gave their slots back, so every released
+    // live slot that is not dropped holds an undelivered message.
     std::uint64_t stranded = 0;
-    for (Message& m : messages_) {
-      if (m.released && !m.delivered && !m.dropped) {
-        if (faultsSeen_) {
-          // Expected loss on a faulted run: traffic waiting behind a link
-          // that never came back (or whose remaining segments were gated at
-          // a down host port).  Segments still inside the network at drain
-          // are stranded by definition.
-          m.dropped = true;
-          ++stats_.messagesDropped;
-          stats_.segmentsStranded += m.injectedSegments - m.deliveredSegments;
-        } else {
-          ++stranded;
-        }
+    for (MsgId i = 0; i < messages_.size(); ++i) {
+      const Message& m = messages_[i];
+      const bool released =
+          m.state == MsgState::kQueued || m.state == MsgState::kSent;
+      if (!released || m.dropped) continue;
+      if (faultsSeen_) {
+        // Expected loss on a faulted run: traffic waiting behind a link
+        // that never came back (or whose remaining segments were gated at
+        // a down host port).  Segments still inside the network at drain
+        // are stranded by definition, but they stay where they sit: the
+        // slot is freed by the usual rule only if a restored link later
+        // lets them retire and the NIC skips the message.
+        stats_.segmentsStranded += m.injectedSegments - m.retiredSegments;
+        dropMessage(i);
+      } else {
+        ++stranded;
       }
     }
     if (stranded > 0) {
@@ -367,14 +385,6 @@ void Network::accrueLinkDownTo(TimeNs t) {
     stats_.linkDownNs += t - dl.since;
     dl.since = t;
   }
-}
-
-TimeNs Network::deliveryTime(MsgId msg) const {
-  const Message& m = messages_.at(msg);
-  if (!m.delivered) {
-    throw std::logic_error("deliveryTime: message not delivered");
-  }
-  return m.deliveredAt;
 }
 
 TimeNs Network::wireBusyNs(std::uint32_t gport) const {
@@ -472,9 +482,23 @@ void Network::handleLinkUp(std::uint32_t link) {
 
 void Network::dropMessage(MsgId msg) {
   Message& m = messages_[msg];
-  if (m.dropped) return;
-  m.dropped = true;
-  ++stats_.messagesDropped;
+  assert(m.state != MsgState::kFree);
+  if (!m.dropped) {
+    m.dropped = true;
+    ++stats_.messagesDropped;
+  }
+  freeIfDrained(msg);
+}
+
+void Network::strandSegment(std::uint32_t gport, std::uint32_t seg) {
+  const MsgId msg = segments_[seg].msg;
+  ++stats_.segmentsStranded;
+  ++messages_[msg].retiredSegments;
+  if (probe_ != nullptr) {
+    probe_->onSegmentStranded(gport, messages_[msg].seq, now_);
+  }
+  dropMessage(msg);
+  freeSegment(seg);
 }
 
 std::uint32_t Network::rerouteAlternative(std::uint32_t gOutPort) {
@@ -526,12 +550,7 @@ void Network::processDeadOutput(std::uint32_t gOutPort) {
       }
     }
     if (alt == kNil) {
-      ++stats_.segmentsStranded;
-      if (probe_ != nullptr) {
-        probe_->onSegmentStranded(gOutPort, segments_[seg].msg, now_);
-      }
-      dropMessage(segments_[seg].msg);
-      freeSegment(seg);
+      strandSegment(gOutPort, seg);
       continue;
     }
     segments_[seg].flags |= kSegEscaped;
@@ -543,7 +562,8 @@ void Network::processDeadOutput(std::uint32_t gOutPort) {
     stats_.maxOutputQueueDepth =
         std::max(stats_.maxOutputQueueDepth, altPort.outCount);
     if (probe_ != nullptr) {
-      probe_->onSegmentRerouted(gOutPort, alt, segments_[seg].msg, now_);
+      probe_->onSegmentRerouted(gOutPort, alt,
+                                messages_[segments_[seg].msg].seq, now_);
       probe_->onSegmentEnqueued(alt, /*input=*/false, altPort.outCount, now_);
     }
     tryTransmitSwitch(alt);
@@ -572,31 +592,24 @@ void Network::strandInputHead(std::uint32_t gInPort) {
   --port.inCount;
   if (probe_ != nullptr) {
     probe_->onSegmentDequeued(gInPort, /*input=*/true, port.inCount, now_);
-    probe_->onSegmentStranded(gInPort, segments_[seg].msg, now_);
   }
-  ++stats_.segmentsStranded;
-  dropMessage(segments_[seg].msg);
-  freeSegment(seg);
+  strandSegment(gInPort, seg);
   returnCredit(port.peer);
   tryAdvanceInput(gInPort);
 }
 
 void Network::handleRelease(MsgId msg) {
   Message& m = messages_[msg];
-  m.released = true;
+  assert(m.state == MsgState::kAdded);
   if (probe_ != nullptr) {
-    probe_->onMessageReleased(msg, m.src, m.dst, m.bytes, now_);
+    probe_->onMessageReleased(m.seq, m.src, m.dst, m.bytes, now_);
   }
   if (m.src == m.dst) {
     // Local delivery: never enters the network (Sec. III self-flows).
-    m.delivered = true;
-    m.deliveredAt = now_;
-    ++stats_.messagesDelivered;
-    stats_.lastDeliveryNs = std::max(stats_.lastDeliveryNs, now_);
-    if (sink_ != nullptr) sink_->onMessageDelivered(msg, now_);
-    if (probe_ != nullptr) probe_->onMessageDelivered(msg, now_);
+    completeMessage(msg);
     return;
   }
+  m.state = MsgState::kQueued;
   const std::uint32_t hostPort = m.hostPort;
   activePushBack(ports_[hostPort], msg);
   tryInjectHost(hostPort);
@@ -633,16 +646,20 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
   if (faultsSeen_) {
     if (port.down) return;
     // Skip over messages dropped by a fault: their remaining segments are
-    // never injected.
+    // never injected, and one whose last segment already retired is free
+    // to go.
     while (port.activeHead != kNil && messages_[port.activeHead].dropped) {
       const MsgId dead = port.activeHead;
       port.activeHead = messages_[dead].nextActive;
       if (port.activeHead == kNil) port.activeTail = kNil;
+      messages_[dead].state = MsgState::kSent;
+      freeIfDrained(dead);
     }
   }
   if (port.wireBusy || port.credits == 0 || port.activeHead == kNil) return;
   const MsgId msgId = port.activeHead;
   Message& m = messages_[msgId];
+  assert(m.state == MsgState::kQueued);
   port.activeHead = m.nextActive;
   if (port.activeHead == kNil) port.activeTail = kNil;
   const std::uint32_t payload = segmentPayload(m, m.injectedSegments);
@@ -655,7 +672,7 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
         break;
       case SprayPolicy::kRandom:
         pathIdx = static_cast<std::uint32_t>(
-            xgft::hashMix(m.spraySeed, msgId, m.injectedSegments) %
+            xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) %
             m.setSize);
         break;
     }
@@ -666,7 +683,11 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
   ++stats_.segmentsInjected;
   // Round robin: messages with segments left rejoin the tail, so concurrent
   // messages interleave segment by segment (Sec. VI-B).
-  if (m.injectedSegments < m.numSegments) activePushBack(port, msgId);
+  if (m.injectedSegments < m.numSegments) {
+    activePushBack(port, msgId);
+  } else {
+    m.state = MsgState::kSent;
+  }
   startTransmission(gOutPort, seg);
 }
 
@@ -683,7 +704,8 @@ void Network::startTransmission(std::uint32_t gOutPort, std::uint32_t seg) {
                          : cfg_.serializationNs(payload);
   port.busyNs += ser;
   if (probe_ != nullptr) {
-    probe_->onWireBusy(gOutPort, segments_[seg].msg, now_, ser);
+    probe_->onWireBusy(gOutPort, messages_[segments_[seg].msg].seq, now_,
+                       ser);
   }
   schedule(now_ + ser, Kind::kWireFree, gOutPort);
   schedule(now_ + ser + cfg_.linkLatencyNs, Kind::kWireArrive, port.peer,
@@ -746,17 +768,26 @@ void Network::deliverSegment(std::uint32_t gInPort, std::uint32_t seg) {
   // In-flight invariant (see the NetworkStats contract).
   assert(stats_.segmentsDelivered <= stats_.segmentsInjected);
   Message& m = messages_[msgId];
-  ++m.deliveredSegments;
-  // A dropped message never completes, even if its surviving segments all
-  // arrive (it lost at least one to a fault).
-  if (m.deliveredSegments == m.numSegments && !m.dropped) {
-    m.delivered = true;
-    m.deliveredAt = now_;
-    ++stats_.messagesDelivered;
-    stats_.lastDeliveryNs = std::max(stats_.lastDeliveryNs, now_);
-    if (sink_ != nullptr) sink_->onMessageDelivered(msgId, now_);
-    if (probe_ != nullptr) probe_->onMessageDelivered(msgId, now_);
+  assert(m.state != MsgState::kFree);
+  ++m.retiredSegments;
+  if (m.dropped) {
+    // A dropped message never completes, even if its surviving segments all
+    // arrive (it lost at least one to a fault); the last one frees it.
+    freeIfDrained(msgId);
+    return;
   }
+  if (m.retiredSegments == m.numSegments) completeMessage(msgId);
+}
+
+void Network::completeMessage(MsgId msg) {
+  const MsgId seq = messages_[msg].seq;
+  ++stats_.messagesDelivered;
+  stats_.lastDeliveryNs = std::max(stats_.lastDeliveryNs, now_);
+  // The sink may add messages (and so move the table): the slot is freed
+  // by index once it returns.
+  if (sink_ != nullptr) sink_->onMessageDelivered(msg, now_);
+  if (probe_ != nullptr) probe_->onMessageDelivered(seq, now_);
+  freeMessage(msg);
 }
 
 void Network::tryAdvanceInput(std::uint32_t gInPort) {
@@ -865,6 +896,7 @@ std::uint32_t Network::resolveAdaptive(std::uint32_t gInPort,
   const PortOwner owner = portOwner_[gInPort];
   const std::uint32_t level = owner.level;
   const Message& m = messages_[seg.msg];
+  assert(m.state != MsgState::kFree);
   // Descend as soon as this switch is an ancestor of the destination: all
   // label digits above the switch's level must match the destination's.
   bool ancestor = true;

@@ -29,15 +29,22 @@
 // segments in a contiguous slot pool whose FIFO queues are intrusive
 // `next` links (no per-port deques, no allocation after warm-up), and
 // routes interned once in a shared arena (route_store.hpp) so
-// messages/segments carry indices, never copied port vectors.
+// messages/segments carry indices, never copied port vectors.  Messages
+// live in a second recycled slot pool: a record is freed once its message
+// completed or was dropped, has no segment in flight and sits on no NIC's
+// active list, so memory follows the traffic in flight, not the run
+// length.  The MsgId that addMessage* returns and the sink receives is the
+// slot; everything else observable (spray hash, NIC striping, Probe hooks)
+// sees the message's dense add-order sequence number instead.
 //
 // Determinism: ties in the event queue break by insertion order, so equal
 // configurations and inputs replay identically on every platform.
 //
-// Overflow semantics are hardened, not silent: message ids, segment counts,
-// route arenas and the global-port space are 32-bit by design (the flat
-// layout depends on it); any workload that would exceed them throws with a
-// clear message instead of wrapping.
+// Overflow semantics are hardened, not silent: message sequence numbers,
+// segment counts, route arenas and the global-port space are 32-bit by
+// design (the flat layout depends on it); any workload that would exceed
+// them throws with a clear message instead of wrapping.  Slots never
+// outnumber sequence numbers, so the guard on the latter covers both.
 #pragma once
 
 #include <cstdint>
@@ -94,6 +101,9 @@ enum class FaultPolicy : std::uint8_t {
 class TrafficSink {
  public:
   virtual ~TrafficSink() = default;
+  /// @p msg is the handle addMessage* returned.  It is valid for the
+  /// duration of the call; the network recycles its slot right after, so a
+  /// later message may be handed the same value.
   virtual void onMessageDelivered(MsgId msg, TimeNs time) = 0;
 
   /// A sink that returns true promises onMessageDelivered never mutates the
@@ -231,7 +241,9 @@ class Network {
                       std::uint64_t spraySeed = 1);
 
   /// Makes the message visible to the source adapter at time @p t (must not
-  /// precede the current simulation time).
+  /// precede the current simulation time).  Throws std::out_of_range for a
+  /// handle that names no live message: never issued, or already completed
+  /// or dropped (its slot was recycled).
   void release(MsgId msg, TimeNs t);
 
   /// Schedules an arbitrary callback (trace compute/barrier hooks).
@@ -283,9 +295,10 @@ class Network {
   [[nodiscard]] std::uint64_t queueOverflowPushes() const {
     return queue_.overflowPushes();
   }
-
-  /// Completion time of a delivered message; throws if not yet delivered.
-  [[nodiscard]] TimeNs deliveryTime(MsgId msg) const;
+  /// Size of the message slot pool: the most messages ever live at once,
+  /// not the number ever sent (completed and dropped messages recycle
+  /// their slots).
+  [[nodiscard]] std::size_t messageSlots() const { return messages_.size(); }
 
   /// Busy (serializing) nanoseconds of the wire leaving global port @p gport.
   [[nodiscard]] TimeNs wireBusyNs(std::uint32_t gport) const;
@@ -324,6 +337,9 @@ class Network {
   /// handlers over sharded port state and must reach the flat storage and
   /// the private helpers; it is the only other writer of network state.
   friend class ParallelRunner;
+  /// InjectionProcess keeps its source token in the message record and
+  /// reads it back, with the release time, when the message completes.
+  friend class InjectionProcess;
 
   /// Intrusive-list terminator for segment/message/port links.
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -359,29 +375,52 @@ class Network {
     std::uint32_t flags = 0;        ///< kSegEscaped.
   };
 
-  /// POD message record; routes live in the interned store (set).  The
-  /// single-route fast path (`setSize` == 1) keeps the route id inline so
-  /// injection never touches the set arena.
+  /// Where a message slot is in its life.  Only the source side writes it
+  /// (release, injection) until the slot is freed, so the sharded core's
+  /// destination shards never race on it.
+  enum class MsgState : std::uint8_t {
+    kFree,    ///< On the free list; a handle naming it is stale.
+    kAdded,   ///< Registered; its release event has not been handled.
+    kQueued,  ///< Released and on its NIC's active round-robin list.
+    kSent,    ///< Released and off that list: every segment injected, or
+              ///< the rest abandoned after a fault dropped the message.
+  };
+
+  /// POD message record in the recycled slot pool.  A slot is freed when
+  /// its message completed or was dropped, no segment of it is in flight
+  /// (retiredSegments == injectedSegments) and it is not kQueued; the free
+  /// list threads through `nextActive`.  Routes live in the interned store
+  /// (set); the single-route fast path (`setSize` == 1) keeps the route id
+  /// inline so injection never touches the set arena.
   struct Message {
-    xgft::NodeIndex src = 0;
-    xgft::NodeIndex dst = 0;
     Bytes bytes = 0;
+    std::uint64_t spraySeed = 1;
+    std::uint64_t token = 0;  ///< InjectionProcess's source token.
+    TimeNs releaseNs = 0;     ///< The time release() was given.
+    // Host indices fit 32 bits: the port-space guard keeps every host
+    // below 2^32 - 1.
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    MsgId seq = 0;  ///< Dense add-order id: what every observer sees.
     std::uint32_t numSegments = 0;
     std::uint32_t injectedSegments = 0;
-    std::uint32_t deliveredSegments = 0;
+    /// Segments that left the network: delivered, or stranded by a fault
+    /// (which drops the message, so a count that includes strands never
+    /// completes it).
+    std::uint32_t retiredSegments = 0;
     RouteSetId set = RouteStore::kNone;  ///< Candidate routes (kNone: local).
     std::uint32_t setSize = 0;           ///< |set| (0 for local delivery).
     RouteId route0 = 0;                  ///< set[0], inline.
     std::uint32_t hostPort = 0;  ///< Source NIC gport (paths store tails).
-    std::uint32_t nextActive = kNil;     ///< Host-adapter round-robin link.
-    std::uint64_t spraySeed = 1;
-    TimeNs deliveredAt = 0;
+    /// Host-adapter round-robin link while kQueued, free-list link while
+    /// kFree.
+    std::uint32_t nextActive = kNil;
     SprayPolicy policy = SprayPolicy::kRoundRobin;
-    bool released = false;
-    bool delivered = false;
+    MsgState state = MsgState::kFree;
     bool adaptive = false;
     bool dropped = false;  ///< Lost to a fault; will never complete.
   };
+  static_assert(sizeof(Message) == 80, "Message must stay 80 bytes");
 
   /// Flat per-port state: all queues are intrusive head/tail links into the
   /// segment pool (inQ/outQ), the port array itself (waiting inputs) or the
@@ -445,6 +484,8 @@ class Network {
   void serveWaitingInputs(std::uint32_t gOutPort);
   void returnCredit(std::uint32_t gOutPort);
   void deliverSegment(std::uint32_t gInPort, std::uint32_t seg);
+  /// Counts @p msg delivered, tells the sink and the probe, then frees it.
+  void completeMessage(MsgId msg);
   void outputDispatch(std::uint32_t gOutPort);
 
   // ---- fault machinery -----------------------------------------------------
@@ -463,6 +504,10 @@ class Network {
   /// @p gOutPort, or kNil when the output descends (unique minimal path) or
   /// no live up-port remains.
   [[nodiscard]] std::uint32_t rerouteAlternative(std::uint32_t gOutPort);
+  /// Drops segment @p seg, dequeued at @p gport, and with it its message.
+  void strandSegment(std::uint32_t gport, std::uint32_t seg);
+  /// Marks @p msg dropped (counted once) and frees it if nothing refers to
+  /// it any more.
   void dropMessage(MsgId msg);
   /// Folds the pending down-time of currently-down links into
   /// stats_.linkDownNs (called at run() boundaries and on restore).
@@ -499,8 +544,9 @@ class Network {
     port.activeTail = msg;
   }
 
-  /// Appends the message/segment bookkeeping shared by every addMessage*
-  /// flavour; guards the 32-bit id and segment-count spaces.
+  /// Fills a message slot (a recycled one if any) with the bookkeeping
+  /// shared by every addMessage* flavour; guards the 32-bit sequence and
+  /// segment-count spaces.
   MsgId addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                   RouteSetId set, SprayPolicy policy, std::uint64_t spraySeed,
                   bool adaptive);
@@ -518,6 +564,23 @@ class Network {
   void freeSegment(std::uint32_t seg) {
     segments_[seg].next = freeSegments_;
     freeSegments_ = seg;
+  }
+  /// Returns @p msg's slot to the free list; the caller has checked the
+  /// free rule (see Message).
+  void freeMessage(MsgId msg) {
+    Message& m = messages_[msg];
+    m.state = MsgState::kFree;
+    m.nextActive = freeMessages_;
+    freeMessages_ = msg;
+  }
+  /// Frees a dropped message once its last in-flight segment retired and
+  /// it left its NIC's active list.
+  void freeIfDrained(MsgId msg) {
+    const Message& m = messages_[msg];
+    if (m.dropped && m.state == MsgState::kSent &&
+        m.retiredSegments == m.injectedSegments) {
+      freeMessage(msg);
+    }
   }
   [[nodiscard]] bool isHostPort(std::uint32_t gport) const {
     return gport < hostPortEnd_;
@@ -541,7 +604,9 @@ class Network {
 
   std::vector<PortState> ports_;
   std::vector<std::uint32_t> waitLink_;  ///< Per-port waiting-list link.
-  std::vector<Message> messages_;
+  std::vector<Message> messages_;        ///< Slot pool.
+  MsgId freeMessages_ = kNil;            ///< Free-list head (nextActive).
+  MsgId nextSeq_ = 0;                    ///< Next Message::seq.
   std::vector<Segment> segments_;        ///< Slot pool.
   std::uint32_t freeSegments_ = kNil;    ///< Free-list head (next links).
 

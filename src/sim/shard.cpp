@@ -58,8 +58,9 @@ class ParallelRunner {
     std::uint8_t kind = 0;
   };
 
-  /// A deferred TrafficSink::onMessageDelivered (at most one per position:
-  /// an event delivers at most one message).
+  /// A completion deferred to the flush point: the sink call, if a sink is
+  /// set, then the message's slot free (at most one per position: an event
+  /// delivers at most one message).
   struct SinkCall {
     MsgId msg = 0;
     TimeNs time = 0;
@@ -134,10 +135,11 @@ class ParallelRunner {
   //
   // Faithful transcriptions of the Network handlers with four systematic
   // substitutions: schedule() -> buffered pPush, stats_ -> per-shard
-  // delta, sink_ -> deferred SinkCall slot, allocSegment/freeSegment ->
-  // the shard's private cache.  Probe hooks and fault branches are
-  // omitted outright — the plan guarantees probe_ == nullptr and that no
-  // link ever failed (faultsSeen_ false, no down ports).
+  // delta, sink_ and freeMessage -> deferred SinkCall slot,
+  // allocSegment/freeSegment -> the shard's private cache.  Probe hooks
+  // and fault branches are omitted outright — the plan guarantees
+  // probe_ == nullptr and that no link ever failed (faultsSeen_ false, no
+  // down ports).
 
   void pPush(Ctx& c, TimeNs t, Kind kind, std::uint32_t a,
              std::uint32_t seg = 0) {
@@ -593,12 +595,16 @@ void ParallelRunner::replayPushes(std::size_t begin, std::size_t end) {
 
 void ParallelRunner::flushSinks(std::size_t begin, std::size_t end) {
   Network& net = *net_;
-  if (net.sink_ == nullptr) return;
   for (std::size_t p = begin; p < end; ++p) {
     const SinkCall& call = sinkCalls_[p - begin];
     if (!call.pending) continue;
-    net.now_ = call.time;
-    net.sink_->onMessageDelivered(call.msg, call.time);
+    if (net.sink_ != nullptr) {
+      net.now_ = call.time;
+      net.sink_->onMessageDelivered(call.msg, call.time);
+    }
+    // The serial core frees a completed message right after its sink call;
+    // freeing here, in position order, leaves the same free list.
+    net.freeMessage(call.msg);
   }
 }
 
@@ -617,16 +623,14 @@ std::uint32_t ParallelRunner::pAllocSegment(Ctx& c, MsgId msg, RouteId route,
 void ParallelRunner::pHandleRelease(Ctx& c, MsgId msgId) {
   Network& n = *net_;
   Network::Message& m = n.messages_[msgId];
-  m.released = true;
   if (m.src == m.dst) {
-    m.delivered = true;
-    m.deliveredAt = c.now;
     ++c.shard->stats.messagesDelivered;
     c.shard->stats.lastDeliveryNs =
         std::max(c.shard->stats.lastDeliveryNs, c.now);
-    if (n.sink_ != nullptr) sinkCalls_[c.pos] = SinkCall{msgId, c.now, true};
+    sinkCalls_[c.pos] = SinkCall{msgId, c.now, true};
     return;
   }
+  m.state = Network::MsgState::kQueued;
   const std::uint32_t hostPort = m.hostPort;
   n.activePushBack(n.ports_[hostPort], msgId);
   pTryInjectHost(c, hostPort);
@@ -650,7 +654,7 @@ void ParallelRunner::pTryInjectHost(Ctx& c, std::uint32_t gOutPort) {
         break;
       case SprayPolicy::kRandom:
         pathIdx = static_cast<std::uint32_t>(
-            xgft::hashMix(m.spraySeed, msgId, m.injectedSegments) %
+            xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) %
             m.setSize);
         break;
     }
@@ -659,7 +663,11 @@ void ParallelRunner::pTryInjectHost(Ctx& c, std::uint32_t gOutPort) {
   const std::uint32_t seg = pAllocSegment(c, msgId, route, payload);
   ++m.injectedSegments;
   ++c.shard->stats.segmentsInjected;
-  if (m.injectedSegments < m.numSegments) n.activePushBack(port, msgId);
+  if (m.injectedSegments < m.numSegments) {
+    n.activePushBack(port, msgId);
+  } else {
+    m.state = Network::MsgState::kSent;
+  }
   pStartTransmission(c, gOutPort, seg);
 }
 
@@ -727,14 +735,12 @@ void ParallelRunner::pDeliverSegment(Ctx& c, std::uint32_t gInPort,
   if (creditLocal) pReturnCredit(c, n.ports_[gInPort].peer);
   ++c.shard->stats.segmentsDelivered;
   Network::Message& m = n.messages_[msgId];
-  ++m.deliveredSegments;
-  if (m.deliveredSegments == m.numSegments && !m.dropped) {
-    m.delivered = true;
-    m.deliveredAt = c.now;
+  ++m.retiredSegments;
+  if (m.retiredSegments == m.numSegments && !m.dropped) {
     ++c.shard->stats.messagesDelivered;
     c.shard->stats.lastDeliveryNs =
         std::max(c.shard->stats.lastDeliveryNs, c.now);
-    if (n.sink_ != nullptr) sinkCalls_[c.pos] = SinkCall{msgId, c.now, true};
+    sinkCalls_[c.pos] = SinkCall{msgId, c.now, true};
   }
 }
 

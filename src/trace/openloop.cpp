@@ -66,7 +66,7 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
   };
 
   // Window boundaries are partial runs; the drain pass runs to a fully
-  // empty calendar (Network::run throws on any stranded message).
+  // empty event queue (Network::run throws on any stranded message).
   process.run(measureBegin);
   result.windows[0].eventsAtEnd = net.stats().eventsProcessed;
   process.run(measureEnd);

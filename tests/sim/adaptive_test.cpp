@@ -1,6 +1,7 @@
 // Tests for minimally-adaptive per-hop routing.
 #include <gtest/gtest.h>
 
+#include "delivery_recorder.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
 #include "routing/relabel.hpp"
@@ -58,10 +59,12 @@ TEST(Adaptive, SpreadsLoadOverAllUpPorts) {
 TEST(Adaptive, SelfMessagesDeliverInstantly) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const MsgId m = net.addMessageAdaptive(5, 5, 1024);
   net.release(m, 100);
   net.run();
-  EXPECT_EQ(net.deliveryTime(m), 100u);
+  EXPECT_EQ(rec.timeOf(m), 100u);
 }
 
 TEST(Adaptive, DeterministicReplay) {
@@ -126,6 +129,24 @@ TEST(Adaptive, InternsOneSetPerNicPort) {
   EXPECT_EQ(net.routes().numSets(), 2u);
   EXPECT_EQ(net.routes().setFirstUp(0), 0u);
   EXPECT_EQ(net.routes().setFirstUp(1), 1u);
+}
+
+TEST(Adaptive, NicStripingFollowsTheSequenceNumberAcrossSlotReuse) {
+  // On a w1 = 2 tree adaptive messages stripe over the two NIC ports by
+  // add order.  Sent one after another, each reuses the slot its
+  // predecessor freed, yet the ports must still alternate.
+  const Topology topo(xgft::Params({4, 4}, {2, 2}));
+  Network net(topo, SimConfig{});
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    const std::uint32_t nic = net.globalPort(0, 0, k % 2);
+    const std::uint32_t idle = net.globalPort(0, 0, 1 - k % 2);
+    const TimeNs nicBefore = net.wireBusyNs(nic);
+    const TimeNs idleBefore = net.wireBusyNs(idle);
+    net.release(net.addMessageAdaptive(0, 5, 1024), net.now());
+    net.run();
+    EXPECT_GT(net.wireBusyNs(nic), nicBefore) << "message " << k;
+    EXPECT_EQ(net.wireBusyNs(idle), idleBefore) << "message " << k;
+  }
 }
 
 TEST(Adaptive, HarnessRunsEndToEnd) {

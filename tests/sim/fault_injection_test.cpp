@@ -1,12 +1,13 @@
 // Tests for mid-run link fault injection in the event core: the
 // kLinkDown/kLinkUp events under all three FaultPolicies, down-time
 // accounting across run(until) resumes, scheduling validation, probe hook
-// counts, and the drain conversion that keeps faulted runs from hanging or
-// throwing.
+// counts, the drain conversion that keeps faulted runs from hanging or
+// throwing, and the recycling of dropped messages' slots.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "delivery_recorder.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "sim/probe.hpp"
@@ -54,6 +55,8 @@ TEST(FaultInjection, WaitPolicyResumesOnRestore) {
   const xgft::LinkId hostLink = topo.upLink(0, 0, 0);
 
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, hostLink);
   net.scheduleLinkUp(50'000, hostLink);
@@ -65,7 +68,7 @@ TEST(FaultInjection, WaitPolicyResumesOnRestore) {
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
   EXPECT_EQ(net.stats().messagesDropped, 0u);
   EXPECT_EQ(net.stats().segmentsStranded, 0u);
-  EXPECT_GE(net.deliveryTime(m), 50'000u);
+  EXPECT_GE(rec.timeOf(m), 50'000u);
   EXPECT_EQ(net.stats().linkDownNs, 50'000u);
   EXPECT_FALSE(net.linkIsDown(hostLink));
 }
@@ -124,6 +127,8 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
   const xgft::LinkId deadUplink = channels[1].link;  // The L1 ascent.
 
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   FaultProbe probe;
   net.setProbe(&probe);
   net.setFaultPolicy(FaultPolicy::kReroute);
@@ -137,7 +142,7 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
   EXPECT_EQ(net.stats().segmentsStranded, 0u);
   EXPECT_GE(net.stats().segmentsRerouted, 1u);
   EXPECT_EQ(probe.rerouted, net.stats().segmentsRerouted);
-  EXPECT_GT(net.deliveryTime(m), 0u);
+  EXPECT_GT(rec.timeOf(m), 0u);
 }
 
 TEST(FaultInjection, ReroutePolicyStrandsWhenNoUpPortSurvives) {
@@ -168,6 +173,8 @@ TEST(FaultInjection, DownTimeAccruesAcrossPartialRunBoundaries) {
   const xgft::LinkId hostLink = topo.upLink(0, 0, 0);
 
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(10'000, hostLink);
   net.scheduleLinkUp(200'000, hostLink);
@@ -187,7 +194,58 @@ TEST(FaultInjection, DownTimeAccruesAcrossPartialRunBoundaries) {
   EXPECT_EQ(net.stats().linkDownNs, 190'000u);
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
   EXPECT_EQ(net.stats().messagesDropped, 0u);
-  EXPECT_GE(net.deliveryTime(m), 200'000u);
+  EXPECT_GE(rec.timeOf(m), 200'000u);
+}
+
+TEST(FaultInjection, DroppedMessagesGiveTheirSlotsBack) {
+  // Under both eager policies a dead up-link (w2 = 1: no escape) strands
+  // two mid-flight messages.  Once their surviving segments drain and the
+  // NICs skip what is left, both slots are free: new traffic reuses them
+  // and the pool does not grow.
+  const Topology topo(xgft::xgft2(4, 4, 1));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const Bytes bytes = 64 * 1024;
+  const TimeNs mid = healthyMakespan(topo, *router, 0, 4, bytes) / 2;
+  for (const FaultPolicy policy :
+       {FaultPolicy::kStrand, FaultPolicy::kReroute}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    Network net(topo, SimConfig{});
+    net.setFaultPolicy(policy);
+    net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
+    net.release(net.addMessage(0, 4, bytes, router->route(0, 4)), 0);
+    net.release(net.addMessage(1, 5, bytes, router->route(1, 5)), 0);
+    net.run();
+    ASSERT_EQ(net.stats().messagesDropped, 2u);
+    EXPECT_EQ(net.messageSlots(), 2u);
+    // Switch-local traffic never meets the dead link.
+    net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), net.now());
+    net.release(net.addMessage(2, 3, 4096, router->route(2, 3)), net.now());
+    net.run();
+    EXPECT_EQ(net.stats().messagesDelivered, 2u);
+    EXPECT_EQ(net.messageSlots(), 2u);
+  }
+}
+
+TEST(FaultInjection, DrainDropFreesItsSlotWhenTheNicSkipsIt) {
+  // kWait with no restore: the drain converts the waiting message to a
+  // drop, but it still sits on its dead NIC's active list, so the slot
+  // stays taken.  A later restore lets the NIC skip it, which frees it.
+  const Topology topo(xgft::xgft2(4, 4, 1));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const xgft::LinkId hostLink = topo.upLink(0, 0, 0);
+  Network net(topo, SimConfig{});
+  net.setFaultPolicy(FaultPolicy::kWait);
+  net.scheduleLinkDown(0, hostLink);
+  net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), 0);
+  net.run();
+  ASSERT_EQ(net.stats().messagesDropped, 1u);
+  net.scheduleLinkUp(net.now(), hostLink);
+  net.run();
+  net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), net.now());
+  net.run();
+  EXPECT_EQ(net.stats().messagesDelivered, 1u);
+  EXPECT_EQ(net.stats().messagesDropped, 1u);
+  EXPECT_EQ(net.messageSlots(), 1u);
 }
 
 TEST(FaultInjection, TransitionsAreIdempotentAndProbeSeesEachOnce) {

@@ -2,11 +2,17 @@
 // routing extension).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "delivery_recorder.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
+#include "sim/probe.hpp"
 #include "trace/harness.hpp"
+#include "xgft/rng.hpp"
 #include "xgft/route.hpp"
 
 namespace sim {
@@ -22,6 +28,16 @@ std::vector<xgft::Route> allRoutes(const Topology& topo, xgft::NodeIndex s,
   }
   return routes;
 }
+
+/// Logs every wire a segment starts on, with the message it belongs to.
+class WireLog : public Probe {
+ public:
+  void onWireBusy(std::uint32_t gport, std::uint32_t msg, TimeNs,
+                  TimeNs) override {
+    busy.emplace_back(gport, msg);
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> busy;
+};
 
 TEST(Multipath, RequiresAtLeastOneRoute) {
   const Topology topo(xgft::xgft2(4, 4, 2));
@@ -122,6 +138,8 @@ TEST(Multipath, OutOfOrderSegmentsReassemble) {
   SimConfig cfg;
   cfg.headerBytes = 0;
   Network net(topo, cfg);
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   std::vector<xgft::Route> routes = allRoutes(topo, 0, 15);
   ASSERT_EQ(routes.size(), 2u);
   // Blocker: saturates root 0's down path toward host 15's switch.
@@ -137,11 +155,51 @@ TEST(Multipath, OutOfOrderSegmentsReassemble) {
   // The sprayed message is gated by its congested even segments: it cannot
   // have finished at the uncontended single-route time.
   Network clean(topo, cfg);
+  DeliveryRecorder cleanRec;
+  clean.setSink(&cleanRec);
   const MsgId alone = clean.addMessageMultipath(
       0, 15, 8 * 1024, routes, SprayPolicy::kRoundRobin);
   clean.release(alone, 0);
   clean.run();
-  EXPECT_GT(net.deliveryTime(sprayed), clean.deliveryTime(alone));
+  EXPECT_GT(rec.timeOf(sprayed), cleanRec.timeOf(alone));
+}
+
+TEST(Multipath, RandomSprayFollowsTheSequenceNumberAcrossSlotReuse) {
+  // Sent one after another, each message reuses the slot its predecessor
+  // freed.  Spraying must still key on the add order: segment i of the
+  // k-th message takes the route hashMix(seed, k, i) picks, and the probe
+  // names the message k.
+  const Topology topo(xgft::xgft2(4, 4, 4));
+  const std::vector<xgft::Route> routes = allRoutes(topo, 0, 15);
+  ASSERT_EQ(routes.size(), 4u);
+  constexpr std::uint64_t kSeed = 7;
+  constexpr std::uint32_t kSegments = 4;
+  Network net(topo, SimConfig{});
+  WireLog log;
+  net.setProbe(&log);
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    log.busy.clear();
+    const MsgId m = net.addMessageMultipath(0, 15, kSegments * 1024, routes,
+                                            SprayPolicy::kRandom, kSeed);
+    net.release(m, net.now());
+    net.run();
+    // Leaf 0's up-port wires (local ports 4..7) show each segment's route;
+    // an idle fabric starts them in injection order.
+    std::vector<std::uint32_t> upPorts;
+    for (const auto& [gport, msg] : log.busy) {
+      const Network::PortOwner& owner = net.portOwnerOf(gport);
+      if (owner.level != 1 || owner.node != 0 || owner.localPort < 4) continue;
+      EXPECT_EQ(msg, k);
+      upPorts.push_back(owner.localPort - 4);
+    }
+    ASSERT_EQ(upPorts.size(), kSegments) << "message " << k;
+    for (std::uint32_t i = 0; i < kSegments; ++i) {
+      const xgft::Route& picked =
+          routes[xgft::hashMix(kSeed, k, i) % routes.size()];
+      EXPECT_EQ(upPorts[i], picked.up[1]) << "message " << k << " segment "
+                                          << i;
+    }
+  }
 }
 
 TEST(Multipath, MaxPathsAboveRouteCountUsesEveryRouteOnce) {

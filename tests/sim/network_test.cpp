@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "delivery_recorder.hpp"
 #include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
 #include "xgft/route.hpp"
@@ -23,15 +24,6 @@ SimConfig zeroLatencyConfig() {
   return cfg;
 }
 
-/// Collects per-message completion times.
-class Recorder : public TrafficSink {
- public:
-  void onMessageDelivered(MsgId msg, TimeNs t) override {
-    deliveries.emplace_back(msg, t);
-  }
-  std::vector<std::pair<MsgId, TimeNs>> deliveries;
-};
-
 TEST(Config, SerializationArithmetic) {
   SimConfig cfg;  // 2 Gbit/s, 8 B header.
   cfg.headerBytes = 0;
@@ -47,14 +39,13 @@ TEST(Config, SerializationArithmetic) {
 TEST(Network, SelfMessageDeliversInstantly) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
-  Recorder rec;
+  DeliveryRecorder rec;
   net.setSink(&rec);
   const MsgId m = net.addMessage(3, 3, 1 << 20, xgft::Route{});
   net.release(m, 500);
   net.run();
   ASSERT_EQ(rec.deliveries.size(), 1u);
-  EXPECT_EQ(rec.deliveries[0].second, 500u);
-  EXPECT_EQ(net.deliveryTime(m), 500u);
+  EXPECT_EQ(rec.timeOf(m), 500u);
 }
 
 TEST(Network, SingleSegmentLatencyIsExact) {
@@ -66,11 +57,13 @@ TEST(Network, SingleSegmentLatencyIsExact) {
   cfg.switchLatencyNs = 100;
   cfg.linkLatencyNs = 20;
   Network net(topo, cfg);
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const MsgId m = net.addMessage(0, 1, 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
-  EXPECT_EQ(net.deliveryTime(m), 4096u + 20 + 100 + 4096 + 20);
+  EXPECT_EQ(rec.timeOf(m), 4096u + 20 + 100 + 4096 + 20);
 }
 
 TEST(Network, TwoLevelPathLatency) {
@@ -82,12 +75,14 @@ TEST(Network, TwoLevelPathLatency) {
   cfg.switchLatencyNs = 100;
   cfg.linkLatencyNs = 20;
   Network net(topo, cfg);
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   ASSERT_EQ(topo.ncaLevel(0, 15), 2u);
   const MsgId m = net.addMessage(0, 15, 1024, router->route(0, 15));
   net.release(m, 0);
   net.run();
-  EXPECT_EQ(net.deliveryTime(m), 4u * 4096 + 4u * 20 + 3u * 100);
+  EXPECT_EQ(rec.timeOf(m), 4u * 4096 + 4u * 20 + 3u * 100);
 }
 
 TEST(Network, PipeliningOverlapsSegments) {
@@ -96,11 +91,13 @@ TEST(Network, PipeliningOverlapsSegments) {
   // serialization + per-hop costs for the last segment's tail.
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const MsgId m = net.addMessage(0, 1, 16 * 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
-  EXPECT_EQ(net.deliveryTime(m), 16u * 4096 + 4096);
+  EXPECT_EQ(rec.timeOf(m), 16u * 4096 + 4096);
 }
 
 TEST(Network, EndpointContentionSerializes) {
@@ -108,6 +105,8 @@ TEST(Network, EndpointContentionSerializes) {
   // both messages; total = 2 message times (+ pipeline tail).
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Bytes bytes = 8 * 1024;
   const MsgId a = net.addMessage(0, 2, bytes, router->route(0, 2));
@@ -115,7 +114,7 @@ TEST(Network, EndpointContentionSerializes) {
   net.release(a, 0);
   net.release(b, 0);
   net.run();
-  const TimeNs last = std::max(net.deliveryTime(a), net.deliveryTime(b));
+  const TimeNs last = std::max(rec.timeOf(a), rec.timeOf(b));
   // 16 segments of 4096 ns share the final link; +1 pipeline fill.
   EXPECT_GE(last, 16u * 4096);
   EXPECT_LE(last, 17u * 4096);
@@ -126,6 +125,8 @@ TEST(Network, RoundRobinInterleavesConcurrentMessages) {
   // segment), so they complete within one segment of each other.
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Bytes bytes = 8 * 1024;
   const MsgId a = net.addMessage(0, 1, bytes, router->route(0, 1));
@@ -133,8 +134,8 @@ TEST(Network, RoundRobinInterleavesConcurrentMessages) {
   net.release(a, 0);
   net.release(b, 0);
   net.run();
-  const TimeNs ta = net.deliveryTime(a);
-  const TimeNs tb = net.deliveryTime(b);
+  const TimeNs ta = rec.timeOf(a);
+  const TimeNs tb = rec.timeOf(b);
   // Round robin keeps them within two segments of each other (message `a`
   // gets a one-segment head start before `b` is released).
   EXPECT_LE(ta > tb ? ta - tb : tb - ta, 2u * 4096 + 1);
@@ -205,7 +206,10 @@ TEST(Network, ReleaseValidation) {
   const MsgId m = net.addMessage(0, 1, 100, router->route(0, 1));
   net.release(m, 0);
   net.run();
-  EXPECT_THROW(net.release(m, net.now() - 1), std::invalid_argument);
+  // The completed message's slot was recycled: its handle is stale.
+  EXPECT_THROW(net.release(m, net.now()), std::out_of_range);
+  const MsgId live = net.addMessage(0, 1, 100, router->route(0, 1));
+  EXPECT_THROW(net.release(live, net.now() - 1), std::invalid_argument);
 }
 
 TEST(Network, AddMessageValidatesRoutes) {
@@ -215,15 +219,19 @@ TEST(Network, AddMessageValidatesRoutes) {
   EXPECT_THROW(net.addMessage(0, 15, 100, bad), std::invalid_argument);
 }
 
-TEST(Network, DeliveryTimeBeforeCompletionThrows) {
+TEST(Network, SinkSeesNoDeliveryBeforeCompletion) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const MsgId m = net.addMessage(0, 1, 100, router->route(0, 1));
-  EXPECT_THROW((void)net.deliveryTime(m), std::logic_error);
   net.release(m, 0);
+  net.run(/*until=*/1);
+  EXPECT_TRUE(rec.deliveries.empty());
   net.run();
-  EXPECT_GT(net.deliveryTime(m), 0u);
+  ASSERT_EQ(rec.deliveries.size(), 1u);
+  EXPECT_GT(rec.timeOf(m), 0u);
 }
 
 TEST(Network, ZeroByteMessageStillTravels) {
@@ -311,6 +319,8 @@ TEST(Network, StrandedTrafficThrowsOnDrainNotHangs) {
   SimConfig cfg;
   cfg.outputBufferSegments = 0;
   Network net(topo, cfg);
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const MsgId m = net.addMessage(0, 1, 1024, router->route(0, 1));
   net.release(m, 0);
@@ -325,7 +335,7 @@ TEST(Network, StrandedTrafficThrowsOnDrainNotHangs) {
   // The message entered the network but never completed.
   EXPECT_EQ(net.stats().segmentsInjected, 1u);
   EXPECT_EQ(net.stats().segmentsDelivered, 0u);
-  EXPECT_THROW((void)net.deliveryTime(m), std::logic_error);
+  EXPECT_TRUE(rec.deliveries.empty());
 }
 
 TEST(Network, UnreleasedTrafficIsNotStranded) {
@@ -364,6 +374,8 @@ TEST(Network, InternedSetsMatchThePerMessagePath) {
 TEST(Network, AddMessageSetValidatesItsArguments) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
+  DeliveryRecorder rec;
+  net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const RouteSetId set = net.internRoutes(0, 9, {router->route(0, 9)});
   // kNone is only for local (src == dst) messages, and vice versa.
@@ -377,7 +389,7 @@ TEST(Network, AddMessageSetValidatesItsArguments) {
   const MsgId local = net.addMessageSet(4, 4, 100, sim::RouteStore::kNone);
   net.release(local, 10);
   net.run();
-  EXPECT_EQ(net.deliveryTime(local), 10u);
+  EXPECT_EQ(rec.timeOf(local), 10u);
 }
 
 TEST(Network, RouteInterningDeduplicatesAcrossMessages) {

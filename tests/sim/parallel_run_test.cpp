@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "delivery_recorder.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "sim/probe.hpp"
@@ -24,13 +25,19 @@ using xgft::Topology;
 
 /// A completion recorder whose deliveries are pure observations — the
 /// deferrable contract the parallel engine needs from a sink.
-class PassiveRecorder : public TrafficSink {
+class PassiveRecorder : public DeliveryRecorder {
  public:
-  void onMessageDelivered(MsgId msg, TimeNs t) override {
-    deliveries.emplace_back(msg, t);
-  }
   [[nodiscard]] bool deliveriesDeferrable() const override { return true; }
-  std::vector<std::pair<MsgId, TimeNs>> deliveries;
+  /// Completion time per handle for @p messages messages added before the
+  /// run (so no slot was recycled and handles are 0..messages-1); fails the
+  /// test unless every one completed.
+  [[nodiscard]] std::vector<TimeNs> timesByHandle(
+      std::uint32_t messages) const {
+    std::vector<TimeNs> times(messages, 0);
+    for (const auto& [m, t] : deliveries) times.at(m) = t;
+    EXPECT_EQ(deliveries.size(), messages);
+    return times;
+  }
 };
 
 /// Every NCA route of an (s, d) pair, in candidate order.
@@ -135,9 +142,7 @@ RunOutput runWorkload(const Topology& topo, std::uint32_t messages,
   RunOutput out;
   out.stats = net.stats();
   out.end = net.now();
-  for (MsgId m = 0; m < messages; ++m) {
-    out.delivery.push_back(net.deliveryTime(m));
-  }
+  out.delivery = rec.timesByHandle(messages);
   for (std::uint32_t p = 0; p < net.numGlobalPorts(); ++p) {
     out.wire.push_back(net.wireBusyNs(p));
   }
@@ -259,6 +264,8 @@ TEST(ParallelRun, PreScheduledFaultRunsIdenticallyViaFallback) {
   const xgft::LinkId link = topo.upLink(1, 3, 2);
   const auto run = [&](std::uint32_t threads) {
     Network net(topo, SimConfig{});
+    PassiveRecorder rec;
+    net.setSink(&rec);
     net.setFaultPolicy(FaultPolicy::kWait);
     net.scheduleLinkDown(20'000, link);
     net.scheduleLinkUp(120'000, link);
@@ -271,9 +278,7 @@ TEST(ParallelRun, PreScheduledFaultRunsIdenticallyViaFallback) {
     RunOutput out;
     out.stats = net.stats();
     out.end = net.now();
-    for (MsgId m = 0; m < 200; ++m) {
-      out.delivery.push_back(net.deliveryTime(m));
-    }
+    out.delivery = rec.timesByHandle(200);
     return out;
   };
   const RunOutput serial = run(1);
@@ -314,9 +319,7 @@ TEST(ParallelRun, MidRunFaultScheduleAbortsToSerialIdentically) {
     RunOutput out;
     out.stats = net.stats();
     out.end = net.now();
-    for (MsgId m = 0; m < 300; ++m) {
-      out.delivery.push_back(net.deliveryTime(m));
-    }
+    out.delivery = rec.timesByHandle(300);
     for (std::uint32_t p = 0; p < net.numGlobalPorts(); ++p) {
       out.wire.push_back(net.wireBusyNs(p));
     }

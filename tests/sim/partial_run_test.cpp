@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "delivery_recorder.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "xgft/topology.hpp"
@@ -15,15 +16,6 @@ namespace sim {
 namespace {
 
 using xgft::Topology;
-
-/// Records every completion in arrival order.
-class Recorder : public TrafficSink {
- public:
-  void onMessageDelivered(MsgId msg, TimeNs t) override {
-    deliveries.emplace_back(msg, t);
-  }
-  std::vector<std::pair<MsgId, TimeNs>> deliveries;
-};
 
 /// A contended workload: every host sends to host (i + 1) % n twice.
 void injectRing(Network& net, const Topology& topo,
@@ -42,13 +34,13 @@ TEST(PartialRun, ChoppedRunMatchesOneShot) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   const routing::RouterPtr router = routing::makeDModK(topo);
 
-  Recorder oneShot;
+  DeliveryRecorder oneShot;
   Network full(topo, SimConfig{});
   full.setSink(&oneShot);
   injectRing(full, topo, *router);
   full.run();
 
-  Recorder chopped;
+  DeliveryRecorder chopped;
   Network partial(topo, SimConfig{});
   partial.setSink(&chopped);
   injectRing(partial, topo, *router);
@@ -76,7 +68,7 @@ TEST(PartialRun, BoundedRunStopsBeforeLaterEvents) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   const routing::RouterPtr router = routing::makeDModK(topo);
   Network net(topo, SimConfig{});
-  Recorder sink;
+  DeliveryRecorder sink;
   net.setSink(&sink);
   const MsgId early = net.addMessage(0, 5, 1024, router->route(0, 5));
   const MsgId late = net.addMessage(5, 0, 1024, router->route(5, 0));

@@ -95,7 +95,7 @@ TEST(NetworkStats, MidRunSnapshotsAreCoherent) {
 }
 
 TEST(NetworkStats, SamplingProbeDoesNotDisturbPartialRuns) {
-  // The kSample calendar event must neither count as a processed event nor
+  // The kSample queue event must neither count as a processed event nor
   // change where run(until) stops.
   const Topology topo(xgft::xgft2(4, 4, 2));
   const routing::RouterPtr router = routing::makeDModK(topo);

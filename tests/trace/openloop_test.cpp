@@ -1,12 +1,18 @@
 // Tests for the windowed open-loop runner: accepted throughput tracking
-// below saturation, the saturation plateau, warmup/drain exclusion and
-// run-to-run determinism of the full measurement pipeline.
+// below saturation, the saturation plateau, warmup/drain exclusion,
+// run-to-run determinism of the full measurement pipeline, and memory
+// that follows the messages in flight rather than the run length.
 #include "trace/openloop.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
+#include "core/scenario.hpp"
 #include "patterns/source.hpp"
 #include "routing/relabel.hpp"
+#include "sim/probe.hpp"
 #include "xgft/topology.hpp"
 
 namespace trace {
@@ -137,6 +143,46 @@ TEST(OpenLoop, SpraySourcesAlsoStream) {
   const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
   EXPECT_NEAR(r.acceptedLoad, 0.3, 0.05);
   EXPECT_GT(r.latency.samples, 0u);
+}
+
+/// Tracks the size of the network's message pool.  The pool only grows
+/// when a message is added, and every add is followed by its release, so
+/// the largest size seen at a release is the pool's final size.
+class PoolWatch : public sim::Probe {
+ public:
+  void onAttach(const sim::Network& net) override { net_ = &net; }
+  void onMessageReleased(std::uint32_t, xgft::NodeIndex, xgft::NodeIndex,
+                         std::uint64_t, sim::TimeNs) override {
+    slots = std::max(slots, net_->messageSlots());
+  }
+  std::size_t slots = 0;
+
+ private:
+  const sim::Network* net_ = nullptr;
+};
+
+TEST(OpenLoop, MessagePoolIsSizedByTrafficInFlight) {
+  // The load-0.1 d-mod-k job of the loadsweep builtin at msg_scale 0.125
+  // on paper-slim, over the engine's default windows: tens of thousands of
+  // messages, of which at most a couple of hundred are in flight at once.
+  // Completed messages recycle their slots, so the pool stays that small.
+  core::Scenario sc;
+  sc.topo = xgft::xgft2(16, 16, 10);
+  sc.source = "poisson:uniform";
+  sc.load = 0.1;
+  sc.msgScale = 0.125;
+  const Topology topo(sc.topo);
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  OpenLoopOptions opt;
+  PoolWatch watch;
+  opt.probe = &watch;
+  const std::unique_ptr<patterns::TrafficSource> src =
+      sc.makeSource(static_cast<patterns::Rank>(topo.numHosts()), 0,
+                    opt.warmupNs + opt.measureNs);
+  const OpenLoopResult r = runOpenLoop(topo, *router, *src, opt, sc.sim);
+  EXPECT_EQ(r.stats.messagesDelivered, 31'226u);
+  EXPECT_GT(watch.slots, 0u);
+  EXPECT_LT(watch.slots, 1'000u);
 }
 
 TEST(OpenLoop, RejectsOversizedSources) {
