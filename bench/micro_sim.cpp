@@ -268,12 +268,12 @@ void BM_RouteResolve(benchmark::State& state) {
   // The per-message route query of every injection: a fixed SplitMix64
   // stream of uniform (src, dst) pairs through a fresh Network's
   // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts, flat
-  // d-mod-k table; the stream revisits pairs, so mostly memo hits), arg 1 =
-  // xgft3:16:16:16:1:8:8 (4096 hosts, compressed; mostly first sends that
-  // intern a route), arg 2 = paper-slim with the Random router and no
-  // table (every first send of a pair is a router-mode miss: one route(),
-  // one validation, one intern).  Counters: ns per resolved pair and the
-  // interned route arena's bytes after the stream.
+  // d-mod-k table: one table lookup per pair), arg 1 =
+  // xgft3:16:16:16:1:8:8 (4096 hosts, compressed: one interval probe per
+  // pair), arg 2 = paper-slim with the Random router and no table (every
+  // first send of a pair is a router-mode miss: one route(), one
+  // validation, one stored ascent; repeats are memo hits).  Counters: ns
+  // per resolved pair and the route store's bytes after the stream.
   constexpr std::uint32_t kPairs = 200'000;
   const bool big = state.range(0) == 1;
   const bool tableFree = state.range(0) == 2;

@@ -361,21 +361,6 @@ std::span<const std::uint32_t> CompiledRoutes::compressedLookup(
   return {columns_.ports.data() + run.portsOff, run.len};
 }
 
-CompiledRoutes::ShareLookup CompiledRoutes::shareLookup(
-    xgft::NodeIndex s, xgft::NodeIndex d) const {
-  if (!compressed_) return {s, upPorts(s, d)};
-  const bool byDst = axis_ == Axis::kByDst;
-  const Interval& run = intervalOf(byDst ? d : s, byDst ? s : d);
-  const std::span<const std::uint32_t> ports{
-      columns_.ports.data() + run.portsOff, run.len};
-  if (!byDst || s == d) return {s, ports};
-  // Same interval => same up-ports; clipping to s's leaf group also pins
-  // the level-1 switch, so (rep, d)'s switch-tail path is bit-identical.
-  const std::uint32_t m1 = topology().params().m(1);
-  const xgft::NodeIndex leafBase = s - (s % m1);
-  return {std::max<xgft::NodeIndex>(run.begin, leafBase), ports};
-}
-
 std::uint64_t CompiledRoutes::forwardingBytes() const {
   if (!compressed_) {
     return ports_.size() * sizeof(std::uint32_t) +

@@ -41,12 +41,16 @@
 // jobs' tables next to the router; a closed-loop job compiles a compressed
 // table of its own for a self-routing scheme and frees it when the job
 // ends, while Random and Colored closed-loop jobs build no table at all.
-// RouteSetResolver expands and interns a table's upPorts() span into the
-// network's RouteStore once per shared route set, so repeat sends are a
-// pure record append with no per-message table walk.  Without a table the
-// resolver calls route() once per distinct pair and interns the result the
-// same way, which keeps route construction off the per-message hot path in
-// every mode.
+//
+// A table also stores the messages' routes.  A route is its ascent
+// (sim/route_store.hpp), and upPorts(s, d) is exactly that ascent, so
+// trace::RouteSetResolver hands the simulator a pointer into the table —
+// one lookup per message, nothing copied or stored — and the event core
+// reads every up-port from the table as the segment climbs.  The table
+// must therefore outlive every message resolved through it (DESIGN.md
+// §7).  Without a table the resolver calls route() once per distinct pair
+// and stores the ascent in the network's RouteStore, which keeps route
+// construction off the per-message hot path in every mode.
 #pragma once
 
 #include <cstdint>
@@ -110,9 +114,10 @@ class CompiledRoutes {
   [[nodiscard]] static std::uint64_t estimateCompressedBytes(
       const routing::Router& router);
 
-  /// The ascending port choices for (s, d); length == ncaLevel(s, d), empty
-  /// when s == d — and also empty for pairs a compileWith override marked
-  /// unroutable.  Valid for the handle's lifetime.
+  /// The ascending port choices for (s, d) — the route's ascent; length ==
+  /// ncaLevel(s, d), empty when s == d — and also empty for pairs a
+  /// compileWith override marked unroutable.  The pair is unroutable iff
+  /// s != d and the span is empty.  Valid for the handle's lifetime.
   [[nodiscard]] std::span<const std::uint32_t> upPorts(
       xgft::NodeIndex s, xgft::NodeIndex d) const {
     if (!compressed_) {
@@ -135,27 +140,6 @@ class CompiledRoutes {
   /// No-op, kept for callers that predate eager compilation: every table
   /// is complete when compile() returns.
   void compileAll(std::uint32_t /*threads*/ = 1) const {}
-
-  /// The representative source whose (rep, d) route set is bit-identical to
-  /// (s, d)'s: the start of s's source interval, clipped to s's leaf group
-  /// (same leaf switch + same up-ports => same switch-tail path).  Resolvers
-  /// key their per-pair memos by (rep, d) so every source in the interval
-  /// shares one interned route set.  s itself in the flat layout, in the
-  /// source-oriented compressed layout, and for s == d.
-  [[nodiscard]] xgft::NodeIndex shareRep(xgft::NodeIndex s,
-                                         xgft::NodeIndex d) const {
-    return shareLookup(s, d).rep;
-  }
-
-  /// shareRep(s, d) and upPorts(s, d) from one interval probe — the route
-  /// resolver's per-message query.  The pair is unroutable iff s != d and
-  /// upPorts is empty.
-  struct ShareLookup {
-    xgft::NodeIndex rep = 0;
-    std::span<const std::uint32_t> upPorts;
-  };
-  [[nodiscard]] ShareLookup shareLookup(xgft::NodeIndex s,
-                                        xgft::NodeIndex d) const;
 
   [[nodiscard]] bool compressed() const { return compressed_; }
   /// Bytes resident for the forwarding state: the dense arrays in the flat

@@ -62,9 +62,10 @@ struct JobResult {
   sim::TimeNs latencyP99Ns = 0;
   sim::TimeNs latencyMaxNs = 0;
 
-  /// Interned route-arena footprint of this job's network at the end of
-  /// the run (uint32 entries; sim::RouteStore::arenaEntries).  Deterministic
-  /// — the manifest's forwarding block reports the campaign peak.
+  /// Route-store footprint of this job's network at the end of the run
+  /// (uint32 ascent words; sim::RouteStore::arenaEntries, 0 for
+  /// table-backed jobs).  Deterministic — the manifest's forwarding block
+  /// reports the campaign peak.
   std::uint64_t routeArenaEntries = 0;
 
   /// Host wall-clock spent executing this job (manifests and the CLI

@@ -16,8 +16,8 @@
 //  * kThrow — compilation fails with the offending pair (closed-loop
 //    campaigns, where a lost message would stall the phase barrier).
 //  * kDrop  — the pair compiles to an empty (unroutable) entry; the
-//    resolver maps it to RouteSetResolver::kUnroutable and the injection
-//    layer counts the refused messages (open-loop campaigns).
+//    resolver hands out its empty route set and the injection layer
+//    counts the refused messages (open-loop campaigns).
 //
 // Only table-mode schemes (core::RouteMode::kTable) can be recompiled; the
 // per-segment modes (adaptive, spray) pick ports inside the simulator and

@@ -11,16 +11,17 @@
 //     gets a callback that recompiles the scheme's forwarding tables
 //     against the then-failed link set (compileDegraded) and swaps them
 //     into the resolver — messages injected after the transition route
-//     around the failures, while in-flight route sets are immutable
-//     snapshots and keep their old paths (that is what the reroute policy
-//     is for).
+//     around the failures, while messages already added keep pointing
+//     into the table they were resolved through and keep their old paths
+//     (that is what the reroute policy is for).
 //
 // Table swaps happen after the same-instant link events (insertion order
 // at equal timestamps), so a recompile always sees the network state it
 // describes.  Identical failed-link sets share one compiled table.
 //
 // The returned handle owns the recompiled tables; keep it alive until the
-// run completes (the resolver holds raw pointers into it).
+// run completes (the resolver and the messages hold raw pointers into
+// them).
 #pragma once
 
 #include <cstdint>

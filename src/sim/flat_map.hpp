@@ -1,7 +1,8 @@
 // flat_map.hpp — Open-addressing 64-bit -> 32-bit map for per-message memos.
 //
 // The route resolver probes its (source, destination) memo once per message
-// (trace/route_resolver.hpp), so the memo is one flat slot array instead of
+// in router and spray modes (trace/route_resolver.hpp; table mode reads the
+// table instead), so the memo is one flat slot array instead of
 // a node-based std::unordered_map: linear probing over a power-of-two
 // capacity kept at most half full, keys hashed with xgft::splitmix64, no
 // per-entry allocation and no erase.  A lookup touches one cache line in

@@ -25,8 +25,8 @@ void InjectionProcess::inject(const patterns::SourceMessage& m) {
   if (opt_.adaptive) {
     id = net_->addMessageAdaptive(src, dst, m.bytes);
   } else {
-    const RouteSetId set = opt_.routeSet(src, dst);
-    if (set == RouteStore::kUnroutable) {
+    const RouteSet routes = opt_.routeSet(src, dst);
+    if (routes.empty() && src != dst) {
       // The degraded forwarding table has no path for this pair: refuse the
       // message before it exists.  Closed-loop callers (which would
       // deadlock awaiting the delivery) must opt in via onDrop.
@@ -40,7 +40,7 @@ void InjectionProcess::inject(const patterns::SourceMessage& m) {
       opt_.onDrop(m.token, m.bytes, src, dst);
       return;
     }
-    id = net_->addMessageSet(src, dst, m.bytes, set, opt_.policy,
+    id = net_->addMessageSet(src, dst, m.bytes, routes, opt_.policy,
                              opt_.spraySeed);
   }
   // The record carries the token to onMessageDelivered; release() stamps

@@ -27,8 +27,11 @@
 // the messages in flight, however long the source streams.
 //
 // Route construction stays out of this layer: the caller supplies a
-// resolver mapping (src, dst) host pairs to interned route sets (see
-// trace::RouteSetResolver) or opts into per-hop adaptive routing.
+// resolver mapping (src, dst) host pairs to route sets (see
+// trace::RouteSetResolver) or opts into per-hop adaptive routing.  A route
+// set is a handle, not a copy: the message points at ascents the resolver's
+// forwarding table or the network's RouteStore owns (route_store.hpp), so
+// whoever owns a table must keep it alive until the run ends.
 #pragma once
 
 #include <cstdint>
@@ -51,17 +54,16 @@ struct InjectionOptions {
   /// Maps a source rank to its host node; identity when null.
   std::function<xgft::NodeIndex(patterns::Rank)> hostOf;
 
-  /// Interned route set for a (src, dst) host pair; required unless
-  /// adaptive.  Called once per injected message (resolvers memoize).
-  /// May return RouteStore::kUnroutable for a pair the active (degraded)
-  /// forwarding table cannot reach — the message is then refused, not
-  /// enqueued.
-  std::function<RouteSetId(xgft::NodeIndex, xgft::NodeIndex)> routeSet;
+  /// Route set for a (src, dst) host pair; required unless adaptive.
+  /// Called once per injected message.  An empty set for src != dst means
+  /// the active (degraded) forwarding table cannot reach the pair — the
+  /// message is then refused, not enqueued.
+  std::function<RouteSet(xgft::NodeIndex, xgft::NodeIndex)> routeSet;
 
   /// Invoked for every refused message: (source token, bytes, src host,
   /// dst host).  The refusal is counted in NetworkStats::messagesDropped
   /// either way, but a closed-loop source would wait forever for the
-  /// message's delivery — so a kUnroutable resolution without an onDrop
+  /// message's delivery — so an unroutable resolution without an onDrop
   /// handler throws std::runtime_error instead of hanging.
   std::function<void(std::uint64_t, Bytes, xgft::NodeIndex, xgft::NodeIndex)>
       onDrop;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "sim/probe.hpp"
-#include "xgft/rng.hpp"
 #include <stdexcept>
 #include <string>
 
@@ -46,7 +45,20 @@ Network::Network(const xgft::Topology& topo, SimConfig cfg)
     }
   }
   adaptiveRR_.assign(topo.numNodes(), 0);
-  adaptiveSets_.assign(topo.params().w(1), RouteStore::kNone);
+  // Message::ascentLen holds an NCA level in one byte.
+  if (h > 0xff) {
+    throw std::invalid_argument("Network: tree higher than 255 levels");
+  }
+  height_ = h;
+  upPortBase_.resize(h + 1);
+  for (std::uint32_t l = 0; l <= h; ++l) upPortBase_[l] = topo.upPortBase(l);
+  downPorts_.resize(static_cast<std::size_t>(topo.numHosts()) * h);
+  for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
+    for (std::uint32_t l = 1; l <= h; ++l) {
+      downPorts_[static_cast<std::size_t>(d) * h + l - 1] =
+          topo.digit(0, d, l);
+    }
+  }
 
   // Wire the peers: every up-link connects (child, upPort) <-> (parent,
   // downPort = child's M_{l+1} digit).
@@ -94,7 +106,7 @@ std::uint32_t Network::segmentCountOf(Bytes bytes) const {
 }
 
 MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
-                         RouteSetId set, SprayPolicy policy,
+                         RouteSet routes, SprayPolicy policy,
                          std::uint64_t spraySeed, bool adaptive) {
   if (nextSeq_ == kNil) {
     throw std::length_error(
@@ -107,12 +119,15 @@ MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
   m.seq = nextSeq_;
   m.bytes = bytes;
   m.numSegments = segmentCountOf(bytes);
-  m.set = set;
-  if (set != RouteStore::kNone) {
-    const std::span<const RouteId> routes = routes_.set(set);
-    m.setSize = static_cast<std::uint32_t>(routes.size());
-    m.route0 = routes[0];
-    m.hostPort = globalPort(0, src, routes_.setFirstUp(set));
+  m.ascents = routes.ascents;
+  m.setSize = routes.count;
+  m.ascentLen = static_cast<std::uint8_t>(routes.len);
+  if (src != dst) {
+    // The host uplink is fixed per message: a static message's ascents all
+    // leave through their word 0; adaptive messages stripe across the NIC
+    // ports by sequence number (w1 = 1 in the paper's trees).
+    m.hostPort = globalPort(
+        0, src, adaptive ? nextSeq_ % topo_->params().w(1) : routes.ascents[0]);
   }
   m.spraySeed = spraySeed;
   m.policy = policy;
@@ -138,67 +153,28 @@ MsgId Network::addMessage(xgft::NodeIndex src, xgft::NodeIndex dst,
                              SprayPolicy::kRoundRobin);
 }
 
-RouteSetId Network::internCompiledPath(xgft::NodeIndex src,
-                                       xgft::NodeIndex dst,
-                                       std::span<const std::uint32_t> upPorts) {
-  if (src == dst) return RouteStore::kNone;
-  // Same walk as hopsOf(), minus the Route materialization and the
-  // re-validation (the compiled table was validated when it was built).
-  // Only the switch tail is interned — the host hop (local port upPorts[0],
-  // since upPortBase(0) == 0) goes into the set, so sources whose compiled
-  // tails coincide (same leaf group, same up-ports) share one path.
-  const std::uint32_t L = static_cast<std::uint32_t>(upPorts.size());
-  scratchPath_.clear();
-  xgft::NodeIndex node = topo_->parentIndex(0, src, upPorts[0]);
-  for (std::uint32_t i = 1; i < L; ++i) {
-    scratchPath_.push_back(
-        globalPort(i, node, topo_->upPortBase(i) + upPorts[i]));
-    node = topo_->parentIndex(i, node, upPorts[i]);
-  }
-  for (std::uint32_t j = L; j >= 1; --j) {
-    const std::uint32_t port = topo_->digit(0, dst, j);
-    scratchPath_.push_back(globalPort(j, node, port));
-    node = topo_->childIndex(j, node, port);
-  }
-  scratchSet_.assign(1, routes_.internPath(scratchPath_));
-  return routes_.internSet(upPorts[0], scratchSet_);
-}
-
-MsgId Network::addMessageCompiled(xgft::NodeIndex src, xgft::NodeIndex dst,
-                                  Bytes bytes,
-                                  std::span<const std::uint32_t> upPorts) {
-  return addMessageSet(src, dst, bytes, internCompiledPath(src, dst, upPorts));
-}
-
-RouteSetId Network::internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
-                                 const std::vector<xgft::Route>& routes) {
+RouteSet Network::internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
+                               const std::vector<xgft::Route>& routes) {
   if (routes.empty()) {
     throw std::invalid_argument("addMessageMultipath: need >= 1 route");
   }
-  if (src == dst) return RouteStore::kNone;
-  scratchSet_.clear();
-  std::uint32_t firstUp = kNil;
+  if (src == dst) return {};
+  scratchAscents_.clear();
   for (const xgft::Route& route : routes) {
     std::string error;
     if (!validateRoute(*topo_, src, dst, route, &error)) {
       throw std::invalid_argument("addMessage: " + error);
     }
-    // A valid route for src != dst has >= 1 hop; the first one leaves the
-    // source host and lives in the set, not the interned (tail) path.
-    scratchPath_.clear();
-    for (const xgft::Hop& hop : hopsOf(*topo_, src, dst, route)) {
-      scratchPath_.push_back(globalPort(hop.level, hop.node, hop.outPort));
-    }
-    if (firstUp == kNil) {
-      firstUp = route.up[0];
-    } else if (route.up[0] != firstUp) {
+    // A valid route for src != dst has the pair's NCA level as length, so
+    // every candidate is one same-length ascent; word 0 is the NIC port.
+    if (route.up[0] != routes[0].up[0]) {
       throw std::invalid_argument(
           "addMessageMultipath: routes must share the first-hop port");
     }
-    scratchSet_.push_back(routes_.internPath(
-        std::span<const std::uint32_t>(scratchPath_).subspan(1)));
+    scratchAscents_.insert(scratchAscents_.end(), route.up.begin(),
+                           route.up.end());
   }
-  return routes_.internSet(firstUp, scratchSet_);
+  return routes_.store(scratchAscents_, routes[0].ncaLevel());
 }
 
 MsgId Network::addMessageMultipath(xgft::NodeIndex src, xgft::NodeIndex dst,
@@ -211,41 +187,24 @@ MsgId Network::addMessageMultipath(xgft::NodeIndex src, xgft::NodeIndex dst,
 }
 
 MsgId Network::addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst,
-                             Bytes bytes, RouteSetId set, SprayPolicy policy,
+                             Bytes bytes, RouteSet routes, SprayPolicy policy,
                              std::uint64_t spraySeed) {
-  if ((set == RouteStore::kNone) != (src == dst)) {
+  if (routes.empty() != (src == dst)) {
     throw std::invalid_argument(
-        "addMessageSet: route set and endpoints disagree (kNone iff src == "
+        "addMessageSet: route set and endpoints disagree (empty iff src == "
         "dst)");
   }
-  if (set != RouteStore::kNone && set >= routes_.numSets()) {
-    throw std::out_of_range("addMessageSet: unknown route set");
-  }
-  return addRecord(src, dst, bytes, set, policy, spraySeed,
+  // Checked where it is free; release builds trust the set's producer.
+  assert(routes.len == topo_->ncaLevel(src, dst));
+  return addRecord(src, dst, bytes, routes, policy, spraySeed,
                    /*adaptive=*/false);
 }
 
 MsgId Network::addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
                                   Bytes bytes) {
-  RouteSetId set = RouteStore::kNone;
-  if (src != dst) {
-    // The host uplink is fixed per message (w1 = 1 in the paper's trees;
-    // for w1 > 1 messages stripe across NIC ports by sequence number, the
-    // id this message is about to get).
-    const std::uint32_t port = nextSeq_ % topo_->params().w(1);
-    // Adaptive segments resolve every switch port on the fly, so the tail
-    // path is empty; only the NIC port (in the set) is predetermined.  The
-    // set is interned on the port's first use and cached: later interns
-    // would return the same id, so ids and their order are unchanged.
-    set = adaptiveSets_[port];
-    if (set == RouteStore::kNone) {
-      scratchPath_.clear();
-      scratchSet_.assign(1, routes_.internPath(scratchPath_));
-      set = routes_.internSet(port, scratchSet_);
-      adaptiveSets_[port] = set;
-    }
-  }
-  return addRecord(src, dst, bytes, set, SprayPolicy::kRoundRobin, 1,
+  // Adaptive segments pick every switch port on the fly, so the message
+  // has no ascent; only its NIC port is predetermined (addRecord).
+  return addRecord(src, dst, bytes, RouteSet{}, SprayPolicy::kRoundRobin, 1,
                    /*adaptive=*/true);
 }
 
@@ -623,7 +582,7 @@ std::uint32_t Network::segmentPayload(const Message& m,
       std::min<Bytes>(remaining, cfg_.segmentBytes));
 }
 
-std::uint32_t Network::allocSegment(MsgId msg, RouteId route,
+std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t route,
                                     std::uint32_t bytes) {
   std::uint32_t idx;
   if (freeSegments_ != kNil) {
@@ -663,22 +622,7 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
   port.activeHead = m.nextActive;
   if (port.activeHead == kNil) port.activeTail = kNil;
   const std::uint32_t payload = segmentPayload(m, m.injectedSegments);
-  RouteId route = m.route0;
-  if (m.setSize > 1) {
-    std::uint32_t pathIdx = 0;
-    switch (m.policy) {
-      case SprayPolicy::kRoundRobin:
-        pathIdx = m.injectedSegments % m.setSize;
-        break;
-      case SprayPolicy::kRandom:
-        pathIdx = static_cast<std::uint32_t>(
-            xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) %
-            m.setSize);
-        break;
-    }
-    route = routes_.set(m.set)[pathIdx];
-  }
-  const std::uint32_t seg = allocSegment(msgId, route, payload);
+  const std::uint32_t seg = allocSegment(msgId, pickRoute(m), payload);
   ++m.injectedSegments;
   ++stats_.segmentsInjected;
   // Round robin: messages with segments left rejoin the tail, so concurrent
@@ -795,14 +739,29 @@ void Network::tryAdvanceInput(std::uint32_t gInPort) {
   if (port.transferring || port.inHead == kNil) return;
   const std::uint32_t seg = port.inHead;
   Segment& segment = segments_[seg];
-  // Paths store switch tails (no host hop), so the port taken after the
-  // segment's hop-th arrival is tail word hop - 1 (hop >= 1 here: it was
-  // incremented when the segment reached this input).
-  const std::uint32_t out = segAdaptive(segment)
-                                ? resolveAdaptive(gInPort, segment)
-                                : pathOf(segment)[segment.hop - 1];
+  const std::uint32_t out = nextOutput(gInPort, segment);
   segment.resolvedOut = out;
   advanceInputTo(gInPort, seg, out);
+}
+
+std::uint32_t Network::nextOutput(std::uint32_t gInPort, const Segment& seg) {
+  // Reads only fields fixed when the message was added: the sharded core
+  // decodes at destination shards while the source shard writes `state`.
+  const Message& m = messages_[seg.msg];
+  if (m.adaptive || (seg.flags & kSegEscaped) != 0) {
+    return resolveAdaptive(gInPort, seg);
+  }
+  // A node's ports are contiguous gports, so this switch's port p is
+  // gInPort - localPort + p.  hop counts the arrivals so far (>= 1 here):
+  // hops 1 .. len - 1 arrive at levels 1 .. len - 1 on the way up and leave
+  // through ascent word hop; from the NCA on, every level descends.
+  const PortOwner& at = portOwner_[gInPort];
+  const std::uint32_t nodeBase = gInPort - at.localPort;
+  if (seg.hop < m.ascentLen) {
+    return nodeBase + upPortBase_[at.level] +
+           m.ascents[seg.route * m.ascentLen + seg.hop];
+  }
+  return nodeBase + downPort(at.level, m.dst);
 }
 
 void Network::wakeInput(std::uint32_t gInPort) {
@@ -835,7 +794,8 @@ void Network::advanceInputTo(std::uint32_t gInPort, std::uint32_t seg,
         segment.resolvedOut = alt;
         ++stats_.segmentsRerouted;
         if (probe_ != nullptr) {
-          probe_->onSegmentRerouted(out, alt, segment.msg, now_);
+          probe_->onSegmentRerouted(out, alt, messages_[segment.msg].seq,
+                                    now_);
         }
         advanceInputTo(gInPort, seg, alt);  // alt is live: no recursion loop.
         return;
@@ -901,13 +861,13 @@ std::uint32_t Network::resolveAdaptive(std::uint32_t gInPort,
   // label digits above the switch's level must match the destination's.
   bool ancestor = true;
   for (std::uint32_t i = level + 1; i <= topo_->height(); ++i) {
-    if (topo_->digit(level, owner.node, i) != topo_->digit(0, m.dst, i)) {
+    if (topo_->digit(level, owner.node, i) != downPort(i, m.dst)) {
       ancestor = false;
       break;
     }
   }
   if (ancestor) {
-    return globalPort(level, owner.node, topo_->digit(0, m.dst, level));
+    return gInPort - owner.localPort + downPort(level, m.dst);
   }
   // Ascend through the least-occupied up-port; a per-switch rotor breaks
   // ties round-robin so symmetric traffic does not herd onto port 0.

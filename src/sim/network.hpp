@@ -2,8 +2,11 @@
 //
 // Model (see DESIGN.md for the substitution rationale):
 //
-//  * Source routing.  A message carries its precomputed output-port path
-//    (host NIC port, then one output port per switch).
+//  * Source routing.  A static message carries its route's ascent
+//    (route_store.hpp): the NIC port, then the up-port taken at each level
+//    below the nearest common ancestor.  A switch reads its output from the
+//    ascent on the way up and from the destination's label digit on the
+//    way down, where the minimal path is unique.
 //  * Adapters.  Each host NIC keeps a round-robin list of active messages
 //    per port; whenever the host link is free (and the first switch has
 //    buffer credit) the NIC emits the *next segment of the next message* —
@@ -28,8 +31,9 @@
 // storage — POD events in per-delay FIFO lanes (event_queue.hpp),
 // segments in a contiguous slot pool whose FIFO queues are intrusive
 // `next` links (no per-port deques, no allocation after warm-up), and
-// routes interned once in a shared arena (route_store.hpp) so
-// messages/segments carry indices, never copied port vectors.  Messages
+// routes as ascents that point into a compiled forwarding table or the
+// route store (route_store.hpp): a message carries one pointer and a
+// segment the index of its candidate ascent.  Messages
 // live in a second recycled slot pool: a record is freed once its message
 // completed or was dropped, has no segment in flight and sits on no NIC's
 // active list, so memory follows the traffic in flight, not the run
@@ -41,22 +45,22 @@
 // configurations and inputs replay identically on every platform.
 //
 // Overflow semantics are hardened, not silent: message sequence numbers,
-// segment counts, route arenas and the global-port space are 32-bit by
-// design (the flat layout depends on it); any workload that would exceed
-// them throws with a clear message instead of wrapping.  Slots never
-// outnumber sequence numbers, so the guard on the latter covers both.
+// segment counts and the global-port space are 32-bit by design (the flat
+// layout depends on it); any workload that would exceed them throws with a
+// clear message instead of wrapping.  Slots never outnumber sequence
+// numbers, so the guard on the latter covers both.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "sim/config.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/route_store.hpp"
+#include "xgft/rng.hpp"
 #include "xgft/route.hpp"
 #include "xgft/topology.hpp"
 
@@ -182,17 +186,6 @@ class Network {
   MsgId addMessage(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                    const xgft::Route& route);
 
-  /// Fast-path variant of addMessage consuming a compiled forwarding-table
-  /// entry (core::CompiledRoutes::upPorts): the ascending port choices are
-  /// expanded straight into the global-port path with no route validation
-  /// and no intermediate Route object.  Precondition: @p upPorts came from
-  /// a table compiled against this network's topology (validated once at
-  /// compile time).  Produces the identical event sequence as addMessage
-  /// with the equivalent Route.
-  MsgId addMessageCompiled(xgft::NodeIndex src, xgft::NodeIndex dst,
-                           Bytes bytes,
-                           std::span<const std::uint32_t> upPorts);
-
   /// Registers a multipath message: each segment is sprayed over one of the
   /// given routes per @p policy.  All routes must share the same first-hop
   /// (host) port.  At least one route is required.
@@ -211,32 +204,28 @@ class Network {
   MsgId addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
                            Bytes bytes);
 
-  // ---- Interned-route fast path (route_store.hpp) --------------------------
+  // ---- Route-set fast path (route_store.hpp) -------------------------------
   //
-  // Callers that send many messages between the same endpoints (the trace
-  // replayer) intern the route material once per (src, dst) pair and then
-  // add messages by set id: validation, hop expansion and route storage all
-  // happen exactly once per distinct route set, and addMessageSet is a pure
-  // O(1) record append.  Produces the identical event sequence as the
-  // equivalent addMessage/addMessageMultipath calls.
+  // Production callers (trace::RouteSetResolver) hand addMessageSet a
+  // RouteSet whose ascents already exist: a compiled table's upPorts() slice,
+  // or a set stored once per pair through internRoutes.  Adding a message is
+  // then a pure O(1) record append, and it produces the identical event
+  // sequence as the equivalent addMessage/addMessageMultipath calls.
 
-  /// Interns the validated global-port paths of @p routes (the
-  /// addMessageMultipath rules: >= 1 route, shared first-hop port) and
-  /// returns the set handle.  For src == dst returns RouteStore::kNone
-  /// (local delivery needs no routes, matching addMessageMultipath).
-  RouteSetId internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
-                          const std::vector<xgft::Route>& routes);
+  /// Validates @p routes (the addMessageMultipath rules: >= 1 route, shared
+  /// first-hop port), stores their ascents in routes() and returns the set.
+  /// For src == dst returns an empty set (local delivery needs no routes,
+  /// matching addMessageMultipath).
+  RouteSet internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
+                        const std::vector<xgft::Route>& routes);
 
-  /// internRoutes for one compiled forwarding-table entry (no validation,
-  /// same contract as addMessageCompiled).
-  RouteSetId internCompiledPath(xgft::NodeIndex src, xgft::NodeIndex dst,
-                                std::span<const std::uint32_t> upPorts);
-
-  /// Registers a message over a previously interned route set.  @p set must
-  /// come from internRoutes/internCompiledPath for the same (src, dst), or
-  /// be RouteStore::kNone iff src == dst.
+  /// Registers a message over @p routes, which must be empty iff
+  /// src == dst, and otherwise hold valid ascents for (src, dst) — from
+  /// internRoutes, or a table compiled against this topology (validated
+  /// when it was built).  The ascents are not copied: their owner must
+  /// outlive the message (DESIGN.md §7).
   MsgId addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
-                      RouteSetId set,
+                      RouteSet routes,
                       SprayPolicy policy = SprayPolicy::kRoundRobin,
                       std::uint64_t spraySeed = 1);
 
@@ -362,12 +351,12 @@ class Network {
   /// segment is in at most one queue at a time, so one link suffices.
   /// Segment::flags bit: the segment escaped a dead output port
   /// (FaultPolicy::kReroute) and finishes its journey adaptively — its
-  /// interned route no longer describes the remaining hops.
+  /// ascent no longer describes the remaining hops.
   static constexpr std::uint32_t kSegEscaped = 1u;
 
   struct Segment {
     MsgId msg = 0;
-    RouteId route = 0;          ///< Interned path this segment follows.
+    std::uint32_t route = 0;    ///< Which of the message's candidate ascents.
     std::uint32_t hop = 0;      ///< Hops completed so far.
     std::uint32_t payloadBytes = 0;
     std::uint32_t resolvedOut = 0;  ///< Output gport chosen at this switch.
@@ -389,14 +378,15 @@ class Network {
   /// POD message record in the recycled slot pool.  A slot is freed when
   /// its message completed or was dropped, no segment of it is in flight
   /// (retiredSegments == injectedSegments) and it is not kQueued; the free
-  /// list threads through `nextActive`.  Routes live in the interned store
-  /// (set); the single-route fast path (`setSize` == 1) keeps the route id
-  /// inline so injection never touches the set arena.
+  /// list threads through `nextActive`.  A static message's route is its
+  /// RouteSet, kept as the ascents pointer, `setSize` and `ascentLen`.
   struct Message {
     Bytes bytes = 0;
     std::uint64_t spraySeed = 1;
     std::uint64_t token = 0;  ///< InjectionProcess's source token.
     TimeNs releaseNs = 0;     ///< The time release() was given.
+    /// RouteSet::ascents; null for local and adaptive messages.
+    const std::uint32_t* ascents = nullptr;
     // Host indices fit 32 bits: the port-space guard keeps every host
     // below 2^32 - 1.
     std::uint32_t src = 0;
@@ -408,17 +398,16 @@ class Network {
     /// (which drops the message, so a count that includes strands never
     /// completes it).
     std::uint32_t retiredSegments = 0;
-    RouteSetId set = RouteStore::kNone;  ///< Candidate routes (kNone: local).
-    std::uint32_t setSize = 0;           ///< |set| (0 for local delivery).
-    RouteId route0 = 0;                  ///< set[0], inline.
-    std::uint32_t hostPort = 0;  ///< Source NIC gport (paths store tails).
+    std::uint32_t setSize = 0;   ///< RouteSet::count (0: local, adaptive).
+    std::uint32_t hostPort = 0;  ///< Source NIC gport.
     /// Host-adapter round-robin link while kQueued, free-list link while
     /// kFree.
     std::uint32_t nextActive = kNil;
     SprayPolicy policy = SprayPolicy::kRoundRobin;
     MsgState state = MsgState::kFree;
-    bool adaptive = false;
-    bool dropped = false;  ///< Lost to a fault; will never complete.
+    std::uint8_t ascentLen = 0;  ///< RouteSet::len: the pair's NCA level.
+    bool adaptive : 1 = false;
+    bool dropped : 1 = false;  ///< Lost to a fault; will never complete.
   };
   static_assert(sizeof(Message) == 80, "Message must stay 80 bytes");
 
@@ -546,21 +535,43 @@ class Network {
 
   /// Fills a message slot (a recycled one if any) with the bookkeeping
   /// shared by every addMessage* flavour; guards the 32-bit sequence and
-  /// segment-count spaces.
+  /// segment-count spaces.  An adaptive message leaves through NIC port
+  /// seq % w1, a static one through its ascents' word 0.
   MsgId addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
-                  RouteSetId set, SprayPolicy policy, std::uint64_t spraySeed,
+                  RouteSet routes, SprayPolicy policy, std::uint64_t spraySeed,
                   bool adaptive);
 
-  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, RouteId route,
+  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, std::uint32_t route,
                                            std::uint32_t bytes);
-  [[nodiscard]] std::span<const std::uint32_t> pathOf(
-      const Segment& seg) const {
-    return routes_.path(seg.route);
+  /// The candidate ascent @p m's next segment takes: the only one of a
+  /// single-route message, else the spray policy's pick for segment number
+  /// injectedSegments.  The one route pick of both event cores.
+  [[nodiscard]] static std::uint32_t pickRoute(const Message& m) {
+    if (m.setSize <= 1) return 0;
+    if (m.policy == SprayPolicy::kRoundRobin) {
+      return m.injectedSegments % m.setSize;
+    }
+    return static_cast<std::uint32_t>(
+        xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) % m.setSize);
   }
+  /// The output gport segment @p seg takes at the switch owning @p gInPort,
+  /// where it has just arrived: the adaptive pick for adaptive and escaped
+  /// segments, otherwise the static decode — before the NCA (hop <
+  /// ascentLen) the switch sits at level hop and leaves through up-port
+  /// ascent[hop], from the NCA on through dst's down-port at its level.
+  /// The one next-hop read of both event cores.
+  [[nodiscard]] std::uint32_t nextOutput(std::uint32_t gInPort,
+                                         const Segment& seg);
   /// Picks the output gport for an adaptive segment sitting at the node
   /// owning @p gInPort.
   [[nodiscard]] std::uint32_t resolveAdaptive(std::uint32_t gInPort,
                                               const Segment& seg);
+  /// Local down-port a level-@p level switch above @p dst leaves through
+  /// towards it: dst's label digit @p level.
+  [[nodiscard]] std::uint32_t downPort(std::uint32_t level,
+                                       std::uint32_t dst) const {
+    return downPorts_[static_cast<std::size_t>(dst) * height_ + level - 1];
+  }
   void freeSegment(std::uint32_t seg) {
     segments_[seg].next = freeSegments_;
     freeSegments_ = seg;
@@ -599,6 +610,12 @@ class Network {
   std::vector<std::uint64_t> portBase_;  ///< Per global node id.
   std::vector<std::uint32_t> peer_;      ///< Peer gport per gport.
   std::vector<PortOwner> portOwner_;     ///< Owning node per gport.
+  // The static decode's per-hop constants (nextOutput), cached because
+  // Topology answers them through bounds-checked vectors.
+  std::uint32_t height_ = 0;
+  std::vector<std::uint32_t> upPortBase_;  ///< Topology::upPortBase by level.
+  /// downPorts_[dst * h + level - 1]: downPort(level, dst), n * h words.
+  std::vector<std::uint32_t> downPorts_;
   std::vector<std::uint32_t> adaptiveRR_;  ///< Per-node tie-break rotor.
   std::uint32_t hostPortEnd_ = 0;        ///< Host ports occupy [0, end).
 
@@ -611,10 +628,7 @@ class Network {
   std::uint32_t freeSegments_ = kNil;    ///< Free-list head (next links).
 
   RouteStore routes_;
-  std::vector<std::uint32_t> scratchPath_;  ///< Reused path-building buffer.
-  std::vector<RouteId> scratchSet_;         ///< Reused set-building buffer.
-  /// Adaptive route set per local NIC port (kNone until first use).
-  std::vector<RouteSetId> adaptiveSets_;
+  std::vector<std::uint32_t> scratchAscents_;  ///< internRoutes staging.
 
   EventQueue queue_;
   std::vector<std::function<void()>> callbacks_;

@@ -1,134 +1,79 @@
-// route_store.hpp — Interned message routes in flat arenas.
+// route_store.hpp — Message routes as ascents, and the arena for the ones
+// no forwarding table holds.
 //
-// Every message used to carry its own std::vector<std::vector<uint32_t>>
-// copy of the global-port path(s) it traverses — one to two heap
-// allocations per message on the replayer's hot path, and identical paths
-// (every message of a (src, dst) pair, every segment of a sprayed set)
-// duplicated thousands of times.  The RouteStore is the slot-pool
-// counterpart for routes: paths live once in one contiguous uint32 arena,
-// deduplicated by content, and messages/segments refer to them by index —
+// In an XGFT a minimal route is fixed by its ascent: the up-port taken at
+// each level below the nearest common ancestor (xgft::Route::up, whose
+// length is the pair's NCA level).  The way down from the NCA is unique —
+// at level l it leaves through the destination's digit l — so the event
+// core computes every descending hop from `dst` (Network's per-(level, dst)
+// down-port table), and a static message only ever points at its ascent.
+// Word 0 of an ascent is the local port of the source NIC the message
+// leaves through.
 //
-//   path  (RouteId):    one global-output-port sequence, switch tail only —
-//                       the hops *after* the source host's NIC port,
-//   set (RouteSetId):   the source NIC port all candidates leave through,
-//                       then an ordered list of RouteIds (a multipath
-//                       message's candidate routes; order matters for
-//                       spraying).
+// A RouteSet is the handle every static message carries: `count` candidate
+// ascents of `len` words each, laid out back to back from `ascents` (the
+// candidates of one pair share its NCA level, so candidate i starts at
+// ascents + i * len).  The words live wherever the route came from:
 //
-// Paths deliberately exclude the first (host) hop: that port is unique per
-// source, so storing it inside the path would defeat deduplication across
-// the sources of an interval-compressed forwarding table, whose switch
-// tails are bit-identical within a leaf group.  It lives once per *set*
-// instead — word 0 of the set slice, so it participates in content
-// interning (equal route lists leaving through different NIC ports stay
-// distinct sets) — and messages cache the expanded global port.
+//  * a compiled forwarding table (core::CompiledRoutes::upPorts, flat or
+//    compressed) — the common case; nothing is copied or stored per
+//    message;
+//  * a RouteStore — the routes no table holds: router-mode Random and
+//    colored routes and spray sets, which trace::RouteSetResolver stores
+//    once per distinct pair.
 //
-// Ids are dense uint32 handles below kIdLimit, handed out in first-intern
-// order; spans stay valid for the store's lifetime (arenas only grow).
-// Exceeding the 32-bit arena or id space throws std::length_error instead
-// of silently wrapping (the overflow-hardening contract of sim::Network) —
-// and never issues an id equal to one of the reserved handles kNone and
-// kUnroutable.
+// The event core never asks which; it reads ascents[route * len + hop].
+// Whoever owns the words must outlive every message pointing into them
+// (the table-lifetime rule, DESIGN.md §7).
 //
-// Each arena's content index is one flat open-addressing array of
-// {content hash, id} slots (linear probing, power-of-two capacity, at most
-// half full): interning probes it once and compares the stored words on a
-// hash match, so a repeat intern allocates nothing and a new one appends to
-// two vectors (DESIGN.md §7).
+// The store is an append-only arena of fixed-size blocks: stored words
+// never move, so a handle stays valid for the store's lifetime.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 namespace sim {
 
-using RouteId = std::uint32_t;
-using RouteSetId = std::uint32_t;
+/// A message's candidate routes (see the file comment).  Empty (count 0)
+/// for local delivery (src == dst) and, from a resolver, for a pair the
+/// active forwarding table declares unroutable (src != dst).
+struct RouteSet {
+  const std::uint32_t* ascents = nullptr;
+  std::uint32_t len = 0;    ///< Words per ascent: the pair's NCA level.
+  std::uint32_t count = 0;  ///< Candidate ascents.
+
+  [[nodiscard]] bool empty() const { return count == 0; }
+  /// Candidate @p i's up-port choices.
+  [[nodiscard]] std::span<const std::uint32_t> ascent(std::uint32_t i) const {
+    return {ascents + static_cast<std::size_t>(i) * len, len};
+  }
+};
 
 class RouteStore {
  public:
-  /// Reserved "no route set" handle (messages delivered locally).
-  static constexpr std::uint32_t kNone = 0xffffffffu;
+  /// Copies @p words — words.size() / @p len ascents of @p len words each,
+  /// back to back — into the arena and returns their handle.  @p len must
+  /// be at least 1 and divide words.size(), which must not be empty.
+  [[nodiscard]] RouteSet store(std::span<const std::uint32_t> words,
+                               std::uint32_t len);
 
-  /// Reserved "pair has no route" handle: a resolver returns this when the
-  /// active forwarding table marks the pair unreachable (degraded-topology
-  /// partitions).  Never produced by interning; injection layers must
-  /// refuse such messages (InjectionOptions::onDrop), not enqueue them.
-  static constexpr std::uint32_t kUnroutable = 0xfffffffeu;
-
-  /// Path and set ids are < kIdLimit, so no id aliases a reserved handle.
-  static constexpr std::uint32_t kIdLimit = kUnroutable;
-
-  /// Interns one switch-tail global-port path (no host hop; empty for
-  /// adaptive messages, whose switches pick ports on the fly); returns the
-  /// id of the existing copy when an identical path was interned before.
-  [[nodiscard]] RouteId internPath(std::span<const std::uint32_t> gports);
-
-  /// Interns an ordered route-id list (deduplicated like paths) together
-  /// with @p firstUp, the local NIC port every candidate leaves the source
-  /// host through.
-  [[nodiscard]] RouteSetId internSet(std::uint32_t firstUp,
-                                     std::span<const RouteId> routes);
-
-  [[nodiscard]] std::span<const std::uint32_t> path(RouteId id) const {
-    return paths_.slice(id);
-  }
-  [[nodiscard]] std::span<const RouteId> set(RouteSetId id) const {
-    return sets_.slice(id).subspan(1);
-  }
-  /// The local source-NIC port of every route in the set.
-  [[nodiscard]] std::uint32_t setFirstUp(RouteSetId id) const {
-    return sets_.slice(id)[0];
-  }
-
-  [[nodiscard]] std::size_t numPaths() const { return paths_.slices.size(); }
-  [[nodiscard]] std::size_t numSets() const { return sets_.slices.size(); }
-  /// Total interned uint32 entries (arena footprint, for reports).
-  [[nodiscard]] std::size_t arenaEntries() const {
-    return paths_.data.size() + sets_.data.size();
-  }
+  /// Ascents stored so far.
+  [[nodiscard]] std::size_t numPaths() const { return numPaths_; }
+  /// Words stored so far (arena footprint, for reports).
+  [[nodiscard]] std::size_t arenaEntries() const { return entries_; }
 
  private:
-  struct Slice {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
+  /// Words per arena block; a larger set gets a block of its own size.
+  static constexpr std::size_t kBlockWords = 4096;
 
-  /// Marks a free content-index slot.
-  static constexpr std::uint32_t kEmptySlot = kNone;
-  static_assert(kEmptySlot >= kIdLimit,
-                "the index's empty-slot marker must not be a valid id");
-
-  /// Low 32 bits of the content hash (they also give the home slot, so a
-  /// growing index re-places ids without rehashing content) and the id.
-  struct IndexSlot {
-    std::uint32_t hash = 0;
-    std::uint32_t id = kEmptySlot;
-  };
-
-  /// One deduplicated arena: the words, each id's slice of them, and the
-  /// content index over the slices.
-  struct Pool {
-    std::vector<std::uint32_t> data;
-    std::vector<Slice> slices;
-    std::vector<IndexSlot> index;  ///< Power-of-two size, <= half full.
-
-    [[nodiscard]] std::span<const std::uint32_t> slice(std::uint32_t id) const {
-      const Slice s = slices[id];
-      return {data.data() + s.off, s.len};
-    }
-  };
-
-  /// Content-hashed interning of @p value into @p pool.
-  static std::uint32_t intern(std::span<const std::uint32_t> value, Pool& pool,
-                              const char* what);
-  /// Doubles @p pool's index (16 slots when empty) and re-places its ids.
-  static void growIndex(Pool& pool);
-
-  Pool paths_;
-  Pool sets_;
-  std::vector<std::uint32_t> scratch_;  ///< internSet staging buffer.
+  std::vector<std::unique_ptr<std::uint32_t[]>> blocks_;
+  std::uint32_t* next_ = nullptr;  ///< First unused word of the last block.
+  std::size_t blockFree_ = 0;      ///< Unused words from next_ on.
+  std::size_t numPaths_ = 0;
+  std::size_t entries_ = 0;
 };
 
 }  // namespace sim

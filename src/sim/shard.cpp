@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/network.hpp"
-#include "xgft/rng.hpp"
 #include "xgft/topology.hpp"
 
 namespace sim {
@@ -146,7 +145,8 @@ class ParallelRunner {
     c.shard->pushes.push_back(
         PushRec{t, c.pos, a, seg, static_cast<std::uint8_t>(kind)});
   }
-  [[nodiscard]] std::uint32_t pAllocSegment(Ctx& c, MsgId msg, RouteId route,
+  [[nodiscard]] std::uint32_t pAllocSegment(Ctx& c, MsgId msg,
+                                            std::uint32_t route,
                                             std::uint32_t bytes);
   void pHandleRelease(Ctx& c, MsgId msgId);
   void pHandleWireArrive(Ctx& c, std::uint32_t gInPort, std::uint32_t seg,
@@ -610,7 +610,8 @@ void ParallelRunner::flushSinks(std::size_t begin, std::size_t end) {
 
 // ---- replicated handlers ------------------------------------------------
 
-std::uint32_t ParallelRunner::pAllocSegment(Ctx& c, MsgId msg, RouteId route,
+std::uint32_t ParallelRunner::pAllocSegment(Ctx& c, MsgId msg,
+                                            std::uint32_t route,
                                             std::uint32_t bytes) {
   std::vector<std::uint32_t>& cache = c.shard->segCache;
   assert(!cache.empty() && "segment cache underfilled for this batch");
@@ -645,22 +646,8 @@ void ParallelRunner::pTryInjectHost(Ctx& c, std::uint32_t gOutPort) {
   port.activeHead = m.nextActive;
   if (port.activeHead == kNil) port.activeTail = kNil;
   const std::uint32_t payload = n.segmentPayload(m, m.injectedSegments);
-  RouteId route = m.route0;
-  if (m.setSize > 1) {
-    std::uint32_t pathIdx = 0;
-    switch (m.policy) {
-      case SprayPolicy::kRoundRobin:
-        pathIdx = m.injectedSegments % m.setSize;
-        break;
-      case SprayPolicy::kRandom:
-        pathIdx = static_cast<std::uint32_t>(
-            xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) %
-            m.setSize);
-        break;
-    }
-    route = n.routes_.set(m.set)[pathIdx];
-  }
-  const std::uint32_t seg = pAllocSegment(c, msgId, route, payload);
+  const std::uint32_t seg =
+      pAllocSegment(c, msgId, Network::pickRoute(m), payload);
   ++m.injectedSegments;
   ++c.shard->stats.segmentsInjected;
   if (m.injectedSegments < m.numSegments) {
@@ -750,11 +737,7 @@ void ParallelRunner::pTryAdvanceInput(Ctx& c, std::uint32_t gInPort) {
   if (port.transferring || port.inHead == kNil) return;
   const std::uint32_t seg = port.inHead;
   Network::Segment& segment = n.segments_[seg];
-  // Tail paths: word hop - 1 is the port taken after the hop-th arrival
-  // (hop >= 1 here), mirroring Network::tryAdvanceInput.
-  const std::uint32_t out = n.segAdaptive(segment)
-                                ? n.resolveAdaptive(gInPort, segment)
-                                : n.pathOf(segment)[segment.hop - 1];
+  const std::uint32_t out = n.nextOutput(gInPort, segment);
   segment.resolvedOut = out;
   pAdvanceInputTo(c, gInPort, seg, out);
 }

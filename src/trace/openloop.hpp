@@ -11,7 +11,7 @@
 //
 // The execution stack is the shared streaming mechanism (DESIGN.md §8):
 // sim::InjectionProcess pumps the source on the event queue and
-// trace::RouteSetResolver interns the per-pair route material, so an
+// trace::RouteSetResolver resolves each message's route set, so an
 // open-loop run exercises exactly the injection/routing paths that phase
 // replay does.  Window boundaries are Network::run(until) partial runs —
 // the process is resumed across them with all queue state intact.
@@ -78,8 +78,9 @@ struct OpenLoopResult {
   sim::TimeNs lastDeliveryNs = 0;
   sim::NetworkStats stats;
 
-  /// Interned route-arena footprint at the end of the run (uint32 entries
-  /// across the path + set arenas; sim::RouteStore::arenaEntries).
+  /// Route-store footprint at the end of the run: uint32 ascent words
+  /// stored for routes no table holds (sim::RouteStore::arenaEntries; 0
+  /// when every route came from a forwarding table).
   std::size_t routeArenaEntries = 0;
 
   /// Wire utilization over the whole run (warmup through drain), from

@@ -19,10 +19,10 @@
 // patterns::TrafficSource — the rank state machine emits messages (and
 // kWake timers for compute bursts) as it unblocks — and run() drives it
 // through a sim::InjectionProcess, the same process that runs open-loop
-// streams.  Route material resolves through trace::RouteSetResolver
-// (compiled table, one route() per pair without a table, or spray
-// enumeration), memoized per (src, dst): no per-message route construction
-// on any path.  The engine hands closed-loop jobs of self-routing schemes a
+// streams.  Route material resolves through trace::RouteSetResolver (a
+// pointer into the compiled table, or one route() or spray enumeration per
+// (src, dst) without one): no per-message route construction on any
+// path.  The engine hands closed-loop jobs of self-routing schemes a
 // compressed table compiled for the job alone and gives Random and Colored
 // jobs none, since a replay reaches few of the n^2 pairs.
 //

@@ -1,8 +1,7 @@
 #include "trace/route_resolver.hpp"
 
+#include <span>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "xgft/rng.hpp"
 #include "xgft/route.hpp"
@@ -39,7 +38,6 @@ void RouteSetResolver::setCompiled(const core::CompiledRoutes* compiled) {
         "for a different topology");
   }
   compiled_ = compiled;
-  pairSets_.clear();
 }
 
 sim::InjectionOptions injectionOptions(RouteSetResolver& resolver) {
@@ -54,61 +52,47 @@ sim::InjectionOptions injectionOptions(RouteSetResolver& resolver) {
   return opt;
 }
 
-sim::RouteSetId RouteSetResolver::setFor(xgft::NodeIndex src,
-                                         xgft::NodeIndex dst) {
-  // Compiled tables memoize per share-representative instead of per source:
-  // every source in the same forwarding interval and leaf group maps to one
-  // interned set (identical NIC port + switch tail), so the memo and the
-  // route arenas stay O(intervals), not O(pairs).  shareRep == src for flat
-  // tables, making this the exact historical key there.  The same interval
-  // probe yields the up-ports a memo miss interns.
-  core::CompiledRoutes::ShareLookup share{src, {}};
-  if (compiled_ != nullptr) share = compiled_->shareLookup(src, dst);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(share.rep) << 32) | dst;
-  if (const sim::RouteSetId* memo = pairSets_.find(key)) return *memo;
-  sim::RouteSetId set;
+sim::RouteSet RouteSetResolver::setFor(xgft::NodeIndex src,
+                                       xgft::NodeIndex dst) {
+  if (compiled_ != nullptr) {
+    // The table holds every pair's ascent already: point at it.  An empty
+    // slice is the diagonal or a pair the table marks unroutable.
+    const std::span<const std::uint32_t> up = compiled_->upPorts(src, dst);
+    return {up.data(), static_cast<std::uint32_t>(up.size()),
+            up.empty() ? 0u : 1u};
+  }
+  if (src == dst) return {};
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  if (const std::uint32_t* memo = pairSets_.find(key)) return sets_[*memo];
+  scratch_.clear();
   if (spray_.enabled) {
     const xgft::Topology& topo = net_->topology();
     const xgft::Count n = topo.numNcas(src, dst);
-    std::vector<xgft::Route> routes;
     if (n <= spray_.maxPaths) {
       for (xgft::Count c = 0; c < n; ++c) {
-        routes.push_back(routeViaNca(topo, src, dst, c));
+        scratch_.push_back(routeViaNca(topo, src, dst, c));
       }
     } else {
       for (std::uint32_t i = 0; i < spray_.maxPaths; ++i) {
-        routes.push_back(routeViaNca(
+        scratch_.push_back(routeViaNca(
             topo, src, dst, xgft::hashMix(spray_.seed, src, dst, i) % n));
       }
     }
     // Spraying happens above the first hop: all candidate routes must
     // leave the host through the same NIC port (relevant only when
     // w1 > 1).
-    if (!routes.empty() && !routes[0].up.empty()) {
-      const std::uint32_t port0 = routes[0].up[0];
-      std::erase_if(routes, [port0](const xgft::Route& r) {
+    if (!scratch_.empty()) {
+      const std::uint32_t port0 = scratch_[0].up[0];
+      std::erase_if(scratch_, [port0](const xgft::Route& r) {
         return r.up[0] != port0;
       });
     }
-    set = net_->internRoutes(src, dst, routes);
-  } else if (compiled_ != nullptr) {
-    set = src != dst && share.upPorts.empty()
-              ? kUnroutable
-              : net_->internCompiledPath(src, dst, share.upPorts);
-  } else if (src == dst) {
-    set = sim::RouteStore::kNone;
   } else {
-    // internRoutes' checks and error text for one route, without its
-    // vector temporaries.
-    const xgft::Route route = router_->route(src, dst);
-    std::string error;
-    if (!xgft::validateRoute(net_->topology(), src, dst, route, &error)) {
-      throw std::invalid_argument("addMessage: " + error);
-    }
-    set = net_->internCompiledPath(src, dst, route.up);
+    scratch_.push_back(router_->route(src, dst));
   }
-  pairSets_.insert(key, set);
+  const sim::RouteSet set = net_->internRoutes(src, dst, scratch_);
+  pairSets_.insert(key, static_cast<std::uint32_t>(sets_.size()));
+  sets_.push_back(set);
   return set;
 }
 

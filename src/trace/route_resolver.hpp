@@ -1,23 +1,29 @@
-// route_resolver.hpp — Memoized (src, dst) -> interned-route-set resolution.
+// route_resolver.hpp — (src, dst) -> route-set resolution.
 //
-// Every injection mode builds its per-pair route material exactly once and
-// interns it in the network's RouteStore (sim/route_store.hpp); repeat
-// messages between the same endpoints are a pure record append.  This used
-// to live inside trace::Replayer; the streaming refactor hoists it here so
-// closed-loop replay and open-loop sources (trace/openloop.hpp) resolve
-// routes through one path:
+// A static route is its ascent (sim/route_store.hpp), so resolving a pair
+// means finding ascent words that already exist, or storing them once.
+// Closed-loop replay and open-loop sources (trace/openloop.hpp) resolve
+// routes through this one path:
 //
-//  * compiled   — a forwarding-table lookup (core::CompiledRoutes, flat or
-//                 interval-compressed), memoized per share representative;
+//  * compiled   — one forwarding-table lookup per message (core::
+//                 CompiledRoutes, flat or interval-compressed): the set
+//                 points at the table's upPorts() slice, and nothing is
+//                 stored or memoized;
 //  * router     — no table: one router->route() call and one validation per
-//                 distinct pair (Random and Colored closed-loop jobs,
-//                 open-loop jobs past the table budget, compileRoutes off);
-//  * spray      — up to maxPaths NCA-distinct routes per pair, sprayed per
-//                 segment (the Greenberg–Leiserson extension);
+//                 distinct pair, stored in the network's RouteStore and
+//                 memoized (Random and Colored closed-loop jobs, open-loop
+//                 jobs past the table budget, compileRoutes off);
+//  * spray      — up to maxPaths NCA-distinct routes per pair, stored and
+//                 memoized the same way, sprayed per segment (the
+//                 Greenberg–Leiserson extension);
 //  * adaptive   — no resolver at all (per-hop choice inside the simulator).
+//
+// Compiled-mode sets point into the table, so every table the resolver is
+// given must outlive the network's messages (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/compiled_routes.hpp"
 #include "routing/router.hpp"
@@ -44,36 +50,34 @@ struct SprayConfig {
 
 class RouteSetResolver {
  public:
-  /// setFor()'s "this pair has no route" sentinel: returned when the active
-  /// compiled table marks (src, dst) unroutable (a degraded-topology
-  /// partition under fault::UnreachablePolicy::kDrop).  Distinct from every
-  /// real RouteSetId and from sim::RouteStore::kNone.  Callers must refuse
-  /// the message (sim::InjectionOptions::onDrop), never enqueue it.
-  static constexpr sim::RouteSetId kUnroutable = sim::RouteStore::kUnroutable;
-
-  /// All references must outlive the resolver.  When @p compiled is given
-  /// (and no per-segment mode is active) pairs resolve through the compiled
-  /// forwarding table; it must be compiled against @p net's topology
-  /// (throws std::invalid_argument otherwise).  Per-segment modes (spray,
-  /// adaptive) never consult the table, so a compiled handle is inert for
-  /// them.
+  /// All references must outlive the resolver, and a compiled table must
+  /// also outlive every message resolved through it.  When @p compiled is
+  /// given (and no per-segment mode is active) pairs resolve through the
+  /// compiled forwarding table; it must be compiled against @p net's
+  /// topology (throws std::invalid_argument otherwise).  Per-segment modes
+  /// (spray, adaptive) never consult the table, so a compiled handle is
+  /// inert for them.
   RouteSetResolver(sim::Network& net, const routing::Router& router,
                    SprayConfig spray = {},
                    const core::CompiledRoutes* compiled = nullptr);
 
-  /// The interned route set for host pair (src, dst) under the active
-  /// routing mode, built on first use and memoized — or kUnroutable for a
-  /// pair the compiled table declares unreachable.  Router mode rejects an
-  /// invalid route with std::invalid_argument("addMessage: route ...").
-  [[nodiscard]] sim::RouteSetId setFor(xgft::NodeIndex src,
-                                       xgft::NodeIndex dst);
+  /// The route set for host pair (src, dst) under the active routing mode.
+  /// Empty for src == dst, and also empty for a pair the compiled table
+  /// declares unroutable (a degraded-topology partition under
+  /// fault::UnreachablePolicy::kDrop): callers must refuse such a message
+  /// (sim::InjectionOptions::onDrop), never enqueue it.  Router mode
+  /// rejects an invalid route with std::invalid_argument("addMessage:
+  /// route ...").
+  [[nodiscard]] sim::RouteSet setFor(xgft::NodeIndex src,
+                                     xgft::NodeIndex dst);
 
   /// Swaps in a replacement forwarding table (a mid-run degraded
-  /// recompilation, fault::installFaultPlan) and invalidates every memoized
-  /// pair so later sends re-resolve through it.  Only legal when the
-  /// resolver was constructed in compiled mode; @p compiled must be non-null
-  /// and built against the same topology (throws std::invalid_argument
-  /// otherwise).  The caller keeps @p compiled alive past the resolver.
+  /// recompilation, fault::installFaultPlan): later sends resolve through
+  /// it, while messages already added keep pointing into the old one.
+  /// Only legal when the resolver was constructed in compiled mode;
+  /// @p compiled must be non-null and built against the same topology
+  /// (throws std::invalid_argument otherwise).  The caller keeps every
+  /// table it installs alive until the run ends.
   void setCompiled(const core::CompiledRoutes* compiled);
 
   [[nodiscard]] const SprayConfig& spray() const { return spray_; }
@@ -83,8 +87,10 @@ class RouteSetResolver {
   const routing::Router* router_;
   const core::CompiledRoutes* compiled_;
   SprayConfig spray_;
-  // (shareRep, dst) -> interned route set in the network's RouteStore.
+  // Router and spray modes: (src << 32 | dst) -> index into sets_.
   sim::FlatMap64 pairSets_;
+  std::vector<sim::RouteSet> sets_;
+  std::vector<xgft::Route> scratch_;  ///< Candidate routes of a memo miss.
 };
 
 /// The sim::InjectionOptions @p resolver's spray configuration implies —

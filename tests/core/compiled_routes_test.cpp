@@ -184,19 +184,11 @@ std::shared_ptr<const routing::Router> makeTablesRouter(
       guide, guide == routing::Guide::Source ? "tables-u" : "tables-d");
 }
 
-/// upPorts and shareRep agree on every ordered pair, and the footprints
-/// match.
+/// upPorts agree on every ordered pair, and the footprints match.
 void expectSameTable(const CompiledRoutes& a, const CompiledRoutes& b,
                      const std::string& label) {
   expectSamePorts(a, b, label);
   EXPECT_EQ(a.forwardingBytes(), b.forwardingBytes()) << label;
-  const xgft::Count n = a.numHosts();
-  for (xgft::NodeIndex s = 0; s < n; ++s) {
-    for (xgft::NodeIndex d = 0; d < n; ++d) {
-      ASSERT_EQ(a.shareRep(s, d), b.shareRep(s, d))
-          << label << " (" << s << " -> " << d << ")";
-    }
-  }
 }
 
 void expectEveryRouteValid(const CompiledRoutes& table,
@@ -220,7 +212,7 @@ TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
   // three-level (scale-out tier) tree and a mixed-radix three-level tree.
   // Self-routing schemes compile one route per NCA-level run; the same
   // router behind a guide-less wrapper compiles per pair, and the two
-  // builds must agree on every lookup, every shareRep and the footprint.
+  // builds must agree on every lookup and the footprint.
   const std::vector<xgft::Params> tiers = {
       xgft::xgft2(16, 16, 10),             // paper-slim
       xgft::xgft2(8, 8, 4),
@@ -371,31 +363,6 @@ TEST(CompiledRoutesCompressed, CompileIsThreadCountIndependent) {
     const auto threaded =
         CompiledRoutes::compile(router, 4, TableLayout::kCompressed);
     expectSameTable(*serial, *threaded, std::string(scheme) + " 1 vs 4");
-  }
-}
-
-TEST(CompiledRoutesCompressed, ShareRepPreservesRoutesWithinLeafGroups) {
-  // shareRep(s, d) must name a source in s's leaf group whose up-port
-  // vector to d is bit-identical — that is what lets resolvers share one
-  // interned route set across the whole interval.
-  const auto topo = std::make_shared<const xgft::Topology>(
-      xgft::Params({4, 4, 4}, {2, 2, 2}));
-  const std::uint32_t m1 = topo->params().m(1);
-  for (const char* scheme : {"d-mod-k", "s-mod-k", "r-NCA-u"}) {
-    const auto table = CompiledRoutes::compile(makeRouter(topo, scheme, 9), 1,
-                                               TableLayout::kCompressed);
-    const xgft::Count n = topo->numHosts();
-    for (xgft::NodeIndex s = 0; s < n; ++s) {
-      for (xgft::NodeIndex d = 0; d < n; ++d) {
-        const xgft::NodeIndex rep = table->shareRep(s, d);
-        ASSERT_LE(rep, s);
-        ASSERT_GE(rep, s - (s % m1)) << "rep left s's leaf group";
-        const auto a = table->upPorts(rep, d);
-        const auto b = table->upPorts(s, d);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-            << scheme << " (" << s << " -> " << d << " rep " << rep << ")";
-      }
-    }
   }
 }
 

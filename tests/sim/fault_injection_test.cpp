@@ -145,6 +145,43 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
   EXPECT_GT(rec.timeOf(m), 0u);
 }
 
+TEST(FaultInjection, RerouteAtAnInputHeadReportsTheSequenceNumber) {
+  // Two switch-local messages complete first and free their slots, so the
+  // next message reuses slot 0 under sequence number 2.  Its route's
+  // level-1 up-link is already dead when its segment reaches the switch's
+  // input, so the escape happens at the input head — and the hook must
+  // name the message by its sequence number, like every other hook.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const xgft::Route route = router->route(0, 4);
+  const xgft::LinkId deadUplink = xgft::channelsOf(topo, 0, 4, route)[1].link;
+
+  class SeqProbe : public Probe {
+   public:
+    void onSegmentRerouted(std::uint32_t, std::uint32_t, std::uint32_t msg,
+                           TimeNs) override {
+      seen.push_back(msg);
+    }
+    std::vector<std::uint32_t> seen;
+  } probe;
+  Network net(topo, SimConfig{});
+  net.setProbe(&probe);
+  net.setFaultPolicy(FaultPolicy::kReroute);
+  for (const xgft::NodeIndex d : {1u, 2u}) {
+    net.release(net.addMessage(0, d, 1024, router->route(0, d)), net.now());
+    net.run();
+  }
+  ASSERT_EQ(net.stats().messagesDelivered, 2u);
+  net.scheduleLinkDown(net.now(), deadUplink);
+  const MsgId m = net.addMessage(0, 4, 1024, route);
+  ASSERT_EQ(m, 0u);  // The recycled slot, which differs from the seq.
+  net.release(m, net.now());
+  net.run();
+  EXPECT_EQ(net.stats().messagesDelivered, 3u);
+  ASSERT_EQ(probe.seen.size(), 1u);
+  EXPECT_EQ(probe.seen[0], 2u);
+}
+
 TEST(FaultInjection, ReroutePolicyStrandsWhenNoUpPortSurvives) {
   // w2 = 1: reroute has no live alternative, so it degrades to strand.
   const Topology topo(xgft::xgft2(4, 4, 1));

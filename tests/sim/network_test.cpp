@@ -356,7 +356,7 @@ TEST(Network, InternedSetsMatchThePerMessagePath) {
   const auto runOnce = [&](bool interned) {
     Network net(topo, SimConfig{});
     if (interned) {
-      const RouteSetId set = net.internRoutes(0, 9, {router->route(0, 9)});
+      const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
       for (int i = 0; i < 8; ++i) {
         net.release(net.addMessageSet(0, 9, 4096, set), 0);
       }
@@ -377,31 +377,28 @@ TEST(Network, AddMessageSetValidatesItsArguments) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const RouteSetId set = net.internRoutes(0, 9, {router->route(0, 9)});
-  // kNone is only for local (src == dst) messages, and vice versa.
-  EXPECT_THROW((void)net.addMessageSet(0, 9, 100, sim::RouteStore::kNone),
+  const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
+  // The empty set is only for local (src == dst) messages, and vice versa.
+  EXPECT_THROW((void)net.addMessageSet(0, 9, 100, sim::RouteSet{}),
                std::invalid_argument);
   EXPECT_THROW((void)net.addMessageSet(3, 3, 100, set),
                std::invalid_argument);
-  EXPECT_THROW((void)net.addMessageSet(0, 9, 100, set + 1),
-               std::out_of_range);
-  // Local messages with kNone are fine.
-  const MsgId local = net.addMessageSet(4, 4, 100, sim::RouteStore::kNone);
+  // Local messages with the empty set are fine.
+  const MsgId local = net.addMessageSet(4, 4, 100, sim::RouteSet{});
   net.release(local, 10);
   net.run();
   EXPECT_EQ(rec.timeOf(local), 10u);
 }
 
-TEST(Network, RouteInterningDeduplicatesAcrossMessages) {
+TEST(Network, InternedSetIsStoredOnceForAllItsMessages) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
-  for (int i = 0; i < 100; ++i) {
-    (void)net.addMessage(0, 9, 1024, router->route(0, 9));
-  }
-  // One hundred identical messages share one interned path and one set.
+  const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
+  for (int i = 0; i < 100; ++i) (void)net.addMessageSet(0, 9, 1024, set);
+  // One hundred messages point at one stored ascent of NCA level 2.
   EXPECT_EQ(net.routes().numPaths(), 1u);
-  EXPECT_EQ(net.routes().numSets(), 1u);
+  EXPECT_EQ(net.routes().arenaEntries(), 2u);
 }
 
 TEST(Network, CallbacksFireInOrder) {

@@ -68,8 +68,8 @@ void loadWorkload(Network& net, const Topology& topo, std::uint32_t count) {
     } else if (i % 3 == 0) {
       m = net.addMessageAdaptive(src, dst, bytes);
     } else {
-      const RouteSetId set = net.internRoutes(src, dst,
-                                              allRoutes(topo, src, dst));
+      const RouteSet set = net.internRoutes(src, dst,
+                                            allRoutes(topo, src, dst));
       m = net.addMessageSet(src, dst, bytes, set,
                             i % 3 == 1 ? SprayPolicy::kRoundRobin
                                        : SprayPolicy::kRandom,

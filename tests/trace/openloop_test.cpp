@@ -1,15 +1,20 @@
 // Tests for the windowed open-loop runner: accepted throughput tracking
 // below saturation, the saturation plateau, warmup/drain exclusion,
-// run-to-run determinism of the full measurement pipeline, and memory
-// that follows the messages in flight rather than the run length.
+// run-to-run determinism of the full measurement pipeline, memory that
+// follows the messages in flight rather than the run length, table-backed
+// runs that store no routes, and a mid-run table swap whose earlier
+// messages keep pointing into the table they were resolved through.
 #include "trace/openloop.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "core/compiled_routes.hpp"
 #include "core/scenario.hpp"
+#include "fault/inject.hpp"
 #include "patterns/source.hpp"
 #include "routing/relabel.hpp"
 #include "sim/probe.hpp"
@@ -183,6 +188,109 @@ TEST(OpenLoop, MessagePoolIsSizedByTrafficInFlight) {
   EXPECT_EQ(r.stats.messagesDelivered, 31'226u);
   EXPECT_GT(watch.slots, 0u);
   EXPECT_LT(watch.slots, 1'000u);
+}
+
+/// The most routes the network's store held at any delivery.
+class StoreWatch : public sim::Probe {
+ public:
+  void onAttach(const sim::Network& net) override { net_ = &net; }
+  void onMessageDelivered(std::uint32_t, sim::TimeNs) override {
+    ++delivered;
+    paths = std::max(paths, net_->routes().numPaths());
+  }
+  std::uint64_t delivered = 0;
+  std::size_t paths = 0;
+
+ private:
+  const sim::Network* net_ = nullptr;
+};
+
+TEST(OpenLoop, TableBackedRunsStoreNoRoutes) {
+  // A message resolved through a forwarding table points at the table's
+  // ascent: nothing is stored per pair.  Without the table the same run
+  // stores one ascent per pair it routes, which shows the watch sees it.
+  const Topology topo(xgft::xgft2(16, 16, 10));  // paper-slim
+  const std::shared_ptr<const routing::Router> router =
+      routing::makeDModK(topo);
+  const auto table = core::CompiledRoutes::compile(router);
+  for (const bool tabled : {true, false}) {
+    OpenLoopOptions opt = fastWindows();
+    opt.compiled = tabled ? table.get() : nullptr;
+    StoreWatch watch;
+    opt.probe = &watch;
+    patterns::OpenLoopSource src =
+        makeSource(topo, 0.3, opt.warmupNs + opt.measureNs);
+    const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
+    EXPECT_GT(watch.delivered, 1'000u);
+    if (tabled) {
+      EXPECT_EQ(watch.paths, 0u);
+      EXPECT_EQ(r.routeArenaEntries, 0u);
+    } else {
+      EXPECT_GT(watch.paths, 0u);
+      EXPECT_GT(r.routeArenaEntries, 0u);
+    }
+  }
+}
+
+/// Release and delivery instants per message sequence number.
+class LifetimeWatch : public sim::Probe {
+ public:
+  void onMessageReleased(std::uint32_t msg, xgft::NodeIndex, xgft::NodeIndex,
+                         std::uint64_t, sim::TimeNs t) override {
+    if (msg >= released.size()) released.resize(msg + 1, kNever);
+    released[msg] = t;
+  }
+  void onMessageDelivered(std::uint32_t msg, sim::TimeNs t) override {
+    if (msg >= delivered.size()) delivered.resize(msg + 1, kNever);
+    delivered[msg] = t;
+  }
+  static constexpr sim::TimeNs kNever = ~sim::TimeNs{0};
+  std::vector<sim::TimeNs> released;
+  std::vector<sim::TimeNs> delivered;
+};
+
+TEST(OpenLoop, TimedTableSwapKeepsEarlierMessagesOnTheOldTable) {
+  // A timed plan fails one leaf up-link mid-measurement, and the fault
+  // installer swaps a degraded table into the resolver at that instant.
+  // Messages resolved before the swap point into the healthy table, which
+  // the caller keeps alive, and must still deliver or drop; ASan builds
+  // check that no segment reads a freed table.
+  const Topology topo(xgft::xgft2(16, 16, 10));  // paper-slim
+  const std::shared_ptr<const routing::Router> router =
+      routing::makeDModK(topo);
+  const auto healthy = core::CompiledRoutes::compile(router);
+  OpenLoopOptions opt = fastWindows();
+  const sim::TimeNs downNs = opt.warmupNs + opt.measureNs / 2;
+  fault::FaultPlan plan;
+  plan.faults.push_back({topo.upLink(1, 0, 0), downNs, fault::kNeverNs});
+  opt.compiled = healthy.get();
+  std::shared_ptr<void> installed;  // Owns the degraded table.
+  opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
+    fault::InstallOptions io;
+    io.policy = sim::FaultPolicy::kReroute;
+    installed = fault::installFaultPlan(net, plan, router, &resolver, io);
+  };
+  LifetimeWatch watch;
+  opt.probe = &watch;
+  patterns::OpenLoopSource src =
+      makeSource(topo, 0.6, opt.warmupNs + opt.measureNs);
+  const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
+
+  // Every released message delivered or dropped; a single dead up-link of
+  // ten partitions no pair, so nothing was refused.
+  std::uint64_t released = 0;
+  std::uint64_t acrossSwap = 0;
+  for (std::size_t i = 0; i < watch.released.size(); ++i) {
+    if (watch.released[i] == LifetimeWatch::kNever) continue;
+    ++released;
+    const bool late = i < watch.delivered.size() &&
+                      watch.delivered[i] != LifetimeWatch::kNever &&
+                      watch.delivered[i] >= downNs;
+    if (watch.released[i] < downNs && late) ++acrossSwap;
+  }
+  EXPECT_EQ(r.stats.messagesDelivered + r.stats.messagesDropped, released);
+  EXPECT_GT(r.stats.segmentsRerouted + r.stats.segmentsStranded, 0u);
+  EXPECT_GT(acrossSwap, 0u);
 }
 
 TEST(OpenLoop, RejectsOversizedSources) {

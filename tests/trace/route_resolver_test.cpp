@@ -1,9 +1,12 @@
-// Tests for trace::RouteSetResolver.  Compiled mode: every memoized answer
-// equals interning the pair's own table entry on a fresh network (ids,
-// NIC port and switch-tail path), for a flat and an interval-compressed
-// table, and swapping in a degraded table drops the memo.  Router mode (no
-// table): every pair resolves to exactly what a flat table of the same
-// router gives, and an invalid route is rejected with internRoutes' error.
+// Tests for trace::RouteSetResolver and the route form it hands out.
+// Hop decode: over 50k SplitMix64 pairs, the output ports every segment
+// takes equal xgft::hopsOf of the same route — for a flat and a compressed
+// d-mod-k table, router-mode Random and colored, and spray sets.  Compiled
+// mode points into the table and stores nothing; swapping in a degraded
+// table changes later answers while earlier sets keep reading the old one.
+// Router mode: every pair resolves to the ascent a flat table of the same
+// router holds, stored once per pair, and an invalid route is rejected
+// with internRoutes' error.
 #include "trace/route_resolver.hpp"
 
 #include <gtest/gtest.h>
@@ -13,18 +16,18 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "patterns/applications.hpp"
 #include "routing/colored.hpp"
 #include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
+#include "sim/probe.hpp"
 #include "xgft/params.hpp"
 #include "xgft/rng.hpp"
 
 namespace trace {
 namespace {
-
-using sim::RouteSetId;
 
 struct Fixture {
   explicit Fixture(const xgft::Params& params)
@@ -33,47 +36,159 @@ struct Fixture {
   std::shared_ptr<const routing::Router> router;
 };
 
-void expectMatchesFreshIntern(const xgft::Params& params,
-                              core::TableLayout layout) {
+/// Every transmission's output gport, per message sequence number: with
+/// one segment per message, a message's list is the path it took.
+class PathRecorder final : public sim::Probe {
+ public:
+  void onWireBusy(std::uint32_t gport, std::uint32_t msg, sim::TimeNs,
+                  sim::TimeNs) override {
+    if (msg >= paths.size()) paths.resize(msg + 1);
+    paths[msg].push_back(gport);
+  }
+  std::vector<std::vector<std::uint32_t>> paths;
+};
+
+/// Sends 50k single-segment messages over SplitMix64 pairs, each on the
+/// route set @p resolver gives, and checks the gports each one crossed
+/// against hopsOf(expected(s, d, seq)) mapped through globalPort.
+template <typename Expected>
+void expectHopsMatchReference(const xgft::Topology& topo,
+                              const routing::Router& router,
+                              SprayConfig spray,
+                              const core::CompiledRoutes* table,
+                              const Expected& expected) {
+  sim::Network net(topo, sim::SimConfig{});
+  PathRecorder recorder;
+  net.setProbe(&recorder);
+  RouteSetResolver resolver(net, router, spray, table);
+  const sim::InjectionOptions opt = injectionOptions(resolver);
+  struct Sent {
+    xgft::NodeIndex s = 0;
+    xgft::NodeIndex d = 0;
+  };
+  std::vector<Sent> sent;
+  xgft::Rng rng(42);
+  const auto n = static_cast<std::uint64_t>(topo.numHosts());
+  for (int i = 0; i < 50'000; ++i) {
+    const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
+    const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
+    const sim::MsgId m =
+        net.addMessageSet(s, d, net.config().segmentBytes, resolver.setFor(s, d),
+                          opt.policy, opt.spraySeed);
+    net.release(m, 0);
+    sent.push_back({s, d});
+  }
+  net.run();
+  ASSERT_EQ(net.stats().messagesDelivered, sent.size());
+  recorder.paths.resize(sent.size());
+  for (std::uint32_t seq = 0; seq < sent.size(); ++seq) {
+    const auto [s, d] = sent[seq];
+    std::vector<std::uint32_t> want;
+    for (const xgft::Hop& hop :
+         xgft::hopsOf(topo, s, d, expected(s, d, seq))) {
+      want.push_back(net.globalPort(hop.level, hop.node, hop.outPort));
+    }
+    ASSERT_EQ(recorder.paths[seq], want)
+        << router.name() << " message " << seq << " (" << s << " -> " << d
+        << ")";
+  }
+}
+
+TEST(RouteDecode, FlatTableOnPaperSlim) {
+  const Fixture f(xgft::xgft2(16, 16, 10));
+  const auto table =
+      core::CompiledRoutes::compile(f.router, 1, core::TableLayout::kFlat);
+  ASSERT_FALSE(table->compressed());
+  expectHopsMatchReference(
+      f.topo, *f.router, {}, table.get(),
+      [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
+        return f.router->route(s, d);
+      });
+}
+
+TEST(RouteDecode, CompressedTableAt4096Hosts) {
+  const Fixture f(xgft::Params({16, 16, 16}, {1, 8, 8}));
+  const auto table = core::CompiledRoutes::compile(
+      f.router, 1, core::TableLayout::kCompressed);
+  ASSERT_TRUE(table->compressed());
+  expectHopsMatchReference(
+      f.topo, *f.router, {}, table.get(),
+      [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
+        return f.router->route(s, d);
+      });
+}
+
+TEST(RouteDecode, RouterModeRandom) {
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+  const auto router = routing::makeRandom(topo, 3);
+  expectHopsMatchReference(
+      topo, *router, {}, nullptr,
+      [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
+        return router->route(s, d);
+      });
+}
+
+TEST(RouteDecode, RouterModeColored) {
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+  const auto router = routing::makeColored(topo, patterns::cgD128());
+  expectHopsMatchReference(
+      topo, *router, {}, nullptr,
+      [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
+        return router->route(s, d);
+      });
+}
+
+TEST(RouteDecode, SpraySets) {
+  // paper-slim's w2 = 10 gives cross-leaf pairs ten candidate ascents; a
+  // seeded random spray picks candidate hashMix(seed, seq, 0) % 10 for a
+  // one-segment message, which routeViaNca enumerates independently.
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+  const auto router = routing::makeDModK(topo);
+  SprayConfig spray;
+  spray.enabled = true;
+  spray.policy = sim::SprayPolicy::kRandom;
+  spray.seed = 7;
+  expectHopsMatchReference(
+      topo, *router, spray, nullptr,
+      [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t seq) {
+        const xgft::Count n = topo.numNcas(s, d);
+        return xgft::routeViaNca(topo, s, d, xgft::hashMix(7, seq, 0) % n);
+      });
+}
+
+void expectTableModePointsIntoTheTable(const xgft::Params& params,
+                                       core::TableLayout layout) {
   const Fixture f(params);
   const auto table = core::CompiledRoutes::compile(f.router, 1, layout);
-  ASSERT_EQ(table->compressed(), layout == core::TableLayout::kCompressed);
   sim::Network net(f.topo, sim::SimConfig{});
-  sim::Network fresh(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, table.get());
   xgft::Rng rng(42);
   const auto n = static_cast<std::uint64_t>(f.topo.numHosts());
   for (int i = 0; i < 50'000; ++i) {
     const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
     const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
-    const RouteSetId got = resolver.setFor(s, d);
-    // Both networks intern each distinct content on its first appearance
-    // in the same stream, so even the ids must agree.
-    const RouteSetId want =
-        fresh.internCompiledPath(s, d, table->upPorts(s, d));
-    ASSERT_EQ(got, want) << "pair (" << s << ", " << d << ")";
-    if (want == sim::RouteStore::kNone) continue;
-    ASSERT_EQ(net.routes().setFirstUp(got), fresh.routes().setFirstUp(want));
-    const auto gotPath = net.routes().path(net.routes().set(got)[0]);
-    const auto wantPath = fresh.routes().path(fresh.routes().set(want)[0]);
-    ASSERT_TRUE(std::ranges::equal(gotPath, wantPath))
-        << "pair (" << s << ", " << d << ")";
+    const sim::RouteSet got = resolver.setFor(s, d);
+    const auto up = table->upPorts(s, d);
+    ASSERT_EQ(got.ascents, up.data()) << "(" << s << ", " << d << ")";
+    ASSERT_EQ(got.len, up.size());
+    ASSERT_EQ(got.count, s == d ? 0u : 1u);
   }
-  EXPECT_EQ(net.routes().numSets(), fresh.routes().numSets());
-  EXPECT_EQ(net.routes().arenaEntries(), fresh.routes().arenaEntries());
+  EXPECT_EQ(net.routes().numPaths(), 0u);
+  EXPECT_EQ(net.routes().arenaEntries(), 0u);
 }
 
-TEST(RouteSetResolver, CompressedTableMatchesFreshIntern) {
-  expectMatchesFreshIntern(xgft::Params({16, 16, 16}, {1, 8, 8}),
-                           core::TableLayout::kCompressed);
+TEST(RouteSetResolver, CompressedTableModeStoresNothing) {
+  expectTableModePointsIntoTheTable(xgft::Params({16, 16, 16}, {1, 8, 8}),
+                                    core::TableLayout::kCompressed);
 }
 
-TEST(RouteSetResolver, FlatTableMatchesFreshIntern) {
+TEST(RouteSetResolver, FlatTableModeStoresNothing) {
   // paper-slim: XGFT(2; 16,16; 1,10).
-  expectMatchesFreshIntern(xgft::xgft2(16, 16, 10), core::TableLayout::kFlat);
+  expectTableModePointsIntoTheTable(xgft::xgft2(16, 16, 10),
+                                    core::TableLayout::kFlat);
 }
 
-void expectDegradedSwapDropsMemo(core::TableLayout layout) {
+void expectDegradedSwap(core::TableLayout layout) {
   const Fixture f(xgft::xgft2(4, 4, 2));
   const auto healthy = core::CompiledRoutes::compile(f.router, 1, layout);
   const auto degraded = core::CompiledRoutes::compileWith(
@@ -86,21 +201,24 @@ void expectDegradedSwapDropsMemo(core::TableLayout layout) {
       1, layout);
   sim::Network net(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, healthy.get());
-  const RouteSetId before = resolver.setFor(0, 15);
-  ASSERT_NE(before, RouteSetResolver::kUnroutable);
-  EXPECT_EQ(resolver.setFor(0, 15), before);
+  const sim::RouteSet before = resolver.setFor(0, 15);
+  ASSERT_FALSE(before.empty());
   resolver.setCompiled(degraded.get());
-  EXPECT_EQ(resolver.setFor(0, 15), RouteSetResolver::kUnroutable);
-  EXPECT_NE(resolver.setFor(1, 15), RouteSetResolver::kUnroutable);
-  EXPECT_NE(resolver.setFor(15, 0), RouteSetResolver::kUnroutable);
+  EXPECT_TRUE(resolver.setFor(0, 15).empty());
+  EXPECT_FALSE(resolver.setFor(1, 15).empty());
+  EXPECT_FALSE(resolver.setFor(15, 0).empty());
+  // A set resolved before the swap still reads the healthy table.
+  const auto up = healthy->upPorts(0, 15);
+  EXPECT_EQ(before.ascents, up.data());
+  EXPECT_TRUE(std::ranges::equal(before.ascent(0), up));
 }
 
-TEST(RouteSetResolver, SetCompiledClearsTheMemoFlat) {
-  expectDegradedSwapDropsMemo(core::TableLayout::kFlat);
+TEST(RouteSetResolver, SetCompiledSwapsTheTableFlat) {
+  expectDegradedSwap(core::TableLayout::kFlat);
 }
 
-TEST(RouteSetResolver, SetCompiledClearsTheMemoCompressed) {
-  expectDegradedSwapDropsMemo(core::TableLayout::kCompressed);
+TEST(RouteSetResolver, SetCompiledSwapsTheTableCompressed) {
+  expectDegradedSwap(core::TableLayout::kCompressed);
 }
 
 void expectRouterModeMatchesFlatTable(
@@ -109,26 +227,27 @@ void expectRouterModeMatchesFlatTable(
   const auto table =
       core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
   sim::Network net(topo, sim::SimConfig{});
-  sim::Network tabled(topo, sim::SimConfig{});
   RouteSetResolver onDemand(net, *router);
-  RouteSetResolver compiled(tabled, *router, {}, table.get());
   const xgft::Count n = topo.numHosts();
+  std::size_t words = 0;
   for (xgft::NodeIndex s = 0; s < n; ++s) {
     for (xgft::NodeIndex d = 0; d < n; ++d) {
-      const RouteSetId got = onDemand.setFor(s, d);
-      const RouteSetId want = compiled.setFor(s, d);
-      ASSERT_EQ(got, want) << router->name() << " (" << s << ", " << d << ")";
-      if (want == sim::RouteStore::kNone) continue;
-      ASSERT_EQ(net.routes().setFirstUp(got),
-                tabled.routes().setFirstUp(want));
-      const auto gotPath = net.routes().path(net.routes().set(got)[0]);
-      const auto wantPath = tabled.routes().path(tabled.routes().set(want)[0]);
-      ASSERT_TRUE(std::ranges::equal(gotPath, wantPath))
+      const sim::RouteSet got = onDemand.setFor(s, d);
+      const auto want = table->upPorts(s, d);
+      if (s == d) {
+        ASSERT_TRUE(got.empty());
+        continue;
+      }
+      ASSERT_EQ(got.count, 1u);
+      ASSERT_TRUE(std::ranges::equal(got.ascent(0), want))
           << router->name() << " (" << s << ", " << d << ")";
+      // A repeat send reuses the stored ascent.
+      ASSERT_EQ(onDemand.setFor(s, d).ascents, got.ascents);
+      words += want.size();
     }
   }
-  EXPECT_EQ(net.routes().numSets(), tabled.routes().numSets());
-  EXPECT_EQ(net.routes().arenaEntries(), tabled.routes().arenaEntries());
+  EXPECT_EQ(net.routes().numPaths(), n * (n - 1));
+  EXPECT_EQ(net.routes().arenaEntries(), words);
 }
 
 TEST(RouteSetResolver, RouterModeMatchesAFlatTableRandom) {
@@ -163,15 +282,16 @@ TEST(RouteSetResolver, RouterModeRejectsInvalidRoutes) {
   const OutOfRangeRouter router(topo);
   sim::Network net(topo, sim::SimConfig{});
   RouteSetResolver resolver(net, router);
-  EXPECT_EQ(resolver.setFor(3, 3), sim::RouteStore::kNone);
+  EXPECT_TRUE(resolver.setFor(3, 3).empty());
   try {
     (void)resolver.setFor(0, 15);
-    ADD_FAILURE() << "an out-of-range up-port was interned";
+    ADD_FAILURE() << "an out-of-range up-port was stored";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
     EXPECT_EQ(what.rfind("addMessage: route 0 -> 15: ", 0), 0u) << what;
     EXPECT_NE(what.find("out of range"), std::string::npos) << what;
   }
+  EXPECT_EQ(net.routes().numPaths(), 0u);
 }
 
 }  // namespace
