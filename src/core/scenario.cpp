@@ -1,6 +1,5 @@
 #include "core/scenario.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -150,8 +149,7 @@ std::unique_ptr<patterns::TrafficSource> Scenario::makeSource(
   SourceContext ctx;
   ctx.numRanks = numRanks;
   ctx.load = load;
-  ctx.messageBytes = static_cast<patterns::Bytes>(
-      std::max(1.0, 4096.0 * msgScale));
+  ctx.messageBytes = trace::scaledBytes(4096, msgScale);
   ctx.hostBytesPerNs = sim.linkGbps / 8.0;
   ctx.startNs = startNs;
   ctx.stopNs = stopNs;

@@ -188,6 +188,8 @@ struct Scenario {
 
   /// Instantiates the workload with message sizes already scaled by
   /// msgScale; seeded patterns draw from deriveSeed(seed, "pattern").
+  /// Throws std::invalid_argument when a scaled size does not fit 64 bits
+  /// (trace::scaledBytes).
   [[nodiscard]] patterns::PhasedPattern makeWorkload() const;
 
   /// Builds the router on @p t.  Per-segment schemes (adaptive, spray) get
@@ -199,7 +201,8 @@ struct Scenario {
   /// Instantiates the open-loop source named by `source` for @p numRanks
   /// injecting hosts, offering in [startNs, stopNs).  Message size is
   /// 4096 bytes scaled by msgScale; the seed is deriveSeed(seed, "source").
-  /// Throws on an empty/unknown source spec.
+  /// Throws on an empty/unknown source spec, and std::invalid_argument
+  /// when the scaled size does not fit 64 bits (trace::scaledBytes).
   [[nodiscard]] std::unique_ptr<patterns::TrafficSource> makeSource(
       patterns::Rank numRanks, sim::TimeNs startNs, sim::TimeNs stopNs) const;
 };

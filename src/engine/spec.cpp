@@ -1,6 +1,7 @@
 #include "engine/spec.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
@@ -42,6 +43,10 @@ double requireDouble(const std::string& value, const std::string& key) {
   const auto [p, ec] = std::from_chars(begin, end, v);
   if (ec != std::errc{} || p != end) {
     fail("'" + key + "' wants a number, got '" + value + "'");
+  }
+  // from_chars accepts "nan" and "inf", which slip past range checks.
+  if (!std::isfinite(v)) {
+    fail("'" + key + "' wants a finite number, got '" + value + "'");
   }
   return v;
 }

@@ -86,12 +86,12 @@ void InjectionProcess::pump() {
 }
 
 void InjectionProcess::onMessageDelivered(MsgId msg, TimeNs time) {
-  // The network frees the slot only after this call returns, but pump()
-  // may add messages and move the table: read the record first.
+  // The network frees the slot only after this call returns, and records
+  // never move, so `rec` stays valid however many messages the source's
+  // reaction adds.
   const Network::Message& rec = net_->messages_[msg];
-  const std::uint64_t token = rec.token;
-  if (onDelivery) onDelivery(token, rec.bytes, rec.releaseNs, time);
-  src_->onDelivered(token, time);
+  if (onDelivery) onDelivery(rec.token, rec.bytes, rec.releaseNs, time);
+  src_->onDelivered(rec.token, time);
   pump();
 }
 

@@ -23,8 +23,11 @@
 // The process keeps no per-message state of its own: each message's
 // source token rides in the network's message record (release() stamps
 // the release time beside it), and onMessageDelivered reads both back
-// before the network recycles the slot.  A run's memory therefore follows
-// the messages in flight, however long the source streams.
+// from the record.  Records never move and the network recycles the slot
+// only after that call returns, so the record may be read at any point of
+// the call, even after the source's reaction has added more messages.  A
+// run's memory therefore follows the messages in flight, however long the
+// source streams.
 //
 // Route construction stays out of this layer: the caller supplies a
 // resolver mapping (src, dst) host pairs to route sets (see

@@ -724,13 +724,12 @@ void Network::deliverSegment(std::uint32_t gInPort, std::uint32_t seg) {
 }
 
 void Network::completeMessage(MsgId msg) {
-  const MsgId seq = messages_[msg].seq;
+  const Message& m = messages_[msg];
   ++stats_.messagesDelivered;
   stats_.lastDeliveryNs = std::max(stats_.lastDeliveryNs, now_);
-  // The sink may add messages (and so move the table): the slot is freed
-  // by index once it returns.
+  // Records never move, so `m` survives a sink that adds messages.
   if (sink_ != nullptr) sink_->onMessageDelivered(msg, now_);
-  if (probe_ != nullptr) probe_->onMessageDelivered(seq, now_);
+  if (probe_ != nullptr) probe_->onMessageDelivered(m.seq, now_);
   freeMessage(msg);
 }
 

@@ -37,7 +37,10 @@
 // live in a second recycled slot pool: a record is freed once its message
 // completed or was dropped, has no segment in flight and sits on no NIC's
 // active list, so memory follows the traffic in flight, not the run
-// length.  The MsgId that addMessage* returns and the sink receives is the
+// length.  That pool is paged (paged_vector.hpp): it grows a fixed-size
+// page at a time and a record never moves, so a reference to a live record
+// stays valid across anything that adds messages, a sink call included.
+// The MsgId that addMessage* returns and the sink receives is the
 // slot; everything else observable (spray hash, NIC striping, Probe hooks)
 // sees the message's dense add-order sequence number instead.
 //
@@ -59,6 +62,7 @@
 
 #include "sim/config.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/paged_vector.hpp"
 #include "sim/route_store.hpp"
 #include "xgft/rng.hpp"
 #include "xgft/route.hpp"
@@ -284,9 +288,9 @@ class Network {
   [[nodiscard]] std::uint64_t queueOverflowPushes() const {
     return queue_.overflowPushes();
   }
-  /// Size of the message slot pool: the most messages ever live at once,
-  /// not the number ever sent (completed and dropped messages recycle
-  /// their slots).
+  /// Slots the message pool has handed out: the most messages ever live at
+  /// once, not the number ever sent (completed and dropped messages recycle
+  /// their slots), nor the capacity of the pool's pages.
   [[nodiscard]] std::size_t messageSlots() const { return messages_.size(); }
 
   /// Busy (serializing) nanoseconds of the wire leaving global port @p gport.
@@ -621,7 +625,7 @@ class Network {
 
   std::vector<PortState> ports_;
   std::vector<std::uint32_t> waitLink_;  ///< Per-port waiting-list link.
-  std::vector<Message> messages_;        ///< Slot pool.
+  PagedVector<Message> messages_;        ///< Slot pool; records never move.
   MsgId freeMessages_ = kNil;            ///< Free-list head (nextActive).
   MsgId nextSeq_ = 0;                    ///< Next Message::seq.
   std::vector<Segment> segments_;        ///< Slot pool.

@@ -595,6 +595,9 @@ void ParallelRunner::replayPushes(std::size_t begin, std::size_t end) {
 
 void ParallelRunner::flushSinks(std::size_t begin, std::size_t end) {
   Network& net = *net_;
+  // A sink may add messages, which can grow the message pool's page table
+  // that the shards read through; it runs here, with every shard parked.
+  // The shard handlers only read and update records in place.
   for (std::size_t p = begin; p < end; ++p) {
     const SinkCall& call = sinkCalls_[p - begin];
     if (!call.pending) continue;

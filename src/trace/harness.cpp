@@ -1,6 +1,10 @@
 #include "trace/harness.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
+#include <stdexcept>
+#include <string>
 
 #include "routing/relabel.hpp"
 #include "trace/replayer.hpp"
@@ -75,6 +79,22 @@ double slowdownVsCrossbar(const xgft::Topology& topo,
          static_cast<double>(reference.makespanNs);
 }
 
+patterns::Bytes scaledBytes(patterns::Bytes bytes, double factor) {
+  const double scaled = static_cast<double>(bytes) * factor;
+  // 2^64 is the least double a 64-bit count cannot hold (casting it is
+  // undefined); NaN fails the comparison as well.
+  if (!(scaled < 0x1p64)) {
+    std::array<char, 32> text{};
+    const auto end =
+        std::to_chars(text.data(), text.data() + text.size(), scaled).ptr;
+    throw std::invalid_argument(
+        "message size: " + std::to_string(bytes) +
+        " bytes scaled to " + std::string(text.data(), end) +
+        " does not fit a 64-bit byte count");
+  }
+  return static_cast<patterns::Bytes>(std::max(1.0, scaled));
+}
+
 patterns::PhasedPattern scaleMessages(const patterns::PhasedPattern& app,
                                       double factor) {
   patterns::PhasedPattern scaled;
@@ -83,9 +103,7 @@ patterns::PhasedPattern scaleMessages(const patterns::PhasedPattern& app,
   for (const patterns::Pattern& phase : app.phases) {
     patterns::Pattern p(phase.numRanks());
     for (const patterns::Flow& f : phase.flows()) {
-      const auto bytes = static_cast<patterns::Bytes>(
-          std::max(1.0, static_cast<double>(f.bytes) * factor));
-      p.add(f.src, f.dst, bytes);
+      p.add(f.src, f.dst, scaledBytes(f.bytes, factor));
     }
     scaled.phases.push_back(std::move(p));
   }

@@ -62,10 +62,16 @@ struct RunResult {
                                         const patterns::PhasedPattern& app,
                                         const sim::SimConfig& cfg = {});
 
-/// Scales every message of @p app by @p factor (>= 0; sizes are clamped to
-/// at least one byte).  Used by the bench harnesses' --msg-scale knob: the
-/// runs are bandwidth-dominated, so slowdown ratios are insensitive to the
-/// scale while wall-clock simulation cost drops linearly.
+/// @p bytes times @p factor, rounded down and clamped to at least one byte.
+/// Throws std::invalid_argument, naming the scaled size, when it does not
+/// fit a 64-bit byte count (or is not a number).
+[[nodiscard]] patterns::Bytes scaledBytes(patterns::Bytes bytes,
+                                          double factor);
+
+/// Scales every message of @p app by @p factor (>= 0) through scaledBytes.
+/// Used by the bench harnesses' --msg-scale knob: the runs are
+/// bandwidth-dominated, so slowdown ratios are insensitive to the scale
+/// while wall-clock simulation cost drops linearly.
 [[nodiscard]] patterns::PhasedPattern scaleMessages(
     const patterns::PhasedPattern& app, double factor);
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "patterns/applications.hpp"
 #include "xgft/topology.hpp"
 
@@ -41,6 +44,35 @@ TEST(Scenario, MakeWorkloadScalesMessages) {
   const patterns::PhasedPattern app = sc.makeWorkload();
   EXPECT_EQ(app.phases.at(0).flows().at(0).bytes,
             patterns::kCgMessageBytes / 2);
+}
+
+/// The invalid_argument message @p build throws, or "" when it does not.
+template <typename Build>
+std::string invalidArgumentOf(Build build) {
+  try {
+    build();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Scenario, ScaledSizesMustFitTheByteCount) {
+  // 750 KiB x 1e15 and 4 KiB x 1e30 are past 2^64 bytes, where converting
+  // the scaled size to an integer is undefined: both builders refuse them
+  // and say which size overflowed.
+  Scenario sc;
+  sc.pattern = "cg128";
+  sc.msgScale = 1e15;
+  EXPECT_NE(invalidArgumentOf([&] { (void)sc.makeWorkload(); })
+                .find("768000 bytes scaled to 7.68e+20"),
+            std::string::npos);
+  sc.source = "poisson:uniform";
+  sc.load = 0.5;
+  sc.msgScale = 1e30;
+  EXPECT_NE(invalidArgumentOf([&] { (void)sc.makeSource(256, 0, 1'000'000); })
+                .find("4096 bytes scaled to 4.096e+33"),
+            std::string::npos);
 }
 
 TEST(Scenario, SeededPatternsFollowTheJobSeed) {

@@ -85,6 +85,9 @@ TEST(Spec, RejectsMalformedInput) {
   EXPECT_THROW(parseSpecLine("bogus=1"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("routing=magic"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("msg_scale=0"), std::invalid_argument);
+  // from_chars parses these, but no range check can reject NaN.
+  EXPECT_THROW(parseSpecLine("msg_scale=nan"), std::invalid_argument);
+  EXPECT_THROW(parseSpecLine("msg_scale=inf"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("seed=abc"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("topo=\"XGFT(2; 8,8"), std::invalid_argument);
   EXPECT_THROW(parseSpecLine("seed=1..4"), std::invalid_argument);
@@ -121,6 +124,17 @@ TEST(Spec, OpenLoopKeysValidate) {
                std::invalid_argument);
   EXPECT_THROW(parseSpecLine("source=poisson:uniform load=5"),
                std::invalid_argument);
+  // Non-finite numbers are refused by the number parser itself.
+  for (const char* value : {"nan", "inf"}) {
+    try {
+      (void)parseSpecLine(std::string("source=poisson:uniform load=") + value);
+      FAIL() << "expected invalid_argument for load=" << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'load' wants a finite number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Spec, LoadSweepsExpandLikeAnyAxis) {

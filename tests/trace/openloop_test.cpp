@@ -1,9 +1,10 @@
 // Tests for the windowed open-loop runner: accepted throughput tracking
 // below saturation, the saturation plateau, warmup/drain exclusion,
 // run-to-run determinism of the full measurement pipeline, memory that
-// follows the messages in flight rather than the run length, table-backed
-// runs that store no routes, and a mid-run table swap whose earlier
-// messages keep pointing into the table they were resolved through.
+// follows the messages in flight (or queued, past saturation) rather than
+// the run length, table-backed runs that store no routes, and a mid-run
+// table swap whose earlier messages keep pointing into the table they were
+// resolved through.
 #include "trace/openloop.hpp"
 
 #include <gtest/gtest.h>
@@ -188,6 +189,29 @@ TEST(OpenLoop, MessagePoolIsSizedByTrafficInFlight) {
   EXPECT_EQ(r.stats.messagesDelivered, 31'226u);
   EXPECT_GT(watch.slots, 0u);
   EXPECT_LT(watch.slots, 1'000u);
+}
+
+TEST(OpenLoop, SaturatedPoolHoldsItsBacklog) {
+  // The load-0.9 d-mod-k job of the same sweep, past the saturation knee:
+  // open-loop injection does not throttle, so about half of its messages
+  // are queued at once.  The pool holds exactly that backlog, one record
+  // per live message, however its storage is laid out.
+  core::Scenario sc;
+  sc.topo = xgft::xgft2(16, 16, 10);
+  sc.source = "poisson:uniform";
+  sc.load = 0.9;
+  sc.msgScale = 0.125;
+  const Topology topo(sc.topo);
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  OpenLoopOptions opt;
+  PoolWatch watch;
+  opt.probe = &watch;
+  const std::unique_ptr<patterns::TrafficSource> src =
+      sc.makeSource(static_cast<patterns::Rank>(topo.numHosts()), 0,
+                    opt.warmupNs + opt.measureNs);
+  const OpenLoopResult r = runOpenLoop(topo, *router, *src, opt, sc.sim);
+  EXPECT_EQ(r.stats.messagesDelivered, 280'730u);
+  EXPECT_EQ(watch.slots, 147'086u);
 }
 
 /// The most routes the network's store held at any delivery.
