@@ -1,13 +1,17 @@
 // micro_routing — google-benchmark microbenchmarks for the routing layer:
 // per-pair route computation throughput of every scheme (virtual route()
-// vs the compiled forwarding-table lookup), table compilation cost,
-// relabel-scheme construction, Colored optimization and the edge-coloring
-// substrate.
+// vs the compiled forwarding-table lookup), table compilation cost, the
+// degraded-table patch, relabel-scheme construction, Colored optimization
+// and the edge-coloring substrate.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 
 #include "core/compiled_routes.hpp"
+#include "core/scenario.hpp"
+#include "fault/degraded.hpp"
+#include "fault/plan.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
 #include "routing/colored.hpp"
@@ -124,6 +128,36 @@ void BM_CompileTableDModK(benchmark::State& state) {
       static_cast<std::int64_t>(n * n));
 }
 BENCHMARK(BM_CompileTableDModK);
+
+// --- degraded tables ---------------------------------------------------------
+// The four static degraded tables of bench/e2e's fault-sweep: paper-slim,
+// d-mod-k (arg 0) and Random (arg 1), links:10 and links:30 at the
+// workload's fault seed.  The healthy table is built outside the timed
+// loop, as CampaignCache::degradedRoutes finds it cached for open-loop jobs
+// (numbers recorded in DESIGN.md §10).
+
+void BM_CompileDegraded(benchmark::State& state) {
+  core::Scenario scen;
+  scen.topo = paperTopo().params();
+  scen.routing = state.range(0) == 0 ? "d-mod-k" : "Random";
+  scen.seed = 1;
+  const std::shared_ptr<const routing::Router> router =
+      scen.makeRouter(paperTopo(), patterns::PhasedPattern{});
+  const auto healthy = core::CompiledRoutes::compile(router);
+  const std::string faults = "links:" + std::to_string(state.range(1));
+  const fault::FaultPlan plan = fault::makeFaultPlan(
+      faults, paperTopo(), core::deriveSeed(scen.seed, "fault"));
+  const fault::DegradedTopology view(paperTopo(), plan.failedAt(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        fault::compileDegraded(healthy, view, fault::UnreachablePolicy::kDrop)
+            .table);
+  }
+  state.SetLabel(scen.routing + " " + faults);
+}
+BENCHMARK(BM_CompileDegraded)
+    ->ArgsProduct({{0, 1}, {10, 30}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildBalancedRandomScheme(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

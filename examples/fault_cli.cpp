@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
       fault::InstallOptions io;
       io.policy = parsePolicy(cli.policy);
       io.unreachable = fault::UnreachablePolicy::kDrop;
-      faultState = fault::installFaultPlan(net, plan, router, &resolver, io);
+      faultState = fault::installFaultPlan(net, plan, healthy, &resolver, io);
     };
 
     patterns::OpenLoopConfig scfg;

@@ -1,6 +1,7 @@
 #include "core/compiled_routes.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -63,10 +64,19 @@ void forEachBlock(std::size_t n, std::uint32_t threads, const Body& body) {
   failure.rethrowIfSet();
 }
 
+/// Worker count for @p threads over @p n guide columns or rows: 0 means
+/// hardware concurrency, and no worker goes without one.
+std::uint32_t clampThreads(std::uint32_t threads, std::size_t n) {
+  if (threads == 0) {
+    threads = std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
+}
+
 /// Interval runs and stored port words one guide column would compress to.
-/// Router-only (no override, no validation): used for axis sampling and
-/// footprint estimation, where calling a RouteOverride would double-trigger
-/// its side effects (fault::compileDegraded records unreachable pairs).
+/// Router-only, without validation: used for axis sampling and footprint
+/// estimation.
 struct ColumnCost {
   std::uint64_t intervals = 0;
   std::uint64_t portWords = 0;
@@ -151,12 +161,6 @@ std::uint64_t CompiledRoutes::estimateCompressedBytes(
 std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
     std::shared_ptr<const routing::Router> router, std::uint32_t threads,
     TableLayout layout) {
-  return compileWith(std::move(router), RouteOverride{}, threads, layout);
-}
-
-std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
-    std::shared_ptr<const routing::Router> router,
-    const RouteOverride& routeFor, std::uint32_t threads, TableLayout layout) {
   if (!router) {
     throw std::invalid_argument("CompiledRoutes::compile: null router");
   }
@@ -170,7 +174,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   const std::size_t n = table->numHosts_;
   const std::optional<routing::Guide> guide = r.ascentGuide();
 
-  if (guide.has_value() && !routeFor) {
+  if (guide.has_value()) {
     // A self-routing router's columns follow its guide in either layout:
     // at most 2h + 1 runs each, with no sampling (a sampled tie would pick
     // kByDst and cost a source-guided scheme one route() per pair).
@@ -178,9 +182,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
         *guide == routing::Guide::Destination ? Axis::kByDst : Axis::kBySrc;
   } else if (compress) {
     // Axis by deterministic sampling: three spread guide columns scanned
-    // both ways; fewer total runs wins, a tie keeps kByDst.  Always scans
-    // the healthy router — a degraded table differs from it on few pairs,
-    // and a RouteOverride must not be probed twice for any pair.
+    // both ways; fewer total runs wins, a tie keeps kByDst.
     const std::uint32_t hosts = static_cast<std::uint32_t>(n);
     std::uint64_t byDstRuns = 0;
     std::uint64_t bySrcRuns = 0;
@@ -197,45 +199,22 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
     // The flat layout is axis-free; without runs it builds row by row.
     table->axis_ = Axis::kBySrc;
   }
-  table->levelRuns_ = guide.has_value() && !routeFor;
-
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
+  table->levelRuns_ = guide.has_value();
+  threads = clampThreads(threads, n);
 
   // Workers own disjoint guide columns, so no synchronization is needed
   // and the table contents are thread-count independent (routers are
-  // required to be deterministic and immutable after construction; a
-  // routeFor override must uphold the same).
+  // required to be deterministic and immutable after construction).
   if (compress) {
     table->compressed_ = true;
-    std::vector<Columns> parts(threads);
-    forEachBlock(n, threads,
-                 [&](std::size_t w, std::size_t begin, std::size_t end) {
-                   for (std::size_t g = begin; g < end; ++g) {
-                     table->appendColumn(static_cast<std::uint32_t>(g),
-                                         routeFor, parts[w]);
-                   }
-                 });
-    // Concatenate the workers' column blocks in guide order.
-    Columns& all = table->columns_;
-    all.colOff.reserve(n + 1);
-    all.colOff.push_back(0);
-    for (const Columns& part : parts) {
-      const auto intervalBase =
-          static_cast<std::uint32_t>(all.intervals.size());
-      const auto portBase = static_cast<std::uint32_t>(all.ports.size());
-      for (const std::uint32_t off : part.colOff) {
-        all.colOff.push_back(intervalBase + off);
-      }
-      for (Interval run : part.intervals) {
-        if (run.len > 0) run.portsOff += portBase;
-        all.intervals.push_back(run);
-      }
-      all.ports.insert(all.ports.end(), part.ports.begin(), part.ports.end());
-    }
+    table->columns_ = buildColumns(
+        n, threads, [&](std::uint32_t g, Columns& out) {
+          table->forEachRun(g, [&](std::uint32_t begin, std::uint32_t,
+                                   std::span<const std::uint32_t> ports) {
+            appendRun(out, begin, ports);
+          });
+          out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
+        });
     return table;
   }
 
@@ -247,7 +226,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
                                std::size_t end) {
     for (std::size_t g = begin; g < end; ++g) {
       table->forEachRun(
-          static_cast<std::uint32_t>(g), routeFor,
+          static_cast<std::uint32_t>(g),
           [&](std::uint32_t runBegin, std::uint32_t runEnd,
               std::span<const std::uint32_t> ports) {
             for (std::size_t pos = runBegin; pos < runEnd; ++pos) {
@@ -263,6 +242,42 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compileWith(
   return table;
 }
 
+std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
+    const PairPatch& patch, std::uint32_t threads) const {
+  auto table = std::shared_ptr<CompiledRoutes>(new CompiledRoutes(router_));
+  table->axis_ = axis_;
+  table->compressed_ = compressed_;
+  const std::size_t n = numHosts_;
+  threads = clampThreads(threads, n);
+
+  if (compressed_) {
+    table->columns_ = buildColumns(
+        n, threads,
+        [&](std::uint32_t g, Columns& out) { patchColumn(g, patch, out); });
+    return table;
+  }
+
+  // Flat: copy the arrays, then rewrite the changed entries row by row.
+  table->ports_ = ports_;
+  table->lens_ = lens_;
+  forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
+                               std::size_t end) {
+    xgft::Route route;
+    for (std::size_t s = begin; s < end; ++s) {
+      for (std::size_t d = 0; d < n; ++d) {
+        if (s == d || !patch(s, d, upPorts(s, d), route)) continue;
+        if (!route.up.empty()) requireValid(s, d, route);
+        const std::size_t pair = s * n + d;
+        table->lens_[pair] = static_cast<std::uint8_t>(route.up.size());
+        std::copy(route.up.begin(), route.up.end(),
+                  table->ports_.begin() +
+                      static_cast<std::ptrdiff_t>(pair * stride_));
+      }
+    }
+  });
+  return table;
+}
+
 std::uint32_t CompiledRoutes::levelRunEnd(std::uint32_t guide,
                                           std::uint32_t pos) const {
   // Ranks at NCA level L from the guide fill its level-L block minus its
@@ -272,12 +287,19 @@ std::uint32_t CompiledRoutes::levelRunEnd(std::uint32_t guide,
   return guide - guide % blockSize_[level] + blockSize_[level];
 }
 
+void CompiledRoutes::requireValid(xgft::NodeIndex s, xgft::NodeIndex d,
+                                  const xgft::Route& r) const {
+  std::string error;
+  if (!xgft::validateRoute(topology(), s, d, r, &error)) {
+    throw std::invalid_argument("CompiledRoutes(" + router_->name() + "): " +
+                                error);
+  }
+}
+
 void CompiledRoutes::forEachRun(std::uint32_t guide,
-                                const RouteOverride& routeFor,
                                 const RunSink& emit) const {
   const routing::Router& r = *router_;
   const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
-  xgft::Route route;
   for (std::uint32_t pos = 0; pos < n;) {
     if (pos == guide) {  // Diagonal: its own zero-length run.
       emit(pos, pos + 1, {});
@@ -287,53 +309,92 @@ void CompiledRoutes::forEachRun(std::uint32_t guide,
     const std::uint32_t end = levelRuns_ ? levelRunEnd(guide, pos) : pos + 1;
     const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
     const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-    bool routable = true;
-    if (routeFor) {
-      std::optional<xgft::Route> chosen = routeFor(s, d);
-      routable = chosen.has_value();
-      if (routable) route = std::move(*chosen);
-    } else {
-      route = r.route(s, d);
-    }
+    const xgft::Route route = r.route(s, d);
     // Validating the run's first pair validates the run: every member has
     // the same NCA level and takes the same in-range ascent, which reaches
     // an ancestor of both its endpoints (DESIGN.md §13).
-    std::string error;
-    if (routable && !xgft::validateRoute(r.topology(), s, d, route, &error)) {
-      throw std::invalid_argument("CompiledRoutes(" + r.name() + "): " +
-                                  error);
-    }
-    emit(pos, end,
-         routable ? std::span<const std::uint32_t>(route.up)
-                  : std::span<const std::uint32_t>());
+    requireValid(s, d, route);
+    emit(pos, end, route.up);
     pos = end;
   }
 }
 
-void CompiledRoutes::appendColumn(std::uint32_t guide,
-                                  const RouteOverride& routeFor,
-                                  Columns& out) const {
-  bool havePrev = false;
-  forEachRun(guide, routeFor,
-             [&](std::uint32_t begin, std::uint32_t,
-                 std::span<const std::uint32_t> ports) {
-               // A run whose ports equal the previous interval's extends it
-               // (adjacent zero-length runs merge the same way).
-               if (havePrev) {
-                 const Interval& prev = out.intervals.back();
-                 if (prev.len == ports.size() &&
-                     std::equal(ports.begin(), ports.end(),
-                                out.ports.begin() + prev.portsOff)) {
-                   return;
+CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
+                                                     std::uint32_t threads,
+                                                     const ColumnFill& fill) {
+  std::vector<Columns> parts(threads);
+  forEachBlock(n, threads,
+               [&](std::size_t w, std::size_t begin, std::size_t end) {
+                 for (std::size_t g = begin; g < end; ++g) {
+                   fill(static_cast<std::uint32_t>(g), parts[w]);
                  }
-               }
-               havePrev = true;
-               const auto off = static_cast<std::uint32_t>(
-                   ports.empty() ? 0 : out.ports.size());
-               out.intervals.push_back(
-                   {begin, off, static_cast<std::uint32_t>(ports.size())});
-               out.ports.insert(out.ports.end(), ports.begin(), ports.end());
-             });
+               });
+  Columns all;
+  all.colOff.reserve(n + 1);
+  all.colOff.push_back(0);
+  for (const Columns& part : parts) {
+    const auto intervalBase = static_cast<std::uint32_t>(all.intervals.size());
+    const auto portBase = static_cast<std::uint32_t>(all.ports.size());
+    for (const std::uint32_t off : part.colOff) {
+      all.colOff.push_back(intervalBase + off);
+    }
+    for (Interval run : part.intervals) {
+      if (run.len > 0) run.portsOff += portBase;
+      all.intervals.push_back(run);
+    }
+    all.ports.insert(all.ports.end(), part.ports.begin(), part.ports.end());
+  }
+  return all;
+}
+
+void CompiledRoutes::appendRun(Columns& out, std::uint32_t begin,
+                               std::span<const std::uint32_t> ports) {
+  // out.colOff holds the end of every finished column, so intervals past
+  // its last entry belong to the column being built.  A run whose ports
+  // equal the previous interval's extends it (adjacent zero-length runs
+  // merge the same way).
+  const std::size_t columnStart = out.colOff.empty() ? 0 : out.colOff.back();
+  if (out.intervals.size() > columnStart) {
+    const Interval& prev = out.intervals.back();
+    if (prev.len == ports.size() &&
+        std::equal(ports.begin(), ports.end(),
+                   out.ports.begin() + prev.portsOff)) {
+      return;
+    }
+  }
+  const auto off =
+      static_cast<std::uint32_t>(ports.empty() ? 0 : out.ports.size());
+  out.intervals.push_back(
+      {begin, off, static_cast<std::uint32_t>(ports.size())});
+  out.ports.insert(out.ports.end(), ports.begin(), ports.end());
+}
+
+void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
+                                 Columns& out) const {
+  const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
+  const std::uint32_t first = columns_.colOff[guide];
+  const std::uint32_t last = columns_.colOff[guide + 1];
+  xgft::Route route;
+  for (std::uint32_t i = first; i < last; ++i) {
+    const Interval& run = columns_.intervals[i];
+    const std::uint32_t end = i + 1 < last ? columns_.intervals[i + 1].begin
+                                           : n;
+    const std::span<const std::uint32_t> ports(
+        columns_.ports.data() + run.portsOff, run.len);
+    // Kept ranks of the interval are appended as one run; a rewritten rank
+    // splits it.
+    std::uint32_t keptFrom = run.begin;
+    for (std::uint32_t pos = run.begin; pos < end; ++pos) {
+      const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
+      const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
+      if (pos == guide || !patch(s, d, ports, route)) continue;
+      if (!route.up.empty()) requireValid(s, d, route);
+      if (keptFrom < pos) appendRun(out, keptFrom, ports);
+      appendRun(out, pos, route.up);
+      keptFrom = pos + 1;
+    }
+    if (keptFrom < end) appendRun(out, keptFrom, ports);
+  }
   out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
 }
 

@@ -33,8 +33,12 @@
 // one NCA level with the guide; for a self-routing router
 // (Router::ascentGuide()) every pair of a run takes the same route, so the
 // builder routes and validates once per run — at most 2h + 1 runs per
-// column — instead of once per pair.  Other routers and per-pair overrides
-// get runs of length 1.
+// column — instead of once per pair.  Other routers get runs of length 1.
+//
+// patched() copies a table in its own layout with some pairs rewritten —
+// the degraded-topology path (fault::compileDegraded): a flat copy rewrites
+// the changed entries in place, a compressed copy re-merges each column's
+// intervals around them.  Rewritten routes are validated like compiled ones.
 //
 // Compilation finishes inside compile(); the handle is immutable afterwards,
 // so it is freely shared across threads.  The engine memoizes open-loop
@@ -56,7 +60,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -83,22 +86,23 @@ class CompiledRoutes {
       std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
       TableLayout layout = TableLayout::kAuto);
 
-  /// Per-pair override: the route to store for (s, d), or std::nullopt to
-  /// mark the pair unroutable (upPorts() returns an empty span and
-  /// unroutable() is true).  Called concurrently from the compile workers,
-  /// so it must be thread-safe; s != d always, and every ordered pair is
-  /// queried exactly once.
-  using RouteOverride = std::function<std::optional<xgft::Route>(
-      xgft::NodeIndex, xgft::NodeIndex)>;
+  /// Decides one off-diagonal pair for patched(): given (s, d) and the
+  /// pair's ascent in the source table, returns false to keep that ascent,
+  /// or true after writing the replacement into @p out — an empty route
+  /// marks the pair unroutable.  Called concurrently from the patch
+  /// workers, once per pair, so it must be thread-safe.
+  using PairPatch = std::function<bool(xgft::NodeIndex s, xgft::NodeIndex d,
+                                       std::span<const std::uint32_t> ascent,
+                                       xgft::Route& out)>;
 
-  /// compile() with @p routeFor supplying each pair's route instead of the
-  /// router's own — the degraded-topology recompilation path
-  /// (fault::compileDegraded).  Returned routes are validated exactly like
-  /// compile(); nullopt pairs are recorded unroutable instead of throwing.
-  [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compileWith(
-      std::shared_ptr<const routing::Router> router,
-      const RouteOverride& routeFor, std::uint32_t threads = 1,
-      TableLayout layout = TableLayout::kAuto);
+  /// A copy of this table in the same layout (and compressed axis), with
+  /// every off-diagonal pair passed through @p patch, split across
+  /// @p threads workers (0 = hardware concurrency; the result is identical
+  /// for any count).  Kept entries were validated when this table compiled;
+  /// a replacement that is not a valid route throws std::invalid_argument.
+  /// The copy shares this table's router and does not need this table.
+  [[nodiscard]] std::shared_ptr<const CompiledRoutes> patched(
+      const PairPatch& patch, std::uint32_t threads = 1) const;
 
   /// Flat-layout size in bytes for a topology, before building — callers
   /// bound memory with this (the engine's open-loop jobs try the
@@ -115,9 +119,9 @@ class CompiledRoutes {
       const routing::Router& router);
 
   /// The ascending port choices for (s, d) — the route's ascent; length ==
-  /// ncaLevel(s, d), empty when s == d — and also empty for pairs a
-  /// compileWith override marked unroutable.  The pair is unroutable iff
-  /// s != d and the span is empty.  Valid for the handle's lifetime.
+  /// ncaLevel(s, d), empty when s == d — and also empty for pairs a patch
+  /// marked unroutable.  The pair is unroutable iff s != d and the span is
+  /// empty.  Valid for the handle's lifetime.
   [[nodiscard]] std::span<const std::uint32_t> upPorts(
       xgft::NodeIndex s, xgft::NodeIndex d) const {
     if (!compressed_) {
@@ -127,9 +131,9 @@ class CompiledRoutes {
     return compressedLookup(s, d);
   }
 
-  /// True iff a compileWith override declared (s, d) unreachable.  A valid
-  /// route for s != d always has length ncaLevel(s, d) >= 1, so a zero
-  /// length is unambiguous.
+  /// True iff a patch declared (s, d) unreachable.  A valid route for
+  /// s != d always has length ncaLevel(s, d) >= 1, so a zero length is
+  /// unambiguous.
   [[nodiscard]] bool unroutable(xgft::NodeIndex s, xgft::NodeIndex d) const {
     return s != d && upPorts(s, d).empty();
   }
@@ -176,23 +180,36 @@ class CompiledRoutes {
   };
 
   /// Receives one run of a guide column: ranks [begin, end) all take
-  /// @p ports (empty for the diagonal and for unroutable pairs).
+  /// @p ports (empty for the diagonal).
   using RunSink = std::function<void(std::uint32_t begin, std::uint32_t end,
                                      std::span<const std::uint32_t> ports)>;
+  /// Fills guide column @p guide of a compressed layout into @p out.
+  using ColumnFill = std::function<void(std::uint32_t guide, Columns& out)>;
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
   /// Routes and validates guide column @p guide one run at a time, in rank
-  /// order — the single route + validate step of every compile path.
-  void forEachRun(std::uint32_t guide, const RouteOverride& routeFor,
-                  const RunSink& emit) const;
+  /// order — the single route + validate step of compile().
+  void forEachRun(std::uint32_t guide, const RunSink& emit) const;
   /// One past the last rank sharing ncaLevel(guide, pos) contiguously with
   /// @p pos (pos != guide).
   [[nodiscard]] std::uint32_t levelRunEnd(std::uint32_t guide,
                                           std::uint32_t pos) const;
-  /// Appends column @p guide's merged intervals and ports to @p out.
-  void appendColumn(std::uint32_t guide, const RouteOverride& routeFor,
-                    Columns& out) const;
+  /// Throws std::invalid_argument unless @p r is a valid route for (s, d).
+  void requireValid(xgft::NodeIndex s, xgft::NodeIndex d,
+                    const xgft::Route& r) const;
+  /// Builds every guide column through @p fill, split across @p threads
+  /// workers, and concatenates the workers' blocks in guide order.
+  [[nodiscard]] static Columns buildColumns(std::size_t n,
+                                            std::uint32_t threads,
+                                            const ColumnFill& fill);
+  /// Appends a run starting at rank @p begin to the column being built in
+  /// @p out, or extends the column's last interval when its ports match.
+  static void appendRun(Columns& out, std::uint32_t begin,
+                        std::span<const std::uint32_t> ports);
+  /// Appends the patched copy of this table's column @p guide to @p out.
+  void patchColumn(std::uint32_t guide, const PairPatch& patch,
+                   Columns& out) const;
   [[nodiscard]] const Interval& intervalOf(std::uint32_t guide,
                                            std::uint32_t pos) const;
   [[nodiscard]] std::span<const std::uint32_t> compressedLookup(
@@ -205,7 +222,7 @@ class CompiledRoutes {
   std::vector<std::uint32_t> blockSize_;
   Axis axis_ = Axis::kByDst;
   /// Runs follow NCA levels: the column's guide endpoint is the router's
-  /// ascentGuide() and no override is in play.  Otherwise runs are pairs.
+  /// ascentGuide().  Otherwise runs are pairs.
   bool levelRuns_ = false;
 
   // Flat layout.

@@ -99,6 +99,18 @@ T CampaignCache::Memo<T>::get(const std::string& key, Build&& build) {
   return future.get();  // Rethrows the builder's exception for every waiter.
 }
 
+template <typename T>
+T CampaignCache::Memo<T>::peek(const std::string& key) {
+  std::shared_future<T> future;
+  {
+    core::LockGuard lock(mu);
+    auto it = entries.find(key);
+    if (it == entries.end()) return T{};
+    future = it->second;
+  }
+  return future.get();
+}
+
 std::shared_ptr<const xgft::Topology> CampaignCache::topology(
     const xgft::Params& params) {
   return topologies_.get(params.toString(), [&] {
@@ -158,17 +170,19 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::degradedRoutes(
     const std::shared_ptr<const routing::Router>& router,
     const fault::FaultPlan& plan, fault::UnreachablePolicy policy,
     std::uint32_t threads) {
+  const std::string healthyKey = routerKey(spec, router->topology());
   std::ostringstream key;
-  key << routerKey(spec, router->topology()) << "|faults=" << plan.spec
-      << "|unreachable="
+  key << healthyKey << "|faults=" << plan.spec << "|unreachable="
       << (policy == fault::UnreachablePolicy::kThrow ? "throw" : "drop");
   if (fault::planRegistry().at(core::splitSpec(plan.spec).name).seeded) {
     key << "|fseed=" << deriveSeed(spec.seed, "fault");
   }
   return degraded_.get(key.str(), [&] {
-    const std::vector<xgft::LinkId> failed = plan.failedAt(0);
-    const fault::DegradedTopology view(router->topology(), failed);
-    return fault::compileDegraded(router, view, policy, threads).table;
+    std::shared_ptr<const core::CompiledRoutes> healthy =
+        tables_.peek(healthyKey);
+    if (!healthy) healthy = core::CompiledRoutes::compile(router, threads);
+    const fault::DegradedTopology view(router->topology(), plan.failedAt(0));
+    return fault::compileDegraded(healthy, view, policy, threads).table;
   });
 }
 
@@ -268,8 +282,8 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   const std::shared_ptr<const routing::Router> router =
       cache.router(spec, topo, noApp);
 
-  // Fault plans route through recompiled tables, so a faulted job needs the
-  // compiled path even when the campaign opted out of it.
+  // Fault plans route through patched copies of the healthy table, so a
+  // faulted job needs that table even when the campaign opted out of it.
   fault::FaultPlan plan;
   if (!spec.faults.empty()) {
     (void)fault::requireDegradable(spec.routing);
@@ -323,7 +337,7 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   ol.compiled = degradedTable ? degradedTable.get() : compiled.get();
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
   ol.probe = recorder.get();
-  // Owns every table recompiled at the plan's transition instants; must
+  // Owns every table patched at the plan's transition instants; must
   // outlive the run (the resolver holds raw pointers into it).
   std::shared_ptr<void> faultState;
   if (!plan.empty()) {
@@ -333,7 +347,7 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
       io.unreachable = fault::UnreachablePolicy::kDrop;
       io.compileThreads = std::max(1u, opt.compileThreads);
       io.applyStatic = false;  // The t = 0 table is already ol.compiled.
-      faultState = fault::installFaultPlan(net, plan, router, &resolver, io);
+      faultState = fault::installFaultPlan(net, plan, compiled, &resolver, io);
     };
   }
   const trace::OpenLoopResult r =
@@ -394,10 +408,10 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
         cache.router(spec, topo, app);
 
     // Closed-loop fault path: static plans only.  The degraded table is
-    // compiled under kThrow (a partitioned pair would stall the phase
+    // patched under kThrow (a partitioned pair would stall the phase
     // barrier forever, so it must fail loudly at compile time), and the
     // dead links still get their kLinkDown events so linkDownNs accounts —
-    // no traffic touches them, every recompiled route avoids the failures.
+    // no traffic touches them, every patched route avoids the failures.
     fault::FaultPlan plan;
     std::shared_ptr<const core::CompiledRoutes> degradedTable;
     if (!spec.faults.empty()) {

@@ -79,13 +79,17 @@ class CampaignCache {
       std::uint64_t maxBytes, std::uint32_t threads = 1);
 
   /// The degraded forwarding table for @p router under @p plan's t = 0
-  /// failed-link set (fault::compileDegraded).  Keyed by the router key
-  /// plus the canonical plan spec, the unreachable policy and — only for
-  /// seeded failure models — the derived fault seed, so a load sweep at a
-  /// fixed failure rate compiles each degraded table once.  The healthy
-  /// memo (compiledRoutes) never sees fault keys: `faults=none` campaigns
-  /// hit exactly the same cache entries as before the fault subsystem
-  /// existed.
+  /// failed-link set: the healthy table patched around it
+  /// (fault::compileDegraded), in the healthy table's layout.  The healthy
+  /// table is the one compiledRoutes already holds for @p router, read
+  /// without building it or counting a hit or miss (open-loop jobs ask for
+  /// it first); otherwise one is compiled for this call and dropped, so
+  /// closed-loop jobs still take no healthy table from the cache.  Keyed by
+  /// the router key plus the canonical plan spec, the unreachable policy
+  /// and — only for seeded failure models — the derived fault seed, so a
+  /// load sweep at a fixed failure rate patches each degraded table once.
+  /// The healthy memo never sees fault keys: `faults=none` campaigns hit
+  /// exactly the same cache entries as before the fault subsystem existed.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> degradedRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
@@ -120,6 +124,10 @@ class CampaignCache {
     /// Returns the value for @p key, invoking @p build at most once.
     template <typename Build>
     T get(const std::string& key, Build&& build);
+
+    /// The value for @p key if it is built or being built (waiting for
+    /// it), else T{}; builds nothing and counts neither a hit nor a miss.
+    T peek(const std::string& key);
   };
 
   Memo<std::shared_ptr<const xgft::Topology>> topologies_;

@@ -1,6 +1,7 @@
 #include "fault/degraded.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,8 +14,8 @@ namespace fault {
 
 namespace {
 
-/// Unreachable pairs reported by the compile workers.  Guarded: workers
-/// for different source rows may discover unreachable pairs concurrently.
+/// Unreachable pairs reported by the patch workers.  Guarded: workers for
+/// different rows or columns may discover unreachable pairs concurrently.
 struct UnreachableSink {
   core::Mutex mu;
   std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> pairs
@@ -60,51 +61,144 @@ bool DegradedTopology::routeBlocked(xgft::NodeIndex s, xgft::NodeIndex d,
   return false;
 }
 
-DegradedRoutes compileDegraded(std::shared_ptr<const routing::Router> router,
-                               const DegradedTopology& degraded,
-                               UnreachablePolicy policy, std::uint32_t threads,
-                               core::TableLayout layout) {
-  if (!router) {
-    throw std::invalid_argument("compileDegraded: null router");
+CleanAscentMask::CleanAscentMask(const DegradedTopology& degraded) {
+  const xgft::Topology& topo = degraded.base();
+  const std::uint32_t h = topo.height();
+  const xgft::Count n = topo.numHosts();
+  radix_.assign(h + 1, 1);
+  choices_.assign(h + 1, 1);
+  levelBase_.assign(h + 1, 0);
+  std::uint64_t total = 0;
+  for (std::uint32_t L = 1; L <= h; ++L) {
+    radix_[L] = topo.params().w(L);
+    choices_[L] = choices_[L - 1] * radix_[L];
+    levelBase_[L] = total;
+    total += n * choices_[L];
   }
-  const xgft::Topology& topo = router->topology();
+  const std::uint64_t numWords = (total + 63) / 64;
+  if (degraded.numFailed() == 0) {
+    words_.assign(numWords, ~std::uint64_t{0});
+    return;
+  }
+  words_.assign(numWords, 0);
+
+  // Per host, extend every clean level-(L-1) ascent by each up-port: choice
+  // c at level L is choice c % choices_[L-1] below plus port
+  // c / choices_[L-1] taken at level L - 1.
+  std::vector<xgft::NodeIndex> below;  // Level-(L-1) node of each choice.
+  std::vector<xgft::NodeIndex> above;
+  for (xgft::NodeIndex x = 0; x < n; ++x) {
+    below.assign(1, x);
+    for (std::uint32_t L = 1; L <= h; ++L) {
+      const xgft::Count lower = choices_[L - 1];
+      above.resize(choices_[L]);
+      for (xgft::Count c = 0; c < choices_[L]; ++c) {
+        const xgft::NodeIndex node = below[c % lower];
+        const auto port = static_cast<std::uint32_t>(c / lower);
+        above[c] = topo.parentIndex(L - 1, node, port);
+        if ((L == 1 || clean(x, L - 1, c % lower)) &&
+            !degraded.linkFailed(topo.upLink(L - 1, node, port))) {
+          const std::uint64_t i = offset(x, L) + c;
+          words_[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+      }
+      below.swap(above);
+    }
+  }
+}
+
+std::uint64_t CleanAscentMask::window(std::uint64_t i) const {
+  const std::uint64_t word = i / 64;
+  const std::uint64_t shift = i % 64;
+  std::uint64_t bits = words_[word] >> shift;
+  if (shift != 0 && word + 1 < words_.size()) {
+    bits |= words_[word + 1] << (64 - shift);
+  }
+  return bits;
+}
+
+xgft::Count CleanAscentMask::firstClean(xgft::NodeIndex s, xgft::NodeIndex d,
+                                        std::uint32_t level) const {
+  const std::uint64_t sRow = offset(s, level);
+  const std::uint64_t dRow = offset(d, level);
+  const xgft::Count count = choices_[level];
+  for (xgft::Count c = 0; c < count; c += 64) {
+    std::uint64_t both = window(sRow + c) & window(dRow + c);
+    if (count - c < 64) both &= (std::uint64_t{1} << (count - c)) - 1;
+    if (both != 0) return c + static_cast<xgft::Count>(std::countr_zero(both));
+  }
+  return kNone;
+}
+
+xgft::Count CleanAscentMask::choiceOf(
+    std::span<const std::uint32_t> ascent) const {
+  xgft::Count choice = 0;
+  for (std::size_t i = 0; i < ascent.size(); ++i) {
+    choice += ascent[i] * choices_[i];
+  }
+  return choice;
+}
+
+void CleanAscentMask::ascentOf(std::uint32_t level, xgft::Count choice,
+                               xgft::Route& out) const {
+  out.up.resize(level);
+  for (std::uint32_t i = 0; i < level; ++i) {
+    out.up[i] = static_cast<std::uint32_t>(choice % radix_[i + 1]);
+    choice /= radix_[i + 1];
+  }
+}
+
+DegradedRoutes compileDegraded(
+    const std::shared_ptr<const core::CompiledRoutes>& healthy,
+    const DegradedTopology& degraded, UnreachablePolicy policy,
+    std::uint32_t threads) {
+  if (!healthy) {
+    throw std::invalid_argument("compileDegraded: null healthy table");
+  }
+  const xgft::Topology& topo = healthy->topology();
   if (&topo != &degraded.base()) {
     throw std::invalid_argument(
-        "compileDegraded: router and degraded view disagree on the topology");
+        "compileDegraded: table and degraded view disagree on the topology");
   }
 
-  DegradedRoutes out;
+  const CleanAscentMask mask(degraded);
   UnreachableSink unreachable;
-  const routing::Router& r = *router;
-
-  // Per-pair rule: keep the scheme's own route when it survives, otherwise
-  // take the first clean minimal alternative in NCA-enumeration order
-  // (deterministic, scheme-independent, and identical for any thread
-  // count).  No alternative -> unreachable.
-  const auto routeFor =
-      [&](xgft::NodeIndex s,
-          xgft::NodeIndex d) -> std::optional<xgft::Route> {
-    xgft::Route route = r.route(s, d);
-    if (!degraded.routeBlocked(s, d, route)) return route;
-    const xgft::Count ncas = topo.numNcas(s, d);
-    for (xgft::Count c = 0; c < ncas; ++c) {
-      xgft::Route alt = xgft::routeViaNca(topo, s, d, c);
-      if (!degraded.routeBlocked(s, d, alt)) return alt;
+  // A pair keeps its ascent when that is clean from both ends; otherwise
+  // it takes the lowest choice clean from both, or none (unreachable).
+  // Unreachable pairs are collected, never thrown from a worker, so the
+  // kThrow error below names the same pair for any thread count.
+  const auto patch = [&](xgft::NodeIndex s, xgft::NodeIndex d,
+                         std::span<const std::uint32_t> ascent,
+                         xgft::Route& out) {
+    if (!ascent.empty()) {
+      const auto level = static_cast<std::uint32_t>(ascent.size());
+      const xgft::Count choice = mask.choiceOf(ascent);
+      if (mask.clean(s, level, choice) && mask.clean(d, level, choice)) {
+        return false;
+      }
     }
-    if (policy == UnreachablePolicy::kThrow) {
-      throw std::invalid_argument(
-          "compileDegraded(" + r.name() + "): pair " + std::to_string(s) +
-          " -> " + std::to_string(d) +
-          " is unreachable on the degraded topology (" +
-          std::to_string(degraded.numFailed()) + " links failed)");
+    const std::uint32_t level = topo.ncaLevel(s, d);
+    const xgft::Count choice = mask.firstClean(s, d, level);
+    if (choice == CleanAscentMask::kNone) {
+      unreachable.add(s, d);
+      out.up.clear();
+      return true;
     }
-    unreachable.add(s, d);
-    return std::nullopt;
+    mask.ascentOf(level, choice, out);
+    return true;
   };
 
-  out.table = core::CompiledRoutes::compileWith(std::move(router), routeFor,
-                                                threads, layout);
+  DegradedRoutes out;
+  out.table = healthy->patched(patch, threads);
   out.unreachable = unreachable.takeSorted();
+  if (policy == UnreachablePolicy::kThrow && !out.unreachable.empty()) {
+    const auto [s, d] = out.unreachable.front();
+    throw std::invalid_argument(
+        "compileDegraded(" + healthy->router().name() + "): pair " +
+        std::to_string(s) + " -> " + std::to_string(d) +
+        " is unreachable on the degraded topology (" +
+        std::to_string(degraded.numFailed()) + " links failed)");
+  }
   return out;
 }
 

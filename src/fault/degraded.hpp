@@ -5,36 +5,44 @@
 // physically — they are just down), so every (level, index, port)
 // computation stays valid and only route *selection* changes.
 //
-// compileDegraded() rebuilds a scheme's flat forwarding tables
-// (core::CompiledRoutes) around the mask: each pair keeps its healthy route
-// when unaffected, otherwise the minimal up/down alternatives are scanned
-// in NCA order (xgft::routeViaNca) for the first one avoiding every failed
-// link.  Pairs with no surviving minimal path are "unreachable" — reported
-// explicitly per UnreachablePolicy, never silently dropped and never a
-// hang:
+// A minimal route is fixed by the NCA it climbs to, and its descent to d
+// crosses exactly the links that the same up-port choices would climb from
+// d (the descent visits the nodes whose W digits are the route's up-ports,
+// and so does d's ascent).  So a route s -> d is clean iff its ascent is
+// clean from s and from d.  A CleanAscentMask holds that per-host fact for
+// every NCA level and choice, built once per failed-link set.
 //
-//  * kThrow — compilation fails with the offending pair (closed-loop
+// compileDegraded() patches a scheme's healthy forwarding table
+// (core::CompiledRoutes, flat or compressed) around the failures, in the
+// healthy table's layout: a pair whose healthy ascent is clean keeps it,
+// otherwise it takes the lowest NCA choice (xgft::routeViaNca order) clean
+// from both ends — the AND of two mask rows, then its first set bit.  Pairs
+// with no surviving minimal path are "unreachable" — reported explicitly
+// per UnreachablePolicy, never silently dropped and never a hang:
+//
+//  * kThrow — compilation fails naming the first unreachable pair in
+//    (src, dst) order, for any thread count and layout (closed-loop
 //    campaigns, where a lost message would stall the phase barrier).
 //  * kDrop  — the pair compiles to an empty (unroutable) entry; the
 //    resolver hands out its empty route set and the injection layer
 //    counts the refused messages (open-loop campaigns).
 //
-// Only table-mode schemes (core::RouteMode::kTable) can be recompiled; the
-// per-segment modes (adaptive, spray) pick ports inside the simulator and
-// instead honour faults through sim::FaultPolicy.  requireDegradable()
+// Only table-mode schemes (core::RouteMode::kTable) have a table to patch;
+// the per-segment modes (adaptive, spray) pick ports inside the simulator
+// and instead honour faults through sim::FaultPolicy.  requireDegradable()
 // enforces this with the uniform registry-style error.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/compiled_routes.hpp"
 #include "core/scenario.hpp"
 #include "fault/plan.hpp"
-#include "routing/router.hpp"
 #include "xgft/route.hpp"
 #include "xgft/topology.hpp"
 
@@ -64,29 +72,78 @@ class DegradedTopology {
   std::uint64_t numFailed_ = 0;
 };
 
+/// One bit per (host x, NCA level L, NCA choice c), for 1 <= L <= h and
+/// c < prod_{i<=L} w_i numbered in xgft::routeViaNca order: set iff the
+/// length-L ascent with choice c from x crosses no failed link.  The route
+/// s -> d through choice c (L = ncaLevel(s, d)) is clean iff bits (s, L, c)
+/// and (d, L, c) are both set.  Level L packs every host's row back to
+/// back, so the mask takes n * sum_L prod_{i<=L} w_i bits.  Immutable after
+/// construction; the degraded view need not outlive it.
+class CleanAscentMask {
+ public:
+  /// Returned by firstClean() when no choice is clean from both ends.
+  static constexpr xgft::Count kNone = ~xgft::Count{0};
+
+  explicit CleanAscentMask(const DegradedTopology& degraded);
+
+  /// Bit (x, level, choice); @p choice < prod_{i<=level} w_i.
+  [[nodiscard]] bool clean(xgft::NodeIndex x, std::uint32_t level,
+                           xgft::Count choice) const {
+    return bit(offset(x, level) + choice);
+  }
+  /// The lowest choice at @p level clean from both @p s and @p d, or kNone.
+  [[nodiscard]] xgft::Count firstClean(xgft::NodeIndex s, xgft::NodeIndex d,
+                                       std::uint32_t level) const;
+  /// The choice number of @p ascent (its length is the level).
+  [[nodiscard]] xgft::Count choiceOf(
+      std::span<const std::uint32_t> ascent) const;
+  /// Writes the ascent of @p choice at @p level into @p out.
+  void ascentOf(std::uint32_t level, xgft::Count choice,
+                xgft::Route& out) const;
+
+  /// Resident bytes of the bits.
+  [[nodiscard]] std::uint64_t bytes() const {
+    return words_.size() * sizeof(std::uint64_t);
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t offset(xgft::NodeIndex x,
+                                     std::uint32_t level) const {
+    return levelBase_[level] + x * choices_[level];
+  }
+  [[nodiscard]] bool bit(std::uint64_t i) const {
+    return ((words_[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  /// The 64 bits starting at bit @p i (zero past the end).
+  [[nodiscard]] std::uint64_t window(std::uint64_t i) const;
+
+  std::vector<std::uint32_t> radix_;      ///< radix_[L] = w_L, L in [1, h].
+  std::vector<xgft::Count> choices_;      ///< prod_{i<=L} w_i, L in [0, h].
+  std::vector<std::uint64_t> levelBase_;  ///< First bit of level L.
+  std::vector<std::uint64_t> words_;
+};
+
 /// What compileDegraded does with a pair that has no surviving minimal
 /// path.
 enum class UnreachablePolicy : std::uint8_t { kThrow, kDrop };
 
-/// A recompiled forwarding table plus the pairs it could not route
+/// A patched forwarding table plus the pairs it could not route
 /// (non-empty only under UnreachablePolicy::kDrop; sorted by (src, dst)).
 struct DegradedRoutes {
   std::shared_ptr<const core::CompiledRoutes> table;
   std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> unreachable;
 };
 
-/// Recompiles @p router's forwarding tables around @p degraded's failed
-/// links (see the header comment for the pair-by-pair rules).  Deterministic
-/// for any @p threads.  Throws std::invalid_argument for unreachable pairs
-/// under kThrow, and propagates the router's own errors.  @p layout picks
-/// the table representation exactly as for CompiledRoutes::compile(),
-/// which finishes before this returns (the degraded view is not kept alive
-/// by the table).
+/// Patches @p healthy around @p degraded's failed links (see the header
+/// comment for the pair-by-pair rules), in @p healthy's layout, split
+/// across @p threads workers.  Deterministic for any @p threads.  Throws
+/// std::invalid_argument for a null table, a topology mismatch, and under
+/// kThrow for the first unreachable pair in (src, dst) order.  The result
+/// does not keep @p healthy or the degraded view alive.
 [[nodiscard]] DegradedRoutes compileDegraded(
-    std::shared_ptr<const routing::Router> router,
+    const std::shared_ptr<const core::CompiledRoutes>& healthy,
     const DegradedTopology& degraded, UnreachablePolicy policy,
-    std::uint32_t threads = 1,
-    core::TableLayout layout = core::TableLayout::kAuto);
+    std::uint32_t threads = 1);
 
 /// Checks that the scheme @p routing can route on a degraded view (table
 /// mode).  Returns its SchemeInfo; throws std::invalid_argument in the

@@ -1,6 +1,7 @@
 #include "fault/inject.hpp"
 
 #include <map>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -8,11 +9,13 @@ namespace fault {
 
 namespace {
 
-/// Owns every table compiled for the plan, keyed by failed-link set so
+/// Owns every table patched for the plan, keyed by failed-link set so
 /// repeated sets (a link failing, restoring, failing again) share one
-/// compile.  The resolver holds raw pointers into the values, which is why
-/// the caller keeps the handle alive for the whole run.
+/// patch, and the healthy table the restores swap back in.  The resolver
+/// holds raw pointers into them, which is why the caller keeps the handle
+/// alive for the whole run.
 struct InstalledState {
+  std::shared_ptr<const core::CompiledRoutes> healthy;
   std::map<std::vector<xgft::LinkId>,
            std::shared_ptr<const core::CompiledRoutes>>
       tables;
@@ -22,24 +25,31 @@ struct InstalledState {
 
 std::shared_ptr<void> installFaultPlan(
     sim::Network& net, const FaultPlan& plan,
-    std::shared_ptr<const routing::Router> router,
+    std::shared_ptr<const core::CompiledRoutes> healthy,
     trace::RouteSetResolver* resolver, const InstallOptions& opt) {
+  if (resolver != nullptr && !healthy) {
+    throw std::invalid_argument(
+        "installFaultPlan: a resolver needs the healthy table it was built "
+        "with");
+  }
   net.setFaultPolicy(opt.policy);
   auto state = std::make_shared<InstalledState>();
+  state->healthy = std::move(healthy);
   if (plan.empty()) return state;
 
   plan.scheduleOn(net);
   if (resolver == nullptr) return state;
 
   const auto tableFor =
-      [state, router, &net,
+      [state, &net,
        opt](std::vector<xgft::LinkId> failed) -> const core::CompiledRoutes* {
+    if (failed.empty()) return state->healthy.get();
     auto it = state->tables.find(failed);
     if (it == state->tables.end()) {
       const DegradedTopology view(net.topology(), failed);
       it = state->tables
                .emplace(std::move(failed),
-                        compileDegraded(router, view, opt.unreachable,
+                        compileDegraded(state->healthy, view, opt.unreachable,
                                         opt.compileThreads)
                             .table)
                .first;

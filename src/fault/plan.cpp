@@ -1,6 +1,7 @@
 #include "fault/plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <stdexcept>
 
@@ -11,42 +12,30 @@ namespace fault {
 
 namespace {
 
-double argF64(const core::SpecName& spec, std::size_t i) {
+/// Argument @p i parsed whole by std::from_chars: no sign, blank or base
+/// prefix that the type's plain decimal form does not have.
+template <typename T>
+T parseArg(const core::SpecName& spec, std::size_t i, const char* what) {
   if (i >= spec.args.size()) {
     throw std::invalid_argument("fault model '" + spec.full +
                                 "': missing argument " + std::to_string(i + 1));
   }
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(spec.args[i], &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != spec.args[i].size()) {
-    throw std::invalid_argument("fault model '" + spec.full +
-                                "': malformed number '" + spec.args[i] + "'");
+  const std::string& a = spec.args[i];
+  T value{};
+  const auto [p, ec] = std::from_chars(a.data(), a.data() + a.size(), value);
+  if (ec != std::errc{} || p != a.data() + a.size()) {
+    throw std::invalid_argument("fault model '" + spec.full + "': malformed " +
+                                what + " '" + a + "'");
   }
   return value;
 }
 
+double argF64(const core::SpecName& spec, std::size_t i) {
+  return parseArg<double>(spec, i, "number");
+}
+
 std::uint64_t argU64(const core::SpecName& spec, std::size_t i) {
-  if (i >= spec.args.size()) {
-    throw std::invalid_argument("fault model '" + spec.full +
-                                "': missing argument " + std::to_string(i + 1));
-  }
-  std::size_t consumed = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(spec.args[i], &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != spec.args[i].size()) {
-    throw std::invalid_argument("fault model '" + spec.full +
-                                "': malformed integer '" + spec.args[i] + "'");
-  }
-  return value;
+  return parseArg<std::uint64_t>(spec, i, "integer");
 }
 
 double percentArg(const core::SpecName& spec, std::size_t i) {

@@ -129,6 +129,26 @@ TEST(Runner, ClosedLoopJobsTakeNoForwardingTableFromTheCache) {
   EXPECT_EQ(Runner(opt).run(specs).toCsv(), results.toCsv());
 }
 
+TEST(Runner, PartitionedClosedLoopJobNamesTheFirstUnreachablePair) {
+  // A lone job compiles on all four pool threads; the kThrow error must
+  // still name the first unreachable pair in (src, dst) order, not
+  // whichever worker's pair surfaced first.  Switch 3 of level 1 holds
+  // hosts 48..63, so that pair is 0 -> 48.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=cg128 msg_scale=0.03125 w2=16 routing=d-mod-k "
+      "faults=uplinks-of:1:3 seed=1\n");
+  RunnerOptions opt;
+  opt.threads = 4;
+  for (int run = 0; run < 10; ++run) {
+    const CampaignResults results = Runner(opt).run(specs);
+    ASSERT_EQ(results.jobs.size(), 1u);
+    EXPECT_FALSE(results.jobs[0].ok);
+    EXPECT_NE(results.jobs[0].error.find("pair 0 -> 48 is unreachable"),
+              std::string::npos)
+        << results.jobs[0].error;
+  }
+}
+
 TEST(Runner, SeededRoutersGetDistinctCacheEntries) {
   CampaignCache cache;
   ExperimentSpec spec;

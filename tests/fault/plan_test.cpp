@@ -137,6 +137,12 @@ TEST(FaultPlan, TimedPlanRejectsMalformedArguments) {
                std::invalid_argument);  // Percentage out of range.
   EXPECT_THROW((void)makeFaultPlan("links:x", topo, 1),
                std::invalid_argument);  // Malformed number.
+  // Signs, blanks and base prefixes are not plain decimal numbers.
+  for (const char* spec : {"timed:5:-3", "timed:5:-2:-1", "timed:5:+7:9",
+                           "timed: 5:7", "links:0x10"}) {
+    EXPECT_THROW((void)makeFaultPlan(spec, topo, 1), std::invalid_argument)
+        << spec;
+  }
 }
 
 TEST(FaultPlan, ValidateChecksHandBuiltPlans) {

@@ -292,7 +292,7 @@ TEST(OpenLoop, TimedTableSwapKeepsEarlierMessagesOnTheOldTable) {
   opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
     fault::InstallOptions io;
     io.policy = sim::FaultPolicy::kReroute;
-    installed = fault::installFaultPlan(net, plan, router, &resolver, io);
+    installed = fault::installFaultPlan(net, plan, healthy, &resolver, io);
   };
   LifetimeWatch watch;
   opt.probe = &watch;

@@ -13,7 +13,7 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -191,14 +191,12 @@ TEST(RouteSetResolver, FlatTableModeStoresNothing) {
 void expectDegradedSwap(core::TableLayout layout) {
   const Fixture f(xgft::xgft2(4, 4, 2));
   const auto healthy = core::CompiledRoutes::compile(f.router, 1, layout);
-  const auto degraded = core::CompiledRoutes::compileWith(
-      f.router,
-      [&](xgft::NodeIndex s,
-          xgft::NodeIndex d) -> std::optional<xgft::Route> {
-        if (s == 0 && d == 15) return std::nullopt;
-        return f.router->route(s, d);
-      },
-      1, layout);
+  const auto degraded = healthy->patched(
+      [](xgft::NodeIndex s, xgft::NodeIndex d, std::span<const std::uint32_t>,
+         xgft::Route& out) {
+        out.up.clear();
+        return s == 0 && d == 15;
+      });
   sim::Network net(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, healthy.get());
   const sim::RouteSet before = resolver.setFor(0, 15);
