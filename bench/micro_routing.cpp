@@ -1,8 +1,9 @@
 // micro_routing — google-benchmark microbenchmarks for the routing layer:
-// per-pair route computation throughput of every scheme (virtual route()
-// vs the compiled forwarding-table lookup), table compilation cost, the
-// degraded-table patch, relabel-scheme construction, Colored optimization
-// and the edge-coloring substrate.
+// per-pair route computation throughput of every scheme (route(), which
+// materializes the choice's catalogue ascent, vs the compiled
+// forwarding-table lookup), table compilation cost, the degraded-table
+// patch, relabel-scheme construction, Colored optimization and the
+// edge-coloring substrate.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -118,16 +119,23 @@ void BM_CompiledLookupRandom(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledLookupRandom);
 
-void BM_CompileTableDModK(benchmark::State& state) {
+void BM_CompileTable(benchmark::State& state) {
+  // The flat paper-slim table of d-mod-k (arg 0: one choice per NCA-level
+  // run) and of Random (arg 1: one choice per pair), the table fault-sweep
+  // and openloop-sweep compile.  The router is built outside the loop.
   const xgft::Count n = paperTopo().numHosts();
+  const std::shared_ptr<const routing::Router> router =
+      state.range(0) == 0 ? routing::makeDModK(paperTopo())
+                          : routing::makeRandom(paperTopo(), 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compiledOf(routing::makeDModK(paperTopo())));
+    benchmark::DoNotOptimize(core::CompiledRoutes::compile(router));
   }
+  state.SetLabel(router->name());
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(n * n));
 }
-BENCHMARK(BM_CompileTableDModK);
+BENCHMARK(BM_CompileTable)->Arg(0)->Arg(1);
 
 // --- degraded tables ---------------------------------------------------------
 // The four static degraded tables of bench/e2e's fault-sweep: paper-slim,

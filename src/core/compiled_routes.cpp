@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -74,33 +73,80 @@ std::uint32_t clampThreads(std::uint32_t threads, std::size_t n) {
       std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
 }
 
-/// Interval runs and stored port words one guide column would compress to.
-/// Router-only, without validation: used for axis sampling and footprint
-/// estimation.
+/// One past the last rank contiguous with @p pos at NCA level @p level
+/// from @p guide (pos != guide).  Ranks at level L from the guide fill its
+/// level-L block minus its level-(L-1) block: one range on each side.
+std::uint32_t levelRunEnd(const xgft::Topology& topo, std::uint32_t guide,
+                          std::uint32_t pos, std::uint32_t level) {
+  const xgft::Count below = topo.hostsBelow(level - 1);
+  if (pos < guide) return static_cast<std::uint32_t>(guide - guide % below);
+  const xgft::Count block = topo.hostsBelow(level);
+  return static_cast<std::uint32_t>(guide - guide % block + block);
+}
+
+/// True when @p router picks one choice per NCA-level run of a column whose
+/// guide is the destination (@p byDst) or the source: its ascentGuide() is
+/// that endpoint.
+bool levelRunsOn(const routing::Router& router, bool byDst) {
+  const std::optional<routing::Guide> guide = router.ascentGuide();
+  return guide.has_value() &&
+         (*guide == routing::Guide::Destination) == byDst;
+}
+
+/// Walks guide column @p guide of @p router in rank order, one run at a
+/// time: emit(begin, end, ascent) says ranks [begin, end) of the other
+/// endpoint all take the catalogue ascent `ascent` (empty for the
+/// diagonal).  With @p levelRuns a run spans its whole NCA-level range and
+/// the router is asked once for it; otherwise each rank is a run of its
+/// own.  Every choice passes Router::ascentOf's range check — the only
+/// check a compile makes.
+template <typename Emit>
+void forEachRun(const routing::Router& router, bool byDst, bool levelRuns,
+                std::uint32_t guide, const Emit& emit) {
+  const xgft::Topology& topo = router.topology();
+  const auto n = static_cast<std::uint32_t>(topo.numHosts());
+  for (std::uint32_t pos = 0; pos < n;) {
+    if (pos == guide) {  // Diagonal: its own zero-length run.
+      emit(pos, pos + 1, std::span<const std::uint32_t>{});
+      ++pos;
+      continue;
+    }
+    const std::uint32_t level = topo.ncaLevel(guide, pos);
+    const std::uint32_t end = levelRunEnd(topo, guide, pos, level);
+    const std::uint32_t step = levelRuns ? end - pos : 1;
+    for (; pos < end; pos += step) {
+      const xgft::NodeIndex s = byDst ? pos : guide;
+      const xgft::NodeIndex d = byDst ? guide : pos;
+      emit(pos, pos + step, router.ascentOf(s, d, level, router.choice(s, d)));
+    }
+  }
+}
+
+/// Interval runs and stored port words one guide column would compress to,
+/// without building it: used for axis sampling and footprint estimation.
 struct ColumnCost {
   std::uint64_t intervals = 0;
   std::uint64_t portWords = 0;
 };
 
 ColumnCost scanColumn(const routing::Router& r, bool byDst,
-                      std::uint32_t guide, std::uint32_t numHosts) {
+                      std::uint32_t guide) {
   ColumnCost cost;
-  xgft::Route prev;
-  bool havePrev = false;
-  for (std::uint32_t pos = 0; pos < numHosts; ++pos) {
-    if (pos == guide) {  // Diagonal: its own zero-length run.
-      ++cost.intervals;
-      havePrev = false;
-      continue;
-    }
-    xgft::Route cur = byDst ? r.route(pos, guide) : r.route(guide, pos);
-    if (!havePrev || cur.up != prev.up) {
-      ++cost.intervals;
-      cost.portWords += cur.up.size();
-      prev = std::move(cur);
-      havePrev = true;
-    }
-  }
+  // Catalogue ascents are equal iff they are the same slice, so an
+  // interval starts wherever the slice changes.
+  const std::uint32_t* prev = nullptr;
+  forEachRun(r, byDst, levelRunsOn(r, byDst), guide,
+             [&](std::uint32_t, std::uint32_t,
+                 std::span<const std::uint32_t> ascent) {
+               if (ascent.empty()) {  // Diagonal: its own zero-length run.
+                 ++cost.intervals;
+                 prev = nullptr;
+               } else if (ascent.data() != prev) {
+                 ++cost.intervals;
+                 cost.portWords += ascent.size();
+                 prev = ascent.data();
+               }
+             });
   return cost;
 }
 
@@ -113,10 +159,6 @@ CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
   stride_ = topo.height();
   if (stride_ > 0xff) {
     throw std::invalid_argument("CompiledRoutes: tree higher than 255 levels");
-  }
-  blockSize_.assign(stride_ + 1, 1);
-  for (std::uint32_t l = 1; l <= stride_; ++l) {
-    blockSize_[l] = blockSize_[l - 1] * topo.params().m(l);
   }
 }
 
@@ -148,7 +190,7 @@ std::uint64_t CompiledRoutes::estimateCompressedBytes(
                       static_cast<std::uint64_t>(i) * (n - 1) / 7);
       if (guide == last) continue;
       last = guide;
-      const ColumnCost cost = scanColumn(router, byDst, guide, n);
+      const ColumnCost cost = scanColumn(router, byDst, guide);
       bytes += sizeof(std::uint32_t) + cost.intervals * sizeof(Interval) +
                cost.portWords * sizeof(std::uint32_t);
       ++sampled;
@@ -177,7 +219,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
   if (guide.has_value()) {
     // A self-routing router's columns follow its guide in either layout:
     // at most 2h + 1 runs each, with no sampling (a sampled tie would pick
-    // kByDst and cost a source-guided scheme one route() per pair).
+    // kByDst and cost a source-guided scheme one choice() per pair).
     table->axis_ =
         *guide == routing::Guide::Destination ? Axis::kByDst : Axis::kBySrc;
   } else if (compress) {
@@ -191,15 +233,17 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
          {0u, hosts / 2, hosts == 0 ? 0u : hosts - 1}) {
       if (g == last) continue;
       last = g;
-      byDstRuns += scanColumn(r, true, g, hosts).intervals;
-      bySrcRuns += scanColumn(r, false, g, hosts).intervals;
+      byDstRuns += scanColumn(r, true, g).intervals;
+      bySrcRuns += scanColumn(r, false, g).intervals;
     }
     table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
   } else {
     // The flat layout is axis-free; without runs it builds row by row.
     table->axis_ = Axis::kBySrc;
   }
-  table->levelRuns_ = guide.has_value();
+  const bool byDst = table->axis_ == Axis::kByDst;
+  // Runs follow NCA levels when the columns' guide is the router's own.
+  const bool levelRuns = guide.has_value();
   threads = clampThreads(threads, n);
 
   // Workers own disjoint guide columns, so no synchronization is needed
@@ -209,10 +253,11 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
     table->compressed_ = true;
     table->columns_ = buildColumns(
         n, threads, [&](std::uint32_t g, Columns& out) {
-          table->forEachRun(g, [&](std::uint32_t begin, std::uint32_t,
-                                   std::span<const std::uint32_t> ports) {
-            appendRun(out, begin, ports);
-          });
+          forEachRun(r, byDst, levelRuns, g,
+                     [&](std::uint32_t begin, std::uint32_t,
+                         std::span<const std::uint32_t> ports) {
+                       appendRun(out, begin, ports);
+                     });
           out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
         });
     return table;
@@ -221,12 +266,11 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
   const std::uint32_t stride = table->stride_;
   table->ports_.resize(n * n * stride);
   table->lens_.resize(n * n);
-  const bool byDst = table->axis_ == Axis::kByDst;
   forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
                                std::size_t end) {
     for (std::size_t g = begin; g < end; ++g) {
-      table->forEachRun(
-          static_cast<std::uint32_t>(g),
+      forEachRun(
+          r, byDst, levelRuns, static_cast<std::uint32_t>(g),
           [&](std::uint32_t runBegin, std::uint32_t runEnd,
               std::span<const std::uint32_t> ports) {
             for (std::size_t pos = runBegin; pos < runEnd; ++pos) {
@@ -262,14 +306,16 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
   table->lens_ = lens_;
   forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
                                std::size_t end) {
-    xgft::Route route;
     for (std::size_t s = begin; s < end; ++s) {
       for (std::size_t d = 0; d < n; ++d) {
-        if (s == d || !patch(s, d, upPorts(s, d), route)) continue;
-        if (!route.up.empty()) requireValid(s, d, route);
+        if (s == d) continue;
+        const xgft::Count verdict = patch(s, d, upPorts(s, d));
+        if (verdict == kKeep) continue;
+        const std::span<const std::uint32_t> ascent =
+            replacement(s, d, verdict);
         const std::size_t pair = s * n + d;
-        table->lens_[pair] = static_cast<std::uint8_t>(route.up.size());
-        std::copy(route.up.begin(), route.up.end(),
+        table->lens_[pair] = static_cast<std::uint8_t>(ascent.size());
+        std::copy(ascent.begin(), ascent.end(),
                   table->ports_.begin() +
                       static_cast<std::ptrdiff_t>(pair * stride_));
       }
@@ -278,45 +324,10 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
   return table;
 }
 
-std::uint32_t CompiledRoutes::levelRunEnd(std::uint32_t guide,
-                                          std::uint32_t pos) const {
-  // Ranks at NCA level L from the guide fill its level-L block minus its
-  // level-(L-1) block: one range on each side of the guide.
-  const std::uint32_t level = topology().ncaLevel(guide, pos);
-  if (pos < guide) return guide - guide % blockSize_[level - 1];
-  return guide - guide % blockSize_[level] + blockSize_[level];
-}
-
-void CompiledRoutes::requireValid(xgft::NodeIndex s, xgft::NodeIndex d,
-                                  const xgft::Route& r) const {
-  std::string error;
-  if (!xgft::validateRoute(topology(), s, d, r, &error)) {
-    throw std::invalid_argument("CompiledRoutes(" + router_->name() + "): " +
-                                error);
-  }
-}
-
-void CompiledRoutes::forEachRun(std::uint32_t guide,
-                                const RunSink& emit) const {
-  const routing::Router& r = *router_;
-  const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
-  for (std::uint32_t pos = 0; pos < n;) {
-    if (pos == guide) {  // Diagonal: its own zero-length run.
-      emit(pos, pos + 1, {});
-      ++pos;
-      continue;
-    }
-    const std::uint32_t end = levelRuns_ ? levelRunEnd(guide, pos) : pos + 1;
-    const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
-    const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-    const xgft::Route route = r.route(s, d);
-    // Validating the run's first pair validates the run: every member has
-    // the same NCA level and takes the same in-range ascent, which reaches
-    // an ancestor of both its endpoints (DESIGN.md §13).
-    requireValid(s, d, route);
-    emit(pos, end, route.up);
-    pos = end;
-  }
+std::span<const std::uint32_t> CompiledRoutes::replacement(
+    xgft::NodeIndex s, xgft::NodeIndex d, xgft::Count verdict) const {
+  if (verdict == kUnroutable) return {};
+  return router_->ascentOf(s, d, topology().ncaLevel(s, d), verdict);
 }
 
 CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
@@ -374,7 +385,6 @@ void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
   const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
   const std::uint32_t first = columns_.colOff[guide];
   const std::uint32_t last = columns_.colOff[guide + 1];
-  xgft::Route route;
   for (std::uint32_t i = first; i < last; ++i) {
     const Interval& run = columns_.intervals[i];
     const std::uint32_t end = i + 1 < last ? columns_.intervals[i + 1].begin
@@ -387,10 +397,11 @@ void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
     for (std::uint32_t pos = run.begin; pos < end; ++pos) {
       const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
       const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-      if (pos == guide || !patch(s, d, ports, route)) continue;
-      if (!route.up.empty()) requireValid(s, d, route);
+      if (pos == guide) continue;
+      const xgft::Count verdict = patch(s, d, ports);
+      if (verdict == kKeep) continue;
       if (keptFrom < pos) appendRun(out, keptFrom, ports);
-      appendRun(out, pos, route.up);
+      appendRun(out, pos, replacement(s, d, verdict));
       keptFrom = pos + 1;
     }
     if (keptFrom < end) appendRun(out, keptFrom, ports);

@@ -4,9 +4,8 @@
 // Every simulated message used to pay a virtual Router::route(s, d) call
 // (plus route validation and hop expansion) on the replayer's hot path.  A
 // CompiledRoutes handle is the compile-once/route-many split packet-routing
-// simulators rely on: routes are built once per (topology, scheme, seed),
-// validated at compile time, and looked up by (s, d) afterwards.  Two
-// layouts serve two scales:
+// simulators rely on: routes are built once per (topology, scheme, seed)
+// and looked up by (s, d) afterwards.  Two layouts serve two scales:
 //
 //  * Flat (small topologies).  One dense O(H^2) array —
 //
@@ -28,17 +27,23 @@
 //    (Random) do not compress, which estimateCompressedBytes() detects so
 //    the engine can keep its virtual-routing fallback for them.
 //
-// Both layouts compile one guide column at a time from the same run
-// builder.  A run is a maximal rank range of the other endpoint that shares
-// one NCA level with the guide; for a self-routing router
-// (Router::ascentGuide()) every pair of a run takes the same route, so the
-// builder routes and validates once per run — at most 2h + 1 runs per
-// column — instead of once per pair.  Other routers get runs of length 1.
+// A router states a route as an NCA choice (routing/router.hpp), and the
+// route's up-ports are that choice's slice of the topology's catalogue of
+// ascents.  So compiling is copying catalogue slices: both layouts compile
+// one guide column at a time, one run at a time.  A run is a maximal rank
+// range of the other endpoint that shares one NCA level with the guide;
+// for a self-routing router (Router::ascentGuide()) every pair of a run
+// takes the same choice, so the builder asks once per run — at most
+// 2h + 1 runs per column — instead of once per pair.  Other routers are
+// asked once per pair.  The only check is the choice's range
+// (Router::ascentOf), once per run or pair: a catalogue ascent of the
+// pair's NCA level is a valid route for it by construction.
 //
 // patched() copies a table in its own layout with some pairs rewritten —
 // the degraded-topology path (fault::compileDegraded): a flat copy rewrites
 // the changed entries in place, a compressed copy re-merges each column's
-// intervals around them.  Rewritten routes are validated like compiled ones.
+// intervals around them.  A rewrite is an NCA choice too, range-checked
+// like a compiled one.
 //
 // Compilation finishes inside compile(); the handle is immutable afterwards,
 // so it is freely shared across threads.  The engine memoizes open-loop
@@ -52,9 +57,9 @@
 // one lookup per message, nothing copied or stored — and the event core
 // reads every up-port from the table as the segment climbs.  The table
 // must therefore outlive every message resolved through it (DESIGN.md
-// §7).  Without a table the resolver calls route() once per distinct pair
-// and stores the ascent in the network's RouteStore, which keeps route
-// construction off the per-message hot path in every mode.
+// §7).  Without a table the resolver asks the router once per distinct
+// pair and stores the ascent in the network's RouteStore, which keeps
+// route selection off the per-message hot path in every mode.
 #pragma once
 
 #include <cstdint>
@@ -78,29 +83,35 @@ class CompiledRoutes {
  public:
   /// Compiles the ordered-pair table from @p router, splitting the guide
   /// columns across @p threads workers (0 means hardware concurrency; the
-  /// result is identical for any thread count).  Every stored route is
-  /// valid for the topology; a malformed route throws std::invalid_argument.
-  /// The router (and through it the topology) is kept alive by the returned
+  /// result is identical for any thread count).  Every stored ascent is a
+  /// catalogue ascent of its pair's NCA level; an out-of-range choice
+  /// throws std::invalid_argument naming the router and the pair.  The
+  /// router (and through it the topology) is kept alive by the returned
   /// handle.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
       std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
       TableLayout layout = TableLayout::kAuto);
 
+  /// PairPatch verdicts besides an NCA choice: keep the pair's ascent, or
+  /// mark the pair unroutable.
+  static constexpr xgft::Count kKeep = ~xgft::Count{0};
+  static constexpr xgft::Count kUnroutable = ~xgft::Count{0} - 1;
+
   /// Decides one off-diagonal pair for patched(): given (s, d) and the
-  /// pair's ascent in the source table, returns false to keep that ascent,
-  /// or true after writing the replacement into @p out — an empty route
-  /// marks the pair unroutable.  Called concurrently from the patch
-  /// workers, once per pair, so it must be thread-safe.
-  using PairPatch = std::function<bool(xgft::NodeIndex s, xgft::NodeIndex d,
-                                       std::span<const std::uint32_t> ascent,
-                                       xgft::Route& out)>;
+  /// pair's ascent in the source table, returns kKeep, kUnroutable, or the
+  /// NCA choice whose catalogue ascent replaces the pair's.  Called
+  /// concurrently from the patch workers, once per pair, so it must be
+  /// thread-safe.
+  using PairPatch =
+      std::function<xgft::Count(xgft::NodeIndex s, xgft::NodeIndex d,
+                                std::span<const std::uint32_t> ascent)>;
 
   /// A copy of this table in the same layout (and compressed axis), with
   /// every off-diagonal pair passed through @p patch, split across
   /// @p threads workers (0 = hardware concurrency; the result is identical
-  /// for any count).  Kept entries were validated when this table compiled;
-  /// a replacement that is not a valid route throws std::invalid_argument.
-  /// The copy shares this table's router and does not need this table.
+  /// for any count).  A replacement choice out of range for its pair throws
+  /// std::invalid_argument naming this table's router and the pair.  The
+  /// copy shares this table's router and does not need this table.
   [[nodiscard]] std::shared_ptr<const CompiledRoutes> patched(
       const PairPatch& patch, std::uint32_t threads = 1) const;
 
@@ -111,8 +122,9 @@ class CompiledRoutes {
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
 
   /// Deterministic sampled estimate of the compressed-layout footprint for
-  /// @p router's scheme: a handful of guide columns are compiled both ways
-  /// and the denser axis' per-column bytes extrapolate to the full table.
+  /// @p router's scheme: a handful of guide columns are scanned both ways
+  /// (one choice per run, as compile() asks) and the denser axis'
+  /// per-column bytes extrapolate to the full table.
   /// Schemes with per-pair randomness estimate near the flat size, which is
   /// how the engine keeps its virtual-routing fallback for them.
   [[nodiscard]] static std::uint64_t estimateCompressedBytes(
@@ -179,25 +191,15 @@ class CompiledRoutes {
     std::vector<std::uint32_t> ports;
   };
 
-  /// Receives one run of a guide column: ranks [begin, end) all take
-  /// @p ports (empty for the diagonal).
-  using RunSink = std::function<void(std::uint32_t begin, std::uint32_t end,
-                                     std::span<const std::uint32_t> ports)>;
   /// Fills guide column @p guide of a compressed layout into @p out.
   using ColumnFill = std::function<void(std::uint32_t guide, Columns& out)>;
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
-  /// Routes and validates guide column @p guide one run at a time, in rank
-  /// order — the single route + validate step of compile().
-  void forEachRun(std::uint32_t guide, const RunSink& emit) const;
-  /// One past the last rank sharing ncaLevel(guide, pos) contiguously with
-  /// @p pos (pos != guide).
-  [[nodiscard]] std::uint32_t levelRunEnd(std::uint32_t guide,
-                                          std::uint32_t pos) const;
-  /// Throws std::invalid_argument unless @p r is a valid route for (s, d).
-  void requireValid(xgft::NodeIndex s, xgft::NodeIndex d,
-                    const xgft::Route& r) const;
+  /// The ascent a patch verdict other than kKeep installs for (s, d): empty
+  /// for kUnroutable, else the range-checked catalogue ascent.
+  [[nodiscard]] std::span<const std::uint32_t> replacement(
+      xgft::NodeIndex s, xgft::NodeIndex d, xgft::Count verdict) const;
   /// Builds every guide column through @p fill, split across @p threads
   /// workers, and concatenates the workers' blocks in guide order.
   [[nodiscard]] static Columns buildColumns(std::size_t n,
@@ -218,12 +220,7 @@ class CompiledRoutes {
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;
   std::uint32_t stride_ = 0;           ///< Tree height.
-  /// blockSize_[l] = hosts under one level-l switch (prod_{j<=l} m_j).
-  std::vector<std::uint32_t> blockSize_;
   Axis axis_ = Axis::kByDst;
-  /// Runs follow NCA levels: the column's guide endpoint is the router's
-  /// ascentGuide().  Otherwise runs are pairs.
-  bool levelRuns_ = false;
 
   // Flat layout.
   std::vector<std::uint32_t> ports_;   ///< numHosts^2 * stride.

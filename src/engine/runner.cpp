@@ -443,8 +443,10 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     // memory no later job reads.  Self-routing schemes compile a
     // compressed table — at most 2h + 1 runs per guide column, well under
     // a millisecond at 256 hosts — freed when the job ends.  Random and
-    // colored would route every pair to build one, so they get none: the
-    // resolver routes each pattern pair once.
+    // colored get none: they choose per pair, so their compressed table
+    // would keep about one interval per pair (n^2 of them, more bytes than
+    // the flat table) for a replay that sends over a few hundred pairs.
+    // The resolver asks for each pattern pair's choice once instead.
     std::shared_ptr<const core::CompiledRoutes> compiled;
     if (!degradedTable && scheme.mode == core::RouteMode::kTable &&
         opt.compileRoutes && router->ascentGuide()) {

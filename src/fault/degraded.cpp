@@ -65,13 +65,11 @@ CleanAscentMask::CleanAscentMask(const DegradedTopology& degraded) {
   const xgft::Topology& topo = degraded.base();
   const std::uint32_t h = topo.height();
   const xgft::Count n = topo.numHosts();
-  radix_.assign(h + 1, 1);
   choices_.assign(h + 1, 1);
   levelBase_.assign(h + 1, 0);
   std::uint64_t total = 0;
   for (std::uint32_t L = 1; L <= h; ++L) {
-    radix_[L] = topo.params().w(L);
-    choices_[L] = choices_[L - 1] * radix_[L];
+    choices_[L] = topo.ncaChoices(L);
     levelBase_[L] = total;
     total += n * choices_[L];
   }
@@ -130,24 +128,6 @@ xgft::Count CleanAscentMask::firstClean(xgft::NodeIndex s, xgft::NodeIndex d,
   return kNone;
 }
 
-xgft::Count CleanAscentMask::choiceOf(
-    std::span<const std::uint32_t> ascent) const {
-  xgft::Count choice = 0;
-  for (std::size_t i = 0; i < ascent.size(); ++i) {
-    choice += ascent[i] * choices_[i];
-  }
-  return choice;
-}
-
-void CleanAscentMask::ascentOf(std::uint32_t level, xgft::Count choice,
-                               xgft::Route& out) const {
-  out.up.resize(level);
-  for (std::uint32_t i = 0; i < level; ++i) {
-    out.up[i] = static_cast<std::uint32_t>(choice % radix_[i + 1]);
-    choice /= radix_[i + 1];
-  }
-}
-
 DegradedRoutes compileDegraded(
     const std::shared_ptr<const core::CompiledRoutes>& healthy,
     const DegradedTopology& degraded, UnreachablePolicy policy,
@@ -168,24 +148,20 @@ DegradedRoutes compileDegraded(
   // Unreachable pairs are collected, never thrown from a worker, so the
   // kThrow error below names the same pair for any thread count.
   const auto patch = [&](xgft::NodeIndex s, xgft::NodeIndex d,
-                         std::span<const std::uint32_t> ascent,
-                         xgft::Route& out) {
+                         std::span<const std::uint32_t> ascent) {
     if (!ascent.empty()) {
       const auto level = static_cast<std::uint32_t>(ascent.size());
-      const xgft::Count choice = mask.choiceOf(ascent);
+      const xgft::Count choice = topo.choiceOf(ascent);
       if (mask.clean(s, level, choice) && mask.clean(d, level, choice)) {
-        return false;
+        return core::CompiledRoutes::kKeep;
       }
     }
-    const std::uint32_t level = topo.ncaLevel(s, d);
-    const xgft::Count choice = mask.firstClean(s, d, level);
+    const xgft::Count choice = mask.firstClean(s, d, topo.ncaLevel(s, d));
     if (choice == CleanAscentMask::kNone) {
       unreachable.add(s, d);
-      out.up.clear();
-      return true;
+      return core::CompiledRoutes::kUnroutable;
     }
-    mask.ascentOf(level, choice, out);
-    return true;
+    return choice;
   };
 
   DegradedRoutes out;

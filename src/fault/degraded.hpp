@@ -14,11 +14,14 @@
 //
 // compileDegraded() patches a scheme's healthy forwarding table
 // (core::CompiledRoutes, flat or compressed) around the failures, in the
-// healthy table's layout: a pair whose healthy ascent is clean keeps it,
-// otherwise it takes the lowest NCA choice (xgft::routeViaNca order) clean
-// from both ends — the AND of two mask rows, then its first set bit.  Pairs
-// with no surviving minimal path are "unreachable" — reported explicitly
-// per UnreachablePolicy, never silently dropped and never a hang:
+// healthy table's layout.  A route is an NCA choice here as everywhere
+// (routing/router.hpp): a pair whose healthy ascent is clean — the mask
+// bits of its choice, Topology::choiceOf — keeps it; otherwise it takes
+// the lowest choice clean from both ends (the AND of two mask rows, then
+// its first set bit), and the patch copies that choice's catalogue ascent
+// behind the same range check a compile makes.  Pairs with no surviving
+// minimal path are "unreachable" — reported explicitly per
+// UnreachablePolicy, never silently dropped and never a hang:
 //
 //  * kThrow — compilation fails naming the first unreachable pair in
 //    (src, dst) order, for any thread count and layout (closed-loop
@@ -73,7 +76,8 @@ class DegradedTopology {
 };
 
 /// One bit per (host x, NCA level L, NCA choice c), for 1 <= L <= h and
-/// c < prod_{i<=L} w_i numbered in xgft::routeViaNca order: set iff the
+/// c < prod_{i<=L} w_i numbered like the topology's catalogue of ascents
+/// (xgft::Topology::ascent): set iff the
 /// length-L ascent with choice c from x crosses no failed link.  The route
 /// s -> d through choice c (L = ncaLevel(s, d)) is clean iff bits (s, L, c)
 /// and (d, L, c) are both set.  Level L packs every host's row back to
@@ -94,12 +98,6 @@ class CleanAscentMask {
   /// The lowest choice at @p level clean from both @p s and @p d, or kNone.
   [[nodiscard]] xgft::Count firstClean(xgft::NodeIndex s, xgft::NodeIndex d,
                                        std::uint32_t level) const;
-  /// The choice number of @p ascent (its length is the level).
-  [[nodiscard]] xgft::Count choiceOf(
-      std::span<const std::uint32_t> ascent) const;
-  /// Writes the ascent of @p choice at @p level into @p out.
-  void ascentOf(std::uint32_t level, xgft::Count choice,
-                xgft::Route& out) const;
 
   /// Resident bytes of the bits.
   [[nodiscard]] std::uint64_t bytes() const {
@@ -117,7 +115,6 @@ class CleanAscentMask {
   /// The 64 bits starting at bit @p i (zero past the end).
   [[nodiscard]] std::uint64_t window(std::uint64_t i) const;
 
-  std::vector<std::uint32_t> radix_;      ///< radix_[L] = w_L, L in [1, h].
   std::vector<xgft::Count> choices_;      ///< prod_{i<=L} w_i, L in [0, h].
   std::vector<std::uint64_t> levelBase_;  ///< First bit of level L.
   std::vector<std::uint64_t> words_;

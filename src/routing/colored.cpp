@@ -23,8 +23,10 @@ struct PhaseFlow {
   Bytes bytes = 0;
   double rhoUp = 1.0;
   double rhoDown = 1.0;
-  bool fixed = false;  ///< Route inherited from an earlier phase.
-  Route route;
+  std::uint32_t level = 0;  ///< ncaLevel(s, d).
+  bool fixed = false;       ///< Choice inherited from an earlier phase.
+  bool routed = false;      ///< `choice` is set.
+  Count choice = 0;         ///< The NCA the flow climbs to.
 };
 
 std::uint64_t channelKey(const Channel& ch) {
@@ -58,15 +60,11 @@ ColoredRouter::ColoredRouter(const Topology& topo,
   optimize(app);
 }
 
-Route ColoredRouter::route(NodeIndex s, NodeIndex d) const {
-  const auto it = routes_.find(key(s, d));
-  if (it != routes_.end()) return it->second;
+xgft::Count ColoredRouter::choice(NodeIndex s, NodeIndex d) const {
+  const auto it = choices_.find(key(s, d));
+  if (it != choices_.end()) return it->second;
   // D-mod-k fallback for pairs the pattern never exercises.
-  const std::uint32_t L = topo_->ncaLevel(s, d);
-  Route r;
-  r.up.resize(L);
-  for (std::uint32_t i = 0; i < L; ++i) r.up[i] = fallback_.port(i, d);
-  return r;
+  return fallback_.choice(topo_->ncaLevel(s, d), d);
 }
 
 void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
@@ -93,14 +91,16 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
       PhaseFlow pf;
       pf.s = k / topo_->numHosts();
       pf.d = k % topo_->numHosts();
-      if (topo_->ncaLevel(pf.s, pf.d) == 0) continue;
+      pf.level = topo_->ncaLevel(pf.s, pf.d);
+      if (pf.level == 0) continue;
       pf.bytes = bytes;
       pf.rhoUp = 1.0 / fanOut[pf.s];
       pf.rhoDown = 1.0 / fanIn[pf.d];
-      const auto it = routes_.find(k);
-      if (it != routes_.end()) {
+      const auto it = choices_.find(k);
+      if (it != choices_.end()) {
         pf.fixed = true;  // Static tables: earlier phases win (DESIGN.md).
-        pf.route = it->second;
+        pf.routed = true;
+        pf.choice = it->second;
       }
       base.push_back(pf);
     }
@@ -112,8 +112,11 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
 
     // ---- One optimization trial under a given seeding strategy. ----
     std::unordered_map<std::uint64_t, double> load;
+    const auto channels = [&](const PhaseFlow& pf, Count c) {
+      return channelsOf(*topo_, pf.s, pf.d, topo_->ascent(pf.level, c));
+    };
     const auto applyLoad = [&](const PhaseFlow& pf, double sign) {
-      for (const Channel& ch : channelsOf(*topo_, pf.s, pf.d, pf.route)) {
+      for (const Channel& ch : channels(pf, pf.choice)) {
         load[channelKey(ch)] += sign * (ch.up ? pf.rhoUp : pf.rhoDown);
       }
     };
@@ -131,12 +134,12 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
       }
       return cs;
     };
-    // Lexicographic objective of placing pf via route r on current loads:
+    // Lexicographic objective of placing pf via choice c on current loads:
     // (resulting max demand on the touched channels, sum-of-squares delta).
-    const auto evaluate = [&](const PhaseFlow& pf, const Route& r) {
+    const auto evaluate = [&](const PhaseFlow& pf, Count c) {
       double maxAfter = 0.0;
       double deltaSq = 0.0;
-      for (const Channel& ch : channelsOf(*topo_, pf.s, pf.d, r)) {
+      for (const Channel& ch : channels(pf, c)) {
         const double rho = ch.up ? pf.rhoUp : pf.rhoDown;
         const auto it = load.find(channelKey(ch));
         const double before = it == load.end() ? 0.0 : it->second;
@@ -149,8 +152,7 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
       std::pair<double, double> best{1e300, 1e300};
       Count bestChoice = 0;
       for (const Count c : candidates(pf)) {
-        const Route r = xgft::routeViaNca(*topo_, pf.s, pf.d, c);
-        const auto score = evaluate(pf, r);
+        const auto score = evaluate(pf, c);
         if (score.first < best.first - 1e-12 ||
             (std::abs(score.first - best.first) <= 1e-12 &&
              score.second < best.second - 1e-12)) {
@@ -158,15 +160,8 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
           bestChoice = c;
         }
       }
-      pf.route = xgft::routeViaNca(*topo_, pf.s, pf.d, bestChoice);
-    };
-    const auto modRoute = [&](const PhaseFlow& pf, Guide guide) {
-      const xgft::NodeIndex leaf = guide == Guide::Source ? pf.s : pf.d;
-      const std::uint32_t L = topo_->ncaLevel(pf.s, pf.d);
-      Route r;
-      r.up.resize(L);
-      for (std::uint32_t i = 0; i < L; ++i) r.up[i] = fallback_.port(i, leaf);
-      return r;
+      pf.choice = bestChoice;
+      pf.routed = true;
     };
 
     const auto runTrial = [&](Seed seed, std::vector<PhaseFlow>& flows) {
@@ -188,16 +183,15 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
         std::vector<std::size_t> edgeFlow;
         for (std::size_t i = 0; i < flows.size(); ++i) {
           const PhaseFlow& pf = flows[i];
-          if (pf.fixed || topo_->ncaLevel(pf.s, pf.d) != 2) continue;
+          if (pf.fixed || pf.level != 2) continue;
           g.edges.emplace_back(pf.s / m1, pf.d / m1);
           edgeFlow.push_back(i);
         }
         const std::vector<std::uint32_t> colors = colorBipartiteEdges(g);
         for (std::size_t e = 0; e < colors.size(); ++e) {
           PhaseFlow& pf = flows[edgeFlow[e]];
-          pf.route = xgft::routeViaNca(
-              *topo_, pf.s, pf.d,
-              static_cast<Count>(colors[e] % w2) * w1);
+          pf.choice = static_cast<Count>(colors[e] % w2) * w1;
+          pf.routed = true;
           applyLoad(pf, +1.0);
         }
       } else if (seed == Seed::kDModK || seed == Seed::kSModK) {
@@ -205,13 +199,15 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
             seed == Seed::kDModK ? Guide::Destination : Guide::Source;
         for (PhaseFlow& pf : flows) {
           if (pf.fixed) continue;
-          pf.route = modRoute(pf, guide);
+          pf.choice = fallback_.choice(
+              pf.level, guide == Guide::Source ? pf.s : pf.d);
+          pf.routed = true;
           applyLoad(pf, +1.0);
         }
       }
       // Greedy placement for anything the seeding left unrouted.
       for (PhaseFlow& pf : flows) {
-        if (pf.fixed || !pf.route.up.empty()) continue;
+        if (pf.fixed || pf.routed) continue;
         pickBest(pf);
         applyLoad(pf, +1.0);
       }
@@ -220,11 +216,11 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
         bool changed = false;
         for (PhaseFlow& pf : flows) {
           if (pf.fixed) continue;
-          const Route old = pf.route;
+          const Count old = pf.choice;
           applyLoad(pf, -1.0);
           pickBest(pf);
           applyLoad(pf, +1.0);
-          if (!(pf.route == old)) changed = true;
+          if (pf.choice != old) changed = true;
         }
         if (!changed) break;
       }
@@ -275,7 +271,7 @@ void ColoredRouter::optimize(const patterns::PhasedPattern& app) {
     }
 
     for (const PhaseFlow& pf : bestFlows) {
-      routes_.emplace(key(pf.s, pf.d), pf.route);
+      choices_.emplace(key(pf.s, pf.d), pf.choice);
     }
     maxDemand_ = std::max(maxDemand_, bestScore.first);
   }

@@ -22,7 +22,8 @@
 //
 // Routes are static per (s, d) pair across phases (hardware routing tables
 // do not change mid-run): a pair seen in an earlier phase keeps its route.
-// Pairs absent from the pattern fall back to D-mod-k.
+// The optimizer stores each optimized pair's NCA choice; pairs absent from
+// the pattern fall back to D-mod-k's choice.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +61,8 @@ class ColoredRouter final : public Router {
   ColoredRouter(const Topology& topo, const patterns::Pattern& pattern,
                 ColoredOptions options = {});
 
-  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
+  /// The stored choice of an optimized pair, else D-mod-k's.
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
   [[nodiscard]] std::string name() const override { return "colored"; }
   [[nodiscard]] bool isOblivious() const override { return false; }
 
@@ -71,7 +73,7 @@ class ColoredRouter final : public Router {
 
   /// Number of (s, d) pairs with a dedicated route.
   [[nodiscard]] std::size_t numOptimizedPairs() const {
-    return routes_.size();
+    return choices_.size();
   }
 
  private:
@@ -82,7 +84,7 @@ class ColoredRouter final : public Router {
   }
 
   ColoredOptions options_;
-  std::unordered_map<std::uint64_t, Route> routes_;
+  std::unordered_map<std::uint64_t, xgft::Count> choices_;
   RelabelScheme fallback_;  ///< D-mod-k digits for un-optimized pairs.
   double maxDemand_ = 0.0;
 };

@@ -4,10 +4,8 @@
 
 namespace routing {
 
-Route RandomRouter::route(NodeIndex s, NodeIndex d) const {
-  const xgft::Count choices = topo_->numNcas(s, d);
-  const xgft::Count pick = xgft::hashMix(seed_, s, d) % choices;
-  return xgft::routeViaNca(*topo_, s, d, pick);
+xgft::Count RandomRouter::choice(NodeIndex s, NodeIndex d) const {
+  return xgft::hashMix(seed_, s, d) % topo_->numNcas(s, d);
 }
 
 RouterPtr makeRandom(const Topology& topo, std::uint64_t seed) {

@@ -23,7 +23,8 @@ class RandomRouter final : public Router {
   RandomRouter(const Topology& topo, std::uint64_t seed)
       : Router(topo), seed_(seed) {}
 
-  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
+  /// hashMix(seed, s, d) mod numNcas(s, d).
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }

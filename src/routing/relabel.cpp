@@ -104,6 +104,15 @@ std::uint32_t RelabelScheme::port(std::uint32_t level,
   return tables_[level][context * digitRadix_[level] + digit];
 }
 
+xgft::Count RelabelScheme::choice(std::uint32_t level,
+                                  xgft::NodeIndex guideLeaf) const {
+  xgft::Count c = 0;
+  for (std::uint32_t i = 0; i < level; ++i) {
+    c += port(i, guideLeaf) * topo_->ncaChoices(i);
+  }
+  return c;
+}
+
 std::uint64_t RelabelScheme::contextCount(std::uint32_t level) const {
   return contextCount_.at(level);
 }
@@ -140,15 +149,9 @@ RelabelRouter::RelabelRouter(const Topology& topo, RelabelScheme scheme,
       guide_(guide),
       name_(std::move(name)) {}
 
-Route RelabelRouter::route(NodeIndex s, NodeIndex d) const {
-  const std::uint32_t L = topo_->ncaLevel(s, d);
-  const NodeIndex guideLeaf = guide_ == Guide::Source ? s : d;
-  Route r;
-  r.up.resize(L);
-  for (std::uint32_t i = 0; i < L; ++i) {
-    r.up[i] = scheme_.port(i, guideLeaf);
-  }
-  return r;
+xgft::Count RelabelRouter::choice(NodeIndex s, NodeIndex d) const {
+  return scheme_.choice(topo_->ncaLevel(s, d),
+                        guide_ == Guide::Source ? s : d);
 }
 
 RouterPtr makeSModK(const Topology& topo) {

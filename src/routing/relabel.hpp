@@ -68,6 +68,12 @@ class RelabelScheme {
   [[nodiscard]] std::uint32_t port(std::uint32_t level,
                                    xgft::NodeIndex guideLeaf) const;
 
+  /// The NCA choice of the length-@p level ascent the guiding leaf's digits
+  /// pick: port(i, guideLeaf) at every level i < @p level, encoded in
+  /// Topology::ascent order.
+  [[nodiscard]] xgft::Count choice(std::uint32_t level,
+                                   xgft::NodeIndex guideLeaf) const;
+
   /// The digit position consulted at level l: max(l, 1).
   [[nodiscard]] static std::uint32_t digitPosition(std::uint32_t level) {
     return level == 0 ? 1u : level;
@@ -108,9 +114,10 @@ class RelabelRouter final : public Router {
   RelabelRouter(const Topology& topo, RelabelScheme scheme, Guide guide,
                 std::string name);
 
-  [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const override;
+  /// scheme().choice(ncaLevel(s, d), guide leaf).
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
   [[nodiscard]] std::string name() const override { return name_; }
-  /// route() reads only the guide leaf's digits and the NCA level.
+  /// choice() reads only the guide leaf's digits and the NCA level.
   [[nodiscard]] std::optional<Guide> ascentGuide() const override {
     return guide_;
   }

@@ -688,8 +688,8 @@ void Network::handleWireArrive(std::uint32_t gInPort, std::uint32_t seg) {
   ++segment.hop;
   if (isHostPort(gInPort)) {
     // Arriving at a host means delivery (the descent always ends at the
-    // destination; routes are validated or, for adaptive segments,
-    // minimal by construction).
+    // destination; static routes are catalogue ascents of the pair's NCA
+    // level and adaptive segments are minimal by construction).
     deliverSegment(gInPort, seg);
     return;
   }

@@ -57,6 +57,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -212,8 +213,8 @@ class Network {
   //
   // Production callers (trace::RouteSetResolver) hand addMessageSet a
   // RouteSet whose ascents already exist: a compiled table's upPorts() slice,
-  // or a set stored once per pair through internRoutes.  Adding a message is
-  // then a pure O(1) record append, and it produces the identical event
+  // or a set stored once per pair through storeAscents.  Adding a message
+  // is then a pure O(1) record append, and it produces the identical event
   // sequence as the equivalent addMessage/addMessageMultipath calls.
 
   /// Validates @p routes (the addMessageMultipath rules: >= 1 route, shared
@@ -223,11 +224,21 @@ class Network {
   RouteSet internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
                         const std::vector<xgft::Route>& routes);
 
+  /// Stores @p ascents — catalogue ascents (xgft::Topology::ascent) of one
+  /// pair, @p len >= 1 words each, back to back and sharing their first
+  /// word — in routes() and returns the set.  Catalogue ascents of the
+  /// pair's NCA level are valid routes by construction, so nothing is
+  /// re-checked.
+  RouteSet storeAscents(std::span<const std::uint32_t> ascents,
+                        std::uint32_t len) {
+    return routes_.store(ascents, len);
+  }
+
   /// Registers a message over @p routes, which must be empty iff
   /// src == dst, and otherwise hold valid ascents for (src, dst) — from
-  /// internRoutes, or a table compiled against this topology (validated
-  /// when it was built).  The ascents are not copied: their owner must
-  /// outlive the message (DESIGN.md §7).
+  /// storeAscents or internRoutes, or a table compiled against this
+  /// topology.  The ascents are not copied: their owner must outlive the
+  /// message (DESIGN.md §7).
   MsgId addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                       RouteSet routes,
                       SprayPolicy policy = SprayPolicy::kRoundRobin,

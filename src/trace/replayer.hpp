@@ -20,8 +20,8 @@
 // kWake timers for compute bursts) as it unblocks — and run() drives it
 // through a sim::InjectionProcess, the same process that runs open-loop
 // streams.  Route material resolves through trace::RouteSetResolver (a
-// pointer into the compiled table, or one route() or spray enumeration per
-// (src, dst) without one): no per-message route construction on any
+// pointer into the compiled table, or one NCA choice or spray enumeration
+// per (src, dst) without one): no per-message route construction on any
 // path.  The engine hands closed-loop jobs of self-routing schemes a
 // compressed table compiled for the job alone and gives Random and Colored
 // jobs none, since a replay reaches few of the n^2 pairs.
@@ -53,7 +53,7 @@ class Replayer final : public patterns::TrafficSource {
   /// process installs itself as the network's sink.  When @p compiled is
   /// given (and no per-segment mode is active) pairs route through the
   /// compiled forwarding table, which must be compiled against @p net's
-  /// topology; without one each distinct pair costs one router.route().
+  /// topology; without one each distinct pair costs one router.choice().
   Replayer(sim::Network& net, const Trace& trace, const Mapping& mapping,
            const routing::Router& router, SprayConfig spray = {},
            const core::CompiledRoutes* compiled = nullptr);

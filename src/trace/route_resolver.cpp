@@ -1,10 +1,10 @@
 #include "trace/route_resolver.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
 #include "xgft/rng.hpp"
-#include "xgft/route.hpp"
 
 namespace trace {
 
@@ -13,6 +13,9 @@ RouteSetResolver::RouteSetResolver(sim::Network& net,
                                    SprayConfig spray,
                                    const core::CompiledRoutes* compiled)
     : net_(&net), router_(&router), compiled_(compiled), spray_(spray) {
+  if (spray_.enabled && spray_.maxPaths == 0) {
+    throw std::invalid_argument("RouteSetResolver: spraying needs maxPaths >= 1");
+  }
   if (spray_.adaptive || spray_.enabled) compiled_ = nullptr;
   if (compiled_ != nullptr && &compiled_->topology() != &net.topology()) {
     throw std::invalid_argument(
@@ -64,33 +67,38 @@ sim::RouteSet RouteSetResolver::setFor(xgft::NodeIndex src,
   if (src == dst) return {};
   const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
   if (const std::uint32_t* memo = pairSets_.find(key)) return sets_[*memo];
+  const xgft::Topology& topo = net_->topology();
+  const std::uint32_t level = topo.ncaLevel(src, dst);
   scratch_.clear();
   if (spray_.enabled) {
-    const xgft::Topology& topo = net_->topology();
-    const xgft::Count n = topo.numNcas(src, dst);
+    // Up to maxPaths NCA-distinct choices: all of them when there are few
+    // enough, else seeded draws i = 0, 1, ... with repeats skipped.
+    const xgft::Count n = topo.ncaChoices(level);
+    choices_.clear();
     if (n <= spray_.maxPaths) {
-      for (xgft::Count c = 0; c < n; ++c) {
-        scratch_.push_back(routeViaNca(topo, src, dst, c));
-      }
+      for (xgft::Count c = 0; c < n; ++c) choices_.push_back(c);
     } else {
-      for (std::uint32_t i = 0; i < spray_.maxPaths; ++i) {
-        scratch_.push_back(routeViaNca(
-            topo, src, dst, xgft::hashMix(spray_.seed, src, dst, i) % n));
+      for (std::uint64_t i = 0; choices_.size() < spray_.maxPaths; ++i) {
+        const xgft::Count c = xgft::hashMix(spray_.seed, src, dst, i) % n;
+        if (std::find(choices_.begin(), choices_.end(), c) == choices_.end()) {
+          choices_.push_back(c);
+        }
       }
     }
     // Spraying happens above the first hop: all candidate routes must
     // leave the host through the same NIC port (relevant only when
     // w1 > 1).
-    if (!scratch_.empty()) {
-      const std::uint32_t port0 = scratch_[0].up[0];
-      std::erase_if(scratch_, [port0](const xgft::Route& r) {
-        return r.up[0] != port0;
-      });
+    const std::uint32_t port0 = topo.ascent(level, choices_[0])[0];
+    for (const xgft::Count c : choices_) {
+      const std::span<const std::uint32_t> up = topo.ascent(level, c);
+      if (up[0] == port0) scratch_.insert(scratch_.end(), up.begin(), up.end());
     }
   } else {
-    scratch_.push_back(router_->route(src, dst));
+    const std::span<const std::uint32_t> up =
+        router_->ascentOf(src, dst, level, router_->choice(src, dst));
+    scratch_.assign(up.begin(), up.end());
   }
-  const sim::RouteSet set = net_->internRoutes(src, dst, scratch_);
+  const sim::RouteSet set = net_->storeAscents(scratch_, level);
   pairSets_.insert(key, static_cast<std::uint32_t>(sets_.size()));
   sets_.push_back(set);
   return set;

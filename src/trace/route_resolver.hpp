@@ -9,13 +9,16 @@
 //                 CompiledRoutes, flat or interval-compressed): the set
 //                 points at the table's upPorts() slice, and nothing is
 //                 stored or memoized;
-//  * router     — no table: one router->route() call and one validation per
-//                 distinct pair, stored in the network's RouteStore and
+//  * router     — no table: one router->choice() call and its range check
+//                 (Router::ascentOf) per distinct pair; the choice's
+//                 catalogue ascent is stored in the network's RouteStore and
 //                 memoized (Random and Colored closed-loop jobs, open-loop
 //                 jobs past the table budget, compileRoutes off);
 //  * spray      — up to maxPaths NCA-distinct routes per pair, stored and
 //                 memoized the same way, sprayed per segment (the
-//                 Greenberg–Leiserson extension);
+//                 Greenberg–Leiserson extension): every NCA when the pair
+//                 has at most maxPaths, else seeded draws with repeats
+//                 skipped until maxPaths distinct ones are found;
 //  * adaptive   — no resolver at all (per-hop choice inside the simulator).
 //
 // Compiled-mode sets point into the table, so every table the resolver is
@@ -66,8 +69,8 @@ class RouteSetResolver {
   /// declares unroutable (a degraded-topology partition under
   /// fault::UnreachablePolicy::kDrop): callers must refuse such a message
   /// (sim::InjectionOptions::onDrop), never enqueue it.  Router mode
-  /// rejects an invalid route with std::invalid_argument("addMessage:
-  /// route ...").
+  /// rejects an out-of-range choice with Router::ascentOf's
+  /// std::invalid_argument, which names the router and the pair.
   [[nodiscard]] sim::RouteSet setFor(xgft::NodeIndex src,
                                      xgft::NodeIndex dst);
 
@@ -90,7 +93,8 @@ class RouteSetResolver {
   // Router and spray modes: (src << 32 | dst) -> index into sets_.
   sim::FlatMap64 pairSets_;
   std::vector<sim::RouteSet> sets_;
-  std::vector<xgft::Route> scratch_;  ///< Candidate routes of a memo miss.
+  std::vector<xgft::Count> choices_;    ///< Spray choices of a memo miss.
+  std::vector<std::uint32_t> scratch_;  ///< Ascent words of a memo miss.
 };
 
 /// The sim::InjectionOptions @p resolver's spray configuration implies —

@@ -20,30 +20,28 @@ NodeIndex ncaOf(const Topology& topo, NodeIndex s, const Route& r) {
 Route routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d,
                   Count choice) {
   const std::uint32_t L = topo.ncaLevel(s, d);
-  if (choice >= topo.numNcas(s, d)) {
+  if (choice >= topo.ncaChoices(L)) {
     throw std::out_of_range("routeViaNca: NCA choice out of range");
   }
-  Route r;
-  r.up.resize(L);
-  Count rest = choice;
-  for (std::uint32_t i = 0; i < L; ++i) {
-    const std::uint32_t wi = topo.params().w(i + 1);
-    r.up[i] = static_cast<std::uint32_t>(rest % wi);
-    rest /= wi;
-  }
-  return r;
+  const std::span<const std::uint32_t> up = topo.ascent(L, choice);
+  return Route{{up.begin(), up.end()}};
 }
 
 std::vector<Channel> channelsOf(const Topology& topo, NodeIndex s, NodeIndex d,
                                 const Route& r) {
-  const std::uint32_t L = r.ncaLevel();
+  return channelsOf(topo, s, d, std::span<const std::uint32_t>(r.up));
+}
+
+std::vector<Channel> channelsOf(const Topology& topo, NodeIndex s, NodeIndex d,
+                                std::span<const std::uint32_t> up) {
+  const auto L = static_cast<std::uint32_t>(up.size());
   std::vector<Channel> channels;
   channels.reserve(2 * static_cast<std::size_t>(L));
   // Ascent.
   NodeIndex node = s;
   for (std::uint32_t i = 0; i < L; ++i) {
-    channels.push_back(Channel{topo.upLink(i, node, r.up[i]), true});
-    node = topo.parentIndex(i, node, r.up[i]);
+    channels.push_back(Channel{topo.upLink(i, node, up[i]), true});
+    node = topo.parentIndex(i, node, up[i]);
   }
   // Descent: at each level j the down-port is the destination's M_j digit.
   for (std::uint32_t j = L; j >= 1; --j) {

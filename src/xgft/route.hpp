@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,9 @@ struct Hop {
 /// Builds the route from @p s to @p d that ascends to NCA number @p choice,
 /// where @p choice enumerates the numNcas(s, d) available ancestors in
 /// mixed-radix (w_1, ..., w_L) order: choice == 0 picks parent 0 at every
-/// level; successive choices vary the lowest-level parent fastest.
+/// level; successive choices vary the lowest-level parent fastest.  The
+/// up-ports are Topology::ascent(L, choice); throws std::out_of_range for a
+/// choice past numNcas(s, d).
 [[nodiscard]] Route routeViaNca(const Topology& topo, NodeIndex s, NodeIndex d,
                                 Count choice);
 
@@ -57,6 +60,10 @@ struct Hop {
 [[nodiscard]] std::vector<Channel> channelsOf(const Topology& topo,
                                               NodeIndex s, NodeIndex d,
                                               const Route& r);
+/// The same for the route whose ascent is @p up (a catalogue slice).
+[[nodiscard]] std::vector<Channel> channelsOf(
+    const Topology& topo, NodeIndex s, NodeIndex d,
+    std::span<const std::uint32_t> up);
 
 /// The full hop-by-hop traversal (source host first, then every switch with
 /// the output port taken).  Empty when s == d.

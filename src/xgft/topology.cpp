@@ -1,6 +1,7 @@
 #include "xgft/topology.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace xgft {
 
@@ -24,6 +25,40 @@ Topology::Topology(Params params) : params_(std::move(params)) {
     base += nodesAt_[l] * params_.w(l + 1);
   }
   numLinks_ = base;
+  hostsBelow_.assign(h + 1, 1);
+  for (std::uint32_t l = 1; l <= h; ++l) {
+    hostsBelow_[l] = hostsBelow_[l - 1] * params_.m(l);
+  }
+
+  // The NCA catalogue: level L lists its prod_{i<=L} w_i ascents, choice by
+  // choice, the lowest level's up-port varying fastest.  Level L has
+  // nodesAt_[L] >= ncaChoices_[L] switches, so it takes at most L words per
+  // level-L switch; a tree past kMaxCatalogueWords could not be simulated
+  // anyway, and is refused before anything is allocated.
+  constexpr Count kMaxCatalogueWords = Count{1} << 26;
+  ncaChoices_.assign(h + 1, 1);
+  catalogueBase_.assign(h + 1, 0);
+  Count words = 0;
+  for (std::uint32_t L = 1; L <= h; ++L) {
+    ncaChoices_[L] = ncaChoices_[L - 1] * params_.w(L);
+    catalogueBase_[L] = words;
+    if (ncaChoices_[L] > (kMaxCatalogueWords - words) / L) {
+      throw std::invalid_argument(
+          "XGFT too large: more than " + std::to_string(kMaxCatalogueWords) +
+          " words of NCA ascents (" + params_.toString() + ")");
+    }
+    words += ncaChoices_[L] * L;
+  }
+  catalogue_.reserve(words);
+  for (std::uint32_t L = 1; L <= h; ++L) {
+    for (Count c = 0; c < ncaChoices_[L]; ++c) {
+      Count rest = c;
+      for (std::uint32_t i = 1; i <= L; ++i) {
+        catalogue_.push_back(static_cast<std::uint32_t>(rest % params_.w(i)));
+        rest /= params_.w(i);
+      }
+    }
+  }
 }
 
 std::uint32_t Topology::digit(std::uint32_t level, NodeIndex idx,
@@ -119,26 +154,6 @@ LinkInfo Topology::linkInfo(LinkId id) const {
     }
   }
   throw std::out_of_range("linkInfo: link id out of range");
-}
-
-std::uint32_t Topology::ncaLevel(NodeIndex s, NodeIndex d) const {
-  std::uint32_t level = 0;
-  NodeIndex rs = s;
-  NodeIndex rd = d;
-  for (std::uint32_t i = 1; i <= params_.height(); ++i) {
-    const std::uint32_t mi = params_.m(i);
-    if (rs % mi != rd % mi) level = i;
-    rs /= mi;
-    rd /= mi;
-  }
-  return level;
-}
-
-Count Topology::numNcas(NodeIndex s, NodeIndex d) const {
-  const std::uint32_t level = ncaLevel(s, d);
-  Count n = 1;
-  for (std::uint32_t j = 1; j <= level; ++j) n *= params_.w(j);
-  return n;
 }
 
 NodeAddr Topology::addrOf(GlobalNodeId id) const {

@@ -17,9 +17,20 @@
 //    parents is identified by LinkId; Channel = (LinkId, direction) names one
 //    of its two unidirectional halves.  Analysis code accumulates loads per
 //    Channel; the simulator maps Channels to queues.
+//
+//  * NCA catalogue.  A minimal route between two leaves is fixed by which of
+//    their nearest common ancestors it climbs to (Sec. V): a level-L pair
+//    has prod_{i<=L} w_i of them, and the route's ascent is that NCA's W
+//    digits whatever the pair.  The topology builds every such ascent once,
+//    per level, in NCA-choice order (choice c takes up-port
+//    (c / prod_{j<=i} w_j) mod w_{i+1} at level i), so a route is named by
+//    its choice and its up-ports are a slice of the catalogue: 21 words on
+//    XGFT(2; 16,16; 1,10), 209 on xgft3:16:16:16:1:8:8.  The level-h part
+//    holds h words per root, so the catalogue never outgrows the switches.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "xgft/labels.hpp"
@@ -127,13 +138,55 @@ class Topology {
 
   // --- NCA algebra -----------------------------------------------------------
 
+  /// Hosts below one level-@p level node: prod_{j<=level} m_j (1 at level
+  /// 0, numHosts() at the roots).
+  [[nodiscard]] Count hostsBelow(std::uint32_t level) const {
+    return hostsBelow_[level];
+  }
+
   /// Level of the nearest common ancestors of two leaves: the highest digit
-  /// position at which their labels differ (0 if s == d).
-  [[nodiscard]] std::uint32_t ncaLevel(NodeIndex s, NodeIndex d) const;
+  /// position at which their labels differ (0 if s == d) — the lowest level
+  /// whose switches hold both below them.
+  [[nodiscard]] std::uint32_t ncaLevel(NodeIndex s, NodeIndex d) const {
+    std::uint32_t level = params_.height();
+    while (level > 0 &&
+           s / hostsBelow_[level - 1] == d / hostsBelow_[level - 1]) {
+      --level;
+    }
+    return level;
+  }
 
   /// Number of distinct NCAs available to the pair (s, d):
   /// prod_{j=1..ncaLevel} w_j.
-  [[nodiscard]] Count numNcas(NodeIndex s, NodeIndex d) const;
+  [[nodiscard]] Count numNcas(NodeIndex s, NodeIndex d) const {
+    return ncaChoices(ncaLevel(s, d));
+  }
+
+  /// NCA choices of a level-@p level pair: prod_{i<=level} w_i (1 at
+  /// level 0).
+  [[nodiscard]] Count ncaChoices(std::uint32_t level) const {
+    return ncaChoices_[level];
+  }
+
+  /// The catalogue ascent of NCA choice @p choice at @p level: its @p level
+  /// up-ports, up[i] taken at the level-i node.  Unchecked: @p choice must be
+  /// below ncaChoices(level).  The words live as long as the topology, and
+  /// two ascents are equal iff their slices are the same catalogue words.
+  [[nodiscard]] std::span<const std::uint32_t> ascent(std::uint32_t level,
+                                                      Count choice) const {
+    return {catalogue_.data() + catalogueBase_[level] + choice * level,
+            level};
+  }
+
+  /// The NCA choice whose ascent is @p ascent (its length is the level);
+  /// the inverse of ascent().
+  [[nodiscard]] Count choiceOf(std::span<const std::uint32_t> ascent) const {
+    Count choice = 0;
+    for (std::size_t i = 0; i < ascent.size(); ++i) {
+      choice += ascent[i] * ncaChoices_[i];
+    }
+    return choice;
+  }
 
   // --- global ids ------------------------------------------------------------
 
@@ -158,6 +211,10 @@ class Topology {
   std::vector<Count> nodesAt_;       ///< nodesAt_[l], l in [0, h].
   std::vector<Count> globalOffset_;  ///< globalOffset_[l], l in [0, h].
   std::vector<LinkId> upLinkBase_;   ///< upLinkBase_[l], l in [0, h).
+  std::vector<Count> hostsBelow_;    ///< prod_{j<=l} m_j, l in [0, h].
+  std::vector<Count> ncaChoices_;    ///< prod_{i<=L} w_i, L in [0, h].
+  std::vector<Count> catalogueBase_; ///< First word of level L's ascents.
+  std::vector<std::uint32_t> catalogue_;  ///< Every ascent, level by level.
   Count numSwitches_ = 0;
   Count numLinks_ = 0;
 };

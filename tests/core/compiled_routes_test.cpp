@@ -3,9 +3,10 @@
 // independent, the interval-compressed layout is pair-for-pair equivalent
 // to the flat one for every registered table scheme, the run-based build of
 // self-routing schemes matches the per-pair build exactly (and takes its
-// axis from the router's guide), a compressed compile is complete when it
-// returns, and the simulator's compiled fast path reproduces the virtual
-// path's results exactly.
+// axis from the router's guide), an out-of-range NCA choice fails a
+// compile or a patch, a compressed compile is complete when it returns,
+// and the simulator's compiled fast path reproduces the virtual path's
+// results exactly.
 #include "core/compiled_routes.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -154,9 +156,9 @@ class PerPairRouter final : public routing::Router {
   explicit PerPairRouter(std::shared_ptr<const routing::Router> inner)
       : Router(inner->topology()), inner_(std::move(inner)) {}
 
-  [[nodiscard]] routing::Route route(routing::NodeIndex s,
-                                     routing::NodeIndex d) const override {
-    return inner_->route(s, d);
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
+                                   routing::NodeIndex d) const override {
+    return inner_->choice(s, d);
   }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
@@ -250,54 +252,79 @@ TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
   }
 }
 
-/// Claims d-mod-k's guide but returns every route one level short.
-class ShortGuidedRouter final : public routing::Router {
+/// Claims d-mod-k's guide but chooses one NCA past the pair's last.
+class OutOfRangeGuidedRouter final : public routing::Router {
  public:
   using Router::Router;
 
-  [[nodiscard]] routing::Route route(routing::NodeIndex s,
-                                     routing::NodeIndex d) const override {
-    routing::Route r;
-    r.up.assign(topology().ncaLevel(s, d) - (s == d ? 0 : 1), 0);
-    return r;
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
+                                   routing::NodeIndex d) const override {
+    return topology().numNcas(s, d);
   }
-  [[nodiscard]] std::string name() const override { return "short-guided"; }
+  [[nodiscard]] std::string name() const override { return "out-of-range"; }
   [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
     return routing::Guide::Destination;
   }
 };
 
-TEST(CompiledRoutes, RunBuildStillRejectsMalformedRoutes) {
-  // Validating once per run must keep compile-time validation's verdict
-  // and its error text.
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
-  const auto router = std::make_shared<const ShortGuidedRouter>(*topo);
-  for (const TableLayout layout :
-       {TableLayout::kFlat, TableLayout::kCompressed}) {
-    try {
-      (void)CompiledRoutes::compile(router, 1, layout);
-      ADD_FAILURE() << "a too-short route compiled";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_EQ(what.rfind("CompiledRoutes(short-guided): route ", 0), 0u)
-          << what;
-      EXPECT_NE(what.find(": length 0 != NCA level 1"), std::string::npos)
-          << what;
-    }
+/// Expects @p build to throw the range check's std::invalid_argument,
+/// naming @p router and the pair @p pair ("s -> d").
+template <typename Build>
+void expectBadChoice(const Build& build, const std::string& router,
+                     const std::string& pair, const std::string& label) {
+  try {
+    build();
+    ADD_FAILURE() << label << ": an out-of-range choice was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("routing scheme '" + router + "': NCA choice ", 0),
+              0u)
+        << label << ": " << what;
+    EXPECT_NE(what.find(" for pair " + pair + " is out of range"),
+              std::string::npos)
+        << label << ": " << what;
   }
 }
 
-/// Forwards to another router, guide included, and counts route() calls.
+TEST(CompiledRoutes, CompileAndPatchRejectOutOfRangeChoices) {
+  // The range check is the only check a compile or a patch makes, so an
+  // out-of-range choice must fail it in both layouts, naming the router
+  // and the first pair asked (column 0's first off-diagonal rank).
+  const auto topo =
+      std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
+  const auto router = std::make_shared<const OutOfRangeGuidedRouter>(*topo);
+  const auto dmodk = makeRouter(topo, "d-mod-k");
+  for (const TableLayout layout :
+       {TableLayout::kFlat, TableLayout::kCompressed}) {
+    const std::string label =
+        layout == TableLayout::kFlat ? "flat" : "compressed";
+    expectBadChoice([&] { (void)CompiledRoutes::compile(router, 1, layout); },
+                    "out-of-range", "1 -> 0", label + " compile");
+    // A patch verdict is a choice too: pair 0 -> 15 has 2 NCAs.
+    const auto healthy = CompiledRoutes::compile(dmodk, 1, layout);
+    expectBadChoice(
+        [&] {
+          (void)healthy->patched(
+              [](xgft::NodeIndex s, xgft::NodeIndex d,
+                 std::span<const std::uint32_t>) {
+                return s == 0 && d == 15 ? xgft::Count{2}
+                                         : CompiledRoutes::kKeep;
+              });
+        },
+        "d-mod-k", "0 -> 15", label + " patch");
+  }
+}
+
+/// Forwards to another router, guide included, and counts choice() calls.
 class CountingRouter final : public routing::Router {
  public:
   explicit CountingRouter(std::shared_ptr<const routing::Router> inner)
       : Router(inner->topology()), inner_(std::move(inner)) {}
 
-  [[nodiscard]] routing::Route route(routing::NodeIndex s,
-                                     routing::NodeIndex d) const override {
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
+                                   routing::NodeIndex d) const override {
     ++calls_;
-    return inner_->route(s, d);
+    return inner_->choice(s, d);
   }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
@@ -312,8 +339,8 @@ class CountingRouter final : public routing::Router {
 
 TEST(CompiledRoutesCompressed, SourceGuidedSchemesCompileByRunsAtEveryWidth) {
   // XGFT(2;16,16;1,1): with one root both axes sample the same run count,
-  // and the tie must not cost a source-guided scheme one route() per pair.
-  // The axis comes from the guide, so the compile routes once per run.
+  // and the tie must not cost a source-guided scheme one choice() per pair.
+  // The axis comes from the guide, so the compile asks once per run.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 1));
   const std::uint64_t n = topo->numHosts();

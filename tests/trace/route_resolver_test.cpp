@@ -5,14 +5,16 @@
 // mode points into the table and stores nothing; swapping in a degraded
 // table changes later answers while earlier sets keep reading the old one.
 // Router mode: every pair resolves to the ascent a flat table of the same
-// router holds, stored once per pair, and an invalid route is rejected
-// with internRoutes' error.
+// router holds, stored once per pair, and an out-of-range NCA choice is
+// rejected by the router's range check.  Spray sets hold min(maxPaths, n)
+// NCA-distinct ascents.
 #include "trace/route_resolver.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -192,10 +194,10 @@ void expectDegradedSwap(core::TableLayout layout) {
   const Fixture f(xgft::xgft2(4, 4, 2));
   const auto healthy = core::CompiledRoutes::compile(f.router, 1, layout);
   const auto degraded = healthy->patched(
-      [](xgft::NodeIndex s, xgft::NodeIndex d, std::span<const std::uint32_t>,
-         xgft::Route& out) {
-        out.up.clear();
-        return s == 0 && d == 15;
+      [](xgft::NodeIndex s, xgft::NodeIndex d,
+         std::span<const std::uint32_t>) {
+        return s == 0 && d == 15 ? core::CompiledRoutes::kUnroutable
+                                 : core::CompiledRoutes::kKeep;
       });
   sim::Network net(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, healthy.get());
@@ -259,23 +261,20 @@ TEST(RouteSetResolver, RouterModeMatchesAFlatTableColored) {
       topo, routing::makeColored(topo, patterns::cgD128()));
 }
 
-/// Claims nothing about its guide and answers every pair with an ascent
-/// whose first up-port is past the host's port count.
+/// Claims nothing about its guide and chooses one NCA past every pair's
+/// last.
 class OutOfRangeRouter final : public routing::Router {
  public:
   using Router::Router;
 
-  [[nodiscard]] routing::Route route(routing::NodeIndex s,
-                                     routing::NodeIndex d) const override {
-    routing::Route r;
-    r.up.assign(topology().ncaLevel(s, d), 0);
-    if (!r.up.empty()) r.up[0] = topology().params().w(1);
-    return r;
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
+                                   routing::NodeIndex d) const override {
+    return topology().numNcas(s, d);
   }
   [[nodiscard]] std::string name() const override { return "out-of-range"; }
 };
 
-TEST(RouteSetResolver, RouterModeRejectsInvalidRoutes) {
+TEST(RouteSetResolver, RouterModeRejectsOutOfRangeChoices) {
   const xgft::Topology topo(xgft::xgft2(4, 4, 2));
   const OutOfRangeRouter router(topo);
   sim::Network net(topo, sim::SimConfig{});
@@ -283,13 +282,64 @@ TEST(RouteSetResolver, RouterModeRejectsInvalidRoutes) {
   EXPECT_TRUE(resolver.setFor(3, 3).empty());
   try {
     (void)resolver.setFor(0, 15);
-    ADD_FAILURE() << "an out-of-range up-port was stored";
+    ADD_FAILURE() << "an out-of-range choice was stored";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
-    EXPECT_EQ(what.rfind("addMessage: route 0 -> 15: ", 0), 0u) << what;
-    EXPECT_NE(what.find("out of range"), std::string::npos) << what;
+    EXPECT_EQ(what.rfind("routing scheme 'out-of-range': NCA choice 2 ", 0),
+              0u)
+        << what;
+    EXPECT_NE(what.find(" for pair 0 -> 15 is out of range"),
+              std::string::npos)
+        << what;
   }
   EXPECT_EQ(net.routes().numPaths(), 0u);
+}
+
+TEST(RouteSetResolver, SpraySetsAreNcaDistinct) {
+  // xgft3:16:16:16:1:8:8: a pair across the roots has 64 NCAs, more than
+  // maxPaths = 16, so its set is 16 seeded draws with repeats skipped; a
+  // pair below the roots has 8 and takes them all.
+  const xgft::Topology topo(xgft::Params({16, 16, 16}, {1, 8, 8}));
+  const auto router = routing::makeDModK(topo);
+  sim::Network net(topo, sim::SimConfig{});
+  SprayConfig spray;
+  spray.enabled = true;
+  RouteSetResolver resolver(net, *router, spray);
+  xgft::Rng rng(9);
+  const auto n = static_cast<std::uint64_t>(topo.numHosts());
+  std::size_t wide = 0;
+  for (int i = 0; i < 4'000; ++i) {
+    const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
+    const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
+    if (s == d) continue;
+    const sim::RouteSet set = resolver.setFor(s, d);
+    const xgft::Count ncas = topo.numNcas(s, d);
+    wide += ncas > spray.maxPaths ? 1 : 0;
+    ASSERT_EQ(set.count, std::min<xgft::Count>(ncas, spray.maxPaths))
+        << "(" << s << ", " << d << ")";
+    std::set<std::vector<std::uint32_t>> distinct;
+    for (std::uint32_t c = 0; c < set.count; ++c) {
+      const auto up = set.ascent(c);
+      distinct.emplace(up.begin(), up.end());
+      std::string error;
+      ASSERT_TRUE(xgft::validateRoute(topo, s, d,
+                                      xgft::Route{{up.begin(), up.end()}},
+                                      &error))
+          << error;
+    }
+    ASSERT_EQ(distinct.size(), set.count) << "(" << s << ", " << d << ")";
+  }
+  EXPECT_GT(wide, 3'000u);
+}
+
+TEST(RouteSetResolver, SprayingWithoutPathsIsRefused) {
+  const xgft::Topology topo(xgft::xgft2(4, 4, 2));
+  const auto router = routing::makeDModK(topo);
+  sim::Network net(topo, sim::SimConfig{});
+  SprayConfig spray;
+  spray.enabled = true;
+  spray.maxPaths = 0;
+  EXPECT_THROW(RouteSetResolver(net, *router, spray), std::invalid_argument);
 }
 
 }  // namespace

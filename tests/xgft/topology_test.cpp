@@ -1,10 +1,15 @@
 // Unit tests for xgft::Topology: adjacency, link identification, NCA
-// algebra, and global ids.
+// algebra, the catalogue of NCA ascents, and global ids.
 #include "xgft/topology.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "xgft/route.hpp"
 
 namespace xgft {
 namespace {
@@ -121,6 +126,75 @@ TEST(Topology, SixteenAry2TreeHas16RootsPerPairAcrossSwitches) {
   const Topology t(Topology(karyNTree(16, 2)));
   EXPECT_EQ(t.numNcas(0, 16), 16u);   // Different switches.
   EXPECT_EQ(t.numNcas(0, 1), 1u);     // Same switch.
+}
+
+/// Words the catalogue holds: L per ascent, prod_{i<=L} w_i ascents at L.
+Count catalogueWords(const Topology& t) {
+  Count words = 0;
+  for (std::uint32_t L = 1; L <= t.height(); ++L) {
+    words += L * t.ncaChoices(L);
+  }
+  return words;
+}
+
+TEST(Topology, CatalogueHoldsEveryAscentInMixedRadixOrder) {
+  for (const Params& p :
+       {xgft2(4, 4, 2), xgft2(16, 16, 10), Params({8, 8, 8}, {4, 4, 2}),
+        Params({4, 3, 2}, {2, 3, 4}), Params({16, 16, 16}, {1, 8, 8})}) {
+    const Topology t(p);
+    EXPECT_EQ(t.ncaChoices(0), 1u);
+    for (std::uint32_t L = 1; L <= t.height(); ++L) {
+      ASSERT_EQ(t.ncaChoices(L), t.ncaChoices(L - 1) * p.w(L));
+      std::set<std::vector<std::uint32_t>> seen;
+      for (Count c = 0; c < t.ncaChoices(L); ++c) {
+        const std::span<const std::uint32_t> up = t.ascent(L, c);
+        ASSERT_EQ(up.size(), L);
+        Count rest = c;
+        for (std::uint32_t i = 0; i < L; ++i) {
+          EXPECT_EQ(up[i], rest % p.w(i + 1)) << p.toString() << " L" << L;
+          rest /= p.w(i + 1);
+        }
+        EXPECT_EQ(t.choiceOf(up), c);
+        seen.emplace(up.begin(), up.end());
+      }
+      EXPECT_EQ(seen.size(), t.ncaChoices(L));
+    }
+  }
+  // 1 + 10 * 2 words on paper-slim, 1 + 8 * 2 + 64 * 3 at 4096 hosts.
+  EXPECT_EQ(catalogueWords(Topology(xgft2(16, 16, 10))), 21u);
+  EXPECT_EQ(catalogueWords(Topology(Params({16, 16, 16}, {1, 8, 8}))), 209u);
+}
+
+TEST(Topology, EveryCatalogueAscentIsAValidRoute) {
+  // Any level-L ascent reaches an NCA of every level-L pair: checked for
+  // the pairs from host 0 to the first and the last host at each level.
+  for (const Params& p : {xgft2(4, 4, 2), xgft2(16, 16, 10),
+                          Params({8, 8, 8}, {4, 4, 2}),
+                          Params({4, 3, 2}, {2, 3, 4})}) {
+    const Topology t(p);
+    for (std::uint32_t L = 1; L <= t.height(); ++L) {
+      NodeIndex block = 1;  // Hosts under one level-(L-1) switch.
+      for (std::uint32_t i = 1; i < L; ++i) block *= p.m(i);
+      for (const NodeIndex d : {block, block * p.m(L) - 1}) {
+        ASSERT_EQ(t.ncaLevel(0, d), L);
+        for (Count c = 0; c < t.ncaChoices(L); ++c) {
+          const std::span<const std::uint32_t> up = t.ascent(L, c);
+          std::string error;
+          EXPECT_TRUE(validateRoute(t, 0, d, Route{{up.begin(), up.end()}},
+                                    &error))
+              << p.toString() << ": " << error;
+          EXPECT_TRUE(validateRoute(t, d, 0, Route{{up.begin(), up.end()}},
+                                    &error))
+              << p.toString() << ": " << error;
+        }
+      }
+    }
+  }
+}
+
+TEST(Topology, RefusesACatalogueNoNetworkCouldHold) {
+  // 2^27 roots: the level-2 ascents alone would take 2^28 words.
+  EXPECT_THROW(Topology(xgft2(2, 2, 1u << 27)), std::invalid_argument);
 }
 
 TEST(Topology, GlobalIdsRoundTrip) {
