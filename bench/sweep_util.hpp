@@ -6,7 +6,7 @@
 // adds the proposals {r-NCA-u, r-NCA-d} as boxplots over many seeds.
 //
 // The sweep is declared as a list of ExperimentSpecs and executed by
-// engine::Runner, so it shards over all cores (--threads), reuses each w2
+// engine::Runner, so its jobs run on all cores (--threads), reuses each w2
 // topology across algorithms and seeds, and simulates the Full-Crossbar
 // reference exactly once — while producing the same numbers the serial
 // harness produced (the engine's per-job results are thread-count

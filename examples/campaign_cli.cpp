@@ -2,7 +2,7 @@
 //
 // Runs a campaign file (one sweepable key=value spec per line, see
 // engine/spec.hpp) or one of the builtin campaigns that replay the paper's
-// figure sweeps, sharded over a work-stealing thread pool, and emits one
+// figure sweeps, with --threads workers running whole jobs, and emits one
 // deterministic CSV row per job.  The CSV is byte-identical regardless of
 // --threads, so campaign outputs can be diffed across machines.
 //
@@ -18,7 +18,9 @@
 //   echo 'pattern=ring:64 w2=8..1 routing=Random seed=1..4' | campaign_cli -
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -44,8 +46,7 @@ struct CliOptions {
   std::string outFile;
   std::string list;           // One of: schemes, patterns, sources, faults,
                               // topologies, campaigns ("" = no listing).
-  std::uint32_t threads = 0;     // 0 = hardware concurrency.
-  std::uint32_t simThreads = 0;  // 0 = serial event core.
+  std::uint32_t threads = 0;  // 0 = hardware concurrency.
   std::uint32_t seeds = 10;
   double msgScale = 0.125;
   bool contention = true;
@@ -70,18 +71,8 @@ void usage(std::ostream& os) {
         "  --builtin NAME    "
      << joinNames(*engine::campaignRegistry().names())
      << "\n"
-        "  --threads N       worker threads (default: hardware concurrency)\n"
-        "  --sim-threads N   shard workers inside each job's event core\n"
-        "                    (sim/shard.hpp).  --threads splits the campaign\n"
-        "                    across jobs; --sim-threads splits one job's\n"
-        "                    simulation.  Default: 1, the serial core —\n"
-        "                    sharding measured slower than serial at every\n"
-        "                    scale tried, so it only runs when asked for.\n"
-        "                    A spec's own sim_threads= key overrides this\n"
-        "                    per job.  Results are byte-identical for any\n"
-        "                    value; the engine falls back to the serial core\n"
-        "                    when sharding cannot help (closed-loop jobs,\n"
-        "                    fault plans, telemetry probes, small topos).\n"
+        "  --threads N       worker threads, each running whole jobs\n"
+        "                    (default: hardware concurrency)\n"
         "  --seeds N         seed-sweep width of builtin campaigns "
         "(default 10)\n"
         "  --msg-scale X     message-size scale of builtin campaigns "
@@ -164,6 +155,33 @@ int listRegistry(const std::string& what) {
   return 0;
 }
 
+/// @p value as a whole u32 (no sign, no trailing characters), else throws
+/// naming @p flag.
+std::uint32_t parseU32Flag(const char* flag, const std::string& value) {
+  std::uint32_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [p, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || p != end) {
+    throw std::invalid_argument(std::string(flag) +
+                                " wants an integer in [0, 4294967295], got '" +
+                                value + "'");
+  }
+  return v;
+}
+
+/// @p value as a whole finite double, else throws naming @p flag.
+double parseDoubleFlag(const char* flag, const std::string& value) {
+  double v = 0.0;
+  const char* end = value.data() + value.size();
+  const auto [p, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || p != end || !std::isfinite(v)) {
+    throw std::invalid_argument(std::string(flag) +
+                                " wants a finite number, got '" + value +
+                                "'");
+  }
+  return v;
+}
+
 CliOptions parseCli(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -177,14 +195,11 @@ CliOptions parseCli(int argc, char** argv) {
     if (arg == "--builtin") {
       opt.builtin = next("--builtin");
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::uint32_t>(std::stoul(next("--threads")));
-    } else if (arg == "--sim-threads") {
-      opt.simThreads =
-          static_cast<std::uint32_t>(std::stoul(next("--sim-threads")));
+      opt.threads = parseU32Flag("--threads", next("--threads"));
     } else if (arg == "--seeds") {
-      opt.seeds = static_cast<std::uint32_t>(std::stoul(next("--seeds")));
+      opt.seeds = parseU32Flag("--seeds", next("--seeds"));
     } else if (arg == "--msg-scale") {
-      opt.msgScale = std::stod(next("--msg-scale"));
+      opt.msgScale = parseDoubleFlag("--msg-scale", next("--msg-scale"));
     } else if (arg == "--out") {
       opt.outFile = next("--out");
     } else if (arg == "--telemetry") {
@@ -321,7 +336,6 @@ int main(int argc, char** argv) {
 
     engine::RunnerOptions ropt;
     ropt.threads = cli.threads;
-    ropt.simThreads = cli.simThreads;
     ropt.collectContention = cli.contention;
     // Telemetry floors: --trace-out needs the event log, --telemetry the
     // summary series; a spec's own telemetry= key can only raise a job

@@ -2,7 +2,7 @@
 //
 // The engine's reproducibility contract (byte-identical CSVs across
 // --threads values) rests on data-race freedom in the shared surfaces:
-// core::Registry, engine::CampaignCache, the Runner's work-stealing pool.
+// core::Registry, engine::CampaignCache, the Runner's serialized onJobDone.
 // These macros let the compiler *prove* every access to a guarded member
 // happens under its lock: build with Clang and -Wthread-safety (the
 // XGFT_THREAD_SAFETY CMake option turns it into -Werror=thread-safety in

@@ -109,9 +109,9 @@ struct CampaignResults {
   std::vector<JobResult> jobs;  ///< Sorted by jobIndex after run().
 
   std::uint32_t threadsUsed = 0;
-  /// Per-job shard-worker budget (1 = serial core unless --sim-threads asked
-  /// for more; specs' own sim_threads= keys override per job).
-  /// Host-volatile, like threadsUsed.
+  /// Unread: the engine has one event core and never sets this.  It stays
+  /// only because the end-to-end bench harness (bench/e2e/e2e_bench.cpp)
+  /// assigns it; delete it with that assignment.
   std::uint32_t simThreadsUsed = 0;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;

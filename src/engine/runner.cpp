@@ -1,8 +1,9 @@
 #include "engine/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -329,10 +330,6 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   trace::OpenLoopOptions ol;
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
-  // The spec's own sim_threads= wins; otherwise the runner's option
-  // (serial unless asked).  Either way the result bytes cannot depend on it.
-  ol.simThreads =
-      spec.simThreads != 0 ? spec.simThreads : std::max(1u, opt.simThreads);
   ol.spray = sprayCfg;
   ol.compiled = degradedTable ? degradedTable.get() : compiled.get();
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
@@ -533,81 +530,43 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   RunnerOptions jobOpt = opt_;
   jobOpt.compileThreads = std::max(1u, poolWidth / threads);
 
+  // Jobs never spawn jobs, so one cursor over the job indices is the whole
+  // scheduler: every worker claims the next unclaimed index until none is
+  // left, and writes that job's result into the index's own slot.  The
+  // calling thread is one of the workers, so a one-worker campaign starts
+  // no thread.
+  std::atomic<std::uint32_t> cursor{0};
   core::Mutex doneMu;  // Serializes onJobDone.
-  const auto finishJob = [&](std::uint32_t index) {
-    JobResult job = runJob(specs[index], index, cache_, jobOpt);
-    if (opt_.onJobDone) {
-      core::LockGuard lock(doneMu);
-      opt_.onJobDone(job);
-      results.jobs[index] = std::move(job);
-    } else {
-      results.jobs[index] = std::move(job);
-    }
-  };
-
-  if (threads <= 1) {
-    for (std::uint32_t i = 0; i < specs.size(); ++i) finishJob(i);
-  } else {
-    // Work-stealing: jobs are dealt block-cyclically to per-worker deques;
-    // a worker drains its own deque from the front and steals from the back
-    // of the most loaded peer when empty.  Jobs never enqueue new jobs, so
-    // once every deque is empty a worker can retire.
-    struct WorkerQueue {
-      core::Mutex mu;
-      std::deque<std::uint32_t> q XGFT_GUARDED_BY(mu);
-    };
-    std::vector<WorkerQueue> queues(threads);
-    for (std::uint32_t i = 0; i < specs.size(); ++i) {
-      // Single-threaded dealing phase, but the guard keeps the analysis
-      // exact (and it is uncontended, so it costs nothing).
-      WorkerQueue& mine = queues[i % threads];
-      core::LockGuard lock(mine.mu);
-      mine.q.push_back(i);
-    }
-
-    const auto popOwn = [&](std::uint32_t w, std::uint32_t& out) {
-      WorkerQueue& own = queues[w];
-      core::LockGuard lock(own.mu);
-      if (own.q.empty()) return false;
-      out = own.q.front();
-      own.q.pop_front();
-      return true;
-    };
-    const auto steal = [&](std::uint32_t thief, std::uint32_t& out) {
-      std::uint32_t victim = threads;
-      std::size_t best = 0;
-      for (std::uint32_t v = 0; v < threads; ++v) {
-        if (v == thief) continue;
-        WorkerQueue& peer = queues[v];
-        core::LockGuard lock(peer.mu);
-        if (peer.q.size() > best) {
-          best = peer.q.size();
-          victim = v;
+  // onJobDone's first exception, rethrown once every worker has joined:
+  // it must not escape a worker thread.  Later jobs skip the callback.
+  std::exception_ptr callbackError;  // Guarded by doneMu.
+  const auto work = [&] {
+    for (std::uint32_t i = cursor++; i < specs.size(); i = cursor++) {
+      JobResult job = runJob(specs[i], i, cache_, jobOpt);
+      if (opt_.onJobDone) {
+        core::LockGuard lock(doneMu);
+        if (!callbackError) {
+          try {
+            opt_.onJobDone(job);
+          } catch (...) {
+            callbackError = std::current_exception();
+          }
         }
       }
-      if (victim == threads) return false;
-      WorkerQueue& loser = queues[victim];
-      core::LockGuard lock(loser.mu);
-      if (loser.q.empty()) return false;
-      out = loser.q.back();
-      loser.q.pop_back();
-      return true;
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t w = 0; w < threads; ++w) {
-      pool.emplace_back([&, w] {
-        std::uint32_t job = 0;
-        while (popOwn(w, job) || steal(w, job)) finishJob(job);
-      });
+      results.jobs[i] = std::move(job);
     }
-    for (std::thread& t : pool) t.join();
+  };
+  {
+    // A jthread joins when destroyed, so every worker has finished before
+    // the slots are read, even if starting one of them throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(threads - 1);
+    for (std::uint32_t w = 1; w < threads; ++w) pool.emplace_back(work);
+    work();
   }
+  if (callbackError) std::rethrow_exception(callbackError);
 
-  results.sortByIndex();
   results.threadsUsed = threads;
-  results.simThreadsUsed = std::max(1u, opt_.simThreads);
   results.cache = cache_.stats();
   results.forwarding = cache_.forwardingStats();
   results.wallTimeNs = static_cast<std::uint64_t>(

@@ -1,9 +1,10 @@
 // runner.hpp — The parallel experiment-campaign engine.
 //
 // The simulator is single-threaded by design (event ties break by insertion
-// order; see DESIGN.md), so the engine parallelizes *across* jobs: a
-// work-stealing pool of workers, each executing whole ExperimentSpecs with
-// its own sim::Network.  Two properties make campaigns fast and exact:
+// order; see DESIGN.md), so the engine parallelizes *across* jobs: a pool
+// of workers claims job indices from one atomic cursor, each executing
+// whole ExperimentSpecs with its own sim::Network.  Two properties make
+// campaigns fast and exact:
 //
 //  * Memoization.  Topology construction, routers, open-loop and degraded
 //    forwarding tables and the Full-Crossbar reference run are cached
@@ -166,12 +167,6 @@ struct RunnerOptions {
   /// compiles serially per worker instead of oversubscribing the machine.
   std::uint32_t compileThreads = 1;
 
-  /// Shard workers one job's event core may use (sim/shard.hpp); a spec's
-  /// own `sim_threads=` key overrides per job.  0 (like 1) runs the serial
-  /// core: sharding is slower than serial at every measured scale, so it
-  /// is opt-in only.  Results are byte-identical for any value.
-  std::uint32_t simThreads = 0;
-
   /// Simulator parameters shared by every job in the campaign.
   sim::SimConfig sim = {};
 
@@ -182,7 +177,8 @@ struct RunnerOptions {
   sim::TimeNs openLoopMeasureNs = 2'000'000;
 
   /// Optional progress callback, invoked serially (under a lock) as jobs
-  /// finish, in completion order.
+  /// finish, in completion order.  If it throws, later jobs skip it and
+  /// Runner::run rethrows the first exception once every job finished.
   std::function<void(const JobResult&)> onJobDone;
 
   /// Campaign-wide telemetry floor: every job runs at
@@ -207,8 +203,9 @@ struct RunnerOptions {
                                std::uint32_t jobIndex, CampaignCache& cache,
                                const RunnerOptions& opt);
 
-/// The campaign engine: owns the cache, shards jobs over a work-stealing
-/// pool, aggregates results sorted by job index.
+/// The campaign engine: owns the cache, runs jobs on a pool of workers
+/// that claim indices in order from one atomic cursor (the calling thread
+/// is one of them), and aggregates results sorted by job index.
 class Runner {
  public:
   explicit Runner(RunnerOptions opt = {});

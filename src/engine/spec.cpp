@@ -95,48 +95,60 @@ std::vector<std::pair<std::string, std::string>> tokenize(
   return tokens;
 }
 
-/// Expands one raw value into its sweep list: "{a,b,c}" splits on commas,
-/// "lo..hi" (integers, either direction) expands inclusively, anything else
-/// is a single value.
-std::vector<std::string> expandValue(const std::string& raw) {
-  if (raw.size() >= 2 && raw.front() == '{' && raw.back() == '}') {
-    std::vector<std::string> values;
-    std::string body = raw.substr(1, raw.size() - 2);
+/// One key's sweep: the values of a "{a,b,c}" list or a single value, or
+/// an integer range "lo..hi" (inclusive, either direction) kept as its
+/// bounds, so every sweep's size is known before any value is built.
+struct Sweep {
+  std::vector<std::string> items;  ///< Empty for a range.
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+
+  [[nodiscard]] std::uint64_t size() const {
+    if (!items.empty()) return items.size();
+    return (lo <= hi ? hi - lo : lo - hi) + 1;
+  }
+  [[nodiscard]] std::string at(std::uint64_t i) const {
+    if (!items.empty()) return items[i];
+    return std::to_string(lo <= hi ? lo + i : lo - i);
+  }
+};
+
+Sweep parseSweep(const std::string& key, const std::string& raw) {
+  Sweep sweep;
+  // topo values embed commas; sweep them via the m1/m2/w2 family instead.
+  if (key != "topo" && raw.size() >= 2 && raw.front() == '{' &&
+      raw.back() == '}') {
+    const std::string body = raw.substr(1, raw.size() - 2);
     std::size_t start = 0;
     while (true) {
       const std::size_t comma = body.find(',', start);
-      values.push_back(body.substr(start, comma == std::string::npos
-                                              ? comma
-                                              : comma - start));
+      sweep.items.push_back(body.substr(
+          start, comma == std::string::npos ? comma : comma - start));
       if (comma == std::string::npos) break;
       start = comma + 1;
     }
-    for (const std::string& v : values) {
+    for (const std::string& v : sweep.items) {
       if (v.empty()) fail("empty element in list '" + raw + "'");
     }
-    return values;
+    return sweep;
   }
   const std::size_t dots = raw.find("..");
-  if (dots != std::string::npos) {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    if (parseU64(raw.substr(0, dots), lo) &&
-        parseU64(raw.substr(dots + 2), hi)) {
-      std::vector<std::string> values;
-      if (lo <= hi) {
-        for (std::uint64_t v = lo; v <= hi; ++v) {
-          values.push_back(std::to_string(v));
-        }
-      } else {
-        for (std::uint64_t v = lo; v + 1 > hi; --v) {
-          values.push_back(std::to_string(v));
-        }
-      }
-      return values;
+  if (key != "topo" && dots != std::string::npos) {
+    if (!parseU64(raw.substr(0, dots), sweep.lo) ||
+        !parseU64(raw.substr(dots + 2), sweep.hi)) {
+      fail("malformed range '" + raw + "'");
     }
-    fail("malformed range '" + raw + "'");
+    // The width before the size: a full-width range's size wraps to 0.
+    const std::uint64_t width =
+        sweep.lo <= sweep.hi ? sweep.hi - sweep.lo : sweep.lo - sweep.hi;
+    if (width >= kMaxCampaignJobs) {
+      fail("range '" + raw + "' spans more than " +
+           std::to_string(kMaxCampaignJobs) + " values");
+    }
+    return sweep;
   }
-  return {raw};
+  sweep.items.push_back(raw);
+  return sweep;
 }
 
 ExperimentSpec specFromAssignments(
@@ -193,16 +205,12 @@ ExperimentSpec specFromAssignments(
       }
     } else if (key == "telemetry") {
       spec.telemetry = parseTelemetryLevel(value);
-    } else if (key == "sim_threads") {
-      // Host-volatile knob: affects wall-clock only, never results, so it
-      // takes no part in toLine()/CSV/manifest identity.
-      spec.simThreads = requireU32(value, key);
     } else {
       // Mirror the registries' uniform unknown-name diagnostic so every
       // bad token in a campaign file reads the same way.
       fail("unknown campaign key '" + key +
            "' (known: topo, m1, m2, w2, pattern, source, load, routing, "
-           "msg_scale, seed, faults, telemetry, sim_threads)");
+           "msg_scale, seed, faults, telemetry)");
     }
   }
   if (haveTopo && haveFamily) {
@@ -217,6 +225,52 @@ ExperimentSpec specFromAssignments(
   }
   if (haveFamily) spec.topo = xgft::xgft2(m1, m2, w2);
   return spec;
+}
+
+/// Expands @p line as expandCampaignLine does, refusing it from its sweep
+/// sizes alone when its product exceeds kMaxCampaignJobs or @p budget (the
+/// campaign's jobs still allowed).
+std::vector<ExperimentSpec> expandLine(const std::string& line,
+                                       std::uint64_t budget) {
+  const auto tokens = tokenize(line);
+  if (tokens.empty()) return {};
+  std::vector<Sweep> sweeps;
+  sweeps.reserve(tokens.size());
+  std::uint64_t count = 1;
+  for (const auto& [key, raw] : tokens) {
+    sweeps.push_back(parseSweep(key, raw));
+    // Every sweep holds at least one value, so count >= 1 and the
+    // division guards the product against overflow.
+    const std::uint64_t n = sweeps.back().size();
+    if (n > kMaxCampaignJobs / count) {
+      fail("line expands to more than " + std::to_string(kMaxCampaignJobs) +
+           " jobs");
+    }
+    count *= n;
+  }
+  if (count > budget) {
+    fail("campaign expands to more than " +
+         std::to_string(kMaxCampaignJobs) + " jobs");
+  }
+
+  std::vector<ExperimentSpec> jobs;
+  std::vector<std::uint64_t> cursor(tokens.size(), 0);
+  while (true) {
+    std::vector<std::pair<std::string, std::string>> kv;
+    kv.reserve(tokens.size());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+      kv.emplace_back(tokens[i].first, sweeps[i].at(cursor[i]));
+    }
+    jobs.push_back(specFromAssignments(kv));
+    // Odometer increment, last key fastest.
+    std::size_t i = tokens.size();
+    while (i > 0) {
+      --i;
+      if (++cursor[i] < sweeps[i].size()) break;
+      cursor[i] = 0;
+      if (i == 0) return jobs;
+    }
+  }
 }
 
 }  // namespace
@@ -298,34 +352,7 @@ ExperimentSpec parseSpecLine(const std::string& line) {
 }
 
 std::vector<ExperimentSpec> expandCampaignLine(const std::string& line) {
-  const auto tokens = tokenize(line);
-  if (tokens.empty()) return {};
-  std::vector<std::vector<std::string>> values;
-  values.reserve(tokens.size());
-  for (const auto& [key, raw] : tokens) {
-    // topo values embed commas; sweep them via the m1/m2/w2 family instead.
-    values.push_back(key == "topo" ? std::vector<std::string>{raw}
-                                   : expandValue(raw));
-  }
-
-  std::vector<ExperimentSpec> jobs;
-  std::vector<std::size_t> cursor(tokens.size(), 0);
-  while (true) {
-    std::vector<std::pair<std::string, std::string>> kv;
-    kv.reserve(tokens.size());
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      kv.emplace_back(tokens[i].first, values[i][cursor[i]]);
-    }
-    jobs.push_back(specFromAssignments(kv));
-    // Odometer increment, last key fastest.
-    std::size_t i = tokens.size();
-    while (i > 0) {
-      --i;
-      if (++cursor[i] < values[i].size()) break;
-      cursor[i] = 0;
-      if (i == 0) return jobs;
-    }
-  }
+  return expandLine(line, kMaxCampaignJobs);
 }
 
 std::vector<ExperimentSpec> parseCampaign(std::istream& in) {
@@ -335,7 +362,8 @@ std::vector<ExperimentSpec> parseCampaign(std::istream& in) {
   while (std::getline(in, line)) {
     ++lineNo;
     try {
-      std::vector<ExperimentSpec> expanded = expandCampaignLine(line);
+      std::vector<ExperimentSpec> expanded =
+          expandLine(line, kMaxCampaignJobs - jobs.size());
       jobs.insert(jobs.end(), std::make_move_iterator(expanded.begin()),
                   std::make_move_iterator(expanded.end()));
     } catch (const std::invalid_argument& e) {

@@ -21,6 +21,7 @@
 //   msg_scale=0.125               multiplies every message size (open-loop
 //                                 messages are 4096 B * msg_scale)
 //   seed=1..40                    integer ranges sweep inclusively
+//                                 (a campaign holds at most 2^20 jobs)
 //   faults=links:10               failure plan (--list-faults); "none" is
 //                                 the healthy baseline and the default
 //   telemetry=summary             observation depth (off/summary/trace);
@@ -90,22 +91,8 @@ struct ExperimentSpec {
   /// golden CSVs are untouched.
   TelemetryLevel telemetry = TelemetryLevel::kOff;
 
-  /// Shard workers for this job's event core (`sim_threads=` key).
-  /// Host-volatile, like RunnerOptions::threads: 0 inherits the runner's
-  /// choice, any value yields byte-identical results (sim/shard.hpp), so
-  /// toLine() never renders it and it stays out of CSVs and the manifest
-  /// byte-identity form.
-  std::uint32_t simThreads = 0;
-
-  /// Equality is over the *measured* configuration: simThreads is excluded
-  /// (results are identical across values, toLine() drops it, and result
-  /// lookup by spec must not fork on a wall-clock knob).
-  friend bool operator==(const ExperimentSpec& a, const ExperimentSpec& b) {
-    return a.topo == b.topo && a.pattern == b.pattern &&
-           a.routing == b.routing && a.msgScale == b.msgScale &&
-           a.seed == b.seed && a.source == b.source && a.load == b.load &&
-           a.faults == b.faults && a.telemetry == b.telemetry;
-  }
+  friend bool operator==(const ExperimentSpec&,
+                         const ExperimentSpec&) = default;
 
   /// Canonical one-line key=value rendering; parseSpecLine round-trips it.
   [[nodiscard]] std::string toLine() const;
@@ -114,6 +101,12 @@ struct ExperimentSpec {
   [[nodiscard]] core::Scenario scenario(const sim::SimConfig& sim = {}) const;
 };
 
+/// The most jobs one campaign may expand to: 2^20, about 2,000x the
+/// largest builtin.  Sizes are checked before anything is built, so a
+/// range, a line's cross product or a campaign total past it fails fast
+/// instead of exhausting memory.
+inline constexpr std::uint64_t kMaxCampaignJobs = std::uint64_t{1} << 20;
+
 /// Parses a single spec line (no sweep syntax allowed).  Unknown keys,
 /// malformed values and list/range values all throw std::invalid_argument;
 /// unknown scheme/pattern/preset names surface the registry's uniform
@@ -121,12 +114,14 @@ struct ExperimentSpec {
 [[nodiscard]] ExperimentSpec parseSpecLine(const std::string& line);
 
 /// Expands one campaign line (sweep syntax allowed) to the cross product of
-/// its value lists, last key fastest.
+/// its value lists, last key fastest.  Throws std::invalid_argument when a
+/// range or the product exceeds kMaxCampaignJobs.
 [[nodiscard]] std::vector<ExperimentSpec> expandCampaignLine(
     const std::string& line);
 
 /// Parses a whole campaign: one expandable spec per line, '#' comments and
-/// blank lines skipped.  Jobs are concatenated in file order.
+/// blank lines skipped.  Jobs are concatenated in file order; errors,
+/// including a running total past kMaxCampaignJobs, name their line.
 [[nodiscard]] std::vector<ExperimentSpec> parseCampaign(std::istream& in);
 [[nodiscard]] std::vector<ExperimentSpec> parseCampaign(
     const std::string& text);

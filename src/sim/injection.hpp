@@ -87,20 +87,6 @@ class InjectionProcess final : public TrafficSink {
   /// True once the source returned kExhausted.
   [[nodiscard]] bool exhausted() const { return exhausted_; }
 
-  /// Shard-worker budget for run(): values above 1 route event processing
-  /// through sim::runParallel (which still falls back to the serial core
-  /// whenever planParallelRun says sharding would be unprofitable or
-  /// inexact).  Byte-identical results either way.
-  void setSimThreads(std::uint32_t threads) {
-    simThreads_ = threads == 0 ? 1 : threads;
-  }
-
-  /// Our deliveries only record completions and forward to the source;
-  /// they drive the simulation only when the source reacts to them.
-  [[nodiscard]] bool deliveriesDeferrable() const override {
-    return src_->passiveDeliveries();
-  }
-
   /// Optional per-delivery observer: (source token, message bytes,
   /// injection time, delivery time).  Runs before the source's
   /// onDelivered().
@@ -121,7 +107,6 @@ class InjectionProcess final : public TrafficSink {
   patterns::SourceMessage future_;  ///< Parked next message, if any.
   bool pendingFuture_ = false;
   bool exhausted_ = false;
-  std::uint32_t simThreads_ = 1;
 };
 
 }  // namespace sim

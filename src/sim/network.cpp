@@ -256,7 +256,6 @@ void Network::scheduleLinkDown(TimeNs t, xgft::LinkId link) {
   if (t < now_) {
     throw std::invalid_argument("scheduleLinkDown: time in the past");
   }
-  faultEventsScheduled_ = true;
   schedule(t, Kind::kLinkDown, static_cast<std::uint32_t>(link));
 }
 
@@ -270,7 +269,6 @@ void Network::scheduleLinkUp(TimeNs t, xgft::LinkId link) {
   if (t < now_) {
     throw std::invalid_argument("scheduleLinkUp: time in the past");
   }
-  faultEventsScheduled_ = true;
   schedule(t, Kind::kLinkUp, static_cast<std::uint32_t>(link));
 }
 
@@ -302,10 +300,6 @@ void Network::run(TimeNs until) {
     handle(ev);
     ++stats_.eventsProcessed;
   }
-  finishRun();
-}
-
-void Network::finishRun() {
   // Stats are valid at every run() boundary: fold pending outage time in.
   if (!downLinks_.empty()) accrueLinkDownTo(now_);
   if (queue_.empty()) {
@@ -744,8 +738,8 @@ void Network::tryAdvanceInput(std::uint32_t gInPort) {
 }
 
 std::uint32_t Network::nextOutput(std::uint32_t gInPort, const Segment& seg) {
-  // Reads only fields fixed when the message was added: the sharded core
-  // decodes at destination shards while the source shard writes `state`.
+  // Reads only fields fixed when the message was added, so unlike the
+  // adaptive resolve it asserts nothing about the slot's state.
   const Message& m = messages_[seg.msg];
   if (m.adaptive || (seg.flags & kSegEscaped) != 0) {
     return resolveAdaptive(gInPort, seg);

@@ -114,14 +114,6 @@ class TrafficSink {
   /// duration of the call; the network recycles its slot right after, so a
   /// later message may be handed the same value.
   virtual void onMessageDelivered(MsgId msg, TimeNs time) = 0;
-
-  /// A sink that returns true promises onMessageDelivered never mutates the
-  /// network (no release/addMessage*/scheduleCallback, no run) — it only
-  /// records the completion.  The parallel runner (shard.hpp) relies on this
-  /// to defer sink notifications to deterministic flush points; sinks that
-  /// drive the simulation (closed-loop replay) keep the default false and
-  /// force the serial engine.
-  [[nodiscard]] virtual bool deliveriesDeferrable() const { return false; }
 };
 
 /// Aggregate counters exposed after (or during) a run.
@@ -337,10 +329,6 @@ class Network {
   }
 
  private:
-  /// The conservative parallel engine (shard.hpp) replicates the healthy-run
-  /// handlers over sharded port state and must reach the flat storage and
-  /// the private helpers; it is the only other writer of network state.
-  friend class ParallelRunner;
   /// InjectionProcess keeps its source token in the message record and
   /// reads it back, with the release time, when the message completes.
   friend class InjectionProcess;
@@ -379,9 +367,8 @@ class Network {
     std::uint32_t flags = 0;        ///< kSegEscaped.
   };
 
-  /// Where a message slot is in its life.  Only the source side writes it
-  /// (release, injection) until the slot is freed, so the sharded core's
-  /// destination shards never race on it.
+  /// Where a message slot is in its life: release() and host injection
+  /// move it forward, completion or a fault drop frees it.
   enum class MsgState : std::uint8_t {
     kFree,    ///< On the free list; a handle naming it is stale.
     kAdded,   ///< Registered; its release event has not been handled.
@@ -462,9 +449,6 @@ class Network {
   void handle(const EventRecord& ev);
   /// (Re)schedules the probe's next sampling tick at now_ + period.
   void scheduleSample();
-  /// The run() epilogue shared with the parallel engine: accrues pending
-  /// link-outage time and performs the stranded-traffic drain check.
-  void finishRun();
 
   void handleRelease(MsgId msg);
   void handleWireArrive(std::uint32_t gInPort, std::uint32_t seg);
@@ -660,11 +644,6 @@ class Network {
   std::vector<DownLink> downLinks_;
   FaultPolicy faultPolicy_ = FaultPolicy::kWait;
   bool faultsSeen_ = false;  ///< Any kLinkDown ever processed.
-  /// Any kLinkDown/kLinkUp ever *scheduled* — sticky, set at schedule time.
-  /// The parallel engine keys off this: pending fault transitions shrink the
-  /// guaranteed lookahead to zero, so it falls back (or aborts mid-run) to
-  /// the serial core the moment one appears.
-  bool faultEventsScheduled_ = false;
 };
 
 /// Wire utilization over @p spanNs from Network::wireBusyNs: the busy

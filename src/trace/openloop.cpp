@@ -35,7 +35,6 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
                        xgft::NodeIndex) {};
   }
   sim::InjectionProcess process(net, source, std::move(injOpt));
-  process.setSimThreads(opt.simThreads);
 
   const sim::TimeNs measureBegin = opt.warmupNs;
   const sim::TimeNs measureEnd = opt.warmupNs + opt.measureNs;

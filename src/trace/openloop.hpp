@@ -52,12 +52,6 @@ struct OpenLoopOptions {
   /// (fault::installFaultPlan).  When set, unroutable pairs are refused
   /// and counted (NetworkStats::messagesDropped) instead of throwing.
   std::function<void(sim::Network&, RouteSetResolver&)> prepare;
-
-  /// Shard workers for the event core (sim/shard.hpp); <= 1 runs serial.
-  /// Results are byte-identical for any value — the engine falls back to
-  /// the serial core whenever sharding would be unprofitable or inexact
-  /// (probe attached, faults scheduled, topology too small).
-  std::uint32_t simThreads = 1;
 };
 
 struct OpenLoopResult {

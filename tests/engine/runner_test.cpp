@@ -1,10 +1,15 @@
-// Tests for the campaign engine: thread-count-independent results, cache
-// hit/miss behaviour (including shared in-flight builds), closed-loop jobs'
-// per-job forwarding state, failure capture and the single-job execution
-// path.
+// Tests for the campaign engine: thread-count-independent results, a job
+// cursor that runs every job once at any pool width, cache hit/miss
+// behaviour (including shared in-flight builds), closed-loop jobs' per-job
+// forwarding state, failure capture and the single-job execution path.
 #include "engine/runner.hpp"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "engine/spec.hpp"
 #include "routing/relabel.hpp"
@@ -230,6 +235,61 @@ TEST(Runner, PerSegmentAlgorithmsSkipStaticContention) {
   EXPECT_EQ(job.maxFlowsPerChannel, 0u);
   EXPECT_EQ(job.maxDemand, 0.0);
   EXPECT_GT(job.makespanNs, 0u);
+}
+
+TEST(Runner, EveryJobRunsOnceWhateverThePoolWidth) {
+  // Ring jobs of mixed cost (msg_scale spans 32x) and one job that fails
+  // at once (128 ranks on 16 hosts), so workers finish out of index order.
+  std::vector<ExperimentSpec> mixed = parseCampaign(
+      "pattern=ring:16 m1=4 m2=4 w2={4,2} msg_scale={0.03125,1,0.25} "
+      "routing={d-mod-k,adaptive,Random} seed=1..3\n");
+  ASSERT_GE(mixed.size(), 37u);
+  mixed[5].pattern = "cg128";
+  for (const std::size_t count : {0u, 1u, 7u, 37u}) {
+    const std::vector<ExperimentSpec> specs(mixed.begin(),
+                                            mixed.begin() + count);
+    for (const std::uint32_t threads : {1u, 3u, 4u, 64u}) {
+      SCOPED_TRACE(testing::Message() << count << " jobs, " << threads
+                                      << " threads");
+      std::vector<std::atomic<std::uint32_t>> seen(count);
+      std::atomic<bool> inside{false};
+      std::atomic<bool> overlapped{false};
+      RunnerOptions opt;
+      opt.threads = threads;
+      opt.onJobDone = [&](const JobResult& job) {
+        if (inside.exchange(true)) overlapped = true;
+        seen.at(job.jobIndex).fetch_add(1);
+        std::this_thread::yield();  // Widen the window a second call hits.
+        inside = false;
+      };
+      const CampaignResults results = Runner(opt).run(specs);
+      EXPECT_FALSE(overlapped.load());
+      ASSERT_EQ(results.jobs.size(), count);
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(seen[i].load(), 1u) << "job " << i;
+        EXPECT_EQ(results.jobs[i].jobIndex, i);
+        EXPECT_EQ(results.jobs[i].spec, specs[i]);
+        EXPECT_EQ(results.jobs[i].ok, i != 5) << results.jobs[i].error;
+      }
+    }
+  }
+}
+
+TEST(Runner, AThrowingOnJobDoneSurfacesFromRunAfterEveryJob) {
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=ring:16 msg_scale=0.0625 m1=4 m2=4 w2=2 seed=1..6\n");
+  for (const std::uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    std::uint32_t calls = 0;  // onJobDone is serialized.
+    RunnerOptions opt;
+    opt.threads = threads;
+    opt.onJobDone = [&](const JobResult&) {
+      ++calls;
+      throw std::runtime_error("progress sink failed");
+    };
+    EXPECT_THROW((void)Runner(opt).run(specs), std::runtime_error);
+    EXPECT_EQ(calls, 1u);
+  }
 }
 
 TEST(Runner, ThreadCountDefaultsAndClamping) {

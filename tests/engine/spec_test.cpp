@@ -1,6 +1,7 @@
 // Unit tests for engine::ExperimentSpec: canonical-line round-trips, the
-// campaign sweep expansion (lists, ranges, cross-product order), workload
-// instantiation and the stability of per-role seed derivation.
+// campaign sweep expansion (lists, ranges, cross-product order, the job
+// bound), workload instantiation and the stability of per-role seed
+// derivation.
 #include "engine/spec.hpp"
 
 #include <gtest/gtest.h>
@@ -154,6 +155,54 @@ TEST(Spec, RangeExpansionIsInclusiveBothDirections) {
   ASSERT_EQ(down.size(), 4u);
   EXPECT_EQ(down.front().topo, xgft::xgft2(16, 16, 4));
   EXPECT_EQ(down.back().topo, xgft::xgft2(16, 16, 1));
+}
+
+TEST(Spec, RangesPastTheJobBoundAreRefusedFromTheirBounds) {
+  // Each would have built billions of specs, and the full-width range
+  // never left its loop.
+  for (const char* line :
+       {"seed=1..4294967295", "seed=0..18446744073709551615",
+        "seed=18446744073709551615..0"}) {
+    SCOPED_TRACE(line);
+    try {
+      (void)expandCampaignLine(line);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("spans more than 1048576 values"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // One value past the bound is refused as well; the campaign form names
+  // the line.
+  EXPECT_THROW((void)expandCampaignLine("seed=1..1048577"),
+               std::invalid_argument);
+  try {
+    (void)parseCampaign("pattern=ring:8\nseed=1..4294967295\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: "), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Spec, CrossProductsPastTheJobBoundAreRefusedBeforeExpanding) {
+  // 1024 x 1025 jobs: each range fits, their product does not.
+  try {
+    (void)parseCampaign("seed=1..1024 w2=1..1025\n");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "line 1: campaign spec: line expands to more than 1048576 "
+                  "jobs"),
+              std::string::npos)
+        << e.what();
+  }
+  // A product past 2^64 is caught, not wrapped.
+  EXPECT_THROW((void)expandCampaignLine("seed=1..1048576 m1=1..1048576 "
+                                        "m2=1..1048576 w2=1..1048576"),
+               std::invalid_argument);
+  EXPECT_EQ(kMaxCampaignJobs, std::uint64_t{1} << 20);
 }
 
 TEST(Spec, CrossProductVariesLastKeyFastest) {

@@ -220,23 +220,23 @@ TEST(EventQueue, MoreLiveDelaysThanLanesOverflowToTheHeap) {
 }
 
 TEST(EventQueue, PushEarlierThanItsLaneTailGoesToTheHeap) {
-  // ParallelRunner::abortToSerial's shape: a window is popped, its
-  // executed prefix's pushes are replayed after the window's last pop, and
-  // the unexecuted rest is pushed back in order for the serial core.
+  // A caller that pops a batch of events, pushes the successors of the
+  // first one, then pushes the rest of the batch back in order: those
+  // pushes are earlier than the last pop.
   EventQueue q;
   Reference ref;
   pushBoth(q, ref, 1000, 1);
   pushBoth(q, ref, 1010, 2);
   pushBoth(q, ref, 1020, 3);
-  for (int i = 0; i < 3; ++i) popBoth(q, ref);  // The window; last pop 1020.
+  for (int i = 0; i < 3; ++i) popBoth(q, ref);  // The batch; last pop 1020.
   // Event 1 ran: its successor 4116 later is pushed 20 ns after its own
   // time, so its delay reads 4096 and it becomes that lane's tail.
   pushBoth(q, ref, 1000 + 4116, 4);
   pushBoth(q, ref, 1010, 2);  // Events 2 and 3 go back, in order.
   pushBoth(q, ref, 1020, 3);
   EXPECT_EQ(q.overflowPushes(), 0u);
-  // The serial core runs event 2 at 1010, before the last pop: its
-  // successor 4096 later is earlier than the 4096 lane's tail.
+  // Event 2 runs again at 1010, before the last pop: its successor 4096
+  // later is earlier than the 4096 lane's tail.
   EXPECT_EQ(popBoth(q, ref).a, 2u);
   pushBoth(q, ref, 1010 + 4096, 5);
   EXPECT_EQ(q.overflowPushes(), 1u);

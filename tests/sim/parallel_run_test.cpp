@@ -1,94 +1,85 @@
-// Tests for the conservative parallel engine (sim/shard.hpp): bit-exact
-// equivalence with the serial core across shard counts — stats, delivery
-// times, per-wire busy times, sink call order, run(until) resume points —
-// plus the planner's fallback conditions and the mid-run fault abort.
-#include "sim/shard.hpp"
-
+// Tests for what concurrent campaign jobs share at the sim layer: one const
+// topology, one router and its flat and compressed forwarding tables, read
+// by four trace::runOpenLoop calls on four threads at once.  One of the
+// runs patches the shared healthy table around a timed link outage
+// mid-run.  Every concurrent run must produce exactly what the same run
+// produces alone; TSan builds check that the sharing is read-only.
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <utility>
+#include <array>
+#include <latch>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
-#include "delivery_recorder.hpp"
+#include "core/compiled_routes.hpp"
+#include "fault/inject.hpp"
+#include "fault/plan.hpp"
+#include "patterns/source.hpp"
 #include "routing/relabel.hpp"
-#include "sim/network.hpp"
-#include "sim/probe.hpp"
-#include "xgft/rng.hpp"
-#include "xgft/route.hpp"
+#include "trace/openloop.hpp"
 #include "xgft/topology.hpp"
 
-namespace sim {
+namespace trace {
 namespace {
 
-using xgft::Topology;
-
-/// A completion recorder whose deliveries are pure observations — the
-/// deferrable contract the parallel engine needs from a sink.
-class PassiveRecorder : public DeliveryRecorder {
- public:
-  [[nodiscard]] bool deliveriesDeferrable() const override { return true; }
-  /// Completion time per handle for @p messages messages added before the
-  /// run (so no slot was recycled and handles are 0..messages-1); fails the
-  /// test unless every one completed.
-  [[nodiscard]] std::vector<TimeNs> timesByHandle(
-      std::uint32_t messages) const {
-    std::vector<TimeNs> times(messages, 0);
-    for (const auto& [m, t] : deliveries) times.at(m) = t;
-    EXPECT_EQ(deliveries.size(), messages);
-    return times;
-  }
+/// Everything the jobs share, built once and never written again.
+struct Shared {
+  const xgft::Topology topo{xgft::xgft2(16, 16, 10)};  // paper-slim
+  const std::shared_ptr<const routing::Router> router =
+      routing::makeDModK(topo);
+  const std::shared_ptr<const core::CompiledRoutes> flat =
+      core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
+  const std::shared_ptr<const core::CompiledRoutes> compressed =
+      core::CompiledRoutes::compile(router, 1,
+                                    core::TableLayout::kCompressed);
 };
 
-/// Every NCA route of an (s, d) pair, in candidate order.
-std::vector<xgft::Route> allRoutes(const Topology& topo, xgft::NodeIndex s,
-                                   xgft::NodeIndex d) {
-  std::vector<xgft::Route> routes;
-  for (xgft::Count c = 0; c < topo.numNcas(s, d); ++c) {
-    routes.push_back(routeViaNca(topo, s, d, c));
-  }
-  return routes;
-}
-
-/// A deterministic mixed workload: adaptive, sprayed-set and self messages
-/// with hashed sources/destinations/sizes, released over [0, 40 us)
-/// (dense enough that conservative windows hold real parallel batches).
-void loadWorkload(Network& net, const Topology& topo, std::uint32_t count) {
-  const auto hosts = static_cast<std::uint32_t>(topo.numHosts());
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto src =
-        static_cast<xgft::NodeIndex>(xgft::hashMix(11, i, 0) % hosts);
-    auto dst = static_cast<xgft::NodeIndex>(xgft::hashMix(11, i, 1) % hosts);
-    if (i % 17 == 0) dst = src;  // Keep some local deliveries in the mix.
-    const Bytes bytes = 1024 + 4096 * (xgft::hashMix(11, i, 2) % 4);
-    const TimeNs release = xgft::hashMix(11, i, 3) % 40'000;
-    MsgId m = 0;
-    if (src == dst) {
-      m = net.addMessage(src, dst, bytes, xgft::Route{});
-    } else if (i % 3 == 0) {
-      m = net.addMessageAdaptive(src, dst, bytes);
-    } else {
-      const RouteSet set = net.internRoutes(src, dst,
-                                            allRoutes(topo, src, dst));
-      m = net.addMessageSet(src, dst, bytes, set,
-                            i % 3 == 1 ? SprayPolicy::kRoundRobin
-                                       : SprayPolicy::kRandom,
-                            /*spraySeed=*/99);
-    }
-    net.release(m, release);
-  }
-}
-
-/// Everything the serial engine observably produces for one run.
-struct RunOutput {
-  NetworkStats stats;
-  TimeNs end = 0;
-  std::vector<TimeNs> delivery;
-  std::vector<std::uint64_t> wire;
-  std::vector<std::pair<MsgId, TimeNs>> sinkSeq;
+struct Job {
+  bool compressed = false;
+  double load = 0.5;
+  std::uint64_t seed = 1;
+  /// Fail leaf 0's first up-link over the middle of the measurement
+  /// window, patching the shared flat table at both transitions.
+  bool timedFault = false;
 };
 
-void expectSameStats(const NetworkStats& a, const NetworkStats& b) {
+constexpr sim::TimeNs kWarmupNs = 50'000;
+constexpr sim::TimeNs kMeasureNs = 200'000;
+
+OpenLoopResult runJob(const Shared& shared, const Job& job) {
+  OpenLoopOptions opt;
+  opt.warmupNs = kWarmupNs;
+  opt.measureNs = kMeasureNs;
+  opt.compiled = job.compressed ? shared.compressed.get() : shared.flat.get();
+  fault::FaultPlan plan;
+  std::shared_ptr<void> installed;  // Owns the patched table.
+  if (job.timedFault) {
+    const xgft::LinkId link = shared.topo.upLink(1, 0, 0);
+    plan = fault::makeFaultPlan(
+        "timed:" + std::to_string(link) + ":" +
+            std::to_string(kWarmupNs + kMeasureNs / 4) + ":" +
+            std::to_string(kWarmupNs + kMeasureNs * 3 / 4),
+        shared.topo, 1);
+    opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
+      installed = fault::installFaultPlan(net, plan, shared.flat, &resolver);
+    };
+  }
+  patterns::OpenLoopConfig cfg;
+  cfg.numRanks = static_cast<patterns::Rank>(shared.topo.numHosts());
+  cfg.load = job.load;
+  cfg.messageBytes = 1024;
+  cfg.stopNs = kWarmupNs + kMeasureNs;
+  cfg.seed = job.seed;
+  patterns::OpenLoopSource source(cfg);
+  return runOpenLoop(shared.topo, *shared.router, source, opt);
+}
+
+void expectSameResult(const OpenLoopResult& alone,
+                      const OpenLoopResult& concurrent) {
+  const sim::NetworkStats& a = alone.stats;
+  const sim::NetworkStats& b = concurrent.stats;
   EXPECT_EQ(a.segmentsInjected, b.segmentsInjected);
   EXPECT_EQ(a.segmentsDelivered, b.segmentsDelivered);
   EXPECT_EQ(a.messagesDelivered, b.messagesDelivered);
@@ -100,239 +91,58 @@ void expectSameStats(const NetworkStats& a, const NetworkStats& b) {
   EXPECT_EQ(a.segmentsStranded, b.segmentsStranded);
   EXPECT_EQ(a.messagesDropped, b.messagesDropped);
   EXPECT_EQ(a.linkDownNs, b.linkDownNs);
-}
 
-void expectSameOutput(const RunOutput& serial, const RunOutput& parallel) {
-  expectSameStats(serial.stats, parallel.stats);
-  EXPECT_EQ(serial.end, parallel.end);
-  ASSERT_EQ(serial.delivery.size(), parallel.delivery.size());
-  for (std::size_t m = 0; m < serial.delivery.size(); ++m) {
-    EXPECT_EQ(serial.delivery[m], parallel.delivery[m]) << "message " << m;
-  }
-  ASSERT_EQ(serial.wire.size(), parallel.wire.size());
-  for (std::size_t p = 0; p < serial.wire.size(); ++p) {
-    EXPECT_EQ(serial.wire[p], parallel.wire[p]) << "gport " << p;
-  }
-  EXPECT_EQ(serial.sinkSeq, parallel.sinkSeq);
-}
+  EXPECT_EQ(alone.latency.samples, concurrent.latency.samples);
+  EXPECT_EQ(alone.latency.minNs, concurrent.latency.minNs);
+  EXPECT_EQ(alone.latency.meanNs, concurrent.latency.meanNs);
+  EXPECT_EQ(alone.latency.p50Ns, concurrent.latency.p50Ns);
+  EXPECT_EQ(alone.latency.p99Ns, concurrent.latency.p99Ns);
+  EXPECT_EQ(alone.latency.maxNs, concurrent.latency.maxNs);
 
-/// The large test fabric: XGFT(2; 16,16; 1,10), 256 hosts, 832 ports —
-/// comfortably above the planner's minimum cut size.
-xgft::Params bigParams() { return xgft::xgft2(16, 16, 10); }
-
-RunOutput runWorkload(const Topology& topo, std::uint32_t messages,
-                      std::uint32_t simThreads,
-                      const std::vector<TimeNs>& resumePoints = {}) {
-  Network net(topo, SimConfig{});
-  PassiveRecorder rec;
-  net.setSink(&rec);
-  loadWorkload(net, topo, messages);
-  for (const TimeNs until : resumePoints) {
-    if (simThreads <= 1) {
-      net.run(until);
-    } else {
-      runParallel(net, until, simThreads);
-    }
-  }
-  if (simThreads <= 1) {
-    net.run();
-  } else {
-    runParallel(net, std::numeric_limits<TimeNs>::max(), simThreads);
-  }
-  RunOutput out;
-  out.stats = net.stats();
-  out.end = net.now();
-  out.delivery = rec.timesByHandle(messages);
-  for (std::uint32_t p = 0; p < net.numGlobalPorts(); ++p) {
-    out.wire.push_back(net.wireBusyNs(p));
-  }
-  out.sinkSeq = std::move(rec.deliveries);
-  return out;
-}
-
-TEST(ParallelRun, PlansShardingOnTheBigFabric) {
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  const ParallelPlan plan = planParallelRun(net, 4);
-  ASSERT_TRUE(plan.parallel);
-  EXPECT_EQ(plan.shards, 4u);
-  // W = min(switchLatencyNs = 100, serializationNs(0) = 32 at 2 Gb/s with
-  // an 8 B header) — the serialization of a bare header bounds it.
-  EXPECT_EQ(plan.windowNs, 32u);
-  EXPECT_EQ(plan.fallbackReason, nullptr);
-}
-
-TEST(ParallelRun, ByteIdenticalAcrossShardCounts) {
-  const Topology topo(bigParams());
-  const RunOutput serial = runWorkload(topo, 1200, 1);
-  // All messages must actually flow for the comparison to mean anything.
-  EXPECT_EQ(serial.stats.messagesDelivered, 1200u);
-  for (const std::uint32_t threads : {2u, 4u, 7u}) {
-    SCOPED_TRACE(threads);
-    expectSameOutput(serial, runWorkload(topo, 1200, threads));
+  ASSERT_EQ(alone.windows.size(), concurrent.windows.size());
+  for (std::size_t w = 0; w < alone.windows.size(); ++w) {
+    SCOPED_TRACE(w);
+    EXPECT_EQ(alone.windows[w].beginNs, concurrent.windows[w].beginNs);
+    EXPECT_EQ(alone.windows[w].endNs, concurrent.windows[w].endNs);
+    EXPECT_EQ(alone.windows[w].messages, concurrent.windows[w].messages);
+    EXPECT_EQ(alone.windows[w].bytes, concurrent.windows[w].bytes);
+    EXPECT_EQ(alone.windows[w].eventsAtEnd,
+              concurrent.windows[w].eventsAtEnd);
   }
 }
 
-TEST(ParallelRun, ByteIdenticalAcrossRunUntilResumes) {
-  const Topology topo(bigParams());
-  // Boundaries in mid-flight, at an exact event-free instant, and beyond
-  // the drain; the engine must leave the queue in the serial state at
-  // every one of them.
-  const std::vector<TimeNs> resumes = {20'000, 20'000, 45'001, 10'000'000};
-  const RunOutput serial = runWorkload(topo, 800, 1, resumes);
-  for (const std::uint32_t threads : {2u, 4u}) {
-    SCOPED_TRACE(threads);
-    expectSameOutput(serial, runWorkload(topo, 800, threads, resumes));
-  }
-}
+TEST(ConcurrentJobs, RunsOnSharedTablesMatchTheirSoloRuns) {
+  const Shared shared;
+  const std::array<Job, 4> jobs = {{
+      {/*compressed=*/false, /*load=*/0.3, /*seed=*/1, /*timedFault=*/false},
+      {/*compressed=*/false, /*load=*/0.6, /*seed=*/2, /*timedFault=*/true},
+      {/*compressed=*/true, /*load=*/0.3, /*seed=*/3, /*timedFault=*/false},
+      {/*compressed=*/true, /*load=*/0.6, /*seed=*/4, /*timedFault=*/false},
+  }};
+  std::vector<OpenLoopResult> alone;
+  for (const Job& job : jobs) alone.push_back(runJob(shared, job));
+  // The outage must reach traffic, or the patch shares nothing worth
+  // checking.
+  EXPECT_GT(alone[1].stats.segmentsRerouted + alone[1].stats.segmentsStranded,
+            0u);
+  EXPECT_GT(alone[1].stats.linkDownNs, 0u);
 
-TEST(ParallelRun, WorkloadActuallyExercisesShardWorkers) {
-  // Guards the identity tests against silently degenerating into the
-  // inline small-batch path: a meaningful share of events must run on
-  // shard workers for the comparisons above to prove anything.
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  loadWorkload(net, topo, 1200);
-  ParallelRunStats st;
-  runParallel(net, std::numeric_limits<TimeNs>::max(), 4, &st);
-  EXPECT_FALSE(st.fellBack);
-  EXPECT_FALSE(st.aborted);
-  EXPECT_GT(st.parallelBatches, 100u);
-  EXPECT_GT(st.parallelEvents, 10'000u);
-  EXPECT_GT(st.parallelEvents + st.inlineEvents + st.serialEvents, 50'000u);
-}
-
-TEST(ParallelRun, FallsBackWithOneThread) {
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  const ParallelPlan plan = planParallelRun(net, 1);
-  EXPECT_FALSE(plan.parallel);
-  EXPECT_NE(plan.fallbackReason, nullptr);
-}
-
-TEST(ParallelRun, FallsBackOnSmallTopology) {
-  const Topology topo(xgft::xgft2(4, 4, 2));  // 48 ports.
-  Network net(topo, SimConfig{});
-  EXPECT_FALSE(planParallelRun(net, 4).parallel);
-}
-
-TEST(ParallelRun, FallsBackOnZeroLookahead) {
-  const Topology topo(bigParams());
-  SimConfig cfg;
-  cfg.switchLatencyNs = 0;  // The ideal-crossbar configuration.
-  Network net(topo, cfg);
-  EXPECT_FALSE(planParallelRun(net, 4).parallel);
-}
-
-TEST(ParallelRun, FallsBackOnNonDeferrableSink) {
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  class ClosedLoopSink : public TrafficSink {
-   public:
-    void onMessageDelivered(MsgId, TimeNs) override {}
-  } sink;
-  net.setSink(&sink);
-  EXPECT_FALSE(planParallelRun(net, 4).parallel);
-  PassiveRecorder passive;
-  net.setSink(&passive);
-  EXPECT_TRUE(planParallelRun(net, 4).parallel);
-}
-
-TEST(ParallelRun, FallsBackOnAttachedProbe) {
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  class NullProbe : public Probe {
-  } probe;
-  net.setProbe(&probe);
-  EXPECT_FALSE(planParallelRun(net, 4).parallel);
-  net.setProbe(nullptr);
-  EXPECT_TRUE(planParallelRun(net, 4).parallel);
-}
-
-TEST(ParallelRun, FallsBackOnScheduledFaults) {
-  const Topology topo(bigParams());
-  Network net(topo, SimConfig{});
-  net.setFaultPolicy(FaultPolicy::kWait);
-  net.scheduleLinkDown(1'000, topo.upLink(0, 0, 0));
-  EXPECT_FALSE(planParallelRun(net, 4).parallel);
-}
-
-TEST(ParallelRun, PreScheduledFaultRunsIdenticallyViaFallback) {
-  // runParallel with a pre-scheduled outage must quietly take the serial
-  // path and still match the serial run byte for byte.
-  const Topology topo(bigParams());
-  const xgft::LinkId link = topo.upLink(1, 3, 2);
-  const auto run = [&](std::uint32_t threads) {
-    Network net(topo, SimConfig{});
-    PassiveRecorder rec;
-    net.setSink(&rec);
-    net.setFaultPolicy(FaultPolicy::kWait);
-    net.scheduleLinkDown(20'000, link);
-    net.scheduleLinkUp(120'000, link);
-    loadWorkload(net, topo, 200);
-    if (threads <= 1) {
-      net.run();
-    } else {
-      runParallel(net, std::numeric_limits<TimeNs>::max(), threads);
-    }
-    RunOutput out;
-    out.stats = net.stats();
-    out.end = net.now();
-    out.delivery = rec.timesByHandle(200);
-    return out;
-  };
-  const RunOutput serial = run(1);
-  const RunOutput parallel = run(4);
-  expectSameStats(serial.stats, parallel.stats);
-  EXPECT_EQ(serial.end, parallel.end);
-  EXPECT_EQ(serial.delivery, parallel.delivery);
-  EXPECT_GT(serial.stats.linkDownNs, 0u);
-}
-
-TEST(ParallelRun, MidRunFaultScheduleAbortsToSerialIdentically) {
-  // A healthy-looking run whose callback schedules a kLinkDown mid-run:
-  // the parallel engine starts sharded, hits the callback, and must hand
-  // the rest to the serial core with the total order intact.
-  const Topology topo(bigParams());
-  const xgft::LinkId link = topo.upLink(1, 5, 4);
-  const auto run = [&](std::uint32_t threads) {
-    Network net(topo, SimConfig{});
-    net.setFaultPolicy(FaultPolicy::kWait);
-    PassiveRecorder rec;
-    net.setSink(&rec);
-    loadWorkload(net, topo, 300);
-    net.scheduleCallback(60'000, [&net, link] {
-      net.scheduleLinkDown(75'000, link);
-      net.scheduleLinkUp(110'000, link);
+  std::vector<OpenLoopResult> concurrent(jobs.size());
+  std::latch start(static_cast<std::ptrdiff_t>(jobs.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();  // Run all four at once.
+      concurrent[i] = runJob(shared, jobs[i]);
     });
-    if (threads <= 1) {
-      net.run();
-    } else {
-      EXPECT_TRUE(planParallelRun(net, threads).parallel);
-      ParallelRunStats st;
-      runParallel(net, std::numeric_limits<TimeNs>::max(), threads, &st);
-      // The run must have started sharded and handed off at the fault.
-      EXPECT_FALSE(st.fellBack);
-      EXPECT_TRUE(st.aborted);
-      EXPECT_GT(st.parallelEvents, 0u);
-    }
-    RunOutput out;
-    out.stats = net.stats();
-    out.end = net.now();
-    out.delivery = rec.timesByHandle(300);
-    for (std::uint32_t p = 0; p < net.numGlobalPorts(); ++p) {
-      out.wire.push_back(net.wireBusyNs(p));
-    }
-    out.sinkSeq = std::move(rec.deliveries);
-    return out;
-  };
-  const RunOutput serial = run(1);
-  EXPECT_GT(serial.stats.linkDownNs, 0u);
-  for (const std::uint32_t threads : {2u, 4u}) {
-    SCOPED_TRACE(threads);
-    expectSameOutput(serial, run(threads));
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(i);
+    expectSameResult(alone[i], concurrent[i]);
   }
 }
 
 }  // namespace
-}  // namespace sim
+}  // namespace trace
