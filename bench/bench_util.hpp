@@ -13,9 +13,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+
+#include "engine/spec.hpp"
 
 namespace benchutil {
 
@@ -29,32 +33,39 @@ struct Options {
     Options opt;
     bool seedsSet = false;
     bool scaleSet = false;
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--quick") {
-        if (!seedsSet) opt.seeds = 3;
-        if (!scaleSet) opt.msgScale = 0.03125;
-      } else if (arg == "--full") {
-        if (!seedsSet) opt.seeds = 40;
-        if (!scaleSet) opt.msgScale = 1.0;
-      } else if (arg == "--seeds" && i + 1 < argc) {
-        opt.seeds = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-        seedsSet = true;
-      } else if (arg == "--msg-scale" && i + 1 < argc) {
-        opt.msgScale = std::stod(argv[++i]);
-        scaleSet = true;
-      } else if (arg == "--threads" && i + 1 < argc) {
-        opt.threads = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-      } else if (arg == "--csv") {
-        opt.csv = true;
-      } else if (arg == "--help" || arg == "-h") {
-        std::cout << "flags: --quick | --full | --seeds N | --msg-scale X | "
-                     "--threads N | --csv\n";
-        std::exit(0);
-      } else {
-        std::cerr << "unknown flag '" << arg << "' (run --help for the flag list)\n";
-        std::exit(2);
+    try {
+      for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--quick") {
+          if (!seedsSet) opt.seeds = 3;
+          if (!scaleSet) opt.msgScale = 0.03125;
+        } else if (arg == "--full") {
+          if (!seedsSet) opt.seeds = 40;
+          if (!scaleSet) opt.msgScale = 1.0;
+        } else if (arg == "--seeds" && i + 1 < argc) {
+          opt.seeds = engine::parseU32(argv[++i], "--seeds");
+          seedsSet = true;
+        } else if (arg == "--msg-scale" && i + 1 < argc) {
+          opt.msgScale = engine::parseFiniteDouble(argv[++i], "--msg-scale");
+          scaleSet = true;
+        } else if (arg == "--threads" && i + 1 < argc) {
+          opt.threads = engine::parseU32(argv[++i], "--threads");
+        } else if (arg == "--csv") {
+          opt.csv = true;
+        } else if (arg == "--help" || arg == "-h") {
+          std::cout << "flags: --quick | --full | --seeds N | --msg-scale X | "
+                       "--threads N | --csv\n";
+          std::exit(0);
+        } else {
+          std::cerr << "unknown flag '" << arg
+                    << "' (run --help for the flag list)\n";
+          std::exit(2);
+        }
       }
+    } catch (const std::invalid_argument& e) {
+      // A malformed number (engine/spec.hpp's strict rule) is a usage error.
+      std::cerr << "error: " << e.what() << "\n";
+      std::exit(2);
     }
     return opt;
   }

@@ -11,6 +11,7 @@
 //   campaign_smoke [--threads N] [--jobs N] [--json]
 #include <cstdint>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -57,18 +58,24 @@ double runOnce(const std::vector<engine::ExperimentSpec>& specs,
 int main(int argc, char** argv) {
   std::uint32_t threads = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t jobs = 64;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      jobs = static_cast<std::uint32_t>(std::stoul(argv[++i]));
-    } else if (arg == "--json") {
-      // JSON is the only output format; flag kept for interface symmetry.
-    } else {
-      std::cerr << "usage: campaign_smoke [--threads N] [--jobs N]\n";
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--threads" && i + 1 < argc) {
+        threads = engine::parseU32(argv[++i], "--threads");
+      } else if (arg == "--jobs" && i + 1 < argc) {
+        jobs = engine::parseU32(argv[++i], "--jobs");
+      } else if (arg == "--json") {
+        // JSON is the only output format; flag kept for interface symmetry.
+      } else {
+        throw std::invalid_argument(
+            "unknown flag '" + arg +
+            "' (known: --threads N, --jobs N, --json)");
+      }
     }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   }
   try {
     const std::vector<engine::ExperimentSpec> specs = smokeCampaign(jobs);

@@ -218,7 +218,7 @@ BENCHMARK(BM_NetworkConstruction3)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond
 
 void BM_RouteCompileFlat(benchmark::State& state) {
   // Dense O(H^2) compilation on the 512-host tier (the 4096-host flat table
-  // is 218 MB — past the engine budget, hence the compressed rows below).
+  // is 80 MiB — past the engine budget, hence the compressed rows below).
   // Arg 0 = d-mod-k, which compiles one route per NCA-level run; arg 1 =
   // Random, which has no ascent guide and keeps the per-pair path.
   // Counters report the resident table footprint.
@@ -239,7 +239,7 @@ BENCHMARK(BM_RouteCompileFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RouteCompileCompressed(benchmark::State& state) {
   // Full interval-compressed d-mod-k compilation per tier; the
-  // compressed_bytes counter against the flat_bytes counter (218 MB at
+  // compressed_bytes counter against the flat_bytes counter (80 MiB at
   // 4096 hosts) is the memory headline.
   const auto topo = std::make_shared<const xgft::Topology>(
       xgft3Tier(static_cast<int>(state.range(0))));
@@ -265,10 +265,9 @@ void BM_RouteResolve(benchmark::State& state) {
   // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts, flat
   // d-mod-k table: one table lookup per pair), arg 1 =
   // xgft3:16:16:16:1:8:8 (4096 hosts, compressed: one interval probe per
-  // pair), arg 2 = paper-slim with the Random router and no table (every
-  // first send of a pair is a router-mode miss: one route(), one
-  // validation, one stored ascent; repeats are memo hits).  Counters: ns
-  // per resolved pair and the route store's bytes after the stream.
+  // pair), arg 2 = paper-slim with the Random router and no table (router
+  // mode: one choice() and its range check per pair, nothing stored or
+  // memoized, repeats included).  Counter: ns per resolved pair.
   constexpr std::uint32_t kPairs = 200'000;
   const bool big = state.range(0) == 1;
   const bool tableFree = state.range(0) == 2;
@@ -283,7 +282,6 @@ void BM_RouteResolve(benchmark::State& state) {
                       big ? core::TableLayout::kCompressed
                           : core::TableLayout::kFlat);
   const std::uint64_t n = topo->numHosts();
-  std::uint64_t arenaBytes = 0;
   for (auto _ : state) {
     sim::Network net(*topo, sim::SimConfig{});
     trace::RouteSetResolver resolver(net, *router, {}, table.get());
@@ -293,7 +291,6 @@ void BM_RouteResolve(benchmark::State& state) {
       const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
       benchmark::DoNotOptimize(resolver.setFor(s, d));
     }
-    arenaBytes = net.routes().arenaEntries() * sizeof(std::uint32_t);
   }
   // An inverted per-iteration rate is seconds per pair; the 1e-9 factor
   // turns it into nanoseconds.
@@ -301,7 +298,6 @@ void BM_RouteResolve(benchmark::State& state) {
       kPairs * 1e-9,
       benchmark::Counter::kIsIterationInvariantRate |
           benchmark::Counter::kInvert);
-  state.counters["arena_bytes"] = static_cast<double>(arenaBytes);
   state.SetLabel(topo->params().toString());
 }
 BENCHMARK(BM_RouteResolve)

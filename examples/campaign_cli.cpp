@@ -18,9 +18,7 @@
 //   echo 'pattern=ring:64 w2=8..1 routing=Random seed=1..4' | campaign_cli -
 #include <unistd.h>
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -155,33 +153,6 @@ int listRegistry(const std::string& what) {
   return 0;
 }
 
-/// @p value as a whole u32 (no sign, no trailing characters), else throws
-/// naming @p flag.
-std::uint32_t parseU32Flag(const char* flag, const std::string& value) {
-  std::uint32_t v = 0;
-  const char* end = value.data() + value.size();
-  const auto [p, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc{} || p != end) {
-    throw std::invalid_argument(std::string(flag) +
-                                " wants an integer in [0, 4294967295], got '" +
-                                value + "'");
-  }
-  return v;
-}
-
-/// @p value as a whole finite double, else throws naming @p flag.
-double parseDoubleFlag(const char* flag, const std::string& value) {
-  double v = 0.0;
-  const char* end = value.data() + value.size();
-  const auto [p, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc{} || p != end || !std::isfinite(v)) {
-    throw std::invalid_argument(std::string(flag) +
-                                " wants a finite number, got '" + value +
-                                "'");
-  }
-  return v;
-}
-
 CliOptions parseCli(int argc, char** argv) {
   CliOptions opt;
   for (int i = 1; i < argc; ++i) {
@@ -195,11 +166,12 @@ CliOptions parseCli(int argc, char** argv) {
     if (arg == "--builtin") {
       opt.builtin = next("--builtin");
     } else if (arg == "--threads") {
-      opt.threads = parseU32Flag("--threads", next("--threads"));
+      opt.threads = engine::parseU32(next("--threads"), "--threads");
     } else if (arg == "--seeds") {
-      opt.seeds = parseU32Flag("--seeds", next("--seeds"));
+      opt.seeds = engine::parseU32(next("--seeds"), "--seeds");
     } else if (arg == "--msg-scale") {
-      opt.msgScale = parseDoubleFlag("--msg-scale", next("--msg-scale"));
+      opt.msgScale =
+          engine::parseFiniteDouble(next("--msg-scale"), "--msg-scale");
     } else if (arg == "--out") {
       opt.outFile = next("--out");
     } else if (arg == "--telemetry") {

@@ -73,9 +73,9 @@ CliOptions parseCli(int argc, char** argv) {
     } else if (arg == "--policy") {
       opt.policy = next("--policy");
     } else if (arg == "--load") {
-      opt.load = std::stod(next("--load"));
+      opt.load = engine::parseFiniteDouble(next("--load"), "--load");
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(next("--seed"));
+      opt.seed = engine::parseU64(next("--seed"), "--seed");
     } else if (arg == "--trace-out") {
       opt.traceOut = next("--trace-out");
     } else if (arg == "--help" || arg == "-h") {

@@ -64,11 +64,11 @@ void forEachBlock(std::size_t n, std::uint32_t threads, const Body& body) {
 }
 
 /// Worker count for @p threads over @p n guide columns or rows: 0 means
-/// hardware concurrency, and no worker goes without one.
+/// hardware concurrency, no count exceeds it, and no worker goes without a
+/// column.
 std::uint32_t clampThreads(std::uint32_t threads, std::size_t n) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  const std::uint32_t host = std::max(1u, std::thread::hardware_concurrency());
+  if (threads == 0 || threads > host) threads = host;
   return static_cast<std::uint32_t>(
       std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
 }
@@ -94,20 +94,20 @@ bool levelRunsOn(const routing::Router& router, bool byDst) {
 }
 
 /// Walks guide column @p guide of @p router in rank order, one run at a
-/// time: emit(begin, end, ascent) says ranks [begin, end) of the other
-/// endpoint all take the catalogue ascent `ascent` (empty for the
-/// diagonal).  With @p levelRuns a run spans its whole NCA-level range and
-/// the router is asked once for it; otherwise each rank is a run of its
-/// own.  Every choice passes Router::ascentOf's range check — the only
-/// check a compile makes.
+/// time: emit(begin, end, level, choice) says ranks [begin, end) of the
+/// other endpoint all take NCA choice `choice` of NCA level `level` (0 and
+/// 0 for the diagonal).  With @p levelRuns a run spans its whole NCA-level
+/// range and the router is asked once for it; otherwise each rank is a run
+/// of its own.  Every choice passes Router::ascentOf's range check — the
+/// only check a compile makes.
 template <typename Emit>
 void forEachRun(const routing::Router& router, bool byDst, bool levelRuns,
                 std::uint32_t guide, const Emit& emit) {
   const xgft::Topology& topo = router.topology();
   const auto n = static_cast<std::uint32_t>(topo.numHosts());
   for (std::uint32_t pos = 0; pos < n;) {
-    if (pos == guide) {  // Diagonal: its own zero-length run.
-      emit(pos, pos + 1, std::span<const std::uint32_t>{});
+    if (pos == guide) {  // Diagonal: its own zero-level run.
+      emit(pos, pos + 1, 0u, 0u);
       ++pos;
       continue;
     }
@@ -117,37 +117,30 @@ void forEachRun(const routing::Router& router, bool byDst, bool levelRuns,
     for (; pos < end; pos += step) {
       const xgft::NodeIndex s = byDst ? pos : guide;
       const xgft::NodeIndex d = byDst ? guide : pos;
-      emit(pos, pos + step, router.ascentOf(s, d, level, router.choice(s, d)));
+      const xgft::Count c = router.choice(s, d);
+      (void)router.ascentOf(s, d, level, c);  // The range check.
+      emit(pos, pos + step, level, static_cast<std::uint32_t>(c));
     }
   }
 }
 
-/// Interval runs and stored port words one guide column would compress to,
-/// without building it: used for axis sampling and footprint estimation.
-struct ColumnCost {
+/// Intervals one guide column would compress to, without building it: used
+/// for axis sampling and footprint estimation.  Two catalogue ascents are
+/// equal iff they are the same choice, so an interval starts wherever the
+/// (level, choice) changes.
+std::uint64_t scanColumn(const routing::Router& r, bool byDst,
+                         std::uint32_t guide) {
   std::uint64_t intervals = 0;
-  std::uint64_t portWords = 0;
-};
-
-ColumnCost scanColumn(const routing::Router& r, bool byDst,
-                      std::uint32_t guide) {
-  ColumnCost cost;
-  // Catalogue ascents are equal iff they are the same slice, so an
-  // interval starts wherever the slice changes.
-  const std::uint32_t* prev = nullptr;
+  std::uint32_t prevLevel = ~0u;
+  std::uint32_t prevChoice = ~0u;
   forEachRun(r, byDst, levelRunsOn(r, byDst), guide,
-             [&](std::uint32_t, std::uint32_t,
-                 std::span<const std::uint32_t> ascent) {
-               if (ascent.empty()) {  // Diagonal: its own zero-length run.
-                 ++cost.intervals;
-                 prev = nullptr;
-               } else if (ascent.data() != prev) {
-                 ++cost.intervals;
-                 cost.portWords += ascent.size();
-                 prev = ascent.data();
-               }
+             [&](std::uint32_t, std::uint32_t, std::uint32_t level,
+                 std::uint32_t choice) {
+               if (level != prevLevel || choice != prevChoice) ++intervals;
+               prevLevel = level;
+               prevChoice = choice;
              });
-  return cost;
+  return intervals;
 }
 
 }  // namespace
@@ -156,8 +149,7 @@ CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
     : router_(std::move(router)) {
   const xgft::Topology& topo = router_->topology();
   numHosts_ = static_cast<std::size_t>(topo.numHosts());
-  stride_ = topo.height();
-  if (stride_ > 0xff) {
+  if (topo.height() > 0xff) {  // lens_ holds a level in one byte.
     throw std::invalid_argument("CompiledRoutes: tree higher than 255 levels");
   }
 }
@@ -165,9 +157,7 @@ CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
 std::uint64_t CompiledRoutes::tableBytes(const xgft::Topology& topo) {
   const std::uint64_t pairs =
       static_cast<std::uint64_t>(topo.numHosts()) * topo.numHosts();
-  return pairs * (static_cast<std::uint64_t>(topo.height()) *
-                      sizeof(std::uint32_t) +
-                  sizeof(std::uint8_t));
+  return pairs * (sizeof(std::uint32_t) + sizeof(std::uint8_t));
 }
 
 std::uint64_t CompiledRoutes::estimateCompressedBytes(
@@ -190,9 +180,8 @@ std::uint64_t CompiledRoutes::estimateCompressedBytes(
                       static_cast<std::uint64_t>(i) * (n - 1) / 7);
       if (guide == last) continue;
       last = guide;
-      const ColumnCost cost = scanColumn(router, byDst, guide);
-      bytes += sizeof(std::uint32_t) + cost.intervals * sizeof(Interval) +
-               cost.portWords * sizeof(std::uint32_t);
+      bytes += sizeof(std::uint32_t) +
+               scanColumn(router, byDst, guide) * sizeof(Interval);
       ++sampled;
     }
     best = std::min(best, bytes / sampled * n);
@@ -233,8 +222,8 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
          {0u, hosts / 2, hosts == 0 ? 0u : hosts - 1}) {
       if (g == last) continue;
       last = g;
-      byDstRuns += scanColumn(r, true, g).intervals;
-      bySrcRuns += scanColumn(r, false, g).intervals;
+      byDstRuns += scanColumn(r, true, g);
+      bySrcRuns += scanColumn(r, false, g);
     }
     table->axis_ = bySrcRuns < byDstRuns ? Axis::kBySrc : Axis::kByDst;
   } else {
@@ -255,16 +244,15 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
         n, threads, [&](std::uint32_t g, Columns& out) {
           forEachRun(r, byDst, levelRuns, g,
                      [&](std::uint32_t begin, std::uint32_t,
-                         std::span<const std::uint32_t> ports) {
-                       appendRun(out, begin, ports);
+                         std::uint32_t level, std::uint32_t choice) {
+                       appendRun(out, begin, {level, choice});
                      });
           out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
         });
     return table;
   }
 
-  const std::uint32_t stride = table->stride_;
-  table->ports_.resize(n * n * stride);
+  table->choices_.resize(n * n);
   table->lens_.resize(n * n);
   forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
                                std::size_t end) {
@@ -272,13 +260,11 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
       forEachRun(
           r, byDst, levelRuns, static_cast<std::uint32_t>(g),
           [&](std::uint32_t runBegin, std::uint32_t runEnd,
-              std::span<const std::uint32_t> ports) {
+              std::uint32_t level, std::uint32_t choice) {
             for (std::size_t pos = runBegin; pos < runEnd; ++pos) {
               const std::size_t pair = byDst ? pos * n + g : g * n + pos;
-              table->lens_[pair] = static_cast<std::uint8_t>(ports.size());
-              std::copy(ports.begin(), ports.end(),
-                        table->ports_.begin() +
-                            static_cast<std::ptrdiff_t>(pair * stride));
+              table->lens_[pair] = static_cast<std::uint8_t>(level);
+              table->choices_[pair] = choice;
             }
           });
     }
@@ -302,32 +288,33 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
   }
 
   // Flat: copy the arrays, then rewrite the changed entries row by row.
-  table->ports_ = ports_;
+  table->choices_ = choices_;
   table->lens_ = lens_;
   forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
                                std::size_t end) {
     for (std::size_t s = begin; s < end; ++s) {
       for (std::size_t d = 0; d < n; ++d) {
         if (s == d) continue;
-        const xgft::Count verdict = patch(s, d, upPorts(s, d));
-        if (verdict == kKeep) continue;
-        const std::span<const std::uint32_t> ascent =
-            replacement(s, d, verdict);
         const std::size_t pair = s * n + d;
-        table->lens_[pair] = static_cast<std::uint8_t>(ascent.size());
-        std::copy(ascent.begin(), ascent.end(),
-                  table->ports_.begin() +
-                      static_cast<std::ptrdiff_t>(pair * stride_));
+        const xgft::Count verdict =
+            patch(s, d, Entry{lens_[pair], choices_[pair]});
+        if (verdict == kKeep) continue;
+        const Entry e = replacement(s, d, verdict);
+        table->lens_[pair] = static_cast<std::uint8_t>(e.level);
+        table->choices_[pair] = e.choice;
       }
     }
   });
   return table;
 }
 
-std::span<const std::uint32_t> CompiledRoutes::replacement(
-    xgft::NodeIndex s, xgft::NodeIndex d, xgft::Count verdict) const {
+CompiledRoutes::Entry CompiledRoutes::replacement(xgft::NodeIndex s,
+                                                  xgft::NodeIndex d,
+                                                  xgft::Count verdict) const {
   if (verdict == kUnroutable) return {};
-  return router_->ascentOf(s, d, topology().ncaLevel(s, d), verdict);
+  const std::uint32_t level = topology().ncaLevel(s, d);
+  (void)router_->ascentOf(s, d, level, verdict);  // The range check.
+  return {level, static_cast<std::uint32_t>(verdict)};
 }
 
 CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
@@ -345,39 +332,27 @@ CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
   all.colOff.push_back(0);
   for (const Columns& part : parts) {
     const auto intervalBase = static_cast<std::uint32_t>(all.intervals.size());
-    const auto portBase = static_cast<std::uint32_t>(all.ports.size());
     for (const std::uint32_t off : part.colOff) {
       all.colOff.push_back(intervalBase + off);
     }
-    for (Interval run : part.intervals) {
-      if (run.len > 0) run.portsOff += portBase;
-      all.intervals.push_back(run);
-    }
-    all.ports.insert(all.ports.end(), part.ports.begin(), part.ports.end());
+    all.intervals.insert(all.intervals.end(), part.intervals.begin(),
+                         part.intervals.end());
   }
   return all;
 }
 
-void CompiledRoutes::appendRun(Columns& out, std::uint32_t begin,
-                               std::span<const std::uint32_t> ports) {
+void CompiledRoutes::appendRun(Columns& out, std::uint32_t begin, Entry e) {
   // out.colOff holds the end of every finished column, so intervals past
-  // its last entry belong to the column being built.  A run whose ports
-  // equal the previous interval's extends it (adjacent zero-length runs
-  // merge the same way).
+  // its last entry belong to the column being built.  A run whose entry
+  // equals the previous interval's extends it: two catalogue ascents are
+  // equal iff they are the same (level, choice), and adjacent zero-level
+  // runs (choice 0) merge the same way.
   const std::size_t columnStart = out.colOff.empty() ? 0 : out.colOff.back();
   if (out.intervals.size() > columnStart) {
     const Interval& prev = out.intervals.back();
-    if (prev.len == ports.size() &&
-        std::equal(ports.begin(), ports.end(),
-                   out.ports.begin() + prev.portsOff)) {
-      return;
-    }
+    if (prev.len == e.level && prev.choice == e.choice) return;
   }
-  const auto off =
-      static_cast<std::uint32_t>(ports.empty() ? 0 : out.ports.size());
-  out.intervals.push_back(
-      {begin, off, static_cast<std::uint32_t>(ports.size())});
-  out.ports.insert(out.ports.end(), ports.begin(), ports.end());
+  out.intervals.push_back({begin, e.choice, e.level});
 }
 
 void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
@@ -389,8 +364,7 @@ void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
     const Interval& run = columns_.intervals[i];
     const std::uint32_t end = i + 1 < last ? columns_.intervals[i + 1].begin
                                            : n;
-    const std::span<const std::uint32_t> ports(
-        columns_.ports.data() + run.portsOff, run.len);
+    const Entry stored{run.len, run.choice};
     // Kept ranks of the interval are appended as one run; a rewritten rank
     // splits it.
     std::uint32_t keptFrom = run.begin;
@@ -398,13 +372,13 @@ void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
       const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
       const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
       if (pos == guide) continue;
-      const xgft::Count verdict = patch(s, d, ports);
+      const xgft::Count verdict = patch(s, d, stored);
       if (verdict == kKeep) continue;
-      if (keptFrom < pos) appendRun(out, keptFrom, ports);
+      if (keptFrom < pos) appendRun(out, keptFrom, stored);
       appendRun(out, pos, replacement(s, d, verdict));
       keptFrom = pos + 1;
     }
-    if (keptFrom < end) appendRun(out, keptFrom, ports);
+    if (keptFrom < end) appendRun(out, keptFrom, stored);
   }
   out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
 }
@@ -425,22 +399,13 @@ const CompiledRoutes::Interval& CompiledRoutes::intervalOf(
   return *base;
 }
 
-std::span<const std::uint32_t> CompiledRoutes::compressedLookup(
-    xgft::NodeIndex s, xgft::NodeIndex d) const {
-  const std::uint32_t guide = axis_ == Axis::kByDst ? d : s;
-  const std::uint32_t pos = axis_ == Axis::kByDst ? s : d;
-  const Interval& run = intervalOf(guide, pos);
-  return {columns_.ports.data() + run.portsOff, run.len};
-}
-
 std::uint64_t CompiledRoutes::forwardingBytes() const {
   if (!compressed_) {
-    return ports_.size() * sizeof(std::uint32_t) +
+    return choices_.size() * sizeof(std::uint32_t) +
            lens_.size() * sizeof(std::uint8_t);
   }
   return columns_.colOff.size() * sizeof(std::uint32_t) +
-         columns_.intervals.size() * sizeof(Interval) +
-         columns_.ports.size() * sizeof(std::uint32_t);
+         columns_.intervals.size() * sizeof(Interval);
 }
 
 xgft::Route CompiledRoutes::route(xgft::NodeIndex s, xgft::NodeIndex d) const {

@@ -5,37 +5,37 @@
 // (plus route validation and hop expansion) on the replayer's hot path.  A
 // CompiledRoutes handle is the compile-once/route-many split packet-routing
 // simulators rely on: routes are built once per (topology, scheme, seed)
-// and looked up by (s, d) afterwards.  Two layouts serve two scales:
+// and looked up by (s, d) afterwards.  A router states a route as an NCA
+// choice (routing/router.hpp), and so does a table: it stores each pair's
+// NCA level and choice, never the up-ports, which are the choice's slice
+// of the topology's catalogue of ascents.  Two layouts serve two scales:
 //
-//  * Flat (small topologies).  One dense O(H^2) array —
+//  * Flat (small topologies).  Two dense arrays —
 //
-//      ports_[(s * numHosts + d) * stride + i]  =  up-port taken at level i,
-//      lens_ [ s * numHosts + d]                =  route length (NCA level),
+//      choices_[s * numHosts + d]  =  NCA choice (u32),
+//      lens_   [s * numHosts + d]  =  NCA level (u8; 0 = no route),
 //
-//    O(1) lookup.
+//    5 bytes per pair, O(1) lookup.
 //
 //  * Interval-compressed (large topologies).  The paper's oblivious schemes
 //    choose up-ports by arithmetic on node labels, so for a fixed guide
 //    column (the destination for d-mod-k-style schemes, the source for
 //    s-mod-k-style ones — the router's ascentGuide() when it has one,
-//    deterministic sampling otherwise) the route is
+//    deterministic sampling otherwise) the choice is
 //    piecewise-constant in the other endpoint: consecutive ranks sharing
-//    the same up-port vector collapse into sorted half-open intervals, each
-//    carrying one copy of the ports.  lookup(s, d) is a branch-free binary
-//    search over the column's intervals.  Tables shrink from O(H^2) entries
-//    to O(H * levels * distinct-choices); schemes with per-pair randomness
+//    the same (level, choice) collapse into sorted half-open intervals of
+//    12 bytes each.  entry(s, d) is a branch-free binary search over the
+//    column's intervals.  Tables shrink from O(H^2) entries to
+//    O(H * levels * distinct-choices); schemes with per-pair randomness
 //    (Random) do not compress, which estimateCompressedBytes() detects so
 //    the engine can keep its virtual-routing fallback for them.
 //
-// A router states a route as an NCA choice (routing/router.hpp), and the
-// route's up-ports are that choice's slice of the topology's catalogue of
-// ascents.  So compiling is copying catalogue slices: both layouts compile
-// one guide column at a time, one run at a time.  A run is a maximal rank
-// range of the other endpoint that shares one NCA level with the guide;
-// for a self-routing router (Router::ascentGuide()) every pair of a run
-// takes the same choice, so the builder asks once per run — at most
-// 2h + 1 runs per column — instead of once per pair.  Other routers are
-// asked once per pair.  The only check is the choice's range
+// Both layouts compile one guide column at a time, one run at a time.  A
+// run is a maximal rank range of the other endpoint that shares one NCA
+// level with the guide; for a self-routing router (Router::ascentGuide())
+// every pair of a run takes the same choice, so the builder asks once per
+// run — at most 2h + 1 runs per column — instead of once per pair.  Other
+// routers are asked once per pair.  The only check is the choice's range
 // (Router::ascentOf), once per run or pair: a catalogue ascent of the
 // pair's NCA level is a valid route for it by construction.
 //
@@ -51,15 +51,10 @@
 // table of its own for a self-routing scheme and frees it when the job
 // ends, while Random and Colored closed-loop jobs build no table at all.
 //
-// A table also stores the messages' routes.  A route is its ascent
-// (sim/route_store.hpp), and upPorts(s, d) is exactly that ascent, so
-// trace::RouteSetResolver hands the simulator a pointer into the table —
-// one lookup per message, nothing copied or stored — and the event core
-// reads every up-port from the table as the segment climbs.  The table
-// must therefore outlive every message resolved through it (DESIGN.md
-// §7).  Without a table the resolver asks the router once per distinct
-// pair and stores the ascent in the network's RouteStore, which keeps
-// route selection off the per-message hot path in every mode.
+// trace::RouteSetResolver makes one entry() lookup per message and hands
+// the simulator the (level, choice) by value, so a message never points
+// into a table: a table may be dropped while messages resolved through it
+// are still in flight.
 #pragma once
 
 #include <cstdint>
@@ -82,29 +77,35 @@ enum class TableLayout : std::uint8_t { kAuto, kFlat, kCompressed };
 class CompiledRoutes {
  public:
   /// Compiles the ordered-pair table from @p router, splitting the guide
-  /// columns across @p threads workers (0 means hardware concurrency; the
-  /// result is identical for any thread count).  Every stored ascent is a
-  /// catalogue ascent of its pair's NCA level; an out-of-range choice
-  /// throws std::invalid_argument naming the router and the pair.  The
-  /// router (and through it the topology) is kept alive by the returned
-  /// handle.
+  /// columns across @p threads workers (0 means hardware concurrency,
+  /// which also caps any larger count; the result is identical for any
+  /// thread count).  Every stored choice is in range for its pair's NCA
+  /// level; an out-of-range choice throws std::invalid_argument naming the
+  /// router and the pair.  The router (and through it the topology) is
+  /// kept alive by the returned handle.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
       std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
       TableLayout layout = TableLayout::kAuto);
 
-  /// PairPatch verdicts besides an NCA choice: keep the pair's ascent, or
+  /// A pair's stored route: its NCA level and NCA choice.  Level 0 means
+  /// no route — the diagonal, or a pair a patch marked unroutable — and
+  /// then the choice is 0.
+  struct Entry {
+    std::uint32_t level = 0;
+    std::uint32_t choice = 0;
+  };
+
+  /// PairPatch verdicts besides an NCA choice: keep the pair's route, or
   /// mark the pair unroutable.
   static constexpr xgft::Count kKeep = ~xgft::Count{0};
   static constexpr xgft::Count kUnroutable = ~xgft::Count{0} - 1;
 
   /// Decides one off-diagonal pair for patched(): given (s, d) and the
-  /// pair's ascent in the source table, returns kKeep, kUnroutable, or the
-  /// NCA choice whose catalogue ascent replaces the pair's.  Called
-  /// concurrently from the patch workers, once per pair, so it must be
-  /// thread-safe.
-  using PairPatch =
-      std::function<xgft::Count(xgft::NodeIndex s, xgft::NodeIndex d,
-                                std::span<const std::uint32_t> ascent)>;
+  /// pair's entry in the source table, returns kKeep, kUnroutable, or the
+  /// NCA choice that replaces the pair's.  Called concurrently from the
+  /// patch workers, once per pair, so it must be thread-safe.
+  using PairPatch = std::function<xgft::Count(
+      xgft::NodeIndex s, xgft::NodeIndex d, Entry stored)>;
 
   /// A copy of this table in the same layout (and compressed axis), with
   /// every off-diagonal pair passed through @p patch, split across
@@ -115,10 +116,10 @@ class CompiledRoutes {
   [[nodiscard]] std::shared_ptr<const CompiledRoutes> patched(
       const PairPatch& patch, std::uint32_t threads = 1) const;
 
-  /// Flat-layout size in bytes for a topology, before building — callers
-  /// bound memory with this (the engine's open-loop jobs try the
-  /// compressed layout above its limit, then fall back to virtual
-  /// routing).
+  /// Flat-layout size in bytes for a topology (5 per ordered pair), before
+  /// building — callers bound memory with this (the engine's open-loop
+  /// jobs try the compressed layout above its limit, then fall back to
+  /// virtual routing).
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
 
   /// Deterministic sampled estimate of the compressed-layout footprint for
@@ -130,24 +131,34 @@ class CompiledRoutes {
   [[nodiscard]] static std::uint64_t estimateCompressedBytes(
       const routing::Router& router);
 
-  /// The ascending port choices for (s, d) — the route's ascent; length ==
-  /// ncaLevel(s, d), empty when s == d — and also empty for pairs a patch
-  /// marked unroutable.  The pair is unroutable iff s != d and the span is
-  /// empty.  Valid for the handle's lifetime.
-  [[nodiscard]] std::span<const std::uint32_t> upPorts(
-      xgft::NodeIndex s, xgft::NodeIndex d) const {
+  /// The stored route of (s, d); level 0 for the diagonal and for pairs a
+  /// patch marked unroutable.
+  [[nodiscard]] Entry entry(xgft::NodeIndex s, xgft::NodeIndex d) const {
     if (!compressed_) {
       const std::size_t pair = static_cast<std::size_t>(s) * numHosts_ + d;
-      return {ports_.data() + pair * stride_, lens_[pair]};
+      return {lens_[pair], choices_[pair]};
     }
-    return compressedLookup(s, d);
+    const bool byDst = axis_ == Axis::kByDst;
+    const Interval& run = intervalOf(static_cast<std::uint32_t>(byDst ? d : s),
+                                     static_cast<std::uint32_t>(byDst ? s : d));
+    return {run.len, run.choice};
   }
 
-  /// True iff a patch declared (s, d) unreachable.  A valid route for
-  /// s != d always has length ncaLevel(s, d) >= 1, so a zero length is
-  /// unambiguous.
+  /// The ascending port choices for (s, d) — the catalogue ascent of its
+  /// entry; length == ncaLevel(s, d), empty when s == d — and also empty
+  /// for pairs a patch marked unroutable.  Valid for the topology's
+  /// lifetime.
+  [[nodiscard]] std::span<const std::uint32_t> upPorts(
+      xgft::NodeIndex s, xgft::NodeIndex d) const {
+    const Entry e = entry(s, d);
+    if (e.level == 0) return {};
+    return topology().ascent(e.level, e.choice);
+  }
+
+  /// True iff a patch declared (s, d) unreachable.  A route for s != d
+  /// always has level ncaLevel(s, d) >= 1, so a zero level is unambiguous.
   [[nodiscard]] bool unroutable(xgft::NodeIndex s, xgft::NodeIndex d) const {
-    return s != d && upPorts(s, d).empty();
+    return s != d && entry(s, d).level == 0;
   }
 
   /// Materializes the xgft::Route for (s, d) — for analysis-style callers.
@@ -159,8 +170,7 @@ class CompiledRoutes {
 
   [[nodiscard]] bool compressed() const { return compressed_; }
   /// Bytes resident for the forwarding state: the dense arrays in the flat
-  /// layout, the column offsets, intervals and port arena in the compressed
-  /// one.
+  /// layout, the column offsets and intervals in the compressed one.
   [[nodiscard]] std::uint64_t forwardingBytes() const;
 
   [[nodiscard]] const routing::Router& router() const { return *router_; }
@@ -168,7 +178,6 @@ class CompiledRoutes {
     return router_->topology();
   }
   [[nodiscard]] std::size_t numHosts() const { return numHosts_; }
-  [[nodiscard]] std::uint32_t stride() const { return stride_; }
 
  private:
   /// Which endpoint indexes the columns: guide = destination (runs over
@@ -178,9 +187,9 @@ class CompiledRoutes {
 
   /// One maximal run of ranks sharing a route within a guide column.
   struct Interval {
-    std::uint32_t begin = 0;     ///< First rank of the run.
-    std::uint32_t portsOff = 0;  ///< Offset of the ports in Columns::ports.
-    std::uint32_t len = 0;       ///< Route length; 0 = unroutable/diagonal.
+    std::uint32_t begin = 0;   ///< First rank of the run.
+    std::uint32_t choice = 0;  ///< Entry::choice.
+    std::uint32_t len = 0;     ///< Entry::level; 0 = unroutable/diagonal.
   };
 
   /// Compressed guide columns: column g's intervals are
@@ -188,7 +197,6 @@ class CompiledRoutes {
   struct Columns {
     std::vector<std::uint32_t> colOff;
     std::vector<Interval> intervals;
-    std::vector<std::uint32_t> ports;
   };
 
   /// Fills guide column @p guide of a compressed layout into @p out.
@@ -196,35 +204,31 @@ class CompiledRoutes {
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
-  /// The ascent a patch verdict other than kKeep installs for (s, d): empty
-  /// for kUnroutable, else the range-checked catalogue ascent.
-  [[nodiscard]] std::span<const std::uint32_t> replacement(
-      xgft::NodeIndex s, xgft::NodeIndex d, xgft::Count verdict) const;
+  /// The entry a patch verdict other than kKeep installs for (s, d): no
+  /// route for kUnroutable, else the range-checked choice.
+  [[nodiscard]] Entry replacement(xgft::NodeIndex s, xgft::NodeIndex d,
+                                  xgft::Count verdict) const;
   /// Builds every guide column through @p fill, split across @p threads
   /// workers, and concatenates the workers' blocks in guide order.
   [[nodiscard]] static Columns buildColumns(std::size_t n,
                                             std::uint32_t threads,
                                             const ColumnFill& fill);
   /// Appends a run starting at rank @p begin to the column being built in
-  /// @p out, or extends the column's last interval when its ports match.
-  static void appendRun(Columns& out, std::uint32_t begin,
-                        std::span<const std::uint32_t> ports);
+  /// @p out, or extends the column's last interval when its entry matches.
+  static void appendRun(Columns& out, std::uint32_t begin, Entry e);
   /// Appends the patched copy of this table's column @p guide to @p out.
   void patchColumn(std::uint32_t guide, const PairPatch& patch,
                    Columns& out) const;
   [[nodiscard]] const Interval& intervalOf(std::uint32_t guide,
                                            std::uint32_t pos) const;
-  [[nodiscard]] std::span<const std::uint32_t> compressedLookup(
-      xgft::NodeIndex s, xgft::NodeIndex d) const;
 
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;
-  std::uint32_t stride_ = 0;           ///< Tree height.
   Axis axis_ = Axis::kByDst;
 
   // Flat layout.
-  std::vector<std::uint32_t> ports_;   ///< numHosts^2 * stride.
-  std::vector<std::uint8_t> lens_;     ///< numHosts^2 route lengths.
+  std::vector<std::uint32_t> choices_;  ///< numHosts^2 NCA choices.
+  std::vector<std::uint8_t> lens_;      ///< numHosts^2 NCA levels.
 
   // Compressed layout.
   bool compressed_ = false;

@@ -193,18 +193,12 @@ std::string manifestToJson(const CampaignResults& results,
   }
   json.close("}");
   if (compressed) {
-    // Deterministic memory picture: built chunks depend only on which pairs
-    // the jobs routed, and the per-job arena peak only on the workloads.
-    std::uint64_t arenaPeak = 0;
-    for (const JobResult* job : ordered) {
-      arenaPeak = std::max(
-          arenaPeak, job->routeArenaEntries * sizeof(std::uint32_t));
-    }
+    // Deterministic memory picture: the compressed tables depend only on
+    // the routers the jobs asked for.
     json.openKeyed("forwarding", "{");
     json.u64("table_bytes_flat", results.forwarding.tableBytesFlat);
     json.u64("table_bytes_compressed",
              results.forwarding.tableBytesCompressed);
-    json.u64("route_arena_peak_bytes", arenaPeak);
     json.close("}");
   }
   json.close("}");

@@ -62,10 +62,9 @@ struct JobResult {
   sim::TimeNs latencyP99Ns = 0;
   sim::TimeNs latencyMaxNs = 0;
 
-  /// Route-store footprint of this job's network at the end of the run
-  /// (uint32 ascent words; sim::RouteStore::arenaEntries, 0 for
-  /// table-backed jobs).  Deterministic — the manifest's forwarding block
-  /// reports the campaign peak.
+  /// Always 0: nothing sets it, because messages store no route words of
+  /// their own.  Kept only because the frozen bench/e2e/e2e_bench.cpp reads
+  /// it; the next benchmark change deletes the read, then the field.
   std::uint64_t routeArenaEntries = 0;
 
   /// Host wall-clock spent executing this job (manifests and the CLI

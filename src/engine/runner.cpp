@@ -335,7 +335,7 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
   ol.probe = recorder.get();
   // Owns every table patched at the plan's transition instants; must
-  // outlive the run (the resolver holds raw pointers into it).
+  // outlive the run (the resolver reads the current one).
   std::shared_ptr<void> faultState;
   if (!plan.empty()) {
     ol.prepare = [&](sim::Network& net, trace::RouteSetResolver& resolver) {
@@ -353,7 +353,6 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
 
   result.makespanNs = r.lastDeliveryNs;
   result.net = r.stats;
-  result.routeArenaEntries = r.routeArenaEntries;
   result.utilMax = r.utilMax;
   result.utilMean = r.utilMean;
   result.openLoop = true;
@@ -464,7 +463,6 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
         degradedTable ? degradedTable.get() : compiled.get());
     result.makespanNs = replayer.run();
     result.net = net.stats();
-    result.routeArenaEntries = net.routes().arenaEntries();
 
     const sim::WireUtilization util =
         sim::wireUtilization(net, result.makespanNs);
@@ -514,10 +512,11 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
   CampaignResults results;
   results.jobs.resize(specs.size());
 
+  // A worker past the host's hardware threads adds an OS thread but no
+  // parallelism, so the host caps the pool as well as filling in for 0.
+  const std::uint32_t host = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t poolWidth = opt_.threads;
-  if (poolWidth == 0) {
-    poolWidth = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (poolWidth == 0 || poolWidth > host) poolWidth = host;
   const std::uint32_t threads = static_cast<std::uint32_t>(
       std::min<std::size_t>(poolWidth,
                             std::max<std::size_t>(std::size_t{1},

@@ -140,7 +140,8 @@ class CampaignCache {
 };
 
 struct RunnerOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Worker threads; 0 means std::thread::hardware_concurrency(), which
+  /// also caps any larger count.
   std::uint32_t threads = 0;
 
   /// Also compute the static contention / NCA-census columns (costs one
@@ -151,13 +152,13 @@ struct RunnerOptions {
   /// cached flat (or, past the budget, compressed) table per router key for
   /// open-loop jobs, and a compressed table compiled for the job alone for
   /// closed-loop jobs of self-routing schemes (Random and Colored
-  /// closed-loop jobs route each distinct pair once instead).  Results are
+  /// closed-loop jobs ask the router per message instead).  Results are
   /// bit-identical either way; disable to measure the table-free path.
   bool compileRoutes = true;
 
   /// Upper bound on one flat table's size.  Open-loop jobs past it try the
-  /// compressed layout, then fall back to routing each pair once; fault
-  /// plans past it are rejected.  Closed-loop tables are compressed and
+  /// compressed layout, then fall back to asking the router per message;
+  /// fault plans past it are rejected.  Closed-loop tables are compressed and
   /// per job, so healthy closed-loop jobs never read it.
   std::uint64_t maxCompiledTableBytes = 64ull << 20;
 

@@ -16,39 +16,16 @@ namespace {
   throw std::invalid_argument("campaign spec: " + what);
 }
 
-bool parseU64(std::string_view s, std::uint64_t& out) {
-  const char* begin = s.data();
-  const char* end = s.data() + s.size();
-  const auto [p, ec] = std::from_chars(begin, end, out);
+/// @p text as a whole u64, without throwing.
+bool wholeU64(std::string_view text, std::uint64_t& out) {
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, out);
   return ec == std::errc{} && p == end;
 }
 
-std::uint64_t requireU64(const std::string& value, const std::string& key) {
-  std::uint64_t v = 0;
-  if (!parseU64(value, v)) fail("'" + key + "' wants an integer, got '" +
-                                value + "'");
-  return v;
-}
-
-std::uint32_t requireU32(const std::string& value, const std::string& key) {
-  const std::uint64_t v = requireU64(value, key);
-  if (v > 0xffffffffULL) fail("'" + key + "' out of range: " + value);
-  return static_cast<std::uint32_t>(v);
-}
-
-double requireDouble(const std::string& value, const std::string& key) {
-  double v = 0.0;
-  const char* begin = value.data();
-  const char* end = value.data() + value.size();
-  const auto [p, ec] = std::from_chars(begin, end, v);
-  if (ec != std::errc{} || p != end) {
-    fail("'" + key + "' wants a number, got '" + value + "'");
-  }
-  // from_chars accepts "nan" and "inf", which slip past range checks.
-  if (!std::isfinite(v)) {
-    fail("'" + key + "' wants a finite number, got '" + value + "'");
-  }
-  return v;
+/// How a spec key names itself in parse errors.
+std::string keyName(const std::string& key) {
+  return "campaign spec: '" + key + "'";
 }
 
 /// Splits a line into ordered (key, rawValue) pairs.  Values may be quoted
@@ -134,8 +111,8 @@ Sweep parseSweep(const std::string& key, const std::string& raw) {
   }
   const std::size_t dots = raw.find("..");
   if (key != "topo" && dots != std::string::npos) {
-    if (!parseU64(raw.substr(0, dots), sweep.lo) ||
-        !parseU64(raw.substr(dots + 2), sweep.hi)) {
+    if (!wholeU64(raw.substr(0, dots), sweep.lo) ||
+        !wholeU64(raw.substr(dots + 2), sweep.hi)) {
       fail("malformed range '" + raw + "'");
     }
     // The width before the size: a full-width range's size wraps to 0.
@@ -166,7 +143,7 @@ ExperimentSpec specFromAssignments(
       spec.topo = core::makeTopoParams(value);
       haveTopo = true;
     } else if (key == "m1" || key == "m2" || key == "w2") {
-      const std::uint32_t v = requireU32(value, key);
+      const std::uint32_t v = parseU32(value, keyName(key));
       (key == "m1" ? m1 : key == "m2" ? m2 : w2) = v;
       haveFamily = true;
     } else if (key == "pattern") {
@@ -179,7 +156,7 @@ ExperimentSpec specFromAssignments(
       (void)core::sourceRegistry().at(core::splitSpec(value).name);
       spec.source = value;
     } else if (key == "load") {
-      spec.load = requireDouble(value, key);
+      spec.load = parseFiniteDouble(value, keyName(key));
       if (spec.load <= 0.0 || spec.load > 4.0) {
         fail("load must be in (0, 4]");
       }
@@ -187,10 +164,10 @@ ExperimentSpec specFromAssignments(
     } else if (key == "routing") {
       spec.routing = core::schemeRegistry().canonical(value);
     } else if (key == "msg_scale") {
-      spec.msgScale = requireDouble(value, key);
+      spec.msgScale = parseFiniteDouble(value, keyName(key));
       if (spec.msgScale <= 0.0) fail("msg_scale must be > 0");
     } else if (key == "seed") {
-      spec.seed = requireU64(value, key);
+      spec.seed = parseU64(value, keyName(key));
     } else if (key == "faults") {
       if (value == "none") {
         spec.faults.clear();  // faults=none == absent key, byte for byte.
@@ -274,6 +251,38 @@ std::vector<ExperimentSpec> expandLine(const std::string& line,
 }
 
 }  // namespace
+
+std::uint64_t parseU64(std::string_view text, std::string_view what) {
+  std::uint64_t v = 0;
+  if (!wholeU64(text, v)) {
+    throw std::invalid_argument(
+        std::string(what) + " wants an integer in [0, 18446744073709551615], "
+        "got '" + std::string(text) + "'");
+  }
+  return v;
+}
+
+std::uint32_t parseU32(std::string_view text, std::string_view what) {
+  std::uint64_t v = 0;
+  if (!wholeU64(text, v) || v > 0xffffffffULL) {
+    throw std::invalid_argument(std::string(what) +
+                                " wants an integer in [0, 4294967295], got '" +
+                                std::string(text) + "'");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+double parseFiniteDouble(std::string_view text, std::string_view what) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc{} || p != end || !std::isfinite(v)) {
+    throw std::invalid_argument(std::string(what) +
+                                " wants a finite number, got '" +
+                                std::string(text) + "'");
+  }
+  return v;
+}
 
 TelemetryLevel parseTelemetryLevel(const std::string& value) {
   if (value == "off") return TelemetryLevel::kOff;

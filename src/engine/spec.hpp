@@ -126,6 +126,19 @@ inline constexpr std::uint64_t kMaxCampaignJobs = std::uint64_t{1} << 20;
 [[nodiscard]] std::vector<ExperimentSpec> parseCampaign(
     const std::string& text);
 
+/// Strict number parsing, shared by the campaign spec keys and every
+/// command-line flag: the whole of @p text must be the number — no sign,
+/// no space, no trailing characters — in range, and finite for doubles
+/// (std::from_chars alone reads "nan" and "inf").  Each throws
+/// std::invalid_argument "<what> wants ..., got '<text>'", where @p what
+/// names the key or flag.
+[[nodiscard]] std::uint64_t parseU64(std::string_view text,
+                                     std::string_view what);
+[[nodiscard]] std::uint32_t parseU32(std::string_view text,
+                                     std::string_view what);
+[[nodiscard]] double parseFiniteDouble(std::string_view text,
+                                       std::string_view what);
+
 /// Shortest decimal rendering of a double that parses back to the same
 /// value ("1", "0.125") — used for canonical spec lines and CSV cells so
 /// output is byte-stable across platforms and thread counts.

@@ -148,13 +148,10 @@ DegradedRoutes compileDegraded(
   // Unreachable pairs are collected, never thrown from a worker, so the
   // kThrow error below names the same pair for any thread count.
   const auto patch = [&](xgft::NodeIndex s, xgft::NodeIndex d,
-                         std::span<const std::uint32_t> ascent) {
-    if (!ascent.empty()) {
-      const auto level = static_cast<std::uint32_t>(ascent.size());
-      const xgft::Count choice = topo.choiceOf(ascent);
-      if (mask.clean(s, level, choice) && mask.clean(d, level, choice)) {
-        return core::CompiledRoutes::kKeep;
-      }
+                         core::CompiledRoutes::Entry stored) {
+    if (stored.level != 0 && mask.clean(s, stored.level, stored.choice) &&
+        mask.clean(d, stored.level, stored.choice)) {
+      return core::CompiledRoutes::kKeep;
     }
     const xgft::Count choice = mask.firstClean(s, d, topo.ncaLevel(s, d));
     if (choice == CleanAscentMask::kNone) {

@@ -15,13 +15,13 @@
 // compileDegraded() patches a scheme's healthy forwarding table
 // (core::CompiledRoutes, flat or compressed) around the failures, in the
 // healthy table's layout.  A route is an NCA choice here as everywhere
-// (routing/router.hpp): a pair whose healthy ascent is clean — the mask
-// bits of its choice, Topology::choiceOf — keeps it; otherwise it takes
-// the lowest choice clean from both ends (the AND of two mask rows, then
-// its first set bit), and the patch copies that choice's catalogue ascent
-// behind the same range check a compile makes.  Pairs with no surviving
-// minimal path are "unreachable" — reported explicitly per
-// UnreachablePolicy, never silently dropped and never a hang:
+// (routing/router.hpp), and the healthy table stores it: a pair whose
+// stored choice is clean — its two mask bits — keeps it; otherwise it
+// takes the lowest choice clean from both ends (the AND of two mask rows,
+// then its first set bit), behind the same range check a compile makes.
+// Pairs with no surviving minimal path are "unreachable" — reported
+// explicitly per UnreachablePolicy, never silently dropped and never a
+// hang:
 //
 //  * kThrow — compilation fails naming the first unreachable pair in
 //    (src, dst) order, for any thread count and layout (closed-loop

@@ -12,8 +12,8 @@ namespace {
 /// Owns every table patched for the plan, keyed by failed-link set so
 /// repeated sets (a link failing, restoring, failing again) share one
 /// patch, and the healthy table the restores swap back in.  The resolver
-/// holds raw pointers into them, which is why the caller keeps the handle
-/// alive for the whole run.
+/// holds a raw pointer to the current one, which is why the caller keeps
+/// the handle alive for the whole run.
 struct InstalledState {
   std::shared_ptr<const core::CompiledRoutes> healthy;
   std::map<std::vector<xgft::LinkId>,

@@ -11,19 +11,18 @@
 //     gets a callback that patches the job's healthy forwarding table
 //     around the then-failed link set (compileDegraded) and swaps the
 //     result into the resolver — messages injected after the transition
-//     route around the failures, while messages already added keep
-//     pointing into the table they were resolved through and keep their
-//     old paths (that is what the reroute policy is for).  A transition
-//     to an empty failed set (the last restore) swaps the healthy table
-//     itself back in.
+//     route around the failures, while messages already added keep the
+//     choices they were resolved to and their old paths (that is what the
+//     reroute policy is for).  A transition to an empty failed set (the
+//     last restore) swaps the healthy table itself back in.
 //
 // Table swaps happen after the same-instant link events (insertion order
 // at equal timestamps), so a patch always sees the network state it
 // describes.  Identical failed-link sets share one patched table.
 //
 // The returned handle owns the patched tables and keeps the healthy one
-// alive; keep it until the run completes (the resolver and the messages
-// hold raw pointers into them).
+// alive; keep it until the run completes, because the resolver holds a
+// raw pointer to the table it currently reads.
 #pragma once
 
 #include <cstdint>

@@ -30,11 +30,8 @@
 // source streams.
 //
 // Route construction stays out of this layer: the caller supplies a
-// resolver mapping (src, dst) host pairs to route sets (see
-// trace::RouteSetResolver) or opts into per-hop adaptive routing.  A route
-// set is a handle, not a copy: the message points at ascents the resolver's
-// forwarding table or the network's RouteStore owns (route_store.hpp), so
-// whoever owns a table must keep it alive until the run ends.
+// resolver mapping (src, dst) host pairs to route sets (NCA choices; see
+// trace::RouteSetResolver) or opts into per-hop adaptive routing.
 #pragma once
 
 #include <cstdint>

@@ -45,13 +45,17 @@ Network::Network(const xgft::Topology& topo, SimConfig cfg)
     }
   }
   adaptiveRR_.assign(topo.numNodes(), 0);
-  // Message::ascentLen holds an NCA level in one byte.
+  // Message::level holds an NCA level in one byte.
   if (h > 0xff) {
     throw std::invalid_argument("Network: tree higher than 255 levels");
   }
   height_ = h;
   upPortBase_.resize(h + 1);
-  for (std::uint32_t l = 0; l <= h; ++l) upPortBase_[l] = topo.upPortBase(l);
+  levelAscents_.resize(h + 1);
+  for (std::uint32_t l = 0; l <= h; ++l) {
+    upPortBase_[l] = topo.upPortBase(l);
+    levelAscents_[l] = topo.ascent(l, 0).data();
+  }
   downPorts_.resize(static_cast<std::size_t>(topo.numHosts()) * h);
   for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
     for (std::uint32_t l = 1; l <= h; ++l) {
@@ -119,16 +123,10 @@ MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
   m.seq = nextSeq_;
   m.bytes = bytes;
   m.numSegments = segmentCountOf(bytes);
-  m.ascents = routes.ascents;
-  m.setSize = routes.count;
-  m.ascentLen = static_cast<std::uint8_t>(routes.len);
-  if (src != dst) {
-    // The host uplink is fixed per message: a static message's ascents all
-    // leave through their word 0; adaptive messages stripe across the NIC
-    // ports by sequence number (w1 = 1 in the paper's trees).
-    m.hostPort = globalPort(
-        0, src, adaptive ? nextSeq_ % topo_->params().w(1) : routes.ascents[0]);
-  }
+  m.choices = routes.choices;
+  m.count = routes.count;
+  m.choice = routes.choice;
+  m.level = static_cast<std::uint8_t>(routes.level);
   m.spraySeed = spraySeed;
   m.policy = policy;
   m.state = MsgState::kAdded;
@@ -147,45 +145,6 @@ MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
   return slot;
 }
 
-MsgId Network::addMessage(xgft::NodeIndex src, xgft::NodeIndex dst,
-                          Bytes bytes, const xgft::Route& route) {
-  return addMessageMultipath(src, dst, bytes, {route},
-                             SprayPolicy::kRoundRobin);
-}
-
-RouteSet Network::internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
-                               const std::vector<xgft::Route>& routes) {
-  if (routes.empty()) {
-    throw std::invalid_argument("addMessageMultipath: need >= 1 route");
-  }
-  if (src == dst) return {};
-  scratchAscents_.clear();
-  for (const xgft::Route& route : routes) {
-    std::string error;
-    if (!validateRoute(*topo_, src, dst, route, &error)) {
-      throw std::invalid_argument("addMessage: " + error);
-    }
-    // A valid route for src != dst has the pair's NCA level as length, so
-    // every candidate is one same-length ascent; word 0 is the NIC port.
-    if (route.up[0] != routes[0].up[0]) {
-      throw std::invalid_argument(
-          "addMessageMultipath: routes must share the first-hop port");
-    }
-    scratchAscents_.insert(scratchAscents_.end(), route.up.begin(),
-                           route.up.end());
-  }
-  return routes_.store(scratchAscents_, routes[0].ncaLevel());
-}
-
-MsgId Network::addMessageMultipath(xgft::NodeIndex src, xgft::NodeIndex dst,
-                                   Bytes bytes,
-                                   const std::vector<xgft::Route>& routes,
-                                   SprayPolicy policy,
-                                   std::uint64_t spraySeed) {
-  return addMessageSet(src, dst, bytes, internRoutes(src, dst, routes), policy,
-                       spraySeed);
-}
-
 MsgId Network::addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst,
                              Bytes bytes, RouteSet routes, SprayPolicy policy,
                              std::uint64_t spraySeed) {
@@ -195,7 +154,7 @@ MsgId Network::addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst,
         "dst)");
   }
   // Checked where it is free; release builds trust the set's producer.
-  assert(routes.len == topo_->ncaLevel(src, dst));
+  assert(routes.level == topo_->ncaLevel(src, dst));
   return addRecord(src, dst, bytes, routes, policy, spraySeed,
                    /*adaptive=*/false);
 }
@@ -203,7 +162,7 @@ MsgId Network::addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst,
 MsgId Network::addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
                                   Bytes bytes) {
   // Adaptive segments pick every switch port on the fly, so the message
-  // has no ascent; only its NIC port is predetermined (addRecord).
+  // has no route; only its NIC port is predetermined (hostPortOf).
   return addRecord(src, dst, bytes, RouteSet{}, SprayPolicy::kRoundRobin, 1,
                    /*adaptive=*/true);
 }
@@ -563,9 +522,19 @@ void Network::handleRelease(MsgId msg) {
     return;
   }
   m.state = MsgState::kQueued;
-  const std::uint32_t hostPort = m.hostPort;
+  const std::uint32_t hostPort = hostPortOf(m);
   activePushBack(ports_[hostPort], msg);
   tryInjectHost(hostPort);
+}
+
+std::uint32_t Network::hostPortOf(const Message& m) const {
+  // The host uplink is fixed per message: a static message's candidates
+  // share their ascents' word 0; adaptive messages stripe across the NIC
+  // ports by sequence number (w1 = 1 in the paper's trees).
+  const std::uint32_t port =
+      m.adaptive ? m.seq % topo_->params().w(1)
+                 : ascent(m.level, m.count == 1 ? m.choice : m.choices[0])[0];
+  return globalPort(0, m.src, port);
 }
 
 std::uint32_t Network::segmentPayload(const Message& m,
@@ -576,7 +545,7 @@ std::uint32_t Network::segmentPayload(const Message& m,
       std::min<Bytes>(remaining, cfg_.segmentBytes));
 }
 
-std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t route,
+std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t choice,
                                     std::uint32_t bytes) {
   std::uint32_t idx;
   if (freeSegments_ != kNil) {
@@ -590,7 +559,7 @@ std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t route,
     idx = static_cast<std::uint32_t>(segments_.size());
     segments_.emplace_back();
   }
-  segments_[idx] = Segment{msg, route, 0, bytes, 0, kNil};
+  segments_[idx] = Segment{msg, choice, 0, bytes, 0, kNil};
   return idx;
 }
 
@@ -616,7 +585,7 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
   port.activeHead = m.nextActive;
   if (port.activeHead == kNil) port.activeTail = kNil;
   const std::uint32_t payload = segmentPayload(m, m.injectedSegments);
-  const std::uint32_t seg = allocSegment(msgId, pickRoute(m), payload);
+  const std::uint32_t seg = allocSegment(msgId, pickChoice(m), payload);
   ++m.injectedSegments;
   ++stats_.segmentsInjected;
   // Round robin: messages with segments left rejoin the tail, so concurrent
@@ -746,13 +715,14 @@ std::uint32_t Network::nextOutput(std::uint32_t gInPort, const Segment& seg) {
   }
   // A node's ports are contiguous gports, so this switch's port p is
   // gInPort - localPort + p.  hop counts the arrivals so far (>= 1 here):
-  // hops 1 .. len - 1 arrive at levels 1 .. len - 1 on the way up and leave
-  // through ascent word hop; from the NCA on, every level descends.
+  // hops 1 .. level - 1 arrive at levels 1 .. level - 1 on the way up and
+  // leave through word hop of the choice's ascent; from the NCA on, every
+  // level descends.
   const PortOwner& at = portOwner_[gInPort];
   const std::uint32_t nodeBase = gInPort - at.localPort;
-  if (seg.hop < m.ascentLen) {
+  if (seg.hop < m.level) {
     return nodeBase + upPortBase_[at.level] +
-           m.ascents[seg.route * m.ascentLen + seg.hop];
+           ascent(m.level, seg.choice)[seg.hop];
   }
   return nodeBase + downPort(at.level, m.dst);
 }

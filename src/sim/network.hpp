@@ -2,11 +2,13 @@
 //
 // Model (see DESIGN.md for the substitution rationale):
 //
-//  * Source routing.  A static message carries its route's ascent
-//    (route_store.hpp): the NIC port, then the up-port taken at each level
-//    below the nearest common ancestor.  A switch reads its output from the
-//    ascent on the way up and from the destination's label digit on the
-//    way down, where the minimal path is unique.
+//  * Source routing.  A static message carries its route as an NCA
+//    choice (RouteSet below): the pair's NCA level and which of its
+//    nearest common ancestors the route climbs to.  A switch reads its
+//    output on the way up from that choice's catalogue ascent
+//    (xgft::Topology::ascent: the up-port taken at each level below the
+//    NCA, word 0 being the NIC port) and on the way down from the
+//    destination's label digit, where the minimal path is unique.
 //  * Adapters.  Each host NIC keeps a round-robin list of active messages
 //    per port; whenever the host link is free (and the first switch has
 //    buffer credit) the NIC emits the *next segment of the next message* —
@@ -31,9 +33,9 @@
 // storage — POD events in per-delay FIFO lanes (event_queue.hpp),
 // segments in a contiguous slot pool whose FIFO queues are intrusive
 // `next` links (no per-port deques, no allocation after warm-up), and
-// routes as ascents that point into a compiled forwarding table or the
-// route store (route_store.hpp): a message carries one pointer and a
-// segment the index of its candidate ascent.  Messages
+// routes as NCA choices: a message carries its level and its candidate
+// choices, a segment the choice it took, and every up-port is read from
+// the topology's catalogue.  Messages
 // live in a second recycled slot pool: a record is freed once its message
 // completed or was dropped, has no segment in flight and sits on no NIC's
 // active list, so memory follows the traffic in flight, not the run
@@ -64,9 +66,7 @@
 #include "sim/config.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/paged_vector.hpp"
-#include "sim/route_store.hpp"
 #include "xgft/rng.hpp"
-#include "xgft/route.hpp"
 #include "xgft/topology.hpp"
 
 namespace sim {
@@ -84,6 +84,37 @@ class Probe;  // probe.hpp — observation hooks; sim never includes obs/.
 enum class SprayPolicy : std::uint8_t {
   kRoundRobin,  ///< Segment i takes route i mod |routes|.
   kRandom,      ///< Segment i takes a seeded pseudo-random route.
+};
+
+/// A static message's candidate routes, as NCA choices of the pair's NCA
+/// level (xgft::Topology::ascent numbering): one inline choice for a table
+/// or router route, or `count` choices read from a list for a spray set.
+/// A route's up-ports are its choice's catalogue ascent, which lives as
+/// long as the topology; only a list has an owner of its own (the
+/// resolver), which must outlive the messages added over it.  Empty
+/// (count 0) for local delivery (src == dst) and, from a resolver, for a
+/// pair the active forwarding table declares unroutable (src != dst).
+struct RouteSet {
+  std::uint32_t level = 0;   ///< The pair's NCA level.
+  std::uint32_t count = 0;   ///< Candidate choices.
+  std::uint32_t choice = 0;  ///< The candidate when count == 1.
+  const std::uint32_t* choices = nullptr;  ///< The candidates when count > 1.
+
+  /// The one route through NCA choice @p c.
+  [[nodiscard]] static RouteSet one(std::uint32_t level, std::uint32_t c) {
+    return {level, 1, c, nullptr};
+  }
+  /// The candidates @p list (a one-entry list is stored inline).
+  [[nodiscard]] static RouteSet of(std::uint32_t level,
+                                   std::span<const std::uint32_t> list) {
+    if (list.size() == 1) return one(level, list[0]);
+    return {level, static_cast<std::uint32_t>(list.size()), 0, list.data()};
+  }
+  [[nodiscard]] bool empty() const { return count == 0; }
+  /// Candidate @p i's choice.
+  [[nodiscard]] std::uint32_t at(std::uint32_t i) const {
+    return count == 1 ? choice : choices[i];
+  }
 };
 
 /// What the event core does with traffic that meets a dead link
@@ -177,20 +208,18 @@ class Network {
   /// it observes.
   void setProbe(Probe* probe);
 
-  /// Registers a message and its minimal up/down route; the message starts
-  /// injecting only after release().  s == d messages are legal and complete
-  /// instantly upon release (local delivery, no network traversal).
-  MsgId addMessage(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
-                   const xgft::Route& route);
-
-  /// Registers a multipath message: each segment is sprayed over one of the
-  /// given routes per @p policy.  All routes must share the same first-hop
-  /// (host) port.  At least one route is required.
-  MsgId addMessageMultipath(xgft::NodeIndex src, xgft::NodeIndex dst,
-                            Bytes bytes,
-                            const std::vector<xgft::Route>& routes,
-                            SprayPolicy policy,
-                            std::uint64_t spraySeed = 1);
+  /// Registers a static message over @p routes; the message starts
+  /// injecting only after release().  @p routes must be empty iff
+  /// src == dst (local delivery: the message completes upon release,
+  /// without touching the network), and otherwise hold in-range choices of
+  /// the pair's NCA level that share their first hop (the NIC port, word 0
+  /// of the ascent) — as trace::RouteSetResolver hands them out.  With
+  /// more than one candidate each segment takes one per @p policy.
+  /// Release builds check only the emptiness rule.
+  MsgId addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
+                      RouteSet routes,
+                      SprayPolicy policy = SprayPolicy::kRoundRobin,
+                      std::uint64_t spraySeed = 1);
 
   /// Registers a minimally-adaptive message (the adaptive routing the
   /// paper's Sec. I discusses via Gómez et al. [6]): no precomputed route —
@@ -200,41 +229,6 @@ class Network {
   /// stay minimal, so deadlock freedom is preserved.
   MsgId addMessageAdaptive(xgft::NodeIndex src, xgft::NodeIndex dst,
                            Bytes bytes);
-
-  // ---- Route-set fast path (route_store.hpp) -------------------------------
-  //
-  // Production callers (trace::RouteSetResolver) hand addMessageSet a
-  // RouteSet whose ascents already exist: a compiled table's upPorts() slice,
-  // or a set stored once per pair through storeAscents.  Adding a message
-  // is then a pure O(1) record append, and it produces the identical event
-  // sequence as the equivalent addMessage/addMessageMultipath calls.
-
-  /// Validates @p routes (the addMessageMultipath rules: >= 1 route, shared
-  /// first-hop port), stores their ascents in routes() and returns the set.
-  /// For src == dst returns an empty set (local delivery needs no routes,
-  /// matching addMessageMultipath).
-  RouteSet internRoutes(xgft::NodeIndex src, xgft::NodeIndex dst,
-                        const std::vector<xgft::Route>& routes);
-
-  /// Stores @p ascents — catalogue ascents (xgft::Topology::ascent) of one
-  /// pair, @p len >= 1 words each, back to back and sharing their first
-  /// word — in routes() and returns the set.  Catalogue ascents of the
-  /// pair's NCA level are valid routes by construction, so nothing is
-  /// re-checked.
-  RouteSet storeAscents(std::span<const std::uint32_t> ascents,
-                        std::uint32_t len) {
-    return routes_.store(ascents, len);
-  }
-
-  /// Registers a message over @p routes, which must be empty iff
-  /// src == dst, and otherwise hold valid ascents for (src, dst) — from
-  /// storeAscents or internRoutes, or a table compiled against this
-  /// topology.  The ascents are not copied: their owner must outlive the
-  /// message (DESIGN.md §7).
-  MsgId addMessageSet(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
-                      RouteSet routes,
-                      SprayPolicy policy = SprayPolicy::kRoundRobin,
-                      std::uint64_t spraySeed = 1);
 
   /// Makes the message visible to the source adapter at time @p t (must not
   /// precede the current simulation time).  Throws std::out_of_range for a
@@ -285,7 +279,6 @@ class Network {
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
   [[nodiscard]] const xgft::Topology& topology() const { return *topo_; }
-  [[nodiscard]] const RouteStore& routes() const { return routes_; }
   /// Event pushes the queue's delay lanes could not take (event_queue.hpp);
   /// zero on the paper's workloads, as tests/sim/event_queue_test pins.
   [[nodiscard]] std::uint64_t queueOverflowPushes() const {
@@ -354,12 +347,12 @@ class Network {
   /// segment is in at most one queue at a time, so one link suffices.
   /// Segment::flags bit: the segment escaped a dead output port
   /// (FaultPolicy::kReroute) and finishes its journey adaptively — its
-  /// ascent no longer describes the remaining hops.
+  /// choice no longer describes the remaining hops.
   static constexpr std::uint32_t kSegEscaped = 1u;
 
   struct Segment {
     MsgId msg = 0;
-    std::uint32_t route = 0;    ///< Which of the message's candidate ascents.
+    std::uint32_t choice = 0;   ///< The NCA choice this segment climbs to.
     std::uint32_t hop = 0;      ///< Hops completed so far.
     std::uint32_t payloadBytes = 0;
     std::uint32_t resolvedOut = 0;  ///< Output gport chosen at this switch.
@@ -381,14 +374,14 @@ class Network {
   /// its message completed or was dropped, no segment of it is in flight
   /// (retiredSegments == injectedSegments) and it is not kQueued; the free
   /// list threads through `nextActive`.  A static message's route is its
-  /// RouteSet, kept as the ascents pointer, `setSize` and `ascentLen`.
+  /// RouteSet, kept as `level`, `count`, `choice` and `choices`.
   struct Message {
     Bytes bytes = 0;
     std::uint64_t spraySeed = 1;
     std::uint64_t token = 0;  ///< InjectionProcess's source token.
     TimeNs releaseNs = 0;     ///< The time release() was given.
-    /// RouteSet::ascents; null for local and adaptive messages.
-    const std::uint32_t* ascents = nullptr;
+    /// RouteSet::choices: a spray set's list (count > 1), else null.
+    const std::uint32_t* choices = nullptr;
     // Host indices fit 32 bits: the port-space guard keeps every host
     // below 2^32 - 1.
     std::uint32_t src = 0;
@@ -400,14 +393,14 @@ class Network {
     /// (which drops the message, so a count that includes strands never
     /// completes it).
     std::uint32_t retiredSegments = 0;
-    std::uint32_t setSize = 0;   ///< RouteSet::count (0: local, adaptive).
-    std::uint32_t hostPort = 0;  ///< Source NIC gport.
+    std::uint32_t count = 0;   ///< RouteSet::count (0: local, adaptive).
+    std::uint32_t choice = 0;  ///< RouteSet::choice (count == 1).
     /// Host-adapter round-robin link while kQueued, free-list link while
     /// kFree.
     std::uint32_t nextActive = kNil;
     SprayPolicy policy = SprayPolicy::kRoundRobin;
     MsgState state = MsgState::kFree;
-    std::uint8_t ascentLen = 0;  ///< RouteSet::len: the pair's NCA level.
+    std::uint8_t level = 0;  ///< RouteSet::level: the pair's NCA level.
     bool adaptive : 1 = false;
     bool dropped : 1 = false;  ///< Lost to a fault; will never complete.
   };
@@ -533,32 +526,40 @@ class Network {
   }
 
   /// Fills a message slot (a recycled one if any) with the bookkeeping
-  /// shared by every addMessage* flavour; guards the 32-bit sequence and
-  /// segment-count spaces.  An adaptive message leaves through NIC port
-  /// seq % w1, a static one through its ascents' word 0.
+  /// shared by both add paths; guards the 32-bit sequence and
+  /// segment-count spaces.
   MsgId addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
                   RouteSet routes, SprayPolicy policy, std::uint64_t spraySeed,
                   bool adaptive);
 
-  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, std::uint32_t route,
+  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, std::uint32_t choice,
                                            std::uint32_t bytes);
-  /// The candidate ascent @p m's next segment takes: the only one of a
-  /// single-route message, else the spray policy's pick for segment number
-  /// injectedSegments.  The one route pick of both event cores.
-  [[nodiscard]] static std::uint32_t pickRoute(const Message& m) {
-    if (m.setSize <= 1) return 0;
+  /// The NCA choice @p m's next segment takes: the only one of a
+  /// single-route message, else the spray policy's pick among its
+  /// candidates for segment number injectedSegments.  The one route pick.
+  [[nodiscard]] static std::uint32_t pickChoice(const Message& m) {
+    if (m.count <= 1) return m.choice;
     if (m.policy == SprayPolicy::kRoundRobin) {
-      return m.injectedSegments % m.setSize;
+      return m.choices[m.injectedSegments % m.count];
     }
-    return static_cast<std::uint32_t>(
-        xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) % m.setSize);
+    return m.choices[xgft::hashMix(m.spraySeed, m.seq, m.injectedSegments) %
+                     m.count];
   }
+  /// The catalogue ascent of NCA choice @p choice at @p level, from the
+  /// cached per-level bases.
+  [[nodiscard]] const std::uint32_t* ascent(std::uint32_t level,
+                                            std::uint32_t choice) const {
+    return levelAscents_[level] + static_cast<std::size_t>(choice) * level;
+  }
+  /// The NIC gport @p m leaves through: NIC port seq % w1 for an adaptive
+  /// message, else word 0 of its candidates' shared ascent.
+  [[nodiscard]] std::uint32_t hostPortOf(const Message& m) const;
   /// The output gport segment @p seg takes at the switch owning @p gInPort,
   /// where it has just arrived: the adaptive pick for adaptive and escaped
-  /// segments, otherwise the static decode — before the NCA (hop <
-  /// ascentLen) the switch sits at level hop and leaves through up-port
-  /// ascent[hop], from the NCA on through dst's down-port at its level.
-  /// The one next-hop read of both event cores.
+  /// segments, otherwise the static decode — before the NCA (hop < level)
+  /// the switch sits at level hop and leaves through word hop of its
+  /// choice's ascent, from the NCA on through dst's down-port at its level.
+  /// The one next-hop read.
   [[nodiscard]] std::uint32_t nextOutput(std::uint32_t gInPort,
                                          const Segment& seg);
   /// Picks the output gport for an adaptive segment sitting at the node
@@ -613,6 +614,9 @@ class Network {
   // Topology answers them through bounds-checked vectors.
   std::uint32_t height_ = 0;
   std::vector<std::uint32_t> upPortBase_;  ///< Topology::upPortBase by level.
+  /// Topology::ascent(level, 0) by level: where the level's catalogue
+  /// ascents start.  The words live as long as the topology.
+  std::vector<const std::uint32_t*> levelAscents_;
   /// downPorts_[dst * h + level - 1]: downPort(level, dst), n * h words.
   std::vector<std::uint32_t> downPorts_;
   std::vector<std::uint32_t> adaptiveRR_;  ///< Per-node tie-break rotor.
@@ -625,9 +629,6 @@ class Network {
   MsgId nextSeq_ = 0;                    ///< Next Message::seq.
   std::vector<Segment> segments_;        ///< Slot pool.
   std::uint32_t freeSegments_ = kNil;    ///< Free-list head (next links).
-
-  RouteStore routes_;
-  std::vector<std::uint32_t> scratchAscents_;  ///< internRoutes staging.
 
   EventQueue queue_;
   std::vector<std::function<void()>> callbacks_;

@@ -75,7 +75,6 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
 
   result.latency = hist.summary();
   result.stats = net.stats();
-  result.routeArenaEntries = net.routes().arenaEntries();
   result.lastDeliveryNs = net.stats().lastDeliveryNs;
   result.windows[2].endNs = std::max(result.lastDeliveryNs, measureEnd);
   const double hostBytesPerNs = cfg.linkGbps / 8.0;

@@ -72,11 +72,6 @@ struct OpenLoopResult {
   sim::TimeNs lastDeliveryNs = 0;
   sim::NetworkStats stats;
 
-  /// Route-store footprint at the end of the run: uint32 ascent words
-  /// stored for routes no table holds (sim::RouteStore::arenaEntries; 0
-  /// when every route came from a forwarding table).
-  std::size_t routeArenaEntries = 0;
-
   /// Wire utilization over the whole run (warmup through drain), from
   /// Network::wireBusyNs: busiest wire and the mean over wires that
   /// carried traffic.

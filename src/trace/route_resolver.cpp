@@ -1,7 +1,6 @@
 #include "trace/route_resolver.hpp"
 
 #include <algorithm>
-#include <span>
 #include <stdexcept>
 
 #include "xgft/rng.hpp"
@@ -20,6 +19,19 @@ RouteSetResolver::RouteSetResolver(sim::Network& net,
   if (compiled_ != nullptr && &compiled_->topology() != &net.topology()) {
     throw std::invalid_argument(
         "RouteSetResolver: compiled routes built for a different topology");
+  }
+  if (!spray_.enabled) return;
+  // Catalogue choice c leaves the host through NIC port c mod w1, so the
+  // choices sharing choice 0's first hop are the multiples of w1.
+  const xgft::Topology& topo = net.topology();
+  const std::uint32_t w1 = topo.params().w(1);
+  levelSprays_.resize(topo.height() + 1);
+  for (std::uint32_t level = 1; level <= topo.height(); ++level) {
+    const xgft::Count n = topo.ncaChoices(level);
+    if (n > spray_.maxPaths) continue;
+    for (xgft::Count c = 0; c < n; c += w1) {
+      levelSprays_[level].push_back(static_cast<std::uint32_t>(c));
+    }
   }
 }
 
@@ -58,50 +70,43 @@ sim::InjectionOptions injectionOptions(RouteSetResolver& resolver) {
 sim::RouteSet RouteSetResolver::setFor(xgft::NodeIndex src,
                                        xgft::NodeIndex dst) {
   if (compiled_ != nullptr) {
-    // The table holds every pair's ascent already: point at it.  An empty
-    // slice is the diagonal or a pair the table marks unroutable.
-    const std::span<const std::uint32_t> up = compiled_->upPorts(src, dst);
-    return {up.data(), static_cast<std::uint32_t>(up.size()),
-            up.empty() ? 0u : 1u};
+    // Level 0 is the diagonal or a pair the table marks unroutable.
+    const core::CompiledRoutes::Entry e = compiled_->entry(src, dst);
+    return e.level == 0 ? sim::RouteSet{}
+                        : sim::RouteSet::one(e.level, e.choice);
   }
   if (src == dst) return {};
-  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  if (const std::uint32_t* memo = pairSets_.find(key)) return sets_[*memo];
   const xgft::Topology& topo = net_->topology();
   const std::uint32_t level = topo.ncaLevel(src, dst);
-  scratch_.clear();
-  if (spray_.enabled) {
-    // Up to maxPaths NCA-distinct choices: all of them when there are few
-    // enough, else seeded draws i = 0, 1, ... with repeats skipped.
+  if (!spray_.enabled) {
+    const xgft::Count c = router_->choice(src, dst);
+    (void)router_->ascentOf(src, dst, level, c);  // The range check.
+    return sim::RouteSet::one(level, static_cast<std::uint32_t>(c));
+  }
+  if (!levelSprays_[level].empty()) {
+    return sim::RouteSet::of(level, levelSprays_[level]);
+  }
+  // More NCAs than maxPaths: seeded draws i = 0, 1, ... with repeats
+  // skipped until maxPaths distinct ones are found, then the ones sharing
+  // the first draw's first hop (spraying happens above the NIC port).
+  const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
+  std::vector<std::uint32_t>& list = pairSprays_[key];
+  if (list.empty()) {
     const xgft::Count n = topo.ncaChoices(level);
-    choices_.clear();
-    if (n <= spray_.maxPaths) {
-      for (xgft::Count c = 0; c < n; ++c) choices_.push_back(c);
-    } else {
-      for (std::uint64_t i = 0; choices_.size() < spray_.maxPaths; ++i) {
-        const xgft::Count c = xgft::hashMix(spray_.seed, src, dst, i) % n;
-        if (std::find(choices_.begin(), choices_.end(), c) == choices_.end()) {
-          choices_.push_back(c);
-        }
+    std::vector<std::uint32_t> drawn;
+    for (std::uint64_t i = 0; drawn.size() < spray_.maxPaths; ++i) {
+      const auto c = static_cast<std::uint32_t>(
+          xgft::hashMix(spray_.seed, src, dst, i) % n);
+      if (std::find(drawn.begin(), drawn.end(), c) == drawn.end()) {
+        drawn.push_back(c);
       }
     }
-    // Spraying happens above the first hop: all candidate routes must
-    // leave the host through the same NIC port (relevant only when
-    // w1 > 1).
-    const std::uint32_t port0 = topo.ascent(level, choices_[0])[0];
-    for (const xgft::Count c : choices_) {
-      const std::span<const std::uint32_t> up = topo.ascent(level, c);
-      if (up[0] == port0) scratch_.insert(scratch_.end(), up.begin(), up.end());
+    const std::uint32_t port0 = topo.ascent(level, drawn[0])[0];
+    for (const std::uint32_t c : drawn) {
+      if (topo.ascent(level, c)[0] == port0) list.push_back(c);
     }
-  } else {
-    const std::span<const std::uint32_t> up =
-        router_->ascentOf(src, dst, level, router_->choice(src, dst));
-    scratch_.assign(up.begin(), up.end());
   }
-  const sim::RouteSet set = net_->storeAscents(scratch_, level);
-  pairSets_.insert(key, static_cast<std::uint32_t>(sets_.size()));
-  sets_.push_back(set);
-  return set;
+  return sim::RouteSet::of(level, list);
 }
 
 }  // namespace trace

@@ -1,36 +1,35 @@
 // route_resolver.hpp — (src, dst) -> route-set resolution.
 //
-// A static route is its ascent (sim/route_store.hpp), so resolving a pair
-// means finding ascent words that already exist, or storing them once.
-// Closed-loop replay and open-loop sources (trace/openloop.hpp) resolve
-// routes through this one path:
+// A static route is an NCA choice (sim::RouteSet), so resolving a pair
+// means finding its NCA level and choice; the up-ports stay in the
+// topology's catalogue.  Closed-loop replay and open-loop sources
+// (trace/openloop.hpp) resolve routes through this one path:
 //
 //  * compiled   — one forwarding-table lookup per message (core::
-//                 CompiledRoutes, flat or interval-compressed): the set
-//                 points at the table's upPorts() slice, and nothing is
-//                 stored or memoized;
+//                 CompiledRoutes::entry, flat or interval-compressed);
 //  * router     — no table: one router->choice() call and its range check
-//                 (Router::ascentOf) per distinct pair; the choice's
-//                 catalogue ascent is stored in the network's RouteStore and
-//                 memoized (Random and Colored closed-loop jobs, open-loop
-//                 jobs past the table budget, compileRoutes off);
-//  * spray      — up to maxPaths NCA-distinct routes per pair, stored and
-//                 memoized the same way, sprayed per segment (the
-//                 Greenberg–Leiserson extension): every NCA when the pair
-//                 has at most maxPaths, else seeded draws with repeats
-//                 skipped until maxPaths distinct ones are found;
+//                 (Router::ascentOf) per message, nothing stored (Random
+//                 and Colored closed-loop jobs, open-loop jobs past the
+//                 table budget, compileRoutes off);
+//  * spray      — up to maxPaths NCA-distinct choices per pair, sprayed per
+//                 segment (the Greenberg–Leiserson extension): every NCA
+//                 when the pair has at most maxPaths — one list per NCA
+//                 level, shared by all its pairs — else seeded draws with
+//                 repeats skipped until maxPaths distinct ones are found,
+//                 kept per pair;
 //  * adaptive   — no resolver at all (per-hop choice inside the simulator).
 //
-// Compiled-mode sets point into the table, so every table the resolver is
-// given must outlive the network's messages (DESIGN.md §7).
+// A set from the first two modes holds its one choice by value.  A spray
+// set points at a list the resolver owns, so the resolver must outlive
+// the messages it resolved; tables need not.
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/compiled_routes.hpp"
 #include "routing/router.hpp"
-#include "sim/flat_map.hpp"
 #include "sim/injection.hpp"
 #include "sim/network.hpp"
 
@@ -53,13 +52,12 @@ struct SprayConfig {
 
 class RouteSetResolver {
  public:
-  /// All references must outlive the resolver, and a compiled table must
-  /// also outlive every message resolved through it.  When @p compiled is
-  /// given (and no per-segment mode is active) pairs resolve through the
-  /// compiled forwarding table; it must be compiled against @p net's
-  /// topology (throws std::invalid_argument otherwise).  Per-segment modes
-  /// (spray, adaptive) never consult the table, so a compiled handle is
-  /// inert for them.
+  /// All references must outlive the resolver; a compiled table need not
+  /// outlive anything else.  When @p compiled is given (and no per-segment
+  /// mode is active) pairs resolve through the compiled forwarding table;
+  /// it must be compiled against @p net's topology (throws
+  /// std::invalid_argument otherwise).  Per-segment modes (spray, adaptive)
+  /// never consult the table, so a compiled handle is inert for them.
   RouteSetResolver(sim::Network& net, const routing::Router& router,
                    SprayConfig spray = {},
                    const core::CompiledRoutes* compiled = nullptr);
@@ -76,11 +74,11 @@ class RouteSetResolver {
 
   /// Swaps in a replacement forwarding table (a mid-run degraded
   /// recompilation, fault::installFaultPlan): later sends resolve through
-  /// it, while messages already added keep pointing into the old one.
+  /// it, while messages already added keep the choices they were given.
   /// Only legal when the resolver was constructed in compiled mode;
   /// @p compiled must be non-null and built against the same topology
-  /// (throws std::invalid_argument otherwise).  The caller keeps every
-  /// table it installs alive until the run ends.
+  /// (throws std::invalid_argument otherwise).  The caller keeps the
+  /// installed table alive while the resolver may read it.
   void setCompiled(const core::CompiledRoutes* compiled);
 
   [[nodiscard]] const SprayConfig& spray() const { return spray_; }
@@ -90,11 +88,13 @@ class RouteSetResolver {
   const routing::Router* router_;
   const core::CompiledRoutes* compiled_;
   SprayConfig spray_;
-  // Router and spray modes: (src << 32 | dst) -> index into sets_.
-  sim::FlatMap64 pairSets_;
-  std::vector<sim::RouteSet> sets_;
-  std::vector<xgft::Count> choices_;    ///< Spray choices of a memo miss.
-  std::vector<std::uint32_t> scratch_;  ///< Ascent words of a memo miss.
+  /// Spray mode: levelSprays_[L] lists every level-L choice sharing choice
+  /// 0's first hop when a level-L pair has at most maxPaths NCAs; empty
+  /// otherwise.
+  std::vector<std::vector<std::uint32_t>> levelSprays_;
+  /// Spray mode, pairs with more NCAs than maxPaths: (src << 32 | dst) ->
+  /// the pair's drawn choices.  Node-based, so a list never moves.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> pairSprays_;
 };
 
 /// The sim::InjectionOptions @p resolver's spray configuration implies —

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../sim/route_sets.hpp"
 #include "obs/recorder.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
@@ -83,7 +84,7 @@ TEST(TimeSeriesCsv, RoundTripsARealRecorderSeries) {
   net.setProbe(&rec);
   for (xgft::NodeIndex src = 1; src < topo.numHosts(); ++src) {
     const sim::MsgId m =
-        net.addMessage(src, 0, 32 * 1024, router->route(src, 0));
+        sim::addRouted(net, src, 0, 32 * 1024, router->route(src, 0));
     net.release(m, 0);
   }
   net.run();

@@ -85,8 +85,12 @@ TEST(CompiledRoutes, ParallelCompileMatchesSerial) {
 
 TEST(CompiledRoutes, TableBytesMatchesLayout) {
   const xgft::Topology topo(xgft::xgft2(4, 4, 2));
-  // 16 hosts, height 2: 256 pairs * (2 * 4 + 1) bytes.
-  EXPECT_EQ(CompiledRoutes::tableBytes(topo), 256u * 9u);
+  // 16 hosts: 256 pairs * (a 4-byte choice + a level byte).
+  EXPECT_EQ(CompiledRoutes::tableBytes(topo), 256u * 5u);
+  // 4096 hosts: 80 MiB, past the engine's 64 MiB flat-table budget, so
+  // that tier keeps the compressed layout.
+  const xgft::Topology big(xgft::Params({16, 16, 16}, {1, 8, 8}));
+  EXPECT_EQ(CompiledRoutes::tableBytes(big), 80ull << 20);
 }
 
 TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
@@ -306,7 +310,7 @@ TEST(CompiledRoutes, CompileAndPatchRejectOutOfRangeChoices) {
         [&] {
           (void)healthy->patched(
               [](xgft::NodeIndex s, xgft::NodeIndex d,
-                 std::span<const std::uint32_t>) {
+                 CompiledRoutes::Entry) {
                 return s == 0 && d == 15 ? xgft::Count{2}
                                          : CompiledRoutes::kKeep;
               });

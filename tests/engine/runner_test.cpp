@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
@@ -299,6 +300,15 @@ TEST(Runner, ThreadCountDefaultsAndClamping) {
       parseCampaign("pattern=ring:16 msg_scale=0.0625 m1=4 m2=4 w2=2\n"));
   EXPECT_EQ(results.threadsUsed, 1u);
   EXPECT_TRUE(results.jobs.at(0).ok);
+
+  // More jobs than the host has hardware threads: the host caps the pool
+  // too, so a large --threads never multiplies OS threads past it.
+  const CampaignResults wide = Runner(opt).run(parseCampaign(
+      "pattern=ring:16 msg_scale=0.0625 m1=4 m2=4 w2=2 seed=1..8\n"));
+  ASSERT_EQ(wide.jobs.size(), 8u);
+  EXPECT_LE(wide.threadsUsed,
+            std::max(1u, std::thread::hardware_concurrency()));
+  for (const JobResult& job : wide.jobs) EXPECT_TRUE(job.ok) << job.error;
 }
 
 }  // namespace

@@ -138,6 +138,33 @@ TEST(Spec, OpenLoopKeysValidate) {
   }
 }
 
+TEST(Spec, NumberParsersTakeOnlyTheWholeNumber) {
+  // The one strict rule behind spec keys and every CLI's numeric flags:
+  // no sign, no trailing characters, in range, finite.
+  EXPECT_EQ(parseU32("4294967295", "--threads"), 4294967295u);
+  EXPECT_EQ(parseU64("18446744073709551615", "--seed"),
+            18446744073709551615ull);
+  EXPECT_EQ(parseFiniteDouble("0.5", "--load"), 0.5);
+  for (const char* bad : {"-1", "+1", "3x", " 3", "", "4294967296"}) {
+    EXPECT_THROW((void)parseU32(bad, "--jobs"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"-1", "1e3", "18446744073709551616"}) {
+    EXPECT_THROW((void)parseU64(bad, "--seed"), std::invalid_argument) << bad;
+  }
+  for (const char* bad : {"0.5x", "nan", "inf", "", "1e999"}) {
+    EXPECT_THROW((void)parseFiniteDouble(bad, "--load"),
+                 std::invalid_argument)
+        << bad;
+  }
+  try {
+    (void)parseU32("2x", "--threads");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--threads wants an integer in [0, 4294967295], got '2x'");
+  }
+}
+
 TEST(Spec, LoadSweepsExpandLikeAnyAxis) {
   const auto jobs = expandCampaignLine(
       "source=poisson:uniform load={0.1,0.2,0.3} routing=d-mod-k");

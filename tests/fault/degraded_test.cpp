@@ -420,8 +420,8 @@ TEST(CleanAscentMask, TakesOneBitPerHostLevelAndChoice) {
 
 TEST(InstallFaultPlan, RestorePutsTheHealthyTableBack) {
   // timed:LINK:DOWN:UP patches one degraded table at DOWN; at UP the
-  // failed set is empty again, so the healthy table itself goes back into
-  // the resolver instead of a freshly compiled copy.
+  // failed set is empty again, so the healthy table goes back into the
+  // resolver and every pair resolves to its healthy choice again.
   const Topology topo(xgft::xgft2(4, 4, 2));
   const auto router = buildScheme("d-mod-k", topo);
   const auto healthy = core::CompiledRoutes::compile(router);
@@ -447,15 +447,17 @@ TEST(InstallFaultPlan, RestorePutsTheHealthyTableBack) {
   for (const auto& [s, d] : crossing) {
     const sim::RouteSet during = resolver.setFor(s, d);
     ASSERT_FALSE(during.empty());
-    EXPECT_NE(during.ascents, healthy->upPorts(s, d).data());
-    EXPECT_FALSE(down.routeBlocked(
-        s, d, xgft::Route{{during.ascent(0).begin(), during.ascent(0).end()}}));
+    EXPECT_NE(during.choice, healthy->entry(s, d).choice);
+    const auto up = topo.ascent(during.level, during.choice);
+    EXPECT_FALSE(down.routeBlocked(s, d, xgft::Route{{up.begin(), up.end()}}));
   }
   net.run(2500);
   for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
     for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
       if (s == d) continue;
-      EXPECT_EQ(resolver.setFor(s, d).ascents, healthy->upPorts(s, d).data())
+      const sim::RouteSet after = resolver.setFor(s, d);
+      EXPECT_EQ(after.level, healthy->entry(s, d).level) << s << " -> " << d;
+      EXPECT_EQ(after.choice, healthy->entry(s, d).choice)
           << s << " -> " << d;
     }
   }

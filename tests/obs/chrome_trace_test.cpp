@@ -9,6 +9,7 @@
 #include <sstream>
 #include <string>
 
+#include "../sim/route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "xgft/topology.hpp"
@@ -77,7 +78,8 @@ Recorder recordHotspot(const Topology& topo, RecorderConfig cfg = [] {
   sim::Network net(topo, sim::SimConfig{});
   net.setProbe(&rec);
   for (xgft::NodeIndex s = 1; s < topo.numHosts(); ++s) {
-    const sim::MsgId m = net.addMessage(s, 0, 16 * 1024, router->route(s, 0));
+    const sim::MsgId m =
+        sim::addRouted(net, s, 0, 16 * 1024, router->route(s, 0));
     net.release(m, 0);
   }
   net.run();

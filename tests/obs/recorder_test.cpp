@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "../sim/route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "xgft/topology.hpp"
@@ -26,7 +27,7 @@ sim::NetworkStats runHotspot(const Topology& topo, sim::Probe* probe,
   sim::Network net(topo, sim::SimConfig{});
   if (probe != nullptr) net.setProbe(probe);
   for (xgft::NodeIndex s = 1; s < topo.numHosts(); ++s) {
-    const sim::MsgId m = net.addMessage(s, 0, bytes, router->route(s, 0));
+    const sim::MsgId m = sim::addRouted(net, s, 0, bytes, router->route(s, 0));
     net.release(m, 0);
   }
   net.run();

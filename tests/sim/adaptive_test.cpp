@@ -117,18 +117,6 @@ TEST(Adaptive, ConservesSegmentsUnderHeavyContention) {
   EXPECT_EQ(net.stats().segmentsDelivered, expected);
 }
 
-TEST(Adaptive, StoresNoRoutes) {
-  // Adaptive messages have no ascent, only a NIC port: 10k of them on a
-  // w1 = 2 tree leave the route store empty.
-  const Topology topo(xgft::Params({4, 4}, {2, 2}));
-  Network net(topo, SimConfig{});
-  for (std::uint32_t i = 0; i < 10'000; ++i) {
-    (void)net.addMessageAdaptive(i % 16, (i + 5) % 16, 1024);
-  }
-  EXPECT_EQ(net.routes().numPaths(), 0u);
-  EXPECT_EQ(net.routes().arenaEntries(), 0u);
-}
-
 TEST(Adaptive, NicStripingFollowsTheSequenceNumberAcrossSlotReuse) {
   // On a w1 = 2 tree adaptive messages stripe over the two NIC ports by
   // add order.  Sent one after another, each reuses the slot its

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "delivery_recorder.hpp"
+#include "route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "sim/probe.hpp"
@@ -43,7 +44,7 @@ class FaultProbe : public Probe {
 TimeNs healthyMakespan(const Topology& topo, const routing::Router& router,
                        xgft::NodeIndex s, xgft::NodeIndex d, Bytes bytes) {
   Network net(topo, SimConfig{});
-  const MsgId m = net.addMessage(s, d, bytes, router.route(s, d));
+  const MsgId m = addRouted(net, s, d, bytes, router.route(s, d));
   net.release(m, 0);
   net.run();
   return net.stats().lastDeliveryNs;
@@ -60,7 +61,7 @@ TEST(FaultInjection, WaitPolicyResumesOnRestore) {
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, hostLink);
   net.scheduleLinkUp(50'000, hostLink);
-  const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 4096, router->route(0, 1));
   net.release(m, 0);
   net.run();
 
@@ -79,7 +80,7 @@ TEST(FaultInjection, WaitPolicyWithoutRestoreConvertsToDropsOnDrain) {
   Network net(topo, SimConfig{});
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, topo.upLink(0, 0, 0));
-  const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 4096, router->route(0, 1));
   net.release(m, 0);
   // Faulted runs report instead of throwing: the waiting message converts
   // to a drop when the queue drains with the link still down.
@@ -103,7 +104,7 @@ TEST(FaultInjection, StrandPolicyDropsMidFlightTraffic) {
   net.setProbe(&probe);
   net.setFaultPolicy(FaultPolicy::kStrand);
   net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
-  const MsgId m = net.addMessage(0, 4, bytes, router->route(0, 4));
+  const MsgId m = addRouted(net, 0, 4, bytes, router->route(0, 4));
   net.release(m, 0);
   EXPECT_NO_THROW(net.run());
 
@@ -133,7 +134,7 @@ TEST(FaultInjection, ReroutePolicyDeliversViaTheSiblingUpPort) {
   net.setProbe(&probe);
   net.setFaultPolicy(FaultPolicy::kReroute);
   net.scheduleLinkDown(0, deadUplink);
-  const MsgId m = net.addMessage(0, 4, 32 * 1024, route);
+  const MsgId m = addRouted(net, 0, 4, 32 * 1024, route);
   net.release(m, 0);
   net.run();
 
@@ -168,12 +169,12 @@ TEST(FaultInjection, RerouteAtAnInputHeadReportsTheSequenceNumber) {
   net.setProbe(&probe);
   net.setFaultPolicy(FaultPolicy::kReroute);
   for (const xgft::NodeIndex d : {1u, 2u}) {
-    net.release(net.addMessage(0, d, 1024, router->route(0, d)), net.now());
+    net.release(addRouted(net, 0, d, 1024, router->route(0, d)), net.now());
     net.run();
   }
   ASSERT_EQ(net.stats().messagesDelivered, 2u);
   net.scheduleLinkDown(net.now(), deadUplink);
-  const MsgId m = net.addMessage(0, 4, 1024, route);
+  const MsgId m = addRouted(net, 0, 4, 1024, route);
   ASSERT_EQ(m, 0u);  // The recycled slot, which differs from the seq.
   net.release(m, net.now());
   net.run();
@@ -192,7 +193,7 @@ TEST(FaultInjection, ReroutePolicyStrandsWhenNoUpPortSurvives) {
   Network net(topo, SimConfig{});
   net.setFaultPolicy(FaultPolicy::kReroute);
   net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
-  const MsgId m = net.addMessage(0, 4, bytes, router->route(0, 4));
+  const MsgId m = addRouted(net, 0, 4, bytes, router->route(0, 4));
   net.release(m, 0);
   EXPECT_NO_THROW(net.run());
   EXPECT_EQ(net.stats().messagesDelivered, 0u);
@@ -215,7 +216,7 @@ TEST(FaultInjection, DownTimeAccruesAcrossPartialRunBoundaries) {
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(10'000, hostLink);
   net.scheduleLinkUp(200'000, hostLink);
-  const MsgId m = net.addMessage(0, 1, 4096, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 4096, router->route(0, 1));
   net.release(m, 20'000);  // Released mid-outage; waits for the restore.
 
   // The clock sits at the last processed event, so down-time folds up to
@@ -249,14 +250,14 @@ TEST(FaultInjection, DroppedMessagesGiveTheirSlotsBack) {
     Network net(topo, SimConfig{});
     net.setFaultPolicy(policy);
     net.scheduleLinkDown(mid, topo.upLink(1, 0, 0));
-    net.release(net.addMessage(0, 4, bytes, router->route(0, 4)), 0);
-    net.release(net.addMessage(1, 5, bytes, router->route(1, 5)), 0);
+    net.release(addRouted(net, 0, 4, bytes, router->route(0, 4)), 0);
+    net.release(addRouted(net, 1, 5, bytes, router->route(1, 5)), 0);
     net.run();
     ASSERT_EQ(net.stats().messagesDropped, 2u);
     EXPECT_EQ(net.messageSlots(), 2u);
     // Switch-local traffic never meets the dead link.
-    net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), net.now());
-    net.release(net.addMessage(2, 3, 4096, router->route(2, 3)), net.now());
+    net.release(addRouted(net, 0, 1, 4096, router->route(0, 1)), net.now());
+    net.release(addRouted(net, 2, 3, 4096, router->route(2, 3)), net.now());
     net.run();
     EXPECT_EQ(net.stats().messagesDelivered, 2u);
     EXPECT_EQ(net.messageSlots(), 2u);
@@ -273,12 +274,12 @@ TEST(FaultInjection, DrainDropFreesItsSlotWhenTheNicSkipsIt) {
   Network net(topo, SimConfig{});
   net.setFaultPolicy(FaultPolicy::kWait);
   net.scheduleLinkDown(0, hostLink);
-  net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), 0);
+  net.release(addRouted(net, 0, 1, 4096, router->route(0, 1)), 0);
   net.run();
   ASSERT_EQ(net.stats().messagesDropped, 1u);
   net.scheduleLinkUp(net.now(), hostLink);
   net.run();
-  net.release(net.addMessage(0, 1, 4096, router->route(0, 1)), net.now());
+  net.release(addRouted(net, 0, 1, 4096, router->route(0, 1)), net.now());
   net.run();
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
   EXPECT_EQ(net.stats().messagesDropped, 1u);
@@ -321,7 +322,7 @@ TEST(FaultInjection, HealthyRunsKeepFaultCountersZero) {
   Network net(topo, SimConfig{});
   for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
     const xgft::NodeIndex d = (s + 5) % topo.numHosts();
-    net.release(net.addMessage(s, d, 8192, router->route(s, d)), 0);
+    net.release(addRouted(net, s, d, 8192, router->route(s, d)), 0);
   }
   net.run();
   EXPECT_EQ(net.stats().segmentsRerouted, 0u);

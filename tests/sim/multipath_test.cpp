@@ -8,6 +8,7 @@
 #include "delivery_recorder.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
+#include "route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "sim/probe.hpp"
@@ -42,16 +43,17 @@ class WireLog : public Probe {
 TEST(Multipath, RequiresAtLeastOneRoute) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
-  EXPECT_THROW(
-      net.addMessageMultipath(0, 15, 100, {}, SprayPolicy::kRoundRobin),
-      std::invalid_argument);
+  RouteSets sets;
+  EXPECT_THROW(sets.add(net, 0, 15, 100, {}, SprayPolicy::kRoundRobin),
+               std::invalid_argument);
 }
 
 TEST(Multipath, SprayedMessageDeliversAllSegments) {
   const Topology topo(xgft::xgft2(4, 4, 4));
+  RouteSets sets;
   Network net(topo, SimConfig{});
-  const MsgId m = net.addMessageMultipath(
-      0, 15, 64 * 1024, allRoutes(topo, 0, 15), SprayPolicy::kRoundRobin);
+  const MsgId m = sets.add(net, 0, 15, 64 * 1024, allRoutes(topo, 0, 15),
+                           SprayPolicy::kRoundRobin);
   net.release(m, 0);
   net.run();
   EXPECT_EQ(net.stats().segmentsDelivered, 64u);
@@ -64,9 +66,10 @@ TEST(Multipath, RoundRobinUsesEveryRoute) {
   const Topology topo(xgft::xgft2(4, 4, 4));
   SimConfig cfg;
   cfg.headerBytes = 0;
+  RouteSets sets;
   Network net(topo, cfg);
-  const MsgId m = net.addMessageMultipath(
-      0, 15, 64 * 1024, allRoutes(topo, 0, 15), SprayPolicy::kRoundRobin);
+  const MsgId m = sets.add(net, 0, 15, 64 * 1024, allRoutes(topo, 0, 15),
+                           SprayPolicy::kRoundRobin);
   net.release(m, 0);
   net.run();
   for (std::uint32_t p = 0; p < 4; ++p) {
@@ -79,10 +82,10 @@ TEST(Multipath, RoundRobinUsesEveryRoute) {
 TEST(Multipath, RandomPolicyIsDeterministicPerSeed) {
   const Topology topo(xgft::xgft2(4, 4, 4));
   const auto runOnce = [&](std::uint64_t seed) {
+    RouteSets sets;
     Network net(topo, SimConfig{});
-    const MsgId m =
-        net.addMessageMultipath(0, 15, 64 * 1024, allRoutes(topo, 0, 15),
-                                SprayPolicy::kRandom, seed);
+    const MsgId m = sets.add(net, 0, 15, 64 * 1024, allRoutes(topo, 0, 15),
+                             SprayPolicy::kRandom, seed);
     net.release(m, 0);
     net.run();
     return net.stats().lastDeliveryNs;
@@ -98,9 +101,9 @@ TEST(Multipath, FirstHopMustMatch) {
   std::vector<xgft::Route> routes = allRoutes(topo, 0, 15);
   ASSERT_GE(routes.size(), 2u);
   ASSERT_NE(routes[0].up[0], routes[1].up[0]);  // Choice varies up[0] first.
-  EXPECT_THROW(net.addMessageMultipath(0, 15, 1024, routes,
-                                       SprayPolicy::kRoundRobin),
-               std::invalid_argument);
+  EXPECT_THROW(
+      RouteSets().add(net, 0, 15, 1024, routes, SprayPolicy::kRoundRobin),
+      std::invalid_argument);
 }
 
 TEST(Multipath, SprayedPermutationBeatsWorstStaticChoice) {
@@ -109,15 +112,16 @@ TEST(Multipath, SprayedPermutationBeatsWorstStaticChoice) {
   const Topology topo(xgft::xgft2(8, 8, 8));
   const patterns::Permutation perm = patterns::shiftPermutation(64, 8);
   const auto makespan = [&](bool sprayed) {
+    RouteSets sets;
     Network net(topo, SimConfig{});
     for (patterns::Rank s = 0; s < 64; ++s) {
       const xgft::NodeIndex d = perm(s);
       MsgId m = 0;
       if (sprayed) {
-        m = net.addMessageMultipath(s, d, 32 * 1024, allRoutes(topo, s, d),
-                                    SprayPolicy::kRoundRobin);
+        m = sets.add(net, s, d, 32 * 1024, allRoutes(topo, s, d),
+                     SprayPolicy::kRoundRobin);
       } else {
-        m = net.addMessage(s, d, 32 * 1024, routeViaNca(topo, s, d, 0));
+        m = addRouted(net, s, d, 32 * 1024, routeViaNca(topo, s, d, 0));
       }
       net.release(m, 0);
     }
@@ -137,6 +141,7 @@ TEST(Multipath, OutOfOrderSegmentsReassemble) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   SimConfig cfg;
   cfg.headerBytes = 0;
+  RouteSets sets;
   Network net(topo, cfg);
   DeliveryRecorder rec;
   net.setSink(&rec);
@@ -144,9 +149,9 @@ TEST(Multipath, OutOfOrderSegmentsReassemble) {
   ASSERT_EQ(routes.size(), 2u);
   // Blocker: saturates root 0's down path toward host 15's switch.
   const MsgId blocker =
-      net.addMessage(1, 14, 64 * 1024, routeViaNca(topo, 1, 14, 0));
-  const MsgId sprayed = net.addMessageMultipath(
-      0, 15, 8 * 1024, routes, SprayPolicy::kRoundRobin);
+      addRouted(net, 1, 14, 64 * 1024, routeViaNca(topo, 1, 14, 0));
+  const MsgId sprayed =
+      sets.add(net, 0, 15, 8 * 1024, routes, SprayPolicy::kRoundRobin);
   net.release(blocker, 0);
   net.release(sprayed, 0);
   net.run();
@@ -157,8 +162,8 @@ TEST(Multipath, OutOfOrderSegmentsReassemble) {
   Network clean(topo, cfg);
   DeliveryRecorder cleanRec;
   clean.setSink(&cleanRec);
-  const MsgId alone = clean.addMessageMultipath(
-      0, 15, 8 * 1024, routes, SprayPolicy::kRoundRobin);
+  const MsgId alone =
+      sets.add(clean, 0, 15, 8 * 1024, routes, SprayPolicy::kRoundRobin);
   clean.release(alone, 0);
   clean.run();
   EXPECT_GT(rec.timeOf(sprayed), cleanRec.timeOf(alone));
@@ -174,13 +179,14 @@ TEST(Multipath, RandomSprayFollowsTheSequenceNumberAcrossSlotReuse) {
   ASSERT_EQ(routes.size(), 4u);
   constexpr std::uint64_t kSeed = 7;
   constexpr std::uint32_t kSegments = 4;
+  RouteSets sets;
   Network net(topo, SimConfig{});
   WireLog log;
   net.setProbe(&log);
   for (std::uint32_t k = 0; k < 6; ++k) {
     log.busy.clear();
-    const MsgId m = net.addMessageMultipath(0, 15, kSegments * 1024, routes,
-                                            SprayPolicy::kRandom, kSeed);
+    const MsgId m = sets.add(net, 0, 15, kSegments * 1024, routes,
+                             SprayPolicy::kRandom, kSeed);
     net.release(m, net.now());
     net.run();
     // Leaf 0's up-port wires (local ports 4..7) show each segment's route;

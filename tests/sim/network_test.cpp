@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "delivery_recorder.hpp"
+#include "route_sets.hpp"
 #include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
 #include "xgft/route.hpp"
@@ -41,7 +42,7 @@ TEST(Network, SelfMessageDeliversInstantly) {
   Network net(topo, SimConfig{});
   DeliveryRecorder rec;
   net.setSink(&rec);
-  const MsgId m = net.addMessage(3, 3, 1 << 20, xgft::Route{});
+  const MsgId m = addRouted(net, 3, 3, 1 << 20, xgft::Route{});
   net.release(m, 500);
   net.run();
   ASSERT_EQ(rec.deliveries.size(), 1u);
@@ -60,7 +61,7 @@ TEST(Network, SingleSegmentLatencyIsExact) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 1024, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
   EXPECT_EQ(rec.timeOf(m), 4096u + 20 + 100 + 4096 + 20);
@@ -79,7 +80,7 @@ TEST(Network, TwoLevelPathLatency) {
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   ASSERT_EQ(topo.ncaLevel(0, 15), 2u);
-  const MsgId m = net.addMessage(0, 15, 1024, router->route(0, 15));
+  const MsgId m = addRouted(net, 0, 15, 1024, router->route(0, 15));
   net.release(m, 0);
   net.run();
   EXPECT_EQ(rec.timeOf(m), 4u * 4096 + 4u * 20 + 3u * 100);
@@ -94,7 +95,7 @@ TEST(Network, PipeliningOverlapsSegments) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 16 * 1024, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 16 * 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
   EXPECT_EQ(rec.timeOf(m), 16u * 4096 + 4096);
@@ -109,8 +110,8 @@ TEST(Network, EndpointContentionSerializes) {
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Bytes bytes = 8 * 1024;
-  const MsgId a = net.addMessage(0, 2, bytes, router->route(0, 2));
-  const MsgId b = net.addMessage(1, 2, bytes, router->route(1, 2));
+  const MsgId a = addRouted(net, 0, 2, bytes, router->route(0, 2));
+  const MsgId b = addRouted(net, 1, 2, bytes, router->route(1, 2));
   net.release(a, 0);
   net.release(b, 0);
   net.run();
@@ -129,8 +130,8 @@ TEST(Network, RoundRobinInterleavesConcurrentMessages) {
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Bytes bytes = 8 * 1024;
-  const MsgId a = net.addMessage(0, 1, bytes, router->route(0, 1));
-  const MsgId b = net.addMessage(0, 2, bytes, router->route(0, 2));
+  const MsgId a = addRouted(net, 0, 1, bytes, router->route(0, 1));
+  const MsgId b = addRouted(net, 0, 2, bytes, router->route(0, 2));
   net.release(a, 0);
   net.release(b, 0);
   net.run();
@@ -155,7 +156,7 @@ TEST(Network, ConservationAcrossRandomTraffic) {
     if (s == d) continue;
     const Bytes bytes = 1 + (i * 977) % 5000;
     expectedSegments += (bytes + 1023) / 1024;
-    const MsgId m = net.addMessage(s, d, bytes, router->route(s, d));
+    const MsgId m = addRouted(net, s, d, bytes, router->route(s, d));
     net.release(m, (i % 7) * 100);
   }
   net.run();
@@ -172,7 +173,7 @@ TEST(Network, BufferBoundsAreRespected) {
   const routing::RouterPtr router = routing::makeDModK(topo);
   for (xgft::NodeIndex s = 0; s < 32; ++s) {
     const xgft::NodeIndex d = 63 - s;
-    const MsgId m = net.addMessage(s, d, 32 * 1024, router->route(s, d));
+    const MsgId m = addRouted(net, s, d, 32 * 1024, router->route(s, d));
     net.release(m, 0);
   }
   net.run();
@@ -190,7 +191,7 @@ TEST(Network, DeterministicReplay) {
       const xgft::NodeIndex s = (i * 7) % 64;
       const xgft::NodeIndex d = (i * 31 + 3) % 64;
       if (s == d) continue;
-      net.release(net.addMessage(s, d, 10000, router->route(s, d)), 0);
+      net.release(addRouted(net, s, d, 10000, router->route(s, d)), 0);
     }
     net.run();
     return net.stats().lastDeliveryNs;
@@ -203,12 +204,12 @@ TEST(Network, ReleaseValidation) {
   Network net(topo, SimConfig{});
   EXPECT_THROW(net.release(0, 0), std::out_of_range);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 100, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 100, router->route(0, 1));
   net.release(m, 0);
   net.run();
   // The completed message's slot was recycled: its handle is stale.
   EXPECT_THROW(net.release(m, net.now()), std::out_of_range);
-  const MsgId live = net.addMessage(0, 1, 100, router->route(0, 1));
+  const MsgId live = addRouted(net, 0, 1, 100, router->route(0, 1));
   EXPECT_THROW(net.release(live, net.now() - 1), std::invalid_argument);
 }
 
@@ -216,7 +217,7 @@ TEST(Network, AddMessageValidatesRoutes) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
   xgft::Route bad;  // Too short for an inter-switch pair.
-  EXPECT_THROW(net.addMessage(0, 15, 100, bad), std::invalid_argument);
+  EXPECT_THROW(addRouted(net, 0, 15, 100, bad), std::invalid_argument);
 }
 
 TEST(Network, SinkSeesNoDeliveryBeforeCompletion) {
@@ -225,7 +226,7 @@ TEST(Network, SinkSeesNoDeliveryBeforeCompletion) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 100, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 100, router->route(0, 1));
   net.release(m, 0);
   net.run(/*until=*/1);
   EXPECT_TRUE(rec.deliveries.empty());
@@ -238,7 +239,7 @@ TEST(Network, ZeroByteMessageStillTravels) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 5, 0, router->route(0, 5));
+  const MsgId m = addRouted(net, 0, 5, 0, router->route(0, 5));
   net.release(m, 0);
   net.run();
   // One header-only segment crosses the network.
@@ -249,7 +250,7 @@ TEST(Network, WireBusyAccounting) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 4 * 1024, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 4 * 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
   // The host's injection wire was busy exactly 4 segments long.
@@ -261,7 +262,7 @@ TEST(Network, RunUntilPausesAndResumes) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 64 * 1024, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 64 * 1024, router->route(0, 1));
   net.release(m, 0);
   net.run(/*until=*/10000);
   EXPECT_LE(net.now(), 10000u);
@@ -278,7 +279,7 @@ TEST(Network, SegmentCountOverflowThrowsInsteadOfWrapping) {
   Network net(topo, SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
   try {
-    (void)net.addMessage(0, 1, Bytes{1} << 42, router->route(0, 1));
+    (void)addRouted(net, 0, 1, Bytes{1} << 42, router->route(0, 1));
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("32-bit segment counter"),
@@ -289,7 +290,7 @@ TEST(Network, SegmentCountOverflowThrowsInsteadOfWrapping) {
   EXPECT_THROW(net.release(0, 0), std::out_of_range);
   // The largest representable segment count is still accepted.
   const MsgId ok =
-      net.addMessage(0, 1, (Bytes{1} << 42) - 1024, router->route(0, 1));
+      addRouted(net, 0, 1, (Bytes{1} << 42) - 1024, router->route(0, 1));
   EXPECT_EQ(ok, 0u);
 }
 
@@ -322,7 +323,7 @@ TEST(Network, StrandedTrafficThrowsOnDrainNotHangs) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const MsgId m = net.addMessage(0, 1, 1024, router->route(0, 1));
+  const MsgId m = addRouted(net, 0, 1, 1024, router->route(0, 1));
   net.release(m, 0);
   try {
     net.run();
@@ -344,31 +345,8 @@ TEST(Network, UnreleasedTrafficIsNotStranded) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
-  (void)net.addMessage(0, 1, 1024, router->route(0, 1));
+  (void)addRouted(net, 0, 1, 1024, router->route(0, 1));
   EXPECT_NO_THROW(net.run());
-}
-
-TEST(Network, InternedSetsMatchThePerMessagePath) {
-  // The interned-route fast path must produce the identical simulation as
-  // per-message addMessage calls with the same routes.
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const auto runOnce = [&](bool interned) {
-    Network net(topo, SimConfig{});
-    if (interned) {
-      const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
-      for (int i = 0; i < 8; ++i) {
-        net.release(net.addMessageSet(0, 9, 4096, set), 0);
-      }
-    } else {
-      for (int i = 0; i < 8; ++i) {
-        net.release(net.addMessage(0, 9, 4096, router->route(0, 9)), 0);
-      }
-    }
-    net.run();
-    return net.stats().lastDeliveryNs;
-  };
-  EXPECT_EQ(runOnce(true), runOnce(false));
 }
 
 TEST(Network, AddMessageSetValidatesItsArguments) {
@@ -377,28 +355,17 @@ TEST(Network, AddMessageSetValidatesItsArguments) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
+  const RouteSet set = RouteSet::one(2, router->choice(0, 9));
   // The empty set is only for local (src == dst) messages, and vice versa.
-  EXPECT_THROW((void)net.addMessageSet(0, 9, 100, sim::RouteSet{}),
+  EXPECT_THROW((void)net.addMessageSet(0, 9, 100, RouteSet{}),
                std::invalid_argument);
   EXPECT_THROW((void)net.addMessageSet(3, 3, 100, set),
                std::invalid_argument);
   // Local messages with the empty set are fine.
-  const MsgId local = net.addMessageSet(4, 4, 100, sim::RouteSet{});
+  const MsgId local = net.addMessageSet(4, 4, 100, RouteSet{});
   net.release(local, 10);
   net.run();
   EXPECT_EQ(rec.timeOf(local), 10u);
-}
-
-TEST(Network, InternedSetIsStoredOnceForAllItsMessages) {
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Network net(topo, SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const sim::RouteSet set = net.internRoutes(0, 9, {router->route(0, 9)});
-  for (int i = 0; i < 100; ++i) (void)net.addMessageSet(0, 9, 1024, set);
-  // One hundred messages point at one stored ascent of NCA level 2.
-  EXPECT_EQ(net.routes().numPaths(), 1u);
-  EXPECT_EQ(net.routes().arenaEntries(), 2u);
 }
 
 TEST(Network, CallbacksFireInOrder) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "delivery_recorder.hpp"
+#include "route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "xgft/topology.hpp"
@@ -24,7 +25,7 @@ void injectRing(Network& net, const Topology& topo,
   for (std::uint64_t round = 0; round < 2; ++round) {
     for (xgft::NodeIndex s = 0; s < n; ++s) {
       const xgft::NodeIndex d = (s + 1) % n;
-      const MsgId m = net.addMessage(s, d, 8 * 1024, router.route(s, d));
+      const MsgId m = addRouted(net, s, d, 8 * 1024, router.route(s, d));
       net.release(m, round * 1000);
     }
   }
@@ -70,8 +71,8 @@ TEST(PartialRun, BoundedRunStopsBeforeLaterEvents) {
   Network net(topo, SimConfig{});
   DeliveryRecorder sink;
   net.setSink(&sink);
-  const MsgId early = net.addMessage(0, 5, 1024, router->route(0, 5));
-  const MsgId late = net.addMessage(5, 0, 1024, router->route(5, 0));
+  const MsgId early = addRouted(net, 0, 5, 1024, router->route(0, 5));
+  const MsgId late = addRouted(net, 5, 0, 1024, router->route(5, 0));
   net.release(early, 0);
   net.release(late, 10'000'000);
 
@@ -83,7 +84,7 @@ TEST(PartialRun, BoundedRunStopsBeforeLaterEvents) {
 
   // New work may be scheduled between partial runs, even before the next
   // queued event.
-  const MsgId mid = net.addMessage(1, 2, 1024, router->route(1, 2));
+  const MsgId mid = addRouted(net, 1, 2, 1024, router->route(1, 2));
   net.release(mid, 6'000'000);
   net.run();
   ASSERT_EQ(sink.deliveries.size(), 3u);
@@ -98,7 +99,7 @@ TEST(PartialRun, StrandedCheckOnlyFiresAtDrain) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   const routing::RouterPtr router = routing::makeDModK(topo);
   Network net(topo, SimConfig{});
-  const MsgId m = net.addMessage(0, 9, 64 * 1024, router->route(0, 9));
+  const MsgId m = addRouted(net, 0, 9, 64 * 1024, router->route(0, 9));
   net.release(m, 0);
   EXPECT_NO_THROW(net.run(100));  // Far too early for delivery.
   EXPECT_EQ(net.stats().messagesDelivered, 0u);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/recorder.hpp"
+#include "route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
 #include "xgft/topology.hpp"
@@ -20,7 +21,7 @@ using xgft::Topology;
 void injectHotspot(Network& net, const Topology& topo,
                    const routing::Router& router) {
   for (xgft::NodeIndex s = 1; s < topo.numHosts(); ++s) {
-    const MsgId m = net.addMessage(s, 0, 32 * 1024, router.route(s, 0));
+    const MsgId m = addRouted(net, s, 0, 32 * 1024, router.route(s, 0));
     net.release(m, 0);
   }
 }

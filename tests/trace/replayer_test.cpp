@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "../sim/route_sets.hpp"
 #include "patterns/applications.hpp"
 #include "routing/relabel.hpp"
 #include "trace/harness.hpp"
@@ -197,7 +198,7 @@ TEST(Replayer, RejectedConstructionLeavesNoSinkBehind) {
   EXPECT_THROW(Replayer(net, t, tooSmall, *router), std::invalid_argument);
   // Driving the network directly afterwards must not touch a dangling
   // sink.
-  const sim::MsgId m = net.addMessage(0, 1, 1024, router->route(0, 1));
+  const sim::MsgId m = sim::addRouted(net, 0, 1, 1024, router->route(0, 1));
   net.release(m, 0);
   net.run();
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
