@@ -36,20 +36,26 @@ struct Options {
     try {
       for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const auto next = [&]() -> const char* {
+          if (i + 1 >= argc) {
+            throw std::invalid_argument(arg + " wants a value");
+          }
+          return argv[++i];
+        };
         if (arg == "--quick") {
           if (!seedsSet) opt.seeds = 3;
           if (!scaleSet) opt.msgScale = 0.03125;
         } else if (arg == "--full") {
           if (!seedsSet) opt.seeds = 40;
           if (!scaleSet) opt.msgScale = 1.0;
-        } else if (arg == "--seeds" && i + 1 < argc) {
-          opt.seeds = engine::parseU32(argv[++i], "--seeds");
+        } else if (arg == "--seeds") {
+          opt.seeds = engine::parseU32(next(), "--seeds");
           seedsSet = true;
-        } else if (arg == "--msg-scale" && i + 1 < argc) {
-          opt.msgScale = engine::parseFiniteDouble(argv[++i], "--msg-scale");
+        } else if (arg == "--msg-scale") {
+          opt.msgScale = engine::parseFiniteDouble(next(), "--msg-scale");
           scaleSet = true;
-        } else if (arg == "--threads" && i + 1 < argc) {
-          opt.threads = engine::parseU32(argv[++i], "--threads");
+        } else if (arg == "--threads") {
+          opt.threads = engine::parseU32(next(), "--threads");
         } else if (arg == "--csv") {
           opt.csv = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -63,7 +69,8 @@ struct Options {
         }
       }
     } catch (const std::invalid_argument& e) {
-      // A malformed number (engine/spec.hpp's strict rule) is a usage error.
+      // A missing value or a malformed number (engine/spec.hpp's strict
+      // rule) is a usage error.
       std::cerr << "error: " << e.what() << "\n";
       std::exit(2);
     }

@@ -61,10 +61,14 @@ int main(int argc, char** argv) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--threads" && i + 1 < argc) {
-        threads = engine::parseU32(argv[++i], "--threads");
-      } else if (arg == "--jobs" && i + 1 < argc) {
-        jobs = engine::parseU32(argv[++i], "--jobs");
+      const auto next = [&]() -> const char* {
+        if (i + 1 >= argc) throw std::invalid_argument(arg + " wants a value");
+        return argv[++i];
+      };
+      if (arg == "--threads") {
+        threads = engine::parseU32(next(), "--threads");
+      } else if (arg == "--jobs") {
+        jobs = engine::parseU32(next(), "--jobs");
       } else if (arg == "--json") {
         // JSON is the only output format; flag kept for interface symmetry.
       } else {

@@ -34,45 +34,6 @@ struct FailureSink {
   }
 };
 
-/// Splits [0, n) into at most @p threads contiguous blocks and runs
-/// body(block, begin, end) for each on its own thread (inline for one
-/// block); rethrows the first failure once every worker has joined.
-template <typename Body>
-void forEachBlock(std::size_t n, std::uint32_t threads, const Body& body) {
-  if (threads <= 1) {
-    body(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-  std::vector<std::thread> pool;
-  FailureSink failure;
-  pool.reserve(threads);
-  const std::size_t step = (n + threads - 1) / threads;
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    const std::size_t begin = std::min(n, static_cast<std::size_t>(w) * step);
-    const std::size_t end = std::min(n, begin + step);
-    if (begin >= end) break;
-    pool.emplace_back([&, w, begin, end] {
-      try {
-        body(static_cast<std::size_t>(w), begin, end);
-      } catch (...) {
-        failure.capture(std::current_exception());
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  failure.rethrowIfSet();
-}
-
-/// Worker count for @p threads over @p n guide columns or rows: 0 means
-/// hardware concurrency, no count exceeds it, and no worker goes without a
-/// column.
-std::uint32_t clampThreads(std::uint32_t threads, std::size_t n) {
-  const std::uint32_t host = std::max(1u, std::thread::hardware_concurrency());
-  if (threads == 0 || threads > host) threads = host;
-  return static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
-}
-
 /// One past the last rank contiguous with @p pos at NCA level @p level
 /// from @p guide (pos != guide).  Ranks at level L from the guide fill its
 /// level-L block minus its level-(L-1) block: one range on each side.
@@ -144,6 +105,36 @@ std::uint64_t scanColumn(const routing::Router& r, bool byDst,
 }
 
 }  // namespace
+
+std::uint32_t CompiledRoutes::clampThreads(std::uint32_t threads,
+                                           std::size_t n) {
+  const std::uint32_t host = std::max(1u, std::thread::hardware_concurrency());
+  if (threads == 0 || threads > host) threads = host;
+  return static_cast<std::uint32_t>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(1, n)));
+}
+
+void CompiledRoutes::runBlocks(std::size_t n, std::uint32_t threads,
+                               const BlockBody& body) {
+  std::vector<std::thread> pool;
+  FailureSink failure;
+  pool.reserve(threads);
+  const std::size_t step = (n + threads - 1) / threads;
+  for (std::uint32_t w = 0; w < threads; ++w) {
+    const std::size_t begin = std::min(n, static_cast<std::size_t>(w) * step);
+    const std::size_t end = std::min(n, begin + step);
+    if (begin >= end) break;
+    pool.emplace_back([&, w, begin, end] {
+      try {
+        body(w, begin, end);
+      } catch (...) {
+        failure.capture(std::current_exception());
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  failure.rethrowIfSet();
+}
 
 CompiledRoutes::CompiledRoutes(std::shared_ptr<const routing::Router> router)
     : router_(std::move(router)) {
@@ -241,7 +232,7 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
   if (compress) {
     table->compressed_ = true;
     table->columns_ = buildColumns(
-        n, threads, [&](std::uint32_t g, Columns& out) {
+        n, threads, [&](std::size_t, std::uint32_t g, Columns& out) {
           forEachRun(r, byDst, levelRuns, g,
                      [&](std::uint32_t begin, std::uint32_t,
                          std::uint32_t level, std::uint32_t choice) {
@@ -272,51 +263,6 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::compile(
   return table;
 }
 
-std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
-    const PairPatch& patch, std::uint32_t threads) const {
-  auto table = std::shared_ptr<CompiledRoutes>(new CompiledRoutes(router_));
-  table->axis_ = axis_;
-  table->compressed_ = compressed_;
-  const std::size_t n = numHosts_;
-  threads = clampThreads(threads, n);
-
-  if (compressed_) {
-    table->columns_ = buildColumns(
-        n, threads,
-        [&](std::uint32_t g, Columns& out) { patchColumn(g, patch, out); });
-    return table;
-  }
-
-  // Flat: copy the arrays, then rewrite the changed entries row by row.
-  table->choices_ = choices_;
-  table->lens_ = lens_;
-  forEachBlock(n, threads, [&](std::size_t, std::size_t begin,
-                               std::size_t end) {
-    for (std::size_t s = begin; s < end; ++s) {
-      for (std::size_t d = 0; d < n; ++d) {
-        if (s == d) continue;
-        const std::size_t pair = s * n + d;
-        const xgft::Count verdict =
-            patch(s, d, Entry{lens_[pair], choices_[pair]});
-        if (verdict == kKeep) continue;
-        const Entry e = replacement(s, d, verdict);
-        table->lens_[pair] = static_cast<std::uint8_t>(e.level);
-        table->choices_[pair] = e.choice;
-      }
-    }
-  });
-  return table;
-}
-
-CompiledRoutes::Entry CompiledRoutes::replacement(xgft::NodeIndex s,
-                                                  xgft::NodeIndex d,
-                                                  xgft::Count verdict) const {
-  if (verdict == kUnroutable) return {};
-  const std::uint32_t level = topology().ncaLevel(s, d);
-  (void)router_->ascentOf(s, d, level, verdict);  // The range check.
-  return {level, static_cast<std::uint32_t>(verdict)};
-}
-
 CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
                                                      std::uint32_t threads,
                                                      const ColumnFill& fill) {
@@ -324,7 +270,7 @@ CompiledRoutes::Columns CompiledRoutes::buildColumns(std::size_t n,
   forEachBlock(n, threads,
                [&](std::size_t w, std::size_t begin, std::size_t end) {
                  for (std::size_t g = begin; g < end; ++g) {
-                   fill(static_cast<std::uint32_t>(g), parts[w]);
+                   fill(w, static_cast<std::uint32_t>(g), parts[w]);
                  }
                });
   Columns all;
@@ -353,34 +299,6 @@ void CompiledRoutes::appendRun(Columns& out, std::uint32_t begin, Entry e) {
     if (prev.len == e.level && prev.choice == e.choice) return;
   }
   out.intervals.push_back({begin, e.choice, e.level});
-}
-
-void CompiledRoutes::patchColumn(std::uint32_t guide, const PairPatch& patch,
-                                 Columns& out) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(numHosts_);
-  const std::uint32_t first = columns_.colOff[guide];
-  const std::uint32_t last = columns_.colOff[guide + 1];
-  for (std::uint32_t i = first; i < last; ++i) {
-    const Interval& run = columns_.intervals[i];
-    const std::uint32_t end = i + 1 < last ? columns_.intervals[i + 1].begin
-                                           : n;
-    const Entry stored{run.len, run.choice};
-    // Kept ranks of the interval are appended as one run; a rewritten rank
-    // splits it.
-    std::uint32_t keptFrom = run.begin;
-    for (std::uint32_t pos = run.begin; pos < end; ++pos) {
-      const xgft::NodeIndex s = axis_ == Axis::kByDst ? pos : guide;
-      const xgft::NodeIndex d = axis_ == Axis::kByDst ? guide : pos;
-      if (pos == guide) continue;
-      const xgft::Count verdict = patch(s, d, stored);
-      if (verdict == kKeep) continue;
-      if (keptFrom < pos) appendRun(out, keptFrom, stored);
-      appendRun(out, pos, replacement(s, d, verdict));
-      keptFrom = pos + 1;
-    }
-    if (keptFrom < end) appendRun(out, keptFrom, stored);
-  }
-  out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
 }
 
 const CompiledRoutes::Interval& CompiledRoutes::intervalOf(

@@ -40,10 +40,14 @@
 // pair's NCA level is a valid route for it by construction.
 //
 // patched() copies a table in its own layout with some pairs rewritten —
-// the degraded-topology path (fault::compileDegraded): a flat copy rewrites
-// the changed entries in place, a compressed copy re-merges each column's
-// intervals around them.  A rewrite is an NCA choice too, range-checked
-// like a compiled one.
+// the degraded-topology path (fault::compileDegraded).  The caller decides
+// with two callables inlined into the walk: a test of whether a pair keeps
+// its stored entry, and the pair's rewrite, asked only for the pairs the
+// test rejects.  A flat copy is patched row by row: one pass without
+// branches lists the row's rejected pairs, a second rewrites them in
+// place.  A compressed copy re-merges each column's intervals around the
+// rewritten ranks, appending kept ranks as whole runs.  A rewrite is an
+// NCA choice too, range-checked like a compiled one.
 //
 // Compilation finishes inside compile(); the handle is immutable afterwards,
 // so it is freely shared across threads.  The engine memoizes open-loop
@@ -57,10 +61,12 @@
 // are still in flight.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
@@ -95,26 +101,29 @@ class CompiledRoutes {
     std::uint32_t choice = 0;
   };
 
-  /// PairPatch verdicts besides an NCA choice: keep the pair's route, or
-  /// mark the pair unroutable.
-  static constexpr xgft::Count kKeep = ~xgft::Count{0};
-  static constexpr xgft::Count kUnroutable = ~xgft::Count{0} - 1;
+  /// The rewrite that marks a pair unroutable, besides an NCA choice.
+  static constexpr xgft::Count kUnroutable = ~xgft::Count{0};
 
-  /// Decides one off-diagonal pair for patched(): given (s, d) and the
-  /// pair's entry in the source table, returns kKeep, kUnroutable, or the
-  /// NCA choice that replaces the pair's.  Called concurrently from the
-  /// patch workers, once per pair, so it must be thread-safe.
-  using PairPatch = std::function<xgft::Count(
-      xgft::NodeIndex s, xgft::NodeIndex d, Entry stored)>;
+  /// An ordered (src, dst) pair.
+  using Pair = std::pair<xgft::NodeIndex, xgft::NodeIndex>;
 
   /// A copy of this table in the same layout (and compressed axis), with
-  /// every off-diagonal pair passed through @p patch, split across
-  /// @p threads workers (0 = hardware concurrency; the result is identical
-  /// for any count).  A replacement choice out of range for its pair throws
-  /// std::invalid_argument naming this table's router and the pair.  The
-  /// copy shares this table's router and does not need this table.
+  /// every off-diagonal pair that @p keeps(s, d, stored) rejects rewritten
+  /// to @p rewrite(s, d, stored): kUnroutable, or the NCA choice that
+  /// replaces the pair's (stored is the pair's entry here).  Both are
+  /// inlined into the walk and called concurrently from @p threads workers
+  /// (0 = hardware concurrency; the result is identical for any count), so
+  /// they must be thread-safe and free of side effects; @p keeps may also
+  /// be asked about the diagonal, whose answer is ignored, and should be
+  /// branch-free.  A replacement choice out of range for its pair throws
+  /// std::invalid_argument naming this table's router and the pair.  When
+  /// @p unroutable is given it receives the pairs rewritten to kUnroutable,
+  /// in (src, dst) order.  The copy shares this table's router and does
+  /// not need this table.
+  template <typename Keeps, typename Rewrite>
   [[nodiscard]] std::shared_ptr<const CompiledRoutes> patched(
-      const PairPatch& patch, std::uint32_t threads = 1) const;
+      const Keeps& keeps, const Rewrite& rewrite, std::uint32_t threads = 1,
+      std::vector<Pair>* unroutable = nullptr) const;
 
   /// Flat-layout size in bytes for a topology (5 per ordered pair), before
   /// building — callers bound memory with this (the engine's open-loop
@@ -199,15 +208,38 @@ class CompiledRoutes {
     std::vector<Interval> intervals;
   };
 
-  /// Fills guide column @p guide of a compressed layout into @p out.
-  using ColumnFill = std::function<void(std::uint32_t guide, Columns& out)>;
+  /// Runs worker @p worker's contiguous block [begin, end) of rows or
+  /// guide columns.
+  using BlockBody = std::function<void(std::size_t worker, std::size_t begin,
+                                       std::size_t end)>;
+  /// Fills guide column @p guide of a compressed layout into @p out, on
+  /// worker @p worker.
+  using ColumnFill = std::function<void(std::size_t worker,
+                                        std::uint32_t guide, Columns& out)>;
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
-  /// The entry a patch verdict other than kKeep installs for (s, d): no
-  /// route for kUnroutable, else the range-checked choice.
-  [[nodiscard]] Entry replacement(xgft::NodeIndex s, xgft::NodeIndex d,
-                                  xgft::Count verdict) const;
+  /// Worker count for @p threads over @p n rows or guide columns: 0 means
+  /// hardware concurrency, no count exceeds it, and no worker goes without
+  /// a row or column.
+  [[nodiscard]] static std::uint32_t clampThreads(std::uint32_t threads,
+                                                  std::size_t n);
+  /// Splits [0, n) into at most @p threads contiguous blocks and runs
+  /// body(worker, begin, end) for each on its own thread; rethrows the
+  /// first failure once every worker has joined.  One block runs inline,
+  /// so a single-threaded walk keeps @p body inlined.
+  template <typename Body>
+  static void forEachBlock(std::size_t n, std::uint32_t threads,
+                           const Body& body) {
+    if (threads <= 1) {
+      body(std::size_t{0}, std::size_t{0}, n);
+      return;
+    }
+    runBlocks(n, threads, body);
+  }
+  /// forEachBlock() for more than one worker.
+  static void runBlocks(std::size_t n, std::uint32_t threads,
+                        const BlockBody& body);
   /// Builds every guide column through @p fill, split across @p threads
   /// workers, and concatenates the workers' blocks in guide order.
   [[nodiscard]] static Columns buildColumns(std::size_t n,
@@ -216,9 +248,39 @@ class CompiledRoutes {
   /// Appends a run starting at rank @p begin to the column being built in
   /// @p out, or extends the column's last interval when its entry matches.
   static void appendRun(Columns& out, std::uint32_t begin, Entry e);
+
+  /// The entry @p rewrite installs for (s, d), whose entry here is
+  /// @p stored: no route for kUnroutable (the pair joins @p lost), else the
+  /// choice.  The range check is inline against @p topo (this table's
+  /// topology, hoisted by the walk); a failure reports Router::ascentOf's
+  /// error.
+  [[nodiscard]] Entry replacement(const xgft::Topology& topo,
+                                  xgft::NodeIndex s, xgft::NodeIndex d,
+                                  Entry stored, xgft::Count rewrite,
+                                  std::vector<Pair>& lost) const {
+    if (rewrite == kUnroutable) {
+      lost.emplace_back(s, d);
+      return {};
+    }
+    // A routed entry's level is the pair's NCA level.
+    const std::uint32_t level =
+        stored.level != 0 ? stored.level : topo.ncaLevel(s, d);
+    if (rewrite >= topo.ncaChoices(level)) {
+      (void)router_->ascentOf(s, d, level, rewrite);  // Throws.
+    }
+    return {level, static_cast<std::uint32_t>(rewrite)};
+  }
+  /// Patches row @p s of @p out, a flat copy of this table, in place;
+  /// @p todo holds numHosts() ranks of scratch.  The callables are taken by
+  /// value, so the walk may keep what they captured in registers.
+  template <typename Keeps, typename Rewrite>
+  void patchRow(xgft::NodeIndex s, Keeps keeps, Rewrite rewrite,
+                CompiledRoutes& out, std::vector<std::uint32_t>& todo,
+                std::vector<Pair>& lost) const;
   /// Appends the patched copy of this table's column @p guide to @p out.
-  void patchColumn(std::uint32_t guide, const PairPatch& patch,
-                   Columns& out) const;
+  template <typename Keeps, typename Rewrite>
+  void patchColumn(std::uint32_t guide, Keeps keeps, Rewrite rewrite,
+                   Columns& out, std::vector<Pair>& lost) const;
   [[nodiscard]] const Interval& intervalOf(std::uint32_t guide,
                                            std::uint32_t pos) const;
 
@@ -234,5 +296,117 @@ class CompiledRoutes {
   bool compressed_ = false;
   Columns columns_;
 };
+
+template <typename Keeps, typename Rewrite>
+std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
+    const Keeps& keeps, const Rewrite& rewrite, std::uint32_t threads,
+    std::vector<Pair>* unroutable) const {
+  auto table = std::shared_ptr<CompiledRoutes>(new CompiledRoutes(router_));
+  table->axis_ = axis_;
+  table->compressed_ = compressed_;
+  const std::size_t n = numHosts_;
+  threads = clampThreads(threads, n);
+  // Each worker collects the pairs it marks unroutable; no lock per pair.
+  std::vector<std::vector<Pair>> lost(threads);
+
+  if (compressed_) {
+    table->columns_ = buildColumns(
+        n, threads, [&](std::size_t w, std::uint32_t g, Columns& out) {
+          patchColumn(g, keeps, rewrite, out, lost[w]);
+        });
+  } else {
+    // Flat: copy the arrays, then rewrite the changed entries row by row.
+    table->choices_ = choices_;
+    table->lens_ = lens_;
+    forEachBlock(n, threads,
+                 [&](std::size_t w, std::size_t begin, std::size_t end) {
+                   std::vector<std::uint32_t> todo(n);
+                   for (std::size_t s = begin; s < end; ++s) {
+                     patchRow(s, keeps, rewrite, *table, todo, lost[w]);
+                   }
+                 });
+  }
+  if (unroutable != nullptr) {
+    // Blocks of rows are in (src, dst) order already; columns guided by the
+    // destination are not, so the merge sorts.
+    unroutable->clear();
+    for (const std::vector<Pair>& block : lost) {
+      unroutable->insert(unroutable->end(), block.begin(), block.end());
+    }
+    std::sort(unroutable->begin(), unroutable->end());
+  }
+  return table;
+}
+
+template <typename Keeps, typename Rewrite>
+void CompiledRoutes::patchRow(xgft::NodeIndex s, Keeps keeps, Rewrite rewrite,
+                              CompiledRoutes& out,
+                              std::vector<std::uint32_t>& todo,
+                              std::vector<Pair>& lost) const {
+  // The row is read and rewritten in the copy, through local pointers:
+  // a byte store may alias any member, which would otherwise be reloaded
+  // after every rewrite.
+  const std::size_t n = numHosts_;
+  std::uint8_t* lens = out.lens_.data() + s * n;
+  std::uint32_t* choices = out.choices_.data() + s * n;
+  // Pass 1, without branches, so an irregular keep pattern (Random's)
+  // costs no mispredictions: list the ranks keeps() rejects.
+  std::uint32_t* rejected = todo.data();
+  std::size_t count = 0;
+  for (std::size_t d = 0; d < n; ++d) {
+    rejected[count] = static_cast<std::uint32_t>(d);
+    count += keeps(s, d, Entry{lens[d], choices[d]}) ? 0 : 1;
+  }
+  // Pass 2: rewrite them in place, skipping the diagonal.  The common
+  // rewrite keeps a routed pair's level with a choice in range, so only
+  // the choice is stored; the rest (a route lost or regained, or a choice
+  // out of range, which throws) go through replacement().
+  const xgft::Topology& topo = topology();
+  for (std::size_t k = 0; k < count; ++k) {
+    const xgft::NodeIndex d = rejected[k];
+    if (d == s) continue;
+    const Entry stored{lens[d], choices[d]};
+    const xgft::Count c = rewrite(s, d, stored);
+    if (stored.level != 0 && c < topo.ncaChoices(stored.level)) [[likely]] {
+      choices[d] = static_cast<std::uint32_t>(c);
+      continue;
+    }
+    const Entry e = replacement(topo, s, d, stored, c, lost);
+    lens[d] = static_cast<std::uint8_t>(e.level);
+    choices[d] = e.choice;
+  }
+}
+
+template <typename Keeps, typename Rewrite>
+void CompiledRoutes::patchColumn(std::uint32_t guide, Keeps keeps,
+                                 Rewrite rewrite, Columns& out,
+                                 std::vector<Pair>& lost) const {
+  const auto n = static_cast<std::uint32_t>(numHosts_);
+  const bool byDst = axis_ == Axis::kByDst;
+  const xgft::Topology& topo = topology();
+  const std::uint32_t first = columns_.colOff[guide];
+  const std::uint32_t last = columns_.colOff[guide + 1];
+  for (std::uint32_t i = first; i < last; ++i) {
+    const Interval& run = columns_.intervals[i];
+    const std::uint32_t end =
+        i + 1 < last ? columns_.intervals[i + 1].begin : n;
+    const Entry stored{run.len, run.choice};
+    // Kept ranks of the interval are appended as one run; a rewritten rank
+    // splits it.
+    std::uint32_t keptFrom = run.begin;
+    for (std::uint32_t pos = run.begin; pos < end; ++pos) {
+      if (pos == guide) continue;
+      const xgft::NodeIndex s = byDst ? pos : guide;
+      const xgft::NodeIndex d = byDst ? guide : pos;
+      if (keeps(s, d, stored)) continue;
+      if (keptFrom < pos) appendRun(out, keptFrom, stored);
+      appendRun(out, pos,
+                replacement(topo, s, d, stored, rewrite(s, d, stored), lost));
+      keptFrom = pos + 1;
+    }
+    if (keptFrom < end) appendRun(out, keptFrom, stored);
+  }
+  out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
+}
 
 }  // namespace core

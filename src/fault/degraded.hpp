@@ -15,9 +15,11 @@
 // compileDegraded() patches a scheme's healthy forwarding table
 // (core::CompiledRoutes, flat or compressed) around the failures, in the
 // healthy table's layout.  A route is an NCA choice here as everywhere
-// (routing/router.hpp), and the healthy table stores it: a pair whose
-// stored choice is clean — its two mask bits — keeps it; otherwise it
-// takes the lowest choice clean from both ends (the AND of two mask rows,
+// (routing/router.hpp), and the healthy table stores it.  The mask's rows
+// are first hoisted into whole words per host and level (one word unless
+// the level has more than 64 NCA choices), so a pair whose stored choice
+// is clean — one AND of its two endpoints' words — keeps it; otherwise it
+// takes the lowest choice clean from both ends (the AND of the two rows,
 // then its first set bit), behind the same range check a compile makes.
 // Pairs with no surviving minimal path are "unreachable" — reported
 // explicitly per UnreachablePolicy, never silently dropped and never a
@@ -85,9 +87,6 @@ class DegradedTopology {
 /// construction; the degraded view need not outlive it.
 class CleanAscentMask {
  public:
-  /// Returned by firstClean() when no choice is clean from both ends.
-  static constexpr xgft::Count kNone = ~xgft::Count{0};
-
   explicit CleanAscentMask(const DegradedTopology& degraded);
 
   /// Bit (x, level, choice); @p choice < prod_{i<=level} w_i.
@@ -95,9 +94,10 @@ class CleanAscentMask {
                            xgft::Count choice) const {
     return bit(offset(x, level) + choice);
   }
-  /// The lowest choice at @p level clean from both @p s and @p d, or kNone.
-  [[nodiscard]] xgft::Count firstClean(xgft::NodeIndex s, xgft::NodeIndex d,
-                                       std::uint32_t level) const;
+  /// Word @p k of host @p x's row at @p level: bit i is
+  /// clean(x, level, 64k + i), and bits past the level's last choice are 0.
+  [[nodiscard]] std::uint64_t rowWord(xgft::NodeIndex x, std::uint32_t level,
+                                      xgft::Count k) const;
 
   /// Resident bytes of the bits.
   [[nodiscard]] std::uint64_t bytes() const {
@@ -112,9 +112,6 @@ class CleanAscentMask {
   [[nodiscard]] bool bit(std::uint64_t i) const {
     return ((words_[i / 64] >> (i % 64)) & 1) != 0;
   }
-  /// The 64 bits starting at bit @p i (zero past the end).
-  [[nodiscard]] std::uint64_t window(std::uint64_t i) const;
-
   std::vector<xgft::Count> choices_;      ///< prod_{i<=L} w_i, L in [0, h].
   std::vector<std::uint64_t> levelBase_;  ///< First bit of level L.
   std::vector<std::uint64_t> words_;

@@ -123,9 +123,12 @@ MsgId Network::addRecord(xgft::NodeIndex src, xgft::NodeIndex dst, Bytes bytes,
   m.seq = nextSeq_;
   m.bytes = bytes;
   m.numSegments = segmentCountOf(bytes);
-  m.choices = routes.choices;
   m.count = routes.count;
-  m.choice = routes.choice;
+  if (routes.count > 1) {
+    m.choices = routes.choices;
+  } else {
+    m.choice = routes.choice;
+  }
   m.level = static_cast<std::uint8_t>(routes.level);
   m.spraySeed = spraySeed;
   m.policy = policy;
@@ -255,8 +258,9 @@ void Network::scheduleSample() {
 void Network::run(TimeNs until) {
   EventRecord ev;
   while (queue_.popUntil(until, ev)) {
+    const TimeNs before = now_;
     now_ = ev.t;
-    handle(ev);
+    handle(ev, before);
     ++stats_.eventsProcessed;
   }
   // Stats are valid at every run() boundary: fold pending outage time in.
@@ -303,7 +307,7 @@ TimeNs Network::wireBusyNs(std::uint32_t gport) const {
   return ports_.at(gport).busyNs;
 }
 
-void Network::handle(const EventRecord& ev) {
+void Network::handle(const EventRecord& ev, TimeNs before) {
   switch (static_cast<Kind>(ev.kind())) {
     case Kind::kRelease:
       handleRelease(ev.a);
@@ -337,8 +341,11 @@ void Network::handle(const EventRecord& ev) {
       // Sampling must not perturb measured results: pre-compensate the ++
       // the run() loop applies after handle(), so eventsProcessed never
       // counts probe ticks (unsigned wrap on the first-ever event is
-      // well-defined and immediately undone).
+      // well-defined and immediately undone), and put the clock back to
+      // the last event's time, so a trailing tick neither lengthens an
+      // outage nor moves now().
       --stats_.eventsProcessed;
+      now_ = before;
       break;
     }
     case Kind::kLinkDown:

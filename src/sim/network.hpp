@@ -95,20 +95,32 @@ enum class SprayPolicy : std::uint8_t {
 /// (count 0) for local delivery (src == dst) and, from a resolver, for a
 /// pair the active forwarding table declares unroutable (src != dst).
 struct RouteSet {
-  std::uint32_t level = 0;   ///< The pair's NCA level.
-  std::uint32_t count = 0;   ///< Candidate choices.
-  std::uint32_t choice = 0;  ///< The candidate when count == 1.
-  const std::uint32_t* choices = nullptr;  ///< The candidates when count > 1.
+  std::uint32_t level = 0;  ///< The pair's NCA level.
+  std::uint32_t count = 0;  ///< Candidate choices.
+  /// The candidate inline when count <= 1, else the list: 16 bytes in all,
+  /// so a resolver returns a set in two registers.
+  union {
+    std::uint32_t choice = 0;       ///< The candidate when count == 1.
+    const std::uint32_t* choices;  ///< The candidates when count > 1.
+  };
 
   /// The one route through NCA choice @p c.
   [[nodiscard]] static RouteSet one(std::uint32_t level, std::uint32_t c) {
-    return {level, 1, c, nullptr};
+    RouteSet set;
+    set.level = level;
+    set.count = 1;
+    set.choice = c;
+    return set;
   }
   /// The candidates @p list (a one-entry list is stored inline).
   [[nodiscard]] static RouteSet of(std::uint32_t level,
                                    std::span<const std::uint32_t> list) {
     if (list.size() == 1) return one(level, list[0]);
-    return {level, static_cast<std::uint32_t>(list.size()), 0, list.data()};
+    RouteSet set;
+    set.level = level;
+    set.count = static_cast<std::uint32_t>(list.size());
+    if (set.count > 1) set.choices = list.data();
+    return set;
   }
   [[nodiscard]] bool empty() const { return count == 0; }
   /// Candidate @p i's choice.
@@ -116,6 +128,7 @@ struct RouteSet {
     return count == 1 ? choice : choices[i];
   }
 };
+static_assert(sizeof(RouteSet) == 16, "RouteSet must stay 16 bytes");
 
 /// What the event core does with traffic that meets a dead link
 /// (scheduleLinkDown).  In every policy an in-flight segment completes its
@@ -439,7 +452,9 @@ class Network {
   void schedule(TimeNs t, Kind kind, std::uint32_t a, std::uint32_t seg = 0) {
     queue_.push(t, static_cast<std::uint8_t>(kind), a, seg);
   }
-  void handle(const EventRecord& ev);
+  /// Handles @p ev, popped with the clock at @p before; a probe tick puts
+  /// the clock back there.
+  void handle(const EventRecord& ev, TimeNs before);
   /// (Re)schedules the probe's next sampling tick at now_ + period.
   void scheduleSample();
 
@@ -490,8 +505,8 @@ class Network {
   /// Marks @p msg dropped (counted once) and frees it if nothing refers to
   /// it any more.
   void dropMessage(MsgId msg);
-  /// Folds the pending down-time of currently-down links into
-  /// stats_.linkDownNs (called at run() boundaries and on restore).
+  /// Folds the pending down-time of currently-down links up to @p t into
+  /// stats_.linkDownNs (called at run() boundaries).
   void accrueLinkDownTo(TimeNs t);
   [[nodiscard]] bool segAdaptive(const Segment& seg) const {
     return messages_[seg.msg].adaptive || (seg.flags & kSegEscaped) != 0;

@@ -310,9 +310,9 @@ TEST(CompiledRoutes, CompileAndPatchRejectOutOfRangeChoices) {
         [&] {
           (void)healthy->patched(
               [](xgft::NodeIndex s, xgft::NodeIndex d,
-                 CompiledRoutes::Entry) {
-                return s == 0 && d == 15 ? xgft::Count{2}
-                                         : CompiledRoutes::kKeep;
+                 CompiledRoutes::Entry) { return !(s == 0 && d == 15); },
+              [](xgft::NodeIndex, xgft::NodeIndex, CompiledRoutes::Entry) {
+                return xgft::Count{2};
               });
         },
         "d-mod-k", "0 -> 15", label + " patch");

@@ -379,6 +379,101 @@ TEST(DegradedRouting, PatchMatchesThePerPairRuleEverywhere) {
   }
 }
 
+/// compileDegraded(@p healthy) under both policies equals the per-pair
+/// reference @p ref: every ascent and the unreachable list under kDrop, and
+/// under kThrow success iff nothing is unreachable, else an error naming
+/// the reference's first unreachable pair.
+void expectPatchMatchesReference(
+    const std::shared_ptr<const core::CompiledRoutes>& healthy,
+    const DegradedTopology& view, const ReferenceDegraded& ref) {
+  const xgft::Count n = healthy->topology().numHosts();
+  const DegradedRoutes got =
+      compileDegraded(healthy, view, UnreachablePolicy::kDrop, 2);
+  ASSERT_EQ(got.table->compressed(), healthy->compressed());
+  ASSERT_EQ(got.unreachable, ref.unreachable);
+  for (xgft::NodeIndex s = 0; s < n; ++s) {
+    for (xgft::NodeIndex d = 0; d < n; ++d) {
+      ASSERT_TRUE(std::ranges::equal(got.table->upPorts(s, d),
+                                     ref.ascents[s * n + d]))
+          << s << " -> " << d;
+    }
+  }
+  if (ref.unreachable.empty()) {
+    EXPECT_NO_THROW(
+        (void)compileDegraded(healthy, view, UnreachablePolicy::kThrow, 2));
+    return;
+  }
+  const auto [s, d] = ref.unreachable.front();
+  try {
+    (void)compileDegraded(healthy, view, UnreachablePolicy::kThrow, 2);
+    ADD_FAILURE() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("pair " + std::to_string(s) +
+                                         " -> " + std::to_string(d) +
+                                         " is unreachable"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DegradedRouting, PatchMatchesThePerPairRulePastSixtyFourChoices) {
+  // XGFT(3; 4,4,4; 1,8,9): a level-3 pair has 8 x 9 = 72 NCA choices, so a
+  // host's level-3 row spans two words, and choices 64..71 are those that
+  // leave their level-2 switch through up-port 8.  Besides seeded plans,
+  // failing up-ports 0..7 of every level-2 switch leaves only those
+  // choices clean, so every level-3 pair's rewrite is found in the second
+  // word; with port 8 of one switch failed too, its subtree is cut off.
+  const Topology topo(xgft::Params({4, 4, 4}, {1, 8, 9}));
+  ASSERT_EQ(topo.ncaChoices(3), 72u);
+  std::vector<xgft::LinkId> lowPorts;
+  for (xgft::NodeIndex node = 0; node < topo.nodesAtLevel(2); ++node) {
+    for (std::uint32_t port = 0; port < 8; ++port) {
+      lowPorts.push_back(topo.upLink(2, node, port));
+    }
+  }
+  std::vector<xgft::LinkId> cutOff = lowPorts;
+  cutOff.push_back(topo.upLink(2, 0, 8));
+  std::vector<std::pair<std::string, std::vector<xgft::LinkId>>> failedSets =
+      {{"up-ports 0..7 of level 2", lowPorts},
+       {"every level-2 up-port of switch 0", cutOff}};
+  for (const char* spec : {"links:25", "links:60", "switches:20"}) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      failedSets.emplace_back(
+          std::string(spec) + " seed " + std::to_string(seed),
+          makeFaultPlan(spec, topo, seed).failedAt(0));
+    }
+  }
+  std::uint64_t pastFirstWord = 0;  // Degraded level-3 choices >= 64.
+  const auto names = core::schemeRegistry().names();
+  for (const std::string& name : *names) {
+    if (core::schemeRegistry().at(name).mode != core::RouteMode::kTable) {
+      continue;
+    }
+    const auto router = buildScheme(name, topo);
+    const auto flat =
+        core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
+    const auto packed = core::CompiledRoutes::compile(
+        router, 1, core::TableLayout::kCompressed);
+    for (const auto& [label, failed] : failedSets) {
+      SCOPED_TRACE(name + " " + label);
+      const DegradedTopology view(topo, failed);
+      const ReferenceDegraded ref = referenceDegraded(*router, view);
+      for (const auto& healthy : {flat, packed}) {
+        expectPatchMatchesReference(healthy, view, ref);
+      }
+      const DegradedRoutes got =
+          compileDegraded(flat, view, UnreachablePolicy::kDrop);
+      for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
+        for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
+          const core::CompiledRoutes::Entry e = got.table->entry(s, d);
+          pastFirstWord += e.level == 3 && e.choice >= 64 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pastFirstWord, 0u);
+}
+
 TEST(CleanAscentMask, BothEndsCleanIffTheRouteIsClean) {
   // The mirror property: the descent to d crosses the links d's own ascent
   // with the same up-ports would climb, so the AND of the two endpoints'

@@ -2,12 +2,14 @@
 // kLinkDown/kLinkUp events under all three FaultPolicies, down-time
 // accounting across run(until) resumes, scheduling validation, probe hook
 // counts, the drain conversion that keeps faulted runs from hanging or
-// throwing, and the recycling of dropped messages' slots.
+// throwing, the recycling of dropped messages' slots, and faulted stats
+// that a sampling probe leaves unchanged.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "delivery_recorder.hpp"
+#include "obs/recorder.hpp"
 #include "route_sets.hpp"
 #include "routing/relabel.hpp"
 #include "sim/network.hpp"
@@ -233,6 +235,50 @@ TEST(FaultInjection, DownTimeAccruesAcrossPartialRunBoundaries) {
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
   EXPECT_EQ(net.stats().messagesDropped, 0u);
   EXPECT_GE(rec.timeOf(m), 200'000u);
+}
+
+TEST(FaultInjection, SamplingProbeLeavesFaultedStatsUnchanged) {
+  // A sampling probe's last tick can fire after the last real event.  A
+  // link still down then must not accrue down-time up to that tick: every
+  // NetworkStats field equals the unprobed run's, under every policy.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const auto faultedRun = [&](FaultPolicy policy, Probe* probe) {
+    Network net(topo, SimConfig{});
+    if (probe != nullptr) net.setProbe(probe);
+    net.setFaultPolicy(policy);
+    net.scheduleLinkDown(2'000, topo.upLink(0, 5, 0));
+    net.scheduleLinkUp(40'000, topo.upLink(0, 5, 0));
+    net.scheduleLinkDown(5'000, topo.upLink(1, 0, 0));  // Never restored.
+    for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
+      const xgft::NodeIndex d = (s + 7) % topo.numHosts();
+      net.release(addRouted(net, s, d, 32 * 1024, router->route(s, d)), 0);
+    }
+    net.run();
+    return net.stats();
+  };
+  for (const FaultPolicy policy :
+       {FaultPolicy::kWait, FaultPolicy::kStrand, FaultPolicy::kReroute}) {
+    SCOPED_TRACE(static_cast<int>(policy));
+    const NetworkStats bare = faultedRun(policy, nullptr);
+    obs::RecorderConfig cfg;
+    cfg.samplePeriodNs = 777;  // Misaligned with the events.
+    obs::Recorder rec(cfg);
+    const NetworkStats probed = faultedRun(policy, &rec);
+    ASSERT_GT(rec.series().size(), 0u);
+    ASSERT_GT(bare.linkDownNs, 0u);
+    EXPECT_EQ(probed.segmentsInjected, bare.segmentsInjected);
+    EXPECT_EQ(probed.segmentsDelivered, bare.segmentsDelivered);
+    EXPECT_EQ(probed.messagesDelivered, bare.messagesDelivered);
+    EXPECT_EQ(probed.eventsProcessed, bare.eventsProcessed);
+    EXPECT_EQ(probed.lastDeliveryNs, bare.lastDeliveryNs);
+    EXPECT_EQ(probed.maxOutputQueueDepth, bare.maxOutputQueueDepth);
+    EXPECT_EQ(probed.maxInputQueueDepth, bare.maxInputQueueDepth);
+    EXPECT_EQ(probed.segmentsRerouted, bare.segmentsRerouted);
+    EXPECT_EQ(probed.segmentsStranded, bare.segmentsStranded);
+    EXPECT_EQ(probed.messagesDropped, bare.messagesDropped);
+    EXPECT_EQ(probed.linkDownNs, bare.linkDownNs);
+  }
 }
 
 TEST(FaultInjection, DroppedMessagesGiveTheirSlotsBack) {

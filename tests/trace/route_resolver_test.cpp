@@ -197,8 +197,10 @@ void expectDegradedSwap(core::TableLayout layout) {
   const auto healthy = core::CompiledRoutes::compile(f.router, 1, layout);
   const auto degraded = healthy->patched(
       [](xgft::NodeIndex s, xgft::NodeIndex d, core::CompiledRoutes::Entry) {
-        return s == 0 && d == 15 ? core::CompiledRoutes::kUnroutable
-                                 : core::CompiledRoutes::kKeep;
+        return !(s == 0 && d == 15);
+      },
+      [](xgft::NodeIndex, xgft::NodeIndex, core::CompiledRoutes::Entry) {
+        return core::CompiledRoutes::kUnroutable;
       });
   sim::Network net(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, healthy.get());
