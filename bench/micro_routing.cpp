@@ -73,14 +73,13 @@ void BM_RouteColored(benchmark::State& state) {
 BENCHMARK(BM_RouteColored);
 
 // --- virtual route() vs compiled-table lookup --------------------------------
-// The replayer's per-message hot path: the engine compiles static schemes
-// into core::CompiledRoutes once and replaces the virtual dispatch below
-// with the flat lookup benchmarked here (numbers recorded in DESIGN.md §6).
+// A job with a fault plan resolves each message through its patched
+// core::CompiledRoutes table instead of the virtual dispatch above: the
+// lookup benchmarked here (numbers recorded in DESIGN.md §6).
 
-std::shared_ptr<const core::CompiledRoutes> compiledOf(
-    routing::RouterPtr r, core::TableLayout layout = core::TableLayout::kAuto) {
+std::shared_ptr<const core::CompiledRoutes> compiledOf(routing::RouterPtr r) {
   std::shared_ptr<const routing::Router> shared(std::move(r));
-  return core::CompiledRoutes::compile(std::move(shared), 1, layout);
+  return core::CompiledRoutes::compile(std::move(shared), 1);
 }
 
 void compiledSweep(benchmark::State& state,
@@ -103,16 +102,6 @@ void BM_CompiledLookupDModK(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledLookupDModK);
 
-void BM_CompiledLookupCompressed(benchmark::State& state) {
-  // The same d-mod-k table and pair sweep as BM_CompiledLookupDModK, in the
-  // interval-compressed layout: a binary search over the destination's
-  // intervals instead of one flat index.
-  static const auto table = compiledOf(routing::makeDModK(paperTopo()),
-                                       core::TableLayout::kCompressed);
-  compiledSweep(state, *table);
-}
-BENCHMARK(BM_CompiledLookupCompressed);
-
 void BM_CompiledLookupRandom(benchmark::State& state) {
   static const auto table = compiledOf(routing::makeRandom(paperTopo(), 1));
   compiledSweep(state, *table);
@@ -120,9 +109,9 @@ void BM_CompiledLookupRandom(benchmark::State& state) {
 BENCHMARK(BM_CompiledLookupRandom);
 
 void BM_CompileTable(benchmark::State& state) {
-  // The flat paper-slim table of d-mod-k (arg 0: one choice per NCA-level
-  // run) and of Random (arg 1: one choice per pair), the table fault-sweep
-  // and openloop-sweep compile.  The router is built outside the loop.
+  // The paper-slim table of d-mod-k (arg 0: one choice per NCA-level run)
+  // and of Random (arg 1: one choice per pair), the table fault-sweep's
+  // faulted jobs patch.  The router is built outside the loop.
   const xgft::Count n = paperTopo().numHosts();
   const std::shared_ptr<const routing::Router> router =
       state.range(0) == 0 ? routing::makeDModK(paperTopo())
@@ -141,7 +130,7 @@ BENCHMARK(BM_CompileTable)->Arg(0)->Arg(1);
 // The four static degraded tables of bench/e2e's fault-sweep: paper-slim,
 // d-mod-k (arg 0) and Random (arg 1), links:10 and links:30 at the
 // workload's fault seed.  The healthy table is built outside the timed
-// loop, as CampaignCache::degradedRoutes finds it cached for open-loop jobs
+// loop, as CampaignCache::degradedRoutes finds it cached for faulted jobs
 // (numbers recorded in DESIGN.md §10).
 
 void BM_CompileDegraded(benchmark::State& state) {

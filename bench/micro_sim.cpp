@@ -217,8 +217,8 @@ void BM_NetworkConstruction3(benchmark::State& state) {
 BENCHMARK(BM_NetworkConstruction3)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RouteCompileFlat(benchmark::State& state) {
-  // Dense O(H^2) compilation on the 512-host tier (the 4096-host flat table
-  // is 80 MiB — past the engine budget, hence the compressed rows below).
+  // Dense O(H^2) compilation on the 512-host tier (the 4096-host table is
+  // 80 MiB — past the engine budget, so that tier runs healthy jobs only).
   // Arg 0 = d-mod-k, which compiles one route per NCA-level run; arg 1 =
   // Random, which has no ascent guide and keeps the per-pair path.
   // Counters report the resident table footprint.
@@ -228,8 +228,7 @@ void BM_RouteCompileFlat(benchmark::State& state) {
                           : routing::makeRandom(*topo, 1);
   std::uint64_t bytes = 0;
   for (auto _ : state) {
-    const auto table =
-        core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
+    const auto table = core::CompiledRoutes::compile(router, 1);
     bytes = table->forwardingBytes();
     benchmark::DoNotOptimize(table->upPorts(0, 1).size());
   }
@@ -237,50 +236,25 @@ void BM_RouteCompileFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteCompileFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_RouteCompileCompressed(benchmark::State& state) {
-  // Full interval-compressed d-mod-k compilation per tier; the
-  // compressed_bytes counter against the flat_bytes counter (80 MiB at
-  // 4096 hosts) is the memory headline.
-  const auto topo = std::make_shared<const xgft::Topology>(
-      xgft3Tier(static_cast<int>(state.range(0))));
-  const std::shared_ptr<const routing::Router> router =
-      routing::makeDModK(*topo);
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    const auto table = core::CompiledRoutes::compile(
-        router, 1, core::TableLayout::kCompressed);
-    bytes = table->forwardingBytes();
-    benchmark::DoNotOptimize(table->upPorts(0, 1).size());
-  }
-  state.counters["compressed_bytes"] = static_cast<double>(bytes);
-  state.counters["flat_bytes"] =
-      static_cast<double>(core::CompiledRoutes::tableBytes(*topo));
-  state.SetLabel(topo->params().toString());
-}
-BENCHMARK(BM_RouteCompileCompressed)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_RouteResolve(benchmark::State& state) {
   // The per-message route query of every injection: a fixed SplitMix64
   // stream of uniform (src, dst) pairs through a fresh Network's
-  // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts, flat
-  // d-mod-k table: one table lookup per pair), arg 1 =
-  // xgft3:16:16:16:1:8:8 (4096 hosts, compressed: one interval probe per
-  // pair), arg 2 = paper-slim with the Random router and no table (router
-  // mode: one choice() and its range check per pair, nothing stored or
-  // memoized, repeats included).  Counter: ns per resolved pair.
+  // RouteSetResolver per iteration.  Arg 0 = paper-slim (256 hosts) with a
+  // d-mod-k table, a faulted job's path: one table lookup per pair.  The
+  // other arms are router mode, a healthy job's path: one choice() and its
+  // range check per pair, nothing stored or memoized, repeats included —
+  // arg 2 = paper-slim with the Random router, arg 3 = paper-slim with
+  // d-mod-k, arg 4 = xgft3:16:16:16:1:8:8 (4096 hosts) with d-mod-k.
+  // (Arg 1 was a compressed 4096-host table, a layout since deleted.)
+  // Counter: ns per resolved pair.
   constexpr std::uint32_t kPairs = 200'000;
-  const bool big = state.range(0) == 1;
-  const bool tableFree = state.range(0) == 2;
+  const std::int64_t arm = state.range(0);
   const auto topo = std::make_shared<const xgft::Topology>(
-      big ? xgft3Tier(1) : xgft::xgft2(16, 16, 10));
+      arm == 4 ? xgft3Tier(1) : xgft::xgft2(16, 16, 10));
   const std::shared_ptr<const routing::Router> router =
-      tableFree ? routing::makeRandom(*topo, 1) : routing::makeDModK(*topo);
+      arm == 2 ? routing::makeRandom(*topo, 1) : routing::makeDModK(*topo);
   const auto table =
-      tableFree ? nullptr
-                : core::CompiledRoutes::compile(
-                      router, 1,
-                      big ? core::TableLayout::kCompressed
-                          : core::TableLayout::kFlat);
+      arm == 0 ? core::CompiledRoutes::compile(router, 1) : nullptr;
   const std::uint64_t n = topo->numHosts();
   for (auto _ : state) {
     sim::Network net(*topo, sim::SimConfig{});
@@ -302,8 +276,9 @@ void BM_RouteResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_RouteResolve)
     ->Arg(0)
-    ->Arg(1)
     ->Arg(2)
+    ->Arg(3)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

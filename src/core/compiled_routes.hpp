@@ -1,59 +1,40 @@
 // compiled_routes.hpp — Per-(src, dst) forwarding tables compiled from any
-// Router, in a flat or an interval-compressed layout.
+// Router, for the jobs that route around failed links.
 //
-// Every simulated message used to pay a virtual Router::route(s, d) call
-// (plus route validation and hop expansion) on the replayer's hot path.  A
-// CompiledRoutes handle is the compile-once/route-many split packet-routing
-// simulators rely on: routes are built once per (topology, scheme, seed)
-// and looked up by (s, d) afterwards.  A router states a route as an NCA
-// choice (routing/router.hpp), and so does a table: it stores each pair's
-// NCA level and choice, never the up-ports, which are the choice's slice
-// of the topology's catalogue of ascents.  Two layouts serve two scales:
-//
-//  * Flat (small topologies).  Two dense arrays —
+// A router states a route as an NCA choice (routing/router.hpp) and answers
+// choice(s, d) per message, so a healthy job needs no table: the resolver
+// asks its router.  A fault plan does.  Its routes are the healthy ones with
+// the broken pairs rewritten (fault::compileDegraded), and a patch needs
+// every pair's healthy route in hand.  A CompiledRoutes table holds them:
+// each pair's NCA level and choice, never the up-ports, which are the
+// choice's slice of the topology's catalogue of ascents.  Two dense arrays —
 //
 //      choices_[s * numHosts + d]  =  NCA choice (u32),
 //      lens_   [s * numHosts + d]  =  NCA level (u8; 0 = no route),
 //
-//    5 bytes per pair, O(1) lookup.
+// 5 bytes per pair, O(1) lookup.
 //
-//  * Interval-compressed (large topologies).  The paper's oblivious schemes
-//    choose up-ports by arithmetic on node labels, so for a fixed guide
-//    column (the destination for d-mod-k-style schemes, the source for
-//    s-mod-k-style ones — the router's ascentGuide() when it has one,
-//    deterministic sampling otherwise) the choice is
-//    piecewise-constant in the other endpoint: consecutive ranks sharing
-//    the same (level, choice) collapse into sorted half-open intervals of
-//    12 bytes each.  entry(s, d) is a branch-free binary search over the
-//    column's intervals.  Tables shrink from O(H^2) entries to
-//    O(H * levels * distinct-choices); schemes with per-pair randomness
-//    (Random) do not compress, which estimateCompressedBytes() detects so
-//    the engine can keep its virtual-routing fallback for them.
+// The table compiles one guide column at a time, one run at a time.  A run
+// is a maximal rank range of the other endpoint that shares one NCA level
+// with the guide; for a self-routing router (Router::ascentGuide()) every
+// pair of a run takes the same choice, so the builder asks once per run —
+// at most 2h + 1 runs per column — instead of once per pair.  Other
+// routers are asked once per pair, row by row.  The only check is the
+// choice's range (Router::ascentOf), once per run or pair: a catalogue
+// ascent of the pair's NCA level is a valid route for it by construction.
 //
-// Both layouts compile one guide column at a time, one run at a time.  A
-// run is a maximal rank range of the other endpoint that shares one NCA
-// level with the guide; for a self-routing router (Router::ascentGuide())
-// every pair of a run takes the same choice, so the builder asks once per
-// run — at most 2h + 1 runs per column — instead of once per pair.  Other
-// routers are asked once per pair.  The only check is the choice's range
-// (Router::ascentOf), once per run or pair: a catalogue ascent of the
-// pair's NCA level is a valid route for it by construction.
-//
-// patched() copies a table in its own layout with some pairs rewritten —
-// the degraded-topology path (fault::compileDegraded).  The caller decides
+// patched() copies a table with some pairs rewritten — the
+// degraded-topology path (fault::compileDegraded).  The caller decides
 // with two callables inlined into the walk: a test of whether a pair keeps
 // its stored entry, and the pair's rewrite, asked only for the pairs the
-// test rejects.  A flat copy is patched row by row: one pass without
-// branches lists the row's rejected pairs, a second rewrites them in
-// place.  A compressed copy re-merges each column's intervals around the
-// rewritten ranks, appending kept ranks as whole runs.  A rewrite is an
-// NCA choice too, range-checked like a compiled one.
+// test rejects.  The copy is patched row by row: one pass without branches
+// lists the row's rejected pairs, a second rewrites them in place.  A
+// rewrite is an NCA choice too, range-checked like a compiled one.
 //
 // Compilation finishes inside compile(); the handle is immutable afterwards,
-// so it is freely shared across threads.  The engine memoizes open-loop
-// jobs' tables next to the router; a closed-loop job compiles a compressed
-// table of its own for a self-routing scheme and frees it when the job
-// ends, while Random and Colored closed-loop jobs build no table at all.
+// so it is freely shared across threads.  The engine memoizes a router's
+// table and its degraded patches, and only jobs with a fault plan ask for
+// them (engine/runner.hpp).
 //
 // trace::RouteSetResolver makes one entry() lookup per message and hands
 // the simulator the (level, choice) by value, so a message never points
@@ -61,7 +42,6 @@
 // are still in flight.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -75,11 +55,6 @@
 
 namespace core {
 
-/// Which representation compile() builds.  kAuto picks kFlat below an
-/// 8 MiB flat-table footprint and kCompressed above it, so small paper
-/// topologies keep the exact historical layout.
-enum class TableLayout : std::uint8_t { kAuto, kFlat, kCompressed };
-
 class CompiledRoutes {
  public:
   /// Compiles the ordered-pair table from @p router, splitting the guide
@@ -90,8 +65,7 @@ class CompiledRoutes {
   /// router and the pair.  The router (and through it the topology) is
   /// kept alive by the returned handle.
   [[nodiscard]] static std::shared_ptr<const CompiledRoutes> compile(
-      std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1,
-      TableLayout layout = TableLayout::kAuto);
+      std::shared_ptr<const routing::Router> router, std::uint32_t threads = 1);
 
   /// A pair's stored route: its NCA level and NCA choice.  Level 0 means
   /// no route — the diagonal, or a pair a patch marked unroutable — and
@@ -107,50 +81,33 @@ class CompiledRoutes {
   /// An ordered (src, dst) pair.
   using Pair = std::pair<xgft::NodeIndex, xgft::NodeIndex>;
 
-  /// A copy of this table in the same layout (and compressed axis), with
-  /// every off-diagonal pair that @p keeps(s, d, stored) rejects rewritten
-  /// to @p rewrite(s, d, stored): kUnroutable, or the NCA choice that
-  /// replaces the pair's (stored is the pair's entry here).  Both are
-  /// inlined into the walk and called concurrently from @p threads workers
-  /// (0 = hardware concurrency; the result is identical for any count), so
-  /// they must be thread-safe and free of side effects; @p keeps may also
-  /// be asked about the diagonal, whose answer is ignored, and should be
-  /// branch-free.  A replacement choice out of range for its pair throws
-  /// std::invalid_argument naming this table's router and the pair.  When
-  /// @p unroutable is given it receives the pairs rewritten to kUnroutable,
-  /// in (src, dst) order.  The copy shares this table's router and does
-  /// not need this table.
+  /// A copy of this table with every off-diagonal pair that
+  /// @p keeps(s, d, stored) rejects rewritten to @p rewrite(s, d, stored):
+  /// kUnroutable, or the NCA choice that replaces the pair's (stored is
+  /// the pair's entry here).  Both are inlined into the walk and called
+  /// concurrently from @p threads workers (0 = hardware concurrency; the
+  /// result is identical for any count), so they must be thread-safe and
+  /// free of side effects; @p keeps may also be asked about the diagonal,
+  /// whose answer is ignored, and should be branch-free.  A replacement
+  /// choice out of range for its pair throws std::invalid_argument naming
+  /// this table's router and the pair.  When @p unroutable is given it
+  /// receives the pairs rewritten to kUnroutable, in (src, dst) order.  The
+  /// copy shares this table's router and does not need this table.
   template <typename Keeps, typename Rewrite>
   [[nodiscard]] std::shared_ptr<const CompiledRoutes> patched(
       const Keeps& keeps, const Rewrite& rewrite, std::uint32_t threads = 1,
       std::vector<Pair>* unroutable = nullptr) const;
 
-  /// Flat-layout size in bytes for a topology (5 per ordered pair), before
-  /// building — callers bound memory with this (the engine's open-loop
-  /// jobs try the compressed layout above its limit, then fall back to
-  /// virtual routing).
+  /// A table's size in bytes for a topology (5 per ordered pair), before
+  /// building — callers bound memory with this (the engine rejects a fault
+  /// plan whose table would exceed its budget).
   [[nodiscard]] static std::uint64_t tableBytes(const xgft::Topology& topo);
-
-  /// Deterministic sampled estimate of the compressed-layout footprint for
-  /// @p router's scheme: a handful of guide columns are scanned both ways
-  /// (one choice per run, as compile() asks) and the denser axis'
-  /// per-column bytes extrapolate to the full table.
-  /// Schemes with per-pair randomness estimate near the flat size, which is
-  /// how the engine keeps its virtual-routing fallback for them.
-  [[nodiscard]] static std::uint64_t estimateCompressedBytes(
-      const routing::Router& router);
 
   /// The stored route of (s, d); level 0 for the diagonal and for pairs a
   /// patch marked unroutable.
   [[nodiscard]] Entry entry(xgft::NodeIndex s, xgft::NodeIndex d) const {
-    if (!compressed_) {
-      const std::size_t pair = static_cast<std::size_t>(s) * numHosts_ + d;
-      return {lens_[pair], choices_[pair]};
-    }
-    const bool byDst = axis_ == Axis::kByDst;
-    const Interval& run = intervalOf(static_cast<std::uint32_t>(byDst ? d : s),
-                                     static_cast<std::uint32_t>(byDst ? s : d));
-    return {run.len, run.choice};
+    const std::size_t pair = static_cast<std::size_t>(s) * numHosts_ + d;
+    return {lens_[pair], choices_[pair]};
   }
 
   /// The ascending port choices for (s, d) — the catalogue ascent of its
@@ -173,13 +130,12 @@ class CompiledRoutes {
   /// Materializes the xgft::Route for (s, d) — for analysis-style callers.
   [[nodiscard]] xgft::Route route(xgft::NodeIndex s, xgft::NodeIndex d) const;
 
-  /// No-op, kept for callers that predate eager compilation: every table
-  /// is complete when compile() returns.
+  /// bench/e2e only; delete at the next benchmark change.
   void compileAll(std::uint32_t /*threads*/ = 1) const {}
+  /// bench/e2e only; delete at the next benchmark change.
+  [[nodiscard]] bool compressed() const { return false; }
 
-  [[nodiscard]] bool compressed() const { return compressed_; }
-  /// Bytes resident for the forwarding state: the dense arrays in the flat
-  /// layout, the column offsets and intervals in the compressed one.
+  /// Bytes resident for the forwarding state: the two dense arrays.
   [[nodiscard]] std::uint64_t forwardingBytes() const;
 
   [[nodiscard]] const routing::Router& router() const { return *router_; }
@@ -189,33 +145,10 @@ class CompiledRoutes {
   [[nodiscard]] std::size_t numHosts() const { return numHosts_; }
 
  private:
-  /// Which endpoint indexes the columns: guide = destination (runs over
-  /// sources — destination-oriented schemes like d-mod-k) or guide = source
-  /// (runs over destinations — s-mod-k and friends).
-  enum class Axis : std::uint8_t { kByDst, kBySrc };
-
-  /// One maximal run of ranks sharing a route within a guide column.
-  struct Interval {
-    std::uint32_t begin = 0;   ///< First rank of the run.
-    std::uint32_t choice = 0;  ///< Entry::choice.
-    std::uint32_t len = 0;     ///< Entry::level; 0 = unroutable/diagonal.
-  };
-
-  /// Compressed guide columns: column g's intervals are
-  /// intervals[colOff[g], colOff[g + 1]).
-  struct Columns {
-    std::vector<std::uint32_t> colOff;
-    std::vector<Interval> intervals;
-  };
-
   /// Runs worker @p worker's contiguous block [begin, end) of rows or
   /// guide columns.
   using BlockBody = std::function<void(std::size_t worker, std::size_t begin,
                                        std::size_t end)>;
-  /// Fills guide column @p guide of a compressed layout into @p out, on
-  /// worker @p worker.
-  using ColumnFill = std::function<void(std::size_t worker,
-                                        std::uint32_t guide, Columns& out)>;
 
   explicit CompiledRoutes(std::shared_ptr<const routing::Router> router);
 
@@ -240,14 +173,6 @@ class CompiledRoutes {
   /// forEachBlock() for more than one worker.
   static void runBlocks(std::size_t n, std::uint32_t threads,
                         const BlockBody& body);
-  /// Builds every guide column through @p fill, split across @p threads
-  /// workers, and concatenates the workers' blocks in guide order.
-  [[nodiscard]] static Columns buildColumns(std::size_t n,
-                                            std::uint32_t threads,
-                                            const ColumnFill& fill);
-  /// Appends a run starting at rank @p begin to the column being built in
-  /// @p out, or extends the column's last interval when its entry matches.
-  static void appendRun(Columns& out, std::uint32_t begin, Entry e);
 
   /// The entry @p rewrite installs for (s, d), whose entry here is
   /// @p stored: no route for kUnroutable (the pair joins @p lost), else the
@@ -277,24 +202,11 @@ class CompiledRoutes {
   void patchRow(xgft::NodeIndex s, Keeps keeps, Rewrite rewrite,
                 CompiledRoutes& out, std::vector<std::uint32_t>& todo,
                 std::vector<Pair>& lost) const;
-  /// Appends the patched copy of this table's column @p guide to @p out.
-  template <typename Keeps, typename Rewrite>
-  void patchColumn(std::uint32_t guide, Keeps keeps, Rewrite rewrite,
-                   Columns& out, std::vector<Pair>& lost) const;
-  [[nodiscard]] const Interval& intervalOf(std::uint32_t guide,
-                                           std::uint32_t pos) const;
 
   std::shared_ptr<const routing::Router> router_;
   std::size_t numHosts_ = 0;
-  Axis axis_ = Axis::kByDst;
-
-  // Flat layout.
   std::vector<std::uint32_t> choices_;  ///< numHosts^2 NCA choices.
   std::vector<std::uint8_t> lens_;      ///< numHosts^2 NCA levels.
-
-  // Compressed layout.
-  bool compressed_ = false;
-  Columns columns_;
 };
 
 template <typename Keeps, typename Rewrite>
@@ -302,38 +214,28 @@ std::shared_ptr<const CompiledRoutes> CompiledRoutes::patched(
     const Keeps& keeps, const Rewrite& rewrite, std::uint32_t threads,
     std::vector<Pair>* unroutable) const {
   auto table = std::shared_ptr<CompiledRoutes>(new CompiledRoutes(router_));
-  table->axis_ = axis_;
-  table->compressed_ = compressed_;
   const std::size_t n = numHosts_;
   threads = clampThreads(threads, n);
   // Each worker collects the pairs it marks unroutable; no lock per pair.
   std::vector<std::vector<Pair>> lost(threads);
 
-  if (compressed_) {
-    table->columns_ = buildColumns(
-        n, threads, [&](std::size_t w, std::uint32_t g, Columns& out) {
-          patchColumn(g, keeps, rewrite, out, lost[w]);
-        });
-  } else {
-    // Flat: copy the arrays, then rewrite the changed entries row by row.
-    table->choices_ = choices_;
-    table->lens_ = lens_;
-    forEachBlock(n, threads,
-                 [&](std::size_t w, std::size_t begin, std::size_t end) {
-                   std::vector<std::uint32_t> todo(n);
-                   for (std::size_t s = begin; s < end; ++s) {
-                     patchRow(s, keeps, rewrite, *table, todo, lost[w]);
-                   }
-                 });
-  }
+  // Copy the arrays, then rewrite the changed entries row by row.
+  table->choices_ = choices_;
+  table->lens_ = lens_;
+  forEachBlock(n, threads,
+               [&](std::size_t w, std::size_t begin, std::size_t end) {
+                 std::vector<std::uint32_t> todo(n);
+                 for (std::size_t s = begin; s < end; ++s) {
+                   patchRow(s, keeps, rewrite, *table, todo, lost[w]);
+                 }
+               });
   if (unroutable != nullptr) {
-    // Blocks of rows are in (src, dst) order already; columns guided by the
-    // destination are not, so the merge sorts.
+    // Workers own contiguous blocks of rows, in order, so concatenating
+    // their lists keeps (src, dst) order.
     unroutable->clear();
     for (const std::vector<Pair>& block : lost) {
       unroutable->insert(unroutable->end(), block.begin(), block.end());
     }
-    std::sort(unroutable->begin(), unroutable->end());
   }
   return table;
 }
@@ -375,38 +277,6 @@ void CompiledRoutes::patchRow(xgft::NodeIndex s, Keeps keeps, Rewrite rewrite,
     lens[d] = static_cast<std::uint8_t>(e.level);
     choices[d] = e.choice;
   }
-}
-
-template <typename Keeps, typename Rewrite>
-void CompiledRoutes::patchColumn(std::uint32_t guide, Keeps keeps,
-                                 Rewrite rewrite, Columns& out,
-                                 std::vector<Pair>& lost) const {
-  const auto n = static_cast<std::uint32_t>(numHosts_);
-  const bool byDst = axis_ == Axis::kByDst;
-  const xgft::Topology& topo = topology();
-  const std::uint32_t first = columns_.colOff[guide];
-  const std::uint32_t last = columns_.colOff[guide + 1];
-  for (std::uint32_t i = first; i < last; ++i) {
-    const Interval& run = columns_.intervals[i];
-    const std::uint32_t end =
-        i + 1 < last ? columns_.intervals[i + 1].begin : n;
-    const Entry stored{run.len, run.choice};
-    // Kept ranks of the interval are appended as one run; a rewritten rank
-    // splits it.
-    std::uint32_t keptFrom = run.begin;
-    for (std::uint32_t pos = run.begin; pos < end; ++pos) {
-      if (pos == guide) continue;
-      const xgft::NodeIndex s = byDst ? pos : guide;
-      const xgft::NodeIndex d = byDst ? guide : pos;
-      if (keeps(s, d, stored)) continue;
-      if (keptFrom < pos) appendRun(out, keptFrom, stored);
-      appendRun(out, pos,
-                replacement(topo, s, d, stored, rewrite(s, d, stored), lost));
-      keptFrom = pos + 1;
-    }
-    if (keptFrom < end) appendRun(out, keptFrom, stored);
-  }
-  out.colOff.push_back(static_cast<std::uint32_t>(out.intervals.size()));
 }
 
 }  // namespace core

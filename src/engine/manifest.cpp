@@ -154,20 +154,12 @@ std::string manifestToJson(const CampaignResults& results,
             });
 
   // Faulted campaigns bump the schema (per-job "faults" blocks, degraded
-  // cache counters), and campaigns that consulted interval-compressed
-  // forwarding tables bump it again (compressed cache counters plus the
-  // campaign "forwarding" memory block); campaigns using neither emit v1
-  // byte-for-byte.  The compressed gate counts memo lookups, which are
-  // per-job deterministic — never thread-count dependent.
+  // cache counters); healthy campaigns emit v1 byte-for-byte.
   const bool faulted = results.hasFaultJobs();
-  const bool compressed =
-      results.cache.compressedHits + results.cache.compressedMisses > 0;
   std::string out;
   JsonLines json(out);
   json.open("{");
-  json.str("schema", compressed ? "xgft-manifest-v3"
-                     : faulted  ? "xgft-manifest-v2"
-                                : "xgft-manifest-v1");
+  json.str("schema", faulted ? "xgft-manifest-v2" : "xgft-manifest-v1");
   json.openKeyed("campaign", "{");
   json.u64("jobs", results.jobs.size());
   if (opt.includeHost) {
@@ -187,20 +179,7 @@ std::string manifestToJson(const CampaignResults& results,
     json.u64("degraded_hits", results.cache.degradedHits);
     json.u64("degraded_misses", results.cache.degradedMisses);
   }
-  if (compressed) {
-    json.u64("compressed_hits", results.cache.compressedHits);
-    json.u64("compressed_misses", results.cache.compressedMisses);
-  }
   json.close("}");
-  if (compressed) {
-    // Deterministic memory picture: the compressed tables depend only on
-    // the routers the jobs asked for.
-    json.openKeyed("forwarding", "{");
-    json.u64("table_bytes_flat", results.forwarding.tableBytesFlat);
-    json.u64("table_bytes_compressed",
-             results.forwarding.tableBytesCompressed);
-    json.close("}");
-  }
   json.close("}");
   json.openKeyed("jobs", "[");
   for (const JobResult* job : ordered) writeJob(json, *job, opt);

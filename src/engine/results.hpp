@@ -82,26 +82,19 @@ struct CacheStats {
   std::uint64_t topologyMisses = 0;
   std::uint64_t routerHits = 0;
   std::uint64_t routerMisses = 0;
-  std::uint64_t tableHits = 0;    ///< Compiled forwarding tables.
+  std::uint64_t tableHits = 0;    ///< Forwarding tables (faulted jobs).
   std::uint64_t tableMisses = 0;
   std::uint64_t referenceHits = 0;
   std::uint64_t referenceMisses = 0;
   std::uint64_t degradedHits = 0;  ///< Degraded (fault) forwarding tables.
   std::uint64_t degradedMisses = 0;
-  std::uint64_t compressedHits = 0;  ///< Interval-compressed tables.
+  // bench/e2e only, both always 0; delete at the next benchmark change.
+  std::uint64_t compressedHits = 0;
   std::uint64_t compressedMisses = 0;
 };
 
-/// Forwarding-state memory picture of one campaign run, aggregated over the
-/// cache's interval-compressed tables (engine::CampaignCache).  All sizes
-/// are deterministic: tables compile in full, independent of thread count
-/// and scheduling.
-struct ForwardingStats {
-  /// What the same tables would occupy in the flat per-pair layout.
-  std::uint64_t tableBytesFlat = 0;
-  /// Resident bytes of the compressed tables.
-  std::uint64_t tableBytesCompressed = 0;
-};
+/// bench/e2e only; delete at the next benchmark change.
+struct ForwardingStats {};
 
 /// The outcome of a whole campaign.
 struct CampaignResults {
@@ -114,7 +107,7 @@ struct CampaignResults {
   std::uint32_t simThreadsUsed = 0;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;
-  ForwardingStats forwarding;  ///< Empty unless compressed tables were used.
+  ForwardingStats forwarding;  ///< bench/e2e only; delete with the type.
 
   /// Sorts jobs by index (idempotent; run() already leaves them sorted).
   void sortByIndex();

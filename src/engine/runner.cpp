@@ -146,26 +146,6 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::compiledRoutes(
   });
 }
 
-std::shared_ptr<const core::CompiledRoutes> CampaignCache::compressedRoutes(
-    const ExperimentSpec& spec,
-    const std::shared_ptr<const routing::Router>& router,
-    std::uint64_t maxBytes, std::uint32_t threads) {
-  return compressed_.get(
-      routerKey(spec, router->topology()),
-      [&]() -> std::shared_ptr<const core::CompiledRoutes> {
-        // Deterministic sampled estimate first: a scheme that does not
-        // compress (per-pair randomness) would blow the budget, so refuse
-        // before compiling — the memoized nullptr keeps such jobs on the
-        // virtual-routing path.
-        if (core::CompiledRoutes::estimateCompressedBytes(*router) >
-            maxBytes) {
-          return nullptr;
-        }
-        return core::CompiledRoutes::compile(router, threads,
-                                             core::TableLayout::kCompressed);
-      });
-}
-
 std::shared_ptr<const core::CompiledRoutes> CampaignCache::degradedRoutes(
     const ExperimentSpec& spec,
     const std::shared_ptr<const routing::Router>& router,
@@ -228,26 +208,7 @@ CacheStats CampaignCache::stats() const {
     s.degradedHits = degraded_.hits;
     s.degradedMisses = degraded_.misses;
   }
-  {
-    core::LockGuard lock(compressed_.mu);
-    s.compressedHits = compressed_.hits;
-    s.compressedMisses = compressed_.misses;
-  }
   return s;
-}
-
-ForwardingStats CampaignCache::forwardingStats() const {
-  ForwardingStats f;
-  core::LockGuard lock(compressed_.mu);
-  // std::map: ordered iteration, deterministic sums.  Called after the pool
-  // joined, so every future is ready (failed builds erased their entries).
-  for (const auto& [key, future] : compressed_.entries) {
-    const std::shared_ptr<const core::CompiledRoutes> table = future.get();
-    if (!table) continue;  // Estimate exceeded the budget (virtual fallback).
-    f.tableBytesFlat += core::CompiledRoutes::tableBytes(table->topology());
-    f.tableBytesCompressed += table->forwardingBytes();
-  }
-  return f;
 }
 
 namespace {
@@ -261,6 +222,53 @@ std::shared_ptr<obs::Recorder> makeRecorder(const ExperimentSpec& spec,
   obs::RecorderConfig cfg = opt.recorder;
   cfg.recordEvents = level == TelemetryLevel::kTrace;
   return std::make_shared<obs::Recorder>(cfg);
+}
+
+/// The fault plan of @p spec on @p topo; empty without a faults= key.
+/// Throws for a scheme that has no table to patch.
+fault::FaultPlan faultPlanFor(const ExperimentSpec& spec,
+                              const xgft::Topology& topo) {
+  if (spec.faults.empty()) return {};
+  (void)fault::requireDegradable(spec.routing);
+  return fault::makeFaultPlan(spec.faults, topo,
+                              deriveSeed(spec.seed, "fault"));
+}
+
+/// The forwarding tables a job routes through; both null when its router
+/// answers per message.
+struct Forwarding {
+  /// The router's cached table, which a timed plan patches again at its
+  /// transitions.
+  std::shared_ptr<const core::CompiledRoutes> healthy;
+  /// The table the job starts on: healthy's cached patch around the
+  /// failures present at t = 0, or healthy itself when there are none.
+  std::shared_ptr<const core::CompiledRoutes> start;
+};
+
+/// The one forwarding rule of both job kinds.  A healthy job gets no table:
+/// its router answers per message.  A job with a fault plan needs its
+/// router's table within the budget, and starts on that table patched
+/// around the t = 0 failures under @p policy.
+Forwarding forwardingFor(const ExperimentSpec& spec,
+                         const std::shared_ptr<const routing::Router>& router,
+                         const fault::FaultPlan& plan,
+                         fault::UnreachablePolicy policy, CampaignCache& cache,
+                         const RunnerOptions& opt) {
+  Forwarding f;
+  if (spec.faults.empty()) return f;
+  if (core::CompiledRoutes::tableBytes(router->topology()) >
+      opt.maxCompiledTableBytes) {
+    throw std::invalid_argument(
+        "fault plans need compiled forwarding tables, but this topology's "
+        "table exceeds maxCompiledTableBytes");
+  }
+  if (plan.empty()) return f;
+  const std::uint32_t threads = std::max(1u, opt.compileThreads);
+  f.healthy = cache.compiledRoutes(spec, router, threads);
+  f.start = plan.failedAt(0).empty()
+                ? f.healthy
+                : cache.degradedRoutes(spec, router, plan, policy, threads);
+  return f;
 }
 
 /// The open-loop (source=) job path: no trace, no crossbar reference — the
@@ -283,44 +291,11 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   const std::shared_ptr<const routing::Router> router =
       cache.router(spec, topo, noApp);
 
-  // Fault plans route through patched copies of the healthy table, so a
-  // faulted job needs that table even when the campaign opted out of it.
-  fault::FaultPlan plan;
-  if (!spec.faults.empty()) {
-    (void)fault::requireDegradable(spec.routing);
-    plan = fault::makeFaultPlan(spec.faults, *topo,
-                                deriveSeed(spec.seed, "fault"));
-    if (core::CompiledRoutes::tableBytes(*topo) > opt.maxCompiledTableBytes) {
-      throw std::invalid_argument(
-          "fault plans need compiled forwarding tables, but this topology's "
-          "table exceeds maxCompiledTableBytes");
-    }
-  }
-
-  std::shared_ptr<const core::CompiledRoutes> compiled;
-  if (scheme.mode == core::RouteMode::kTable &&
-      (opt.compileRoutes || !plan.empty())) {
-    if (core::CompiledRoutes::tableBytes(*topo) <= opt.maxCompiledTableBytes) {
-      compiled = cache.compiledRoutes(spec, router,
-                                      std::max(1u, opt.compileThreads));
-    } else if (plan.empty()) {
-      // Flat table over budget: try the interval-compressed layout.
-      // nullptr (scheme does not compress either) keeps the virtual-routing
-      // fallback.
-      compiled = cache.compressedRoutes(spec, router,
-                                        opt.maxCompiledTableBytes,
-                                        std::max(1u, opt.compileThreads));
-    }
-  }
-  // The t = 0 degraded table replaces the healthy one for static failures;
-  // timed-only plans start healthy and swap tables at their transitions.
-  std::shared_ptr<const core::CompiledRoutes> degradedTable;
-  if (!plan.empty() && !plan.failedAt(0).empty()) {
-    degradedTable =
-        cache.degradedRoutes(spec, router, plan,
-                             fault::UnreachablePolicy::kDrop,
-                             std::max(1u, opt.compileThreads));
-  }
+  // Timed plans start on the t = 0 table and swap tables at their
+  // transitions; a pair a failure cuts off drops its messages.
+  const fault::FaultPlan plan = faultPlanFor(spec, *topo);
+  const Forwarding forwarding = forwardingFor(
+      spec, router, plan, fault::UnreachablePolicy::kDrop, cache, opt);
 
   const sim::TimeNs stopNs = opt.openLoopWarmupNs + opt.openLoopMeasureNs;
   const std::unique_ptr<patterns::TrafficSource> source =
@@ -331,7 +306,7 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
   ol.spray = sprayCfg;
-  ol.compiled = degradedTable ? degradedTable.get() : compiled.get();
+  ol.compiled = forwarding.start.get();
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
   ol.probe = recorder.get();
   // Owns every table patched at the plan's transition instants; must
@@ -344,7 +319,8 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
       io.unreachable = fault::UnreachablePolicy::kDrop;
       io.compileThreads = std::max(1u, opt.compileThreads);
       io.applyStatic = false;  // The t = 0 table is already ol.compiled.
-      faultState = fault::installFaultPlan(net, plan, compiled, &resolver, io);
+      faultState =
+          fault::installFaultPlan(net, plan, forwarding.healthy, &resolver, io);
     };
   }
   const trace::OpenLoopResult r =
@@ -408,48 +384,14 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     // barrier forever, so it must fail loudly at compile time), and the
     // dead links still get their kLinkDown events so linkDownNs accounts —
     // no traffic touches them, every patched route avoids the failures.
-    fault::FaultPlan plan;
-    std::shared_ptr<const core::CompiledRoutes> degradedTable;
-    if (!spec.faults.empty()) {
-      (void)fault::requireDegradable(spec.routing);
-      plan = fault::makeFaultPlan(spec.faults, *topo,
-                                  deriveSeed(spec.seed, "fault"));
-      if (plan.hasTimed()) {
-        throw std::invalid_argument(
-            "timed fault plans need an open-loop job (source=): closed-loop "
-            "phase replay cannot drop messages without stalling its barrier");
-      }
-      if (core::CompiledRoutes::tableBytes(*topo) >
-          opt.maxCompiledTableBytes) {
-        throw std::invalid_argument(
-            "fault plans need compiled forwarding tables, but this "
-            "topology's table exceeds maxCompiledTableBytes");
-      }
-      if (!plan.empty()) {
-        degradedTable =
-            cache.degradedRoutes(spec, router,
-                                 plan, fault::UnreachablePolicy::kThrow,
-                                 std::max(1u, opt.compileThreads));
-      }
+    const fault::FaultPlan plan = faultPlanFor(spec, *topo);
+    if (plan.hasTimed()) {
+      throw std::invalid_argument(
+          "timed fault plans need an open-loop job (source=): closed-loop "
+          "phase replay cannot drop messages without stalling its barrier");
     }
-
-    // Healthy closed-loop forwarding state belongs to the job alone: a
-    // replay talks to few partners, and the slimming sweeps key every
-    // seeded or pattern-aware router per seed, so a cached n^2 table is
-    // memory no later job reads.  Self-routing schemes compile a
-    // compressed table — at most 2h + 1 runs per guide column, well under
-    // a millisecond at 256 hosts — freed when the job ends.  Random and
-    // colored get none: they choose per pair, so their compressed table
-    // would keep about one interval per pair (n^2 of them, more bytes than
-    // the flat table) for a replay that sends over a few hundred pairs.
-    // The resolver asks for each pattern pair's choice once instead.
-    std::shared_ptr<const core::CompiledRoutes> compiled;
-    if (!degradedTable && scheme.mode == core::RouteMode::kTable &&
-        opt.compileRoutes && router->ascentGuide()) {
-      compiled = core::CompiledRoutes::compile(
-          router, std::max(1u, opt.compileThreads),
-          core::TableLayout::kCompressed);
-    }
+    const Forwarding forwarding = forwardingFor(
+        spec, router, plan, fault::UnreachablePolicy::kThrow, cache, opt);
 
     sim::Network net(*topo, opt.sim);
     if (!plan.empty()) plan.scheduleOn(net);
@@ -458,9 +400,8 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     result.telemetry = recorder;
     const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-    trace::Replayer replayer(
-        net, t, mapping, *router, sprayCfg,
-        degradedTable ? degradedTable.get() : compiled.get());
+    trace::Replayer replayer(net, t, mapping, *router, sprayCfg,
+                             forwarding.start.get());
     result.makespanNs = replayer.run();
     result.net = net.stats();
 
@@ -567,7 +508,6 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
 
   results.threadsUsed = threads;
   results.cache = cache_.stats();
-  results.forwarding = cache_.forwardingStats();
   results.wallTimeNs = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

@@ -6,12 +6,12 @@
 // whole ExperimentSpecs with its own sim::Network.  Two properties make
 // campaigns fast and exact:
 //
-//  * Memoization.  Topology construction, routers, open-loop and degraded
-//    forwarding tables and the Full-Crossbar reference run are cached
+//  * Memoization.  Topology construction, routers, forwarding tables and
+//    their degraded patches, and the Full-Crossbar reference run are cached
 //    behind keys derived from the spec, so a sweep that varies only the
 //    seed or the pattern reuses the expensive pieces (the Colored optimizer
-//    dominates cold-start cost).  Healthy closed-loop jobs keep their
-//    forwarding state per job (see runJob).
+//    dominates cold-start cost).  Only jobs with a fault plan take a
+//    forwarding table; a healthy job asks its router (see runJob).
 //    In-flight builds are shared: two workers missing on the same key wait
 //    on one build instead of duplicating it.
 //
@@ -59,38 +59,31 @@ class CampaignCache {
       const patterns::PhasedPattern& app);
 
   /// The compiled forwarding table for @p router (see core::CompiledRoutes):
-  /// flat per-(src, dst) port-index arrays built once per router cache key —
-  /// in parallel across @p threads workers (0 = hardware concurrency) — and
-  /// shared immutably across open-loop jobs, whose uniform sources reach
-  /// most pairs.  runJob's closed-loop path never asks for it.
+  /// flat per-(src, dst) NCA choices built once per router cache key — in
+  /// parallel across @p threads workers (0 = hardware concurrency) — and
+  /// shared immutably across the jobs with a fault plan, which patch it.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compiledRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
       std::uint32_t threads);
 
-  /// The interval-compressed forwarding table for @p router — the open-loop
-  /// fallback for topologies whose flat table exceeds the memory budget —
-  /// compiled in full across @p threads workers.  Returns (and memoizes)
-  /// nullptr when even the compressed layout's sampled estimate exceeds
-  /// @p maxBytes — schemes with per-pair randomness (Random) do not
-  /// compress, and they keep the virtual-routing fallback exactly as before.
+  /// bench/e2e only; delete at the next benchmark change.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> compressedRoutes(
-      const ExperimentSpec& spec,
-      const std::shared_ptr<const routing::Router>& router,
-      std::uint64_t maxBytes, std::uint32_t threads = 1);
+      const ExperimentSpec& /*spec*/,
+      const std::shared_ptr<const routing::Router>& /*router*/,
+      std::uint64_t /*maxBytes*/, std::uint32_t /*threads*/ = 1) {
+    return nullptr;
+  }
 
   /// The degraded forwarding table for @p router under @p plan's t = 0
   /// failed-link set: the healthy table patched around it
-  /// (fault::compileDegraded), in the healthy table's layout.  The healthy
-  /// table is the one compiledRoutes already holds for @p router, read
-  /// without building it or counting a hit or miss (open-loop jobs ask for
-  /// it first); otherwise one is compiled for this call and dropped, so
-  /// closed-loop jobs still take no healthy table from the cache.  Keyed by
-  /// the router key plus the canonical plan spec, the unreachable policy
-  /// and — only for seeded failure models — the derived fault seed, so a
-  /// load sweep at a fixed failure rate patches each degraded table once.
-  /// The healthy memo never sees fault keys: `faults=none` campaigns hit
-  /// exactly the same cache entries as before the fault subsystem existed.
+  /// (fault::compileDegraded).  The healthy table is the one
+  /// compiledRoutes already holds for @p router, read without building it
+  /// or counting a hit or miss (runJob asks for it first); otherwise one is
+  /// compiled for this call and dropped.  Keyed by the router key plus the
+  /// canonical plan spec, the unreachable policy and — only for seeded
+  /// failure models — the derived fault seed, so a load sweep at a fixed
+  /// failure rate patches each degraded table once.
   [[nodiscard]] std::shared_ptr<const core::CompiledRoutes> degradedRoutes(
       const ExperimentSpec& spec,
       const std::shared_ptr<const routing::Router>& router,
@@ -107,10 +100,8 @@ class CampaignCache {
 
   [[nodiscard]] CacheStats stats() const;
 
-  /// Aggregate memory picture of the compressed tables built so far: their
-  /// resident bytes and the flat-layout bytes the same topologies would
-  /// have cost.  Deterministic for a given campaign.
-  [[nodiscard]] ForwardingStats forwardingStats() const;
+  /// bench/e2e only; delete at the next benchmark change.
+  [[nodiscard]] ForwardingStats forwardingStats() const { return {}; }
 
  private:
   template <typename T>
@@ -134,7 +125,6 @@ class CampaignCache {
   Memo<std::shared_ptr<const xgft::Topology>> topologies_;
   Memo<std::shared_ptr<const routing::Router>> routers_;
   Memo<std::shared_ptr<const core::CompiledRoutes>> tables_;
-  Memo<std::shared_ptr<const core::CompiledRoutes>> compressed_;
   Memo<std::shared_ptr<const core::CompiledRoutes>> degraded_;
   Memo<sim::TimeNs> references_;
 };
@@ -148,18 +138,9 @@ struct RunnerOptions {
   /// route sweep per job for algorithms with static routes).
   bool collectContention = true;
 
-  /// Compile static routes into forwarding tables (CompiledRoutes): a
-  /// cached flat (or, past the budget, compressed) table per router key for
-  /// open-loop jobs, and a compressed table compiled for the job alone for
-  /// closed-loop jobs of self-routing schemes (Random and Colored
-  /// closed-loop jobs ask the router per message instead).  Results are
-  /// bit-identical either way; disable to measure the table-free path.
-  bool compileRoutes = true;
-
-  /// Upper bound on one flat table's size.  Open-loop jobs past it try the
-  /// compressed layout, then fall back to asking the router per message;
-  /// fault plans past it are rejected.  Closed-loop tables are compressed and
-  /// per job, so healthy closed-loop jobs never read it.
+  /// Upper bound on one forwarding table's size
+  /// (core::CompiledRoutes::tableBytes).  A job with a fault plan past it
+  /// fails; healthy jobs take no table, so they never read it.
   std::uint64_t maxCompiledTableBytes = 64ull << 20;
 
   /// Worker threads one table compilation may use.  Runner::run sets this
@@ -197,9 +178,10 @@ struct RunnerOptions {
 /// Executes one spec against a caller-provided cache.  Never throws: any
 /// failure is captured in JobResult::error.  This is the unit of work the
 /// pool schedules, exposed for tests and for callers that want their own
-/// scheduling.  A healthy closed-loop job takes no forwarding table from
-/// the cache: self-routing schemes (Router::ascentGuide()) compile a
-/// compressed table for the job alone, Random and Colored get none.
+/// scheduling.  Both job kinds share one forwarding rule: a healthy job
+/// asks its router per message and takes no table; a job with a fault plan
+/// starts on its router's cached table, patched around the failures
+/// present at t = 0 (kThrow closed-loop, kDrop open-loop).
 [[nodiscard]] JobResult runJob(const ExperimentSpec& spec,
                                std::uint32_t jobIndex, CampaignCache& cache,
                                const RunnerOptions& opt);

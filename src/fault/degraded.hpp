@@ -13,8 +13,8 @@
 // every NCA level and choice, built once per failed-link set.
 //
 // compileDegraded() patches a scheme's healthy forwarding table
-// (core::CompiledRoutes, flat or compressed) around the failures, in the
-// healthy table's layout.  A route is an NCA choice here as everywhere
+// (core::CompiledRoutes) around the failures into a copy of the same flat
+// layout.  A route is an NCA choice here as everywhere
 // (routing/router.hpp), and the healthy table stores it.  The mask's rows
 // are first hoisted into whole words per host and level (one word unless
 // the level has more than 64 NCA choices), so a pair whose stored choice
@@ -26,7 +26,7 @@
 // hang:
 //
 //  * kThrow — compilation fails naming the first unreachable pair in
-//    (src, dst) order, for any thread count and layout (closed-loop
+//    (src, dst) order, for any thread count (closed-loop
 //    campaigns, where a lost message would stall the phase barrier).
 //  * kDrop  — the pair compiles to an empty (unroutable) entry; the
 //    resolver hands out its empty route set and the injection layer
@@ -129,8 +129,8 @@ struct DegradedRoutes {
 };
 
 /// Patches @p healthy around @p degraded's failed links (see the header
-/// comment for the pair-by-pair rules), in @p healthy's layout, split
-/// across @p threads workers.  Deterministic for any @p threads.  Throws
+/// comment for the pair-by-pair rules), split across @p threads
+/// workers.  Deterministic for any @p threads.  Throws
 /// std::invalid_argument for a null table, a topology mismatch, and under
 /// kThrow for the first unreachable pair in (src, dst) order.  The result
 /// does not keep @p healthy or the degraded view alive.

@@ -147,11 +147,18 @@ RelabelRouter::RelabelRouter(const Topology& topo, RelabelScheme scheme,
     : Router(topo),
       scheme_(std::move(scheme)),
       guide_(guide),
-      name_(std::move(name)) {}
-
-xgft::Count RelabelRouter::choice(NodeIndex s, NodeIndex d) const {
-  return scheme_.choice(topo_->ncaLevel(s, d),
-                        guide_ == Guide::Source ? s : d);
+      name_(std::move(name)),
+      levels_(topo.height() + 1),
+      choices_(topo.numHosts() * levels_, 0) {
+  // Level by level: the length-(L + 1) ascent extends the length-L one by
+  // port(L), which adds port(L) * ncaChoices(L) to its choice.
+  for (NodeIndex leaf = 0; leaf < topo.numHosts(); ++leaf) {
+    std::uint32_t* row = choices_.data() + leaf * levels_;
+    for (std::uint32_t l = 0; l + 1 < levels_; ++l) {
+      row[l + 1] = row[l] + static_cast<std::uint32_t>(
+                                scheme_.port(l, leaf) * topo.ncaChoices(l));
+    }
+  }
 }
 
 RouterPtr makeSModK(const Topology& topo) {

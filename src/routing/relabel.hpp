@@ -108,14 +108,20 @@ class RelabelScheme {
 
 /// The generalized self-routing router: ascends by consulting the relabel
 /// scheme on the guiding endpoint's digits; descends (as always) along the
-/// destination's digits.
+/// destination's digits.  A choice depends only on the guide leaf and the
+/// NCA level, so the router holds every guide leaf's choice for every level
+/// — n * (h + 1) u32, 64 KiB at 4096 hosts — and answers a pair with one
+/// load.
 class RelabelRouter final : public Router {
  public:
   RelabelRouter(const Topology& topo, RelabelScheme scheme, Guide guide,
                 std::string name);
 
-  /// scheme().choice(ncaLevel(s, d), guide leaf).
-  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
+  /// scheme().choice(ncaLevel(s, d), guide leaf), read from the array.
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override {
+    const NodeIndex leaf = guide_ == Guide::Source ? s : d;
+    return choices_[leaf * levels_ + topo_->ncaLevel(s, d)];
+  }
   [[nodiscard]] std::string name() const override { return name_; }
   /// choice() reads only the guide leaf's digits and the NCA level.
   [[nodiscard]] std::optional<Guide> ascentGuide() const override {
@@ -129,6 +135,9 @@ class RelabelRouter final : public Router {
   RelabelScheme scheme_;
   Guide guide_;
   std::string name_;
+  std::uint32_t levels_ = 0;  ///< h + 1: NCA levels 0..h.
+  /// choices_[leaf * levels_ + L] = scheme_.choice(L, leaf).
+  std::vector<std::uint32_t> choices_;
 };
 
 /// S-mod-k: source-guided modulo maps (Leiserson's self-routing default).

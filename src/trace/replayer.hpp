@@ -20,11 +20,10 @@
 // kWake timers for compute bursts) as it unblocks — and run() drives it
 // through a sim::InjectionProcess, the same process that runs open-loop
 // streams.  Route material resolves through trace::RouteSetResolver (one
-// compiled-table lookup, router choice or spray list per message, each an
+// router choice, compiled-table lookup or spray list per message, each an
 // NCA choice): no per-message route construction on any path.  The engine
-// hands closed-loop jobs of self-routing schemes a compressed table
-// compiled for the job alone and gives Random and Colored jobs none, since
-// a replay reaches few of the n^2 pairs.
+// hands a replay a table only when a fault plan patched one; a healthy
+// replay asks its router.
 //
 // The replayer is single-use: construct, run(), read the makespan.  A
 // second run() throws std::logic_error; results of the first run stay

@@ -5,12 +5,12 @@
 // topology's catalogue.  Closed-loop replay and open-loop sources
 // (trace/openloop.hpp) resolve routes through this one path:
 //
-//  * compiled   — one forwarding-table lookup per message (core::
-//                 CompiledRoutes::entry, flat or interval-compressed);
 //  * router     — no table: one router->choice() call and its range check
-//                 (Router::ascentOf) per message, nothing stored (Random
-//                 and Colored closed-loop jobs, open-loop jobs past the
-//                 table budget, compileRoutes off);
+//                 (Router::ascentOf) per message, nothing stored — healthy
+//                 jobs of every table scheme;
+//  * compiled   — one forwarding-table lookup per message (core::
+//                 CompiledRoutes::entry) — jobs with a fault plan, whose
+//                 table is patched around the failed links;
 //  * spray      — up to maxPaths NCA-distinct choices per pair, sprayed per
 //                 segment (the Greenberg–Leiserson extension): every NCA
 //                 when the pair has at most maxPaths — one list per NCA

@@ -1,11 +1,9 @@
-// Tests for core::CompiledRoutes: the flat table agrees with the source
-// router on every ordered pair, parallel compilation is thread-count
-// independent, the interval-compressed layout is pair-for-pair equivalent
-// to the flat one for every registered table scheme, the run-based build of
-// self-routing schemes matches the per-pair build exactly (and takes its
-// axis from the router's guide), an out-of-range NCA choice fails a
-// compile or a patch, a compressed compile is complete when it returns,
-// and the simulator's compiled fast path reproduces the virtual path's
+// Tests for core::CompiledRoutes: the table agrees with the source router
+// on every ordered pair, parallel compilation is thread-count independent,
+// the run-based build of self-routing schemes matches the per-pair build
+// exactly for every registered table scheme (and asks once per run along
+// the router's guide), an out-of-range NCA choice fails a compile or a
+// patch, and a replay through a table reproduces the router-mode replay's
 // results exactly.
 #include "core/compiled_routes.hpp"
 
@@ -70,15 +68,18 @@ TEST(CompiledRoutes, SelfPairsAreEmpty) {
 }
 
 TEST(CompiledRoutes, ParallelCompileMatchesSerial) {
+  // Per-pair (Random) and per-run (d-mod-k, s-mod-k) builds alike.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 4));
-  const auto router = makeRouter(topo, "Random", 3);
-  const auto serial = CompiledRoutes::compile(router, 1);
-  const auto parallel = CompiledRoutes::compile(router, 4);
-  const xgft::Count n = topo->numHosts();
-  for (xgft::NodeIndex s = 0; s < n; ++s) {
-    for (xgft::NodeIndex d = 0; d < n; ++d) {
-      ASSERT_EQ(serial->route(s, d), parallel->route(s, d));
+  for (const char* scheme : {"Random", "d-mod-k", "s-mod-k"}) {
+    const auto router = makeRouter(topo, scheme, 3);
+    const auto serial = CompiledRoutes::compile(router, 1);
+    const auto parallel = CompiledRoutes::compile(router, 4);
+    const xgft::Count n = topo->numHosts();
+    for (xgft::NodeIndex s = 0; s < n; ++s) {
+      for (xgft::NodeIndex d = 0; d < n; ++d) {
+        ASSERT_EQ(serial->route(s, d), parallel->route(s, d)) << scheme;
+      }
     }
   }
 }
@@ -87,15 +88,15 @@ TEST(CompiledRoutes, TableBytesMatchesLayout) {
   const xgft::Topology topo(xgft::xgft2(4, 4, 2));
   // 16 hosts: 256 pairs * (a 4-byte choice + a level byte).
   EXPECT_EQ(CompiledRoutes::tableBytes(topo), 256u * 5u);
-  // 4096 hosts: 80 MiB, past the engine's 64 MiB flat-table budget, so
-  // that tier keeps the compressed layout.
+  // 4096 hosts: 80 MiB, past the engine's 64 MiB table budget, so that
+  // tier runs healthy jobs only (they ask the router and take no table).
   const xgft::Topology big(xgft::Params({16, 16, 16}, {1, 8, 8}));
   EXPECT_EQ(CompiledRoutes::tableBytes(big), 80ull << 20);
 }
 
 TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
-  // The whole point of the fast path: identical simulation results.  Replay
-  // the same workload through Replayer with and without the table.
+  // A faulted job's table must route exactly as the healthy job's router
+  // does: replay the same workload through Replayer with and without it.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 3));
   Scenario sc;
@@ -190,13 +191,6 @@ std::shared_ptr<const routing::Router> makeTablesRouter(
       guide, guide == routing::Guide::Source ? "tables-u" : "tables-d");
 }
 
-/// upPorts agree on every ordered pair, and the footprints match.
-void expectSameTable(const CompiledRoutes& a, const CompiledRoutes& b,
-                     const std::string& label) {
-  expectSamePorts(a, b, label);
-  EXPECT_EQ(a.forwardingBytes(), b.forwardingBytes()) << label;
-}
-
 void expectEveryRouteValid(const CompiledRoutes& table,
                            const std::string& label) {
   const xgft::Count n = table.numHosts();
@@ -211,14 +205,13 @@ void expectEveryRouteValid(const CompiledRoutes& table,
   }
 }
 
-TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
-  // The hard contract of both layouts: pair-for-pair identical lookups for
-  // every registered table scheme and for user-supplied relabel tables, on
-  // the paper's slimmed tree, a mid-size two-level tree, a small
-  // three-level (scale-out tier) tree and a mixed-radix three-level tree.
-  // Self-routing schemes compile one route per NCA-level run; the same
+TEST(CompiledRoutes, RunBuildMatchesPerPairBuildForEverySchemeAndTier) {
+  // Self-routing schemes compile one choice per NCA-level run; the same
   // router behind a guide-less wrapper compiles per pair, and the two
-  // builds must agree on every lookup and the footprint.
+  // builds must agree on every lookup — for every registered table scheme
+  // and for user-supplied relabel tables, on the paper's slimmed tree, a
+  // mid-size two-level tree, a small three-level (scale-out tier) tree and
+  // a mixed-radix three-level tree.
   const std::vector<xgft::Params> tiers = {
       xgft::xgft2(16, 16, 10),             // paper-slim
       xgft::xgft2(8, 8, 4),
@@ -237,21 +230,10 @@ TEST(CompiledRoutesCompressed, MatchesFlatForEverySchemeAndTier) {
       const std::string label =
           router->name() + " on " + topo->params().toString();
       const auto perPair = std::make_shared<const PerPairRouter>(router);
-      const auto flat =
-          CompiledRoutes::compile(router, 1, TableLayout::kFlat);
-      const auto packed =
-          CompiledRoutes::compile(router, 2, TableLayout::kCompressed);
-      ASSERT_FALSE(flat->compressed());
-      ASSERT_TRUE(packed->compressed());
-      expectSamePorts(*flat, *packed, label);
-      expectSameTable(
-          *flat, *CompiledRoutes::compile(perPair, 1, TableLayout::kFlat),
-          label + " (flat, per pair)");
-      expectSameTable(
-          *packed,
-          *CompiledRoutes::compile(perPair, 2, TableLayout::kCompressed),
-          label + " (compressed, per pair)");
-      expectEveryRouteValid(*flat, label);
+      const auto table = CompiledRoutes::compile(router, 2);
+      expectSamePorts(*table, *CompiledRoutes::compile(perPair, 1),
+                      label + " (runs vs per pair)");
+      expectEveryRouteValid(*table, label);
     }
   }
 }
@@ -292,31 +274,26 @@ void expectBadChoice(const Build& build, const std::string& router,
 
 TEST(CompiledRoutes, CompileAndPatchRejectOutOfRangeChoices) {
   // The range check is the only check a compile or a patch makes, so an
-  // out-of-range choice must fail it in both layouts, naming the router
-  // and the first pair asked (column 0's first off-diagonal rank).
+  // out-of-range choice must fail it, naming the router and the first pair
+  // asked (column 0's first off-diagonal rank).
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(4, 4, 2));
   const auto router = std::make_shared<const OutOfRangeGuidedRouter>(*topo);
-  const auto dmodk = makeRouter(topo, "d-mod-k");
-  for (const TableLayout layout :
-       {TableLayout::kFlat, TableLayout::kCompressed}) {
-    const std::string label =
-        layout == TableLayout::kFlat ? "flat" : "compressed";
-    expectBadChoice([&] { (void)CompiledRoutes::compile(router, 1, layout); },
-                    "out-of-range", "1 -> 0", label + " compile");
-    // A patch verdict is a choice too: pair 0 -> 15 has 2 NCAs.
-    const auto healthy = CompiledRoutes::compile(dmodk, 1, layout);
-    expectBadChoice(
-        [&] {
-          (void)healthy->patched(
-              [](xgft::NodeIndex s, xgft::NodeIndex d,
-                 CompiledRoutes::Entry) { return !(s == 0 && d == 15); },
-              [](xgft::NodeIndex, xgft::NodeIndex, CompiledRoutes::Entry) {
-                return xgft::Count{2};
-              });
-        },
-        "d-mod-k", "0 -> 15", label + " patch");
-  }
+  expectBadChoice([&] { (void)CompiledRoutes::compile(router, 1); },
+                  "out-of-range", "1 -> 0", "compile");
+  // A patch verdict is a choice too: pair 0 -> 15 has 2 NCAs.
+  const auto healthy = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"), 1);
+  expectBadChoice(
+      [&] {
+        (void)healthy->patched(
+            [](xgft::NodeIndex s, xgft::NodeIndex d, CompiledRoutes::Entry) {
+              return !(s == 0 && d == 15);
+            },
+            [](xgft::NodeIndex, xgft::NodeIndex, CompiledRoutes::Entry) {
+              return xgft::Count{2};
+            });
+      },
+      "d-mod-k", "0 -> 15", "patch");
 }
 
 /// Forwards to another router, guide included, and counts choice() calls.
@@ -341,10 +318,10 @@ class CountingRouter final : public routing::Router {
   mutable std::atomic<std::uint64_t> calls_{0};
 };
 
-TEST(CompiledRoutesCompressed, SourceGuidedSchemesCompileByRunsAtEveryWidth) {
-  // XGFT(2;16,16;1,1): with one root both axes sample the same run count,
-  // and the tie must not cost a source-guided scheme one choice() per pair.
-  // The axis comes from the guide, so the compile asks once per run.
+TEST(CompiledRoutes, SourceGuidedSchemesCompileByRunsAtEveryWidth) {
+  // XGFT(2;16,16;1,1): one root, so every level-2 choice is 0 whichever
+  // endpoint guides.  The columns follow the router's guide anyway, so a
+  // source-guided scheme is asked once per run, never once per pair.
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 1));
   const std::uint64_t n = topo->numHosts();
@@ -352,71 +329,20 @@ TEST(CompiledRoutesCompressed, SourceGuidedSchemesCompileByRunsAtEveryWidth) {
     const auto inner = makeRouter(topo, scheme, 4);
     ASSERT_EQ(inner->ascentGuide(), routing::Guide::Source) << scheme;
     const auto counting = std::make_shared<const CountingRouter>(inner);
-    const auto packed =
-        CompiledRoutes::compile(counting, 1, TableLayout::kCompressed);
+    const auto table = CompiledRoutes::compile(counting, 1);
     EXPECT_LE(counting->calls(), n * (2 * topo->height() + 1)) << scheme;
-    expectSamePorts(*CompiledRoutes::compile(inner, 1, TableLayout::kFlat),
-                    *packed, std::string(scheme) + " compressed vs flat");
+    expectSamePorts(
+        *CompiledRoutes::compile(std::make_shared<const PerPairRouter>(inner),
+                                 1),
+        *table, std::string(scheme) + " runs vs per pair");
   }
 }
 
-TEST(CompiledRoutesCompressed, CompileIsCompleteWhenItReturns) {
-  // Nothing is left to build after compile(): lookups do not grow the
-  // footprint, and the compileAll() kept for older callers changes nothing.
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 10));
-  const auto router = makeRouter(topo, "d-mod-k");
-  const auto table =
-      CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-  ASSERT_TRUE(table->compressed());
-  const std::uint64_t bytes = table->forwardingBytes();
-  EXPECT_GT(bytes, 0u);
-
-  const xgft::NodeIndex last = topo->numHosts() - 1;
-  EXPECT_EQ(table->route(0, last), router->route(0, last));
-  EXPECT_EQ(table->route(last, 0), router->route(last, 0));
-  EXPECT_EQ(table->forwardingBytes(), bytes);
-
-  table->compileAll(2);
-  EXPECT_EQ(table->forwardingBytes(), bytes);
-  const auto flat = CompiledRoutes::compile(router, 1, TableLayout::kFlat);
-  expectSamePorts(*flat, *table, "d-mod-k compressed vs flat");
-}
-
-TEST(CompiledRoutesCompressed, CompileIsThreadCountIndependent) {
-  // Per-pair (Random) and per-run (d-mod-k, s-mod-k) builds alike.
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(8, 8, 4));
-  for (const char* scheme : {"Random", "d-mod-k", "s-mod-k"}) {
-    const auto router = makeRouter(topo, scheme, 3);
-    const auto serial =
-        CompiledRoutes::compile(router, 1, TableLayout::kCompressed);
-    const auto threaded =
-        CompiledRoutes::compile(router, 4, TableLayout::kCompressed);
-    expectSameTable(*serial, *threaded, std::string(scheme) + " 1 vs 4");
-  }
-}
-
-TEST(CompiledRoutesCompressed, EstimateSeparatesCompressibleSchemes) {
-  // The engine's gate: label-arithmetic schemes estimate far below the
-  // per-pair-random ones, which stay on the virtual fallback.
-  const auto topo =
-      std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 8));
-  const std::uint64_t dmodk =
-      CompiledRoutes::estimateCompressedBytes(*makeRouter(topo, "d-mod-k"));
-  const std::uint64_t random =
-      CompiledRoutes::estimateCompressedBytes(*makeRouter(topo, "Random", 3));
-  EXPECT_LT(dmodk * 8, random);
-}
-
-TEST(CompiledRoutes, AutoLayoutKeepsSmallTopologiesFlat) {
-  // Paper-scale trees stay on the exact historical layout under kAuto.
+TEST(CompiledRoutes, ForwardingBytesAreTheTableBytes) {
   const auto topo =
       std::make_shared<const xgft::Topology>(xgft::xgft2(16, 16, 10));
   const auto table = CompiledRoutes::compile(makeRouter(topo, "d-mod-k"), 1);
-  EXPECT_FALSE(table->compressed());
-  EXPECT_EQ(table->forwardingBytes(),
-            CompiledRoutes::tableBytes(*topo));
+  EXPECT_EQ(table->forwardingBytes(), CompiledRoutes::tableBytes(*topo));
 }
 
 TEST(CompiledRoutes, RejectsForeignTopologies) {

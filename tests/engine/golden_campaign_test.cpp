@@ -1,9 +1,9 @@
 // Golden-CSV regression for the registry-driven Scenario path: replays the
 // "smoke" builtin campaign through the engine and byte-compares the CSV
 // against a checked-in fixture.  This pins the engine's determinism
-// contract (PR 1) across construction-path refactors: topology, pattern
-// and router construction, compiled forwarding tables, the simulator's
-// event ordering, and the CSV formatting all feed this byte stream.
+// contract across construction-path refactors: topology, pattern and
+// router construction, router-mode route resolution, the simulator's event
+// ordering, and the CSV formatting all feed this byte stream.
 //
 // Regenerate the fixture ONLY for an intentional behaviour change:
 //   ./build/campaign_cli --builtin smoke --seeds 2 --msg-scale 0.0625
@@ -49,19 +49,6 @@ TEST(GoldenCampaign, SmokeCsvIsByteIdenticalToTheFixture) {
       << "smoke campaign CSV drifted from the checked-in fixture — if this "
          "is an intentional behaviour change, regenerate it (see the "
          "comment at the top of this test)";
-}
-
-TEST(GoldenCampaign, VirtualAndCompiledPathsProduceTheSameCsv) {
-  // The compiled forwarding tables must be a pure optimization.
-  const CampaignOptions copt{/*seeds=*/1, /*msgScale=*/0.0625};
-  const std::vector<ExperimentSpec> specs =
-      parseCampaign(builtinCampaign("smoke", copt));
-  RunnerOptions withTables;
-  RunnerOptions without;
-  without.compileRoutes = false;
-  const std::string a = Runner(withTables).run(specs).toCsv();
-  const std::string b = Runner(without).run(specs).toCsv();
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the campaign engine: thread-count-independent results, a job
 // cursor that runs every job once at any pool width, cache hit/miss
-// behaviour (including shared in-flight builds), closed-loop jobs' per-job
-// forwarding state, failure capture and the single-job execution path.
+// behaviour (including shared in-flight builds), the one forwarding rule
+// (healthy jobs build no table, faulted jobs patch a cached one within the
+// table budget), failure capture and the single-job execution path.
 #include "engine/runner.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/scenario.hpp"
 #include "engine/spec.hpp"
 #include "routing/relabel.hpp"
 #include "trace/harness.hpp"
@@ -109,30 +111,87 @@ TEST(Runner, CacheStaysWarmAcrossCampaigns) {
   EXPECT_EQ(again.cache.referenceMisses, 1u);
 }
 
-TEST(Runner, ClosedLoopJobsTakeNoForwardingTableFromTheCache) {
-  // A closed-loop job keeps its forwarding state to itself: self-routing
-  // schemes compile a compressed table for the job alone, Random and
-  // colored route each pattern pair on demand.  Neither path asks the cache
-  // for a flat or compressed table, the bytes equal the table-free run's,
-  // and a static fault plan still builds exactly one degraded table.
-  const std::vector<ExperimentSpec> specs = parseCampaign(
-      "pattern=cg128 msg_scale=0.03125 w2={16,1} "
-      "routing={s-mod-k,d-mod-k,colored,Random,r-NCA-u,r-NCA-d} seed=1\n"
-      "pattern=cg128 msg_scale=0.03125 w2=16 routing=d-mod-k "
-      "faults=links:2 seed=1\n");
-  ASSERT_EQ(specs.size(), 13u);
+/// Runner options with short open-loop windows, for tests.
+RunnerOptions quickOptions(std::uint32_t threads) {
   RunnerOptions opt;
-  opt.threads = 2;
-  const CampaignResults results = Runner(opt).run(specs);
-  for (const JobResult& job : results.jobs) {
-    ASSERT_TRUE(job.ok) << job.error;
-  }
-  EXPECT_EQ(results.cache.tableMisses, 0u);
-  EXPECT_EQ(results.cache.compressedMisses, 0u);
-  EXPECT_EQ(results.cache.degradedMisses, 1u);
+  opt.threads = threads;
+  opt.openLoopWarmupNs = 50'000;
+  opt.openLoopMeasureNs = 200'000;
+  return opt;
+}
 
-  opt.compileRoutes = false;
-  EXPECT_EQ(Runner(opt).run(specs).toCsv(), results.toCsv());
+TEST(Runner, HealthyJobsBuildNoForwardingTable) {
+  // Both job kinds ask the router per message: no table scheme takes a
+  // table or a degraded patch from the cache, closed-loop or open-loop.
+  std::string all;
+  std::string oblivious;  // Open-loop jobs refuse pattern-aware schemes.
+  std::size_t jobs = 0;   // Two widths closed-loop, one open-loop job.
+  for (const std::string& name : *core::schemeRegistry().names()) {
+    const core::SchemeInfo& info = core::schemeRegistry().at(name);
+    if (info.mode != core::RouteMode::kTable) continue;
+    all += (all.empty() ? "" : ",") + name;
+    jobs += 2;
+    if (!info.patternAware) {
+      oblivious += (oblivious.empty() ? "" : ",") + name;
+      ++jobs;
+    }
+  }
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=cg128 msg_scale=0.03125 w2={16,1} routing={" + all +
+      "} seed=1\n"
+      "topo=paper-slim source=poisson:uniform load=0.3 routing={" +
+      oblivious + "} seed=1\n");
+  ASSERT_EQ(specs.size(), jobs);
+  const CampaignResults results = Runner(quickOptions(2)).run(specs);
+  for (const JobResult& job : results.jobs) {
+    ASSERT_TRUE(job.ok) << job.spec.toLine() << ": " << job.error;
+  }
+  EXPECT_EQ(results.cache.tableHits + results.cache.tableMisses, 0u);
+  EXPECT_EQ(results.cache.degradedHits + results.cache.degradedMisses, 0u);
+}
+
+TEST(Runner, FaultedJobsPastTheTableBudgetFailAlikeInBothKinds) {
+  const std::string topo = "m1=16 m2=16 w2=16 ";
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern=cg128 msg_scale=0.03125 " + topo +
+      "routing=d-mod-k faults=links:2 seed=1\n"
+      "source=poisson:uniform load=0.3 " + topo +
+      "routing=d-mod-k faults=links:2 seed=1\n"
+      "pattern=cg128 msg_scale=0.03125 " + topo + "routing=d-mod-k seed=1\n"
+      "source=poisson:uniform load=0.3 " + topo + "routing=d-mod-k seed=1\n");
+  ASSERT_EQ(specs.size(), 4u);
+  const std::uint64_t bytes =
+      core::CompiledRoutes::tableBytes(xgft::Topology(specs[0].topo));
+
+  RunnerOptions tight = quickOptions(1);
+  tight.maxCompiledTableBytes = bytes - 1;
+  const CampaignResults over = Runner(tight).run(specs);
+  const std::string want =
+      "fault plans need compiled forwarding tables, but this topology's "
+      "table exceeds maxCompiledTableBytes";
+  EXPECT_FALSE(over.jobs[0].ok);
+  EXPECT_EQ(over.jobs[0].error, want);
+  EXPECT_FALSE(over.jobs[1].ok);
+  EXPECT_EQ(over.jobs[1].error, want);
+  EXPECT_TRUE(over.jobs[2].ok) << over.jobs[2].error;
+  EXPECT_TRUE(over.jobs[3].ok) << over.jobs[3].error;
+  EXPECT_EQ(over.cache.tableMisses, 0u);
+
+  // Within the budget both faulted jobs run on one cached table, each
+  // patched under its own unreachable policy; the healthy jobs are as
+  // before.
+  RunnerOptions fits = quickOptions(1);
+  fits.maxCompiledTableBytes = bytes;
+  const CampaignResults within = Runner(fits).run(specs);
+  for (const JobResult& job : within.jobs) {
+    ASSERT_TRUE(job.ok) << job.spec.toLine() << ": " << job.error;
+  }
+  EXPECT_EQ(within.cache.tableMisses, 1u);
+  EXPECT_EQ(within.cache.tableHits, 1u);
+  EXPECT_EQ(within.cache.degradedMisses, 2u);
+  EXPECT_EQ(within.jobs[2].makespanNs, over.jobs[2].makespanNs);
+  EXPECT_EQ(within.jobs[3].net.eventsProcessed,
+            over.jobs[3].net.eventsProcessed);
 }
 
 TEST(Runner, PartitionedClosedLoopJobNamesTheFirstUnreachablePair) {

@@ -43,11 +43,10 @@ std::shared_ptr<const routing::Router> buildScheme(const std::string& name,
   return scen.makeRouter(topo, app);
 }
 
-/// The healthy table of scheme @p name on @p topo, in @p layout.
+/// The healthy table of scheme @p name on @p topo.
 std::shared_ptr<const core::CompiledRoutes> healthyTable(
-    const std::string& name, const Topology& topo,
-    core::TableLayout layout = core::TableLayout::kAuto) {
-  return core::CompiledRoutes::compile(buildScheme(name, topo), 1, layout);
+    const std::string& name, const Topology& topo) {
+  return core::CompiledRoutes::compile(buildScheme(name, topo), 1);
 }
 
 /// Every ordered pair's compiled route avoids all failed links (unroutable
@@ -177,36 +176,6 @@ TEST(DegradedRouting, EveryTableSchemeCompilesAroundFailures) {
   EXPECT_FALSE(first);  // At least one table scheme is registered.
 }
 
-TEST(DegradedRouting, CompressedLayoutMatchesFlatAroundFailures) {
-  // The interval-compressed layout must reproduce the flat degraded table
-  // pair-for-pair: same surviving routes, same unreachable set (compressed
-  // len-0 runs cover both the diagonal and dropped pairs).
-  const Topology topo(xgft::Params({4, 4}, {2, 2}));
-  const FaultPlan plan = makeFaultPlan("links:25", topo, 5);
-  const DegradedTopology view(topo, plan.failedAt(0));
-  for (const char* scheme : {"d-mod-k", "Random"}) {
-    SCOPED_TRACE(scheme);
-    const DegradedRoutes flat = compileDegraded(
-        healthyTable(scheme, topo, core::TableLayout::kFlat), view,
-        UnreachablePolicy::kDrop, 1);
-    const DegradedRoutes packed = compileDegraded(
-        healthyTable(scheme, topo, core::TableLayout::kCompressed), view,
-        UnreachablePolicy::kDrop, 2);
-    EXPECT_FALSE(flat.table->compressed());
-    ASSERT_TRUE(packed.table->compressed());
-    EXPECT_EQ(packed.unreachable, flat.unreachable);
-    for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
-      for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
-        const auto a = flat.table->upPorts(s, d);
-        const auto b = packed.table->upPorts(s, d);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-            << s << " -> " << d;
-      }
-    }
-    expectTableAvoidsFailures(*packed.table, view, topo);
-  }
-}
-
 TEST(DegradedRouting, HealthyRoutesAreKeptVerbatim) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   const auto router = buildScheme("d-mod-k", topo);
@@ -312,73 +281,6 @@ TEST(DegradedRouting, CompileRejectsMismatchedInputs) {
                std::invalid_argument);
 }
 
-TEST(DegradedRouting, PatchMatchesThePerPairRuleEverywhere) {
-  // Every table scheme, on trees with and without sibling parents
-  // (w1 = 2 / w1 = 1), a 3-level tree and paper-slim, under light, heavy,
-  // switch-wide and partitioning failures: the patch of a flat and of a
-  // compressed healthy table must equal the per-pair reference in every
-  // ascent, the unreachable list and the kThrow outcome.
-  const std::vector<xgft::Params> topologies = {
-      xgft::Params({4, 4}, {2, 2}), xgft::Params({4, 4}, {1, 4}),
-      xgft::Params({4, 4, 4}, {2, 2, 2}), xgft::xgft2(16, 16, 10)};
-  const auto names = core::schemeRegistry().names();
-  for (const xgft::Params& params : topologies) {
-    const Topology topo(params);
-    const xgft::Count n = topo.numHosts();
-    for (const std::string& name : *names) {
-      if (core::schemeRegistry().at(name).mode != core::RouteMode::kTable) {
-        continue;
-      }
-      const auto router = buildScheme(name, topo);
-      const auto flat =
-          core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
-      const auto packed = core::CompiledRoutes::compile(
-          router, 1, core::TableLayout::kCompressed);
-      for (const char* spec :
-           {"links:5", "links:25", "links:50", "switches:10",
-            "uplinks-of:1:0"}) {
-        for (const std::uint64_t seed : {1u, 2u}) {
-          SCOPED_TRACE(params.toString() + " " + name + " " + spec +
-                       " seed " + std::to_string(seed));
-          const FaultPlan plan = makeFaultPlan(spec, topo, seed);
-          const DegradedTopology view(topo, plan.failedAt(0));
-          const ReferenceDegraded ref = referenceDegraded(*router, view);
-          for (const auto& healthy : {flat, packed}) {
-            const DegradedRoutes got =
-                compileDegraded(healthy, view, UnreachablePolicy::kDrop, 2);
-            ASSERT_EQ(got.table->compressed(), healthy->compressed());
-            ASSERT_EQ(got.unreachable, ref.unreachable);
-            for (xgft::NodeIndex s = 0; s < n; ++s) {
-              for (xgft::NodeIndex d = 0; d < n; ++d) {
-                const auto up = got.table->upPorts(s, d);
-                ASSERT_TRUE(std::ranges::equal(up, ref.ascents[s * n + d]))
-                    << s << " -> " << d;
-              }
-            }
-            if (ref.unreachable.empty()) {
-              EXPECT_NO_THROW((void)compileDegraded(
-                  healthy, view, UnreachablePolicy::kThrow, 2));
-              continue;
-            }
-            const auto [s, d] = ref.unreachable.front();
-            try {
-              (void)compileDegraded(healthy, view, UnreachablePolicy::kThrow,
-                                    2);
-              ADD_FAILURE() << "expected invalid_argument";
-            } catch (const std::invalid_argument& e) {
-              EXPECT_NE(std::string(e.what()).find(
-                            "pair " + std::to_string(s) + " -> " +
-                            std::to_string(d) + " is unreachable"),
-                        std::string::npos)
-                  << e.what();
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
 /// compileDegraded(@p healthy) under both policies equals the per-pair
 /// reference @p ref: every ascent and the unreachable list under kDrop, and
 /// under kThrow success iff nothing is unreachable, else an error naming
@@ -389,7 +291,6 @@ void expectPatchMatchesReference(
   const xgft::Count n = healthy->topology().numHosts();
   const DegradedRoutes got =
       compileDegraded(healthy, view, UnreachablePolicy::kDrop, 2);
-  ASSERT_EQ(got.table->compressed(), healthy->compressed());
   ASSERT_EQ(got.unreachable, ref.unreachable);
   for (xgft::NodeIndex s = 0; s < n; ++s) {
     for (xgft::NodeIndex d = 0; d < n; ++d) {
@@ -413,6 +314,40 @@ void expectPatchMatchesReference(
                                          " is unreachable"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(DegradedRouting, PatchMatchesThePerPairRuleEverywhere) {
+  // Every table scheme, on trees with and without sibling parents
+  // (w1 = 2 / w1 = 1), a 3-level tree and paper-slim, under light, heavy,
+  // switch-wide and partitioning failures: the patch of the healthy table
+  // must equal the per-pair reference in every ascent, the unreachable
+  // list and the kThrow outcome.
+  const std::vector<xgft::Params> topologies = {
+      xgft::Params({4, 4}, {2, 2}), xgft::Params({4, 4}, {1, 4}),
+      xgft::Params({4, 4, 4}, {2, 2, 2}), xgft::xgft2(16, 16, 10)};
+  const auto names = core::schemeRegistry().names();
+  for (const xgft::Params& params : topologies) {
+    const Topology topo(params);
+    for (const std::string& name : *names) {
+      if (core::schemeRegistry().at(name).mode != core::RouteMode::kTable) {
+        continue;
+      }
+      const auto router = buildScheme(name, topo);
+      const auto healthy = core::CompiledRoutes::compile(router, 1);
+      for (const char* spec :
+           {"links:5", "links:25", "links:50", "switches:10",
+            "uplinks-of:1:0"}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+          SCOPED_TRACE(params.toString() + " " + name + " " + spec +
+                       " seed " + std::to_string(seed));
+          const FaultPlan plan = makeFaultPlan(spec, topo, seed);
+          const DegradedTopology view(topo, plan.failedAt(0));
+          expectPatchMatchesReference(healthy, view,
+                                      referenceDegraded(*router, view));
+        }
+      }
+    }
   }
 }
 
@@ -450,19 +385,14 @@ TEST(DegradedRouting, PatchMatchesThePerPairRulePastSixtyFourChoices) {
       continue;
     }
     const auto router = buildScheme(name, topo);
-    const auto flat =
-        core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
-    const auto packed = core::CompiledRoutes::compile(
-        router, 1, core::TableLayout::kCompressed);
+    const auto healthy = core::CompiledRoutes::compile(router, 1);
     for (const auto& [label, failed] : failedSets) {
       SCOPED_TRACE(name + " " + label);
       const DegradedTopology view(topo, failed);
-      const ReferenceDegraded ref = referenceDegraded(*router, view);
-      for (const auto& healthy : {flat, packed}) {
-        expectPatchMatchesReference(healthy, view, ref);
-      }
+      expectPatchMatchesReference(healthy, view,
+                                  referenceDegraded(*router, view));
       const DegradedRoutes got =
-          compileDegraded(flat, view, UnreachablePolicy::kDrop);
+          compileDegraded(healthy, view, UnreachablePolicy::kDrop);
       for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
         for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
           const core::CompiledRoutes::Entry e = got.table->entry(s, d);

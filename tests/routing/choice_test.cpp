@@ -3,8 +3,8 @@
 // — choice(s, d) is below numNcas(s, d) and its catalogue ascent equals a
 // test-local copy of the per-pair arithmetic each scheme's route() ran
 // before routes were choices; Colored's optimized routes match digests
-// taken from that older build; and flat and compressed tables compiled at
-// 1 and 4 threads hold the reference ascent on every ordered pair.
+// taken from that older build; and tables compiled at 1 and 4 threads hold
+// the reference ascent on every ordered pair.
 #include "routing/router.hpp"
 
 #include <gtest/gtest.h>
@@ -204,21 +204,16 @@ TEST(Choices, CompiledTablesHoldTheReferenceOnEveryPair) {
           want[s * n + d] = ref.ascent(s, d);
         }
       }
-      for (const core::TableLayout layout :
-           {core::TableLayout::kFlat, core::TableLayout::kCompressed}) {
-        for (const std::uint32_t threads : {1u, 4u}) {
-          const auto table =
-              core::CompiledRoutes::compile(b.router, threads, layout);
-          const std::string label =
-              scheme + " on " + topo.params().toString() +
-              (layout == core::TableLayout::kFlat ? " flat" : " compressed") +
-              " x" + std::to_string(threads);
-          for (xgft::NodeIndex s = 0; s < n; ++s) {
-            for (xgft::NodeIndex d = 0; d < n; ++d) {
-              const std::span<const std::uint32_t> got = table->upPorts(s, d);
-              ASSERT_TRUE(std::ranges::equal(got, want[s * n + d]))
-                  << label << " " << s << "->" << d;
-            }
+      for (const std::uint32_t threads : {1u, 4u}) {
+        const auto table = core::CompiledRoutes::compile(b.router, threads);
+        const std::string label = scheme + " on " +
+                                  topo.params().toString() + " x" +
+                                  std::to_string(threads);
+        for (xgft::NodeIndex s = 0; s < n; ++s) {
+          for (xgft::NodeIndex d = 0; d < n; ++d) {
+            const std::span<const std::uint32_t> got = table->upPorts(s, d);
+            ASSERT_TRUE(std::ranges::equal(got, want[s * n + d]))
+                << label << " " << s << "->" << d;
           }
         }
       }

@@ -1,9 +1,10 @@
 // Tests for what concurrent campaign jobs share at the sim layer: one const
-// topology, one router and its flat and compressed forwarding tables, read
-// by four trace::runOpenLoop calls on four threads at once.  One of the
-// runs patches the shared healthy table around a timed link outage
-// mid-run.  Every concurrent run must produce exactly what the same run
-// produces alone; TSan builds check that the sharing is read-only.
+// topology, one router, its forwarding table and one degraded patch of it,
+// read by four trace::runOpenLoop calls on four threads at once.  A
+// healthy run asks the router per message; one of the runs patches the
+// shared healthy table around a timed link outage mid-run.  Every
+// concurrent run must produce exactly what the same run produces alone;
+// TSan builds check that the sharing is read-only.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "core/compiled_routes.hpp"
+#include "fault/degraded.hpp"
 #include "fault/inject.hpp"
 #include "fault/plan.hpp"
 #include "patterns/source.hpp"
@@ -29,19 +31,28 @@ struct Shared {
   const xgft::Topology topo{xgft::xgft2(16, 16, 10)};  // paper-slim
   const std::shared_ptr<const routing::Router> router =
       routing::makeDModK(topo);
-  const std::shared_ptr<const core::CompiledRoutes> flat =
-      core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
-  const std::shared_ptr<const core::CompiledRoutes> compressed =
-      core::CompiledRoutes::compile(router, 1,
-                                    core::TableLayout::kCompressed);
+  const std::shared_ptr<const core::CompiledRoutes> healthy =
+      core::CompiledRoutes::compile(router, 1);
+  /// The healthy table patched around two failed leaf up-links.
+  const std::shared_ptr<const core::CompiledRoutes> degraded =
+      fault::compileDegraded(
+          healthy,
+          fault::DegradedTopology(
+              topo, std::vector<xgft::LinkId>{topo.upLink(1, 0, 0),
+                                              topo.upLink(1, 3, 2)}),
+          fault::UnreachablePolicy::kDrop)
+          .table;
 };
 
+/// Where a job's routes come from.
+enum class Routes { kRouter, kHealthy, kDegraded };
+
 struct Job {
-  bool compressed = false;
+  Routes routes = Routes::kRouter;
   double load = 0.5;
   std::uint64_t seed = 1;
   /// Fail leaf 0's first up-link over the middle of the measurement
-  /// window, patching the shared flat table at both transitions.
+  /// window, patching the shared healthy table at both transitions.
   bool timedFault = false;
 };
 
@@ -52,7 +63,9 @@ OpenLoopResult runJob(const Shared& shared, const Job& job) {
   OpenLoopOptions opt;
   opt.warmupNs = kWarmupNs;
   opt.measureNs = kMeasureNs;
-  opt.compiled = job.compressed ? shared.compressed.get() : shared.flat.get();
+  opt.compiled = job.routes == Routes::kHealthy    ? shared.healthy.get()
+                 : job.routes == Routes::kDegraded ? shared.degraded.get()
+                                                   : nullptr;
   fault::FaultPlan plan;
   std::shared_ptr<void> installed;  // Owns the patched table.
   if (job.timedFault) {
@@ -63,7 +76,8 @@ OpenLoopResult runJob(const Shared& shared, const Job& job) {
             std::to_string(kWarmupNs + kMeasureNs * 3 / 4),
         shared.topo, 1);
     opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
-      installed = fault::installFaultPlan(net, plan, shared.flat, &resolver);
+      installed =
+          fault::installFaultPlan(net, plan, shared.healthy, &resolver);
     };
   }
   patterns::OpenLoopConfig cfg;
@@ -114,10 +128,10 @@ void expectSameResult(const OpenLoopResult& alone,
 TEST(ConcurrentJobs, RunsOnSharedTablesMatchTheirSoloRuns) {
   const Shared shared;
   const std::array<Job, 4> jobs = {{
-      {/*compressed=*/false, /*load=*/0.3, /*seed=*/1, /*timedFault=*/false},
-      {/*compressed=*/false, /*load=*/0.6, /*seed=*/2, /*timedFault=*/true},
-      {/*compressed=*/true, /*load=*/0.3, /*seed=*/3, /*timedFault=*/false},
-      {/*compressed=*/true, /*load=*/0.6, /*seed=*/4, /*timedFault=*/false},
+      {Routes::kRouter, /*load=*/0.3, /*seed=*/1, /*timedFault=*/false},
+      {Routes::kHealthy, /*load=*/0.6, /*seed=*/2, /*timedFault=*/true},
+      {Routes::kDegraded, /*load=*/0.3, /*seed=*/3, /*timedFault=*/false},
+      {Routes::kRouter, /*load=*/0.6, /*seed=*/4, /*timedFault=*/false},
   }};
   std::vector<OpenLoopResult> alone;
   for (const Job& job : jobs) alone.push_back(runJob(shared, job));

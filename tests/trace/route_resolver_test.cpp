@@ -1,12 +1,13 @@
 // Tests for trace::RouteSetResolver and the route form it hands out.
 // Hop decode: over 50k SplitMix64 pairs, the output ports every segment
-// takes equal xgft::hopsOf of the same route — for a flat and a compressed
-// d-mod-k table, router-mode Random and colored, and spray sets.  Compiled
-// mode hands out the table's (level, choice); swapping in a degraded table
-// changes later answers while earlier sets keep their choices.  Router
-// mode: every pair resolves to the choice a flat table of the same router
-// holds, and an out-of-range NCA choice is rejected by the router's range
-// check.  Spray sets hold min(maxPaths, n) NCA-distinct choices.
+// takes equal xgft::hopsOf of the same route — for a d-mod-k table,
+// router-mode d-mod-k at 4096 hosts, router-mode Random and colored, and
+// spray sets.  Compiled mode hands out the table's (level, choice);
+// swapping in a degraded table changes later answers while earlier sets
+// keep their choices.  Router mode: every pair resolves to the choice a
+// table of the same router holds, and an out-of-range NCA choice is
+// rejected by the router's range check.  Spray sets hold
+// min(maxPaths, n) NCA-distinct choices.
 #include "trace/route_resolver.hpp"
 
 #include <gtest/gtest.h>
@@ -99,9 +100,7 @@ void expectHopsMatchReference(const xgft::Topology& topo,
 
 TEST(RouteDecode, FlatTableOnPaperSlim) {
   const Fixture f(xgft::xgft2(16, 16, 10));
-  const auto table =
-      core::CompiledRoutes::compile(f.router, 1, core::TableLayout::kFlat);
-  ASSERT_FALSE(table->compressed());
+  const auto table = core::CompiledRoutes::compile(f.router, 1);
   expectHopsMatchReference(
       f.topo, *f.router, {}, table.get(),
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
@@ -109,15 +108,18 @@ TEST(RouteDecode, FlatTableOnPaperSlim) {
       });
 }
 
-TEST(RouteDecode, CompressedTableAt4096Hosts) {
+TEST(RouteDecode, RouterModeDModKAt4096Hosts) {
+  // The tier whose table (80 MiB) exceeds the engine's budget: its healthy
+  // jobs read every choice from the router's per-guide array, and must
+  // take the route the scheme's digit arithmetic picks.
   const Fixture f(xgft::Params({16, 16, 16}, {1, 8, 8}));
-  const auto table = core::CompiledRoutes::compile(
-      f.router, 1, core::TableLayout::kCompressed);
-  ASSERT_TRUE(table->compressed());
+  const routing::RelabelScheme& scheme =
+      dynamic_cast<const routing::RelabelRouter&>(*f.router).scheme();
   expectHopsMatchReference(
-      f.topo, *f.router, {}, table.get(),
+      f.topo, *f.router, {}, nullptr,
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
-        return f.router->route(s, d);
+        return xgft::routeViaNca(f.topo, s, d,
+                                 scheme.choice(f.topo.ncaLevel(s, d), d));
       });
 }
 
@@ -159,10 +161,9 @@ TEST(RouteDecode, SpraySets) {
       });
 }
 
-void expectTableModeHandsOutTheTablesChoices(const xgft::Params& params,
-                                             core::TableLayout layout) {
-  const Fixture f(params);
-  const auto table = core::CompiledRoutes::compile(f.router, 1, layout);
+TEST(RouteSetResolver, TableModeHandsOutTheTablesChoices) {
+  const Fixture f(xgft::xgft2(16, 16, 10));  // paper-slim
+  const auto table = core::CompiledRoutes::compile(f.router, 1);
   sim::Network net(f.topo, sim::SimConfig{});
   RouteSetResolver resolver(net, *f.router, {}, table.get());
   xgft::Rng rng(42);
@@ -181,20 +182,9 @@ void expectTableModeHandsOutTheTablesChoices(const xgft::Params& params,
   }
 }
 
-TEST(RouteSetResolver, CompressedTableModeHandsOutTheTablesChoices) {
-  expectTableModeHandsOutTheTablesChoices(
-      xgft::Params({16, 16, 16}, {1, 8, 8}), core::TableLayout::kCompressed);
-}
-
-TEST(RouteSetResolver, FlatTableModeHandsOutTheTablesChoices) {
-  // paper-slim: XGFT(2; 16,16; 1,10).
-  expectTableModeHandsOutTheTablesChoices(xgft::xgft2(16, 16, 10),
-                                          core::TableLayout::kFlat);
-}
-
-void expectDegradedSwap(core::TableLayout layout) {
+TEST(RouteSetResolver, SetCompiledSwapsTheTable) {
   const Fixture f(xgft::xgft2(4, 4, 2));
-  const auto healthy = core::CompiledRoutes::compile(f.router, 1, layout);
+  const auto healthy = core::CompiledRoutes::compile(f.router, 1);
   const auto degraded = healthy->patched(
       [](xgft::NodeIndex s, xgft::NodeIndex d, core::CompiledRoutes::Entry) {
         return !(s == 0 && d == 15);
@@ -217,19 +207,10 @@ void expectDegradedSwap(core::TableLayout layout) {
                                  healthy->upPorts(0, 15)));
 }
 
-TEST(RouteSetResolver, SetCompiledSwapsTheTableFlat) {
-  expectDegradedSwap(core::TableLayout::kFlat);
-}
-
-TEST(RouteSetResolver, SetCompiledSwapsTheTableCompressed) {
-  expectDegradedSwap(core::TableLayout::kCompressed);
-}
-
 void expectRouterModeMatchesFlatTable(
     const xgft::Topology& topo,
     const std::shared_ptr<const routing::Router>& router) {
-  const auto table =
-      core::CompiledRoutes::compile(router, 1, core::TableLayout::kFlat);
+  const auto table = core::CompiledRoutes::compile(router, 1);
   sim::Network net(topo, sim::SimConfig{});
   RouteSetResolver onDemand(net, *router);
   const xgft::Count n = topo.numHosts();
@@ -330,7 +311,7 @@ TEST(RouteSetResolver, SpraySetsAreNcaDistinct) {
 }
 
 /// Completion times and final stats of 400 messages resolved on paper-slim
-/// through a compressed d-mod-k table (the first 200) and a degraded patch
+/// through a d-mod-k table (the first 200) and a degraded patch
 /// of it (the rest, after a setCompiled swap).  With @p dropTables the
 /// resolver and the last handles to both tables are gone before
 /// Network::run, so a message that still read its table would read freed
@@ -344,8 +325,7 @@ TableFreeRun runResolvedThroughTables(bool dropTables) {
   const xgft::Topology topo(xgft::xgft2(16, 16, 10));
   const std::shared_ptr<const routing::Router> router =
       routing::makeDModK(topo);
-  auto healthy = core::CompiledRoutes::compile(
-      router, 1, core::TableLayout::kCompressed);
+  auto healthy = core::CompiledRoutes::compile(router, 1);
   const fault::DegradedTopology view(
       topo, std::vector<xgft::LinkId>{topo.upLink(1, 0, 0),
                                       topo.upLink(1, 3, 2)});

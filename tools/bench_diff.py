@@ -11,7 +11,7 @@ markdown comparison table to stdout and emits a GitHub `::warning::`
 annotation for every benchmark that regressed by more than REGRESSION_PCT.
 
 A baseline entry may additionally carry `after_<counter>_bytes` memory
-fields (e.g. `after_compressed_bytes`); each is compared against the
+fields (e.g. `after_flat_bytes`); each is compared against the
 same-named gbench counter of the raw run as its own lower-is-better row.
 Memory counters are deterministic, but they share the one regression
 threshold: a >10% footprint growth flags exactly like a slowdown.
