@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
                reference;
       };
       const double adaptive =
-          static_cast<double>(trace::runAppAdaptive(topo, app).makespanNs) /
+          static_cast<double>(
+              trace::runApp(topo, trace::Adaptive{}, app).makespanNs) /
           reference;
       table.addRow(
           {app.name, std::to_string(w2),

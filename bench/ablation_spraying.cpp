@@ -37,11 +37,10 @@ int main(int argc, char** argv) {
                reference;
       };
       const auto sprayedSlowdown = [&](sim::SprayPolicy policy) {
-        trace::SprayConfig spray;
-        spray.enabled = true;
+        trace::Spray spray;
         spray.policy = policy;
         return static_cast<double>(
-                   trace::runAppSprayed(topo, app, spray).makespanNs) /
+                   trace::runApp(topo, spray, app).makespanNs) /
                reference;
       };
       table.addRow(

@@ -258,7 +258,8 @@ void BM_RouteResolve(benchmark::State& state) {
   const std::uint64_t n = topo->numHosts();
   for (auto _ : state) {
     sim::Network net(*topo, sim::SimConfig{});
-    trace::RouteSetResolver resolver(net, *router, {}, table.get());
+    trace::RouteSetResolver resolver(
+        net, table ? trace::Routing{*table} : trace::Routing{*router});
     xgft::Rng rng(1);
     for (std::uint32_t i = 0; i < kPairs; ++i) {
       const auto s = static_cast<xgft::NodeIndex>(rng.below(n));

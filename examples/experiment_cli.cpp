@@ -57,11 +57,6 @@ routing::RouterPtr makeRouter(const std::string& name,
                               const patterns::PhasedPattern& app) {
   core::Scenario sc;
   sc.routing = core::schemeRegistry().canonical(name);
-  if (sc.schemeInfo().mode != core::RouteMode::kTable) {
-    throw std::invalid_argument("scheme '" + name +
-                                "' routes per segment inside the simulator "
-                                "and has no static analysis here");
-  }
   return sc.makeRouter(topo, app);
 }
 

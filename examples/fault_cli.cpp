@@ -195,7 +195,6 @@ int main(int argc, char** argv) {
     trace::OpenLoopOptions opt;  // 0.5 ms warmup, 2 ms measured.
     const std::shared_ptr<const core::CompiledRoutes> healthy =
         core::CompiledRoutes::compile(router);
-    opt.compiled = healthy.get();
 
     obs::RecorderConfig rcfg;
     rcfg.recordEvents = !cli.traceOut.empty();
@@ -222,7 +221,7 @@ int main(int argc, char** argv) {
 
     std::cout << "\nfault transitions:\n";
     const trace::OpenLoopResult r =
-        trace::runOpenLoop(topo, *router, source, opt);
+        trace::runOpenLoop(topo, *healthy, source, opt);
     probe.finishNarration();
 
     std::cout << "\noperating point:\n"

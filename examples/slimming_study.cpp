@@ -8,12 +8,17 @@
 // This example sweeps w2 for a workload of your choice and prints, for each
 // routing scheme, the smallest network that stays within 25% of the full
 // tree's performance — the "buy this many switches" answer.
+//
+//   slimming_study [SCALE]   SCALE > 0 multiplies every message size
+//                            (default 1); a malformed one exits 2.
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/report.hpp"
+#include "engine/spec.hpp"
 #include "patterns/applications.hpp"
 #include "patterns/permutation.hpp"
 #include "routing/colored.hpp"
@@ -24,10 +29,23 @@
 int main(int argc, char** argv) {
   // Small instance so the example runs in seconds: 64 hosts, 8 switches.
   const std::uint32_t m = 8;
-  const double scale = argc > 1 ? std::stod(argv[1]) : 1.0;
-  patterns::PhasedPattern app = trace::scaleMessages(
-      patterns::wrfHalo(8, 8, static_cast<patterns::Bytes>(64 * 1024)),
-      scale);
+  patterns::PhasedPattern app;
+  try {
+    if (argc > 2) throw std::invalid_argument("at most one argument, SCALE");
+    const double scale =
+        argc == 2 ? engine::parseFiniteDouble(argv[1], "SCALE") : 1.0;
+    if (scale <= 0.0) {
+      throw std::invalid_argument("SCALE must be > 0, got '" +
+                                  std::string(argv[1]) + "'");
+    }
+    app = trace::scaleMessages(
+        patterns::wrfHalo(8, 8, static_cast<patterns::Bytes>(64 * 1024)),
+        scale);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "error: " << e.what() << "\n\nusage: slimming_study [SCALE]"
+              << "   (message-size factor > 0, default 1)\n";
+    return 2;
+  }
   std::cout << "workload: " << app.name << "\n\n";
 
   const sim::SimConfig cfg;

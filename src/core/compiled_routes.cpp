@@ -65,7 +65,7 @@ void forEachRun(const routing::Router& router, bool byDst, bool levelRuns,
     for (; pos < end; pos += step) {
       const xgft::NodeIndex s = byDst ? pos : guide;
       const xgft::NodeIndex d = byDst ? guide : pos;
-      const xgft::Count c = router.choice(s, d);
+      const xgft::Count c = router.choice(s, d, level);
       (void)router.ascentOf(s, d, level, c);  // The range check.
       emit(pos, pos + step, level, static_cast<std::uint32_t>(c));
     }

@@ -2,8 +2,8 @@
 // Router, for the jobs that route around failed links.
 //
 // A router states a route as an NCA choice (routing/router.hpp) and answers
-// choice(s, d) per message, so a healthy job needs no table: the resolver
-// asks its router.  A fault plan does.  Its routes are the healthy ones with
+// choice(s, d, level) per message, so a healthy job needs no table: the
+// resolver asks its router.  A fault plan does.  Its routes are the healthy ones with
 // the broken pairs rewritten (fault::compileDegraded), and a patch needs
 // every pair's healthy route in hand.  A CompiledRoutes table holds them:
 // each pair's NCA level and choice, never the up-ports, which are the

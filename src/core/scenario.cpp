@@ -100,15 +100,21 @@ std::uint64_t deriveSeed(std::uint64_t base, std::string_view role) {
   return xgft::hashMix(base, h);
 }
 
-const SchemeInfo& routerBuildScheme(const std::string& routing,
-                                    std::string* name) {
+const SchemeInfo& requireTableScheme(const std::string& routing,
+                                     std::string_view why,
+                                     std::string_view label) {
   const SchemeInfo& info = schemeRegistry().at(routing);
-  if (info.mode != RouteMode::kTable) {
-    if (name != nullptr) *name = "d-mod-k";
-    return schemeRegistry().at("d-mod-k");
+  if (info.mode == RouteMode::kTable) return info;
+  std::string tables;
+  const auto names = schemeRegistry().names();
+  for (const std::string& name : *names) {
+    if (schemeRegistry().at(name).mode != RouteMode::kTable) continue;
+    if (!tables.empty()) tables += ", ";
+    tables += name;
   }
-  if (name != nullptr) *name = routing;
-  return info;
+  throw std::invalid_argument("routing scheme '" + routing + "' " +
+                              std::string(why) + " (" + std::string(label) +
+                              ": " + tables + ")");
 }
 
 const SchemeInfo& Scenario::schemeInfo() const {
@@ -135,11 +141,14 @@ patterns::PhasedPattern Scenario::makeWorkload() const {
 
 routing::RouterPtr Scenario::makeRouter(
     const xgft::Topology& t, const patterns::PhasedPattern& app) const {
-  const SchemeInfo& build = routerBuildScheme(routing);
+  const SchemeInfo& info = requireTableScheme(
+      routing,
+      "builds no router: it picks ports per segment inside the simulator",
+      "router schemes");
   RouterContext ctx;
   ctx.seed = seed;
   ctx.app = &app;
-  return build.make(t, ctx);
+  return info.make(t, ctx);
 }
 
 std::unique_ptr<patterns::TrafficSource> Scenario::makeSource(

@@ -38,7 +38,8 @@ namespace core {
 /// route per (s, d) pair — they build a Router and can be compiled to flat
 /// forwarding tables (CompiledRoutes).  kAdaptive and kSpray route per
 /// segment inside the simulator; they have no Router factory and no static
-/// contention analysis.
+/// contention analysis.  The engine turns the mode into a job's one
+/// trace::Routing value (router, table, spray or adaptive).
 enum class RouteMode : std::uint8_t { kTable, kAdaptive, kSpray };
 
 /// Everything a Router factory may consult besides the topology.
@@ -151,15 +152,13 @@ struct SpecName {
 [[nodiscard]] std::uint64_t deriveSeed(std::uint64_t base,
                                        std::string_view role);
 
-/// The scheme whose Router the routing name @p routing actually builds:
-/// table schemes build themselves, per-segment schemes (adaptive, spray)
-/// build the inert d-mod-k placeholder the replayer interface wants.  The
-/// single source of that fallback rule — Scenario::makeRouter constructs
-/// with it and the engine derives router cache keys from it, so keys and
-/// built routers cannot diverge.  Stores the build scheme's canonical name
-/// in @p name when non-null.
-[[nodiscard]] const SchemeInfo& routerBuildScheme(const std::string& routing,
-                                                  std::string* name = nullptr);
+/// The SchemeInfo of @p routing when it is a table scheme, the kind that
+/// builds a Router.  Otherwise throws std::invalid_argument in the
+/// registry-error shape — "routing scheme '<routing>' <why> (<label>: ...)"
+/// listing every table scheme — as it does for an unknown name.
+[[nodiscard]] const SchemeInfo& requireTableScheme(const std::string& routing,
+                                                   std::string_view why,
+                                                   std::string_view label);
 
 /// One fully-specified simulation scenario: the unit the engine runs, the
 /// CLI sweeps and the bench harnesses construct.
@@ -192,9 +191,9 @@ struct Scenario {
   /// (trace::scaledBytes).
   [[nodiscard]] patterns::PhasedPattern makeWorkload() const;
 
-  /// Builds the router on @p t.  Per-segment schemes (adaptive, spray) get
-  /// the inert d-mod-k placeholder the replayer interface wants.  @p app is
-  /// only consulted by pattern-aware schemes.
+  /// Builds the router on @p t.  Per-segment schemes (adaptive, spray)
+  /// have none: they throw requireTableScheme's error.  @p app is only
+  /// consulted by pattern-aware schemes.
   [[nodiscard]] routing::RouterPtr makeRouter(
       const xgft::Topology& t, const patterns::PhasedPattern& app) const;
 

@@ -34,15 +34,13 @@ std::string configKey(const sim::SimConfig& cfg) {
   return os.str();
 }
 
-/// Cache key identifying a built router (and therefore its compiled
-/// forwarding table): topology, the scheme the job actually builds
-/// (core::routerBuildScheme — per-segment schemes share the d-mod-k
-/// placeholder), and — only where they matter — seed, workload and scale.
+/// Cache key identifying a table scheme's router (and therefore its
+/// compiled forwarding table): topology, scheme, and — only where they
+/// matter — seed, workload and scale.
 std::string routerKey(const ExperimentSpec& spec, const xgft::Topology& topo) {
-  std::string name;
-  const core::SchemeInfo& scheme = core::routerBuildScheme(spec.routing, &name);
+  const core::SchemeInfo& scheme = core::schemeRegistry().at(spec.routing);
   std::ostringstream key;
-  key << topo.params().toString() << '|' << name;
+  key << topo.params().toString() << '|' << spec.routing;
   if (scheme.seeded) key << "|seed=" << spec.seed;
   if (scheme.patternAware) {
     // Pattern-aware tables depend on the workload (and on the seed via
@@ -51,19 +49,6 @@ std::string routerKey(const ExperimentSpec& spec, const xgft::Topology& topo) {
         << formatShortest(spec.msgScale) << "|seed=" << spec.seed;
   }
   return key.str();
-}
-
-/// The spray/adaptive configuration the scheme's route mode implies.
-trace::SprayConfig sprayConfigFor(const core::SchemeInfo& scheme,
-                                  const ExperimentSpec& spec) {
-  trace::SprayConfig sprayCfg;
-  if (scheme.mode == core::RouteMode::kAdaptive) {
-    sprayCfg.adaptive = true;
-  } else if (scheme.mode == core::RouteMode::kSpray) {
-    sprayCfg.enabled = true;
-    sprayCfg.seed = deriveSeed(spec.seed, "spray");
-  }
-  return sprayCfg;
 }
 
 }  // namespace
@@ -123,6 +108,11 @@ std::shared_ptr<const routing::Router> CampaignCache::router(
     const ExperimentSpec& spec,
     const std::shared_ptr<const xgft::Topology>& topo,
     const patterns::PhasedPattern& app) {
+  // Per-segment schemes route without one.
+  if (core::schemeRegistry().at(spec.routing).mode !=
+      core::RouteMode::kTable) {
+    return nullptr;
+  }
   return routers_.get(
       routerKey(spec, *topo),
       [&]() -> std::shared_ptr<const routing::Router> {
@@ -271,6 +261,30 @@ Forwarding forwardingFor(const ExperimentSpec& spec,
   return f;
 }
 
+/// The one routing value of a job, decided once from its scheme's mode.  A
+/// table scheme routes through the table forwardingFor returned, or else
+/// through @p router; spray sprays with the job's derived "spray" seed;
+/// adaptive picks ports per hop.  The value refers into @p router and
+/// @p forwarding, which the caller keeps alive for the run.
+trace::Routing routingFor(const core::SchemeInfo& scheme,
+                          const ExperimentSpec& spec,
+                          const std::shared_ptr<const routing::Router>& router,
+                          const Forwarding& forwarding) {
+  switch (scheme.mode) {
+    case core::RouteMode::kTable:
+      if (forwarding.start) return *forwarding.start;
+      return *router;
+    case core::RouteMode::kSpray: {
+      trace::Spray spray;
+      spray.seed = deriveSeed(spec.seed, "spray");
+      return spray;
+    }
+    case core::RouteMode::kAdaptive:
+      break;
+  }
+  return trace::Adaptive{};
+}
+
 /// The open-loop (source=) job path: no trace, no crossbar reference — the
 /// streaming source runs through trace::runOpenLoop and the measurement
 /// window's operating point fills the load–latency columns.
@@ -284,12 +298,12 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   }
   const std::shared_ptr<const xgft::Topology> topo =
       cache.topology(spec.topo);
-  const trace::SprayConfig sprayCfg = sprayConfigFor(scheme, spec);
   // Oblivious routers never look at the workload, so the cached router is
   // shared with closed-loop jobs under the same key.
   const patterns::PhasedPattern noApp;
   const std::shared_ptr<const routing::Router> router =
-      cache.router(spec, topo, noApp);
+      scheme.mode == core::RouteMode::kTable ? cache.router(spec, topo, noApp)
+                                             : nullptr;
 
   // Timed plans start on the t = 0 table and swap tables at their
   // transitions; a pair a failure cuts off drops its messages.
@@ -305,8 +319,6 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
   trace::OpenLoopOptions ol;
   ol.warmupNs = opt.openLoopWarmupNs;
   ol.measureNs = opt.openLoopMeasureNs;
-  ol.spray = sprayCfg;
-  ol.compiled = forwarding.start.get();
   const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
   ol.probe = recorder.get();
   // Owns every table patched at the plan's transition instants; must
@@ -318,13 +330,14 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
       io.policy = sim::FaultPolicy::kReroute;
       io.unreachable = fault::UnreachablePolicy::kDrop;
       io.compileThreads = std::max(1u, opt.compileThreads);
-      io.applyStatic = false;  // The t = 0 table is already ol.compiled.
+      io.applyStatic = false;  // The run starts on the t = 0 table.
       faultState =
           fault::installFaultPlan(net, plan, forwarding.healthy, &resolver, io);
     };
   }
-  const trace::OpenLoopResult r =
-      trace::runOpenLoop(*topo, *router, *source, ol, opt.sim);
+  const trace::OpenLoopResult r = trace::runOpenLoop(
+      *topo, routingFor(scheme, spec, router, forwarding), *source, ol,
+      opt.sim);
   result.telemetry = recorder;
 
   result.makespanNs = r.lastDeliveryNs;
@@ -373,11 +386,9 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     }
 
     const core::SchemeInfo& scheme = core::schemeRegistry().at(spec.routing);
-    const trace::SprayConfig sprayCfg = sprayConfigFor(scheme, spec);
-    // Per-segment algorithms never consult the router; the cache hands them
-    // the inert d-mod-k placeholder the Replayer interface wants.
     const std::shared_ptr<const routing::Router> router =
-        cache.router(spec, topo, app);
+        scheme.mode == core::RouteMode::kTable ? cache.router(spec, topo, app)
+                                               : nullptr;
 
     // Closed-loop fault path: static plans only.  The degraded table is
     // patched under kThrow (a partitioned pair would stall the phase
@@ -400,8 +411,8 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     result.telemetry = recorder;
     const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-    trace::Replayer replayer(net, t, mapping, *router, sprayCfg,
-                             forwarding.start.get());
+    trace::Replayer replayer(net, t, mapping,
+                             routingFor(scheme, spec, router, forwarding));
     result.makespanNs = replayer.run();
     result.net = net.stats();
 

@@ -52,7 +52,9 @@ class CampaignCache {
   /// The router @p spec asks for, on @p topo.  The returned pointer keeps
   /// the topology alive.  @p app is only consulted for pattern-aware
   /// algorithms (Colored).  Routers are immutable after construction, so
-  /// one instance serves any number of workers.
+  /// one instance serves any number of workers.  Null for a per-segment
+  /// scheme (adaptive, spray), which routes without a router: nothing is
+  /// built and no hit or miss is counted.
   [[nodiscard]] std::shared_ptr<const routing::Router> router(
       const ExperimentSpec& spec,
       const std::shared_ptr<const xgft::Topology>& topo,

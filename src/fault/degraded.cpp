@@ -203,24 +203,12 @@ DegradedRoutes compileDegraded(
 }
 
 const core::SchemeInfo& requireDegradable(const std::string& routing) {
-  const core::SchemeInfo& info = core::schemeRegistry().at(routing);
-  if (info.mode != core::RouteMode::kTable) {
-    std::string degradable;
-    const auto names = core::schemeRegistry().names();
-    for (const std::string& name : *names) {
-      if (core::schemeRegistry().at(name).mode == core::RouteMode::kTable) {
-        if (!degradable.empty()) degradable += ", ";
-        degradable += name;
-      }
-    }
-    throw std::invalid_argument(
-        "routing scheme '" + routing +
-        "' cannot run on a degraded topology: per-segment port selection "
-        "(adaptive/spray) honours faults via the fault policy, not table "
-        "recompilation (degradable: " +
-        degradable + ")");
-  }
-  return info;
+  return core::requireTableScheme(
+      routing,
+      "cannot run on a degraded topology: per-segment port selection "
+      "(adaptive/spray) honours faults via the fault policy, not table "
+      "recompilation",
+      "degradable");
 }
 
 }  // namespace fault

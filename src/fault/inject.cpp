@@ -12,7 +12,7 @@ namespace {
 /// Owns every table patched for the plan, keyed by failed-link set so
 /// repeated sets (a link failing, restoring, failing again) share one
 /// patch, and the healthy table the restores swap back in.  The resolver
-/// holds a raw pointer to the current one, which is why the caller keeps
+/// holds a reference to the current one, which is why the caller keeps
 /// the handle alive for the whole run.
 struct InstalledState {
   std::shared_ptr<const core::CompiledRoutes> healthy;
@@ -42,8 +42,8 @@ std::shared_ptr<void> installFaultPlan(
 
   const auto tableFor =
       [state, &net,
-       opt](std::vector<xgft::LinkId> failed) -> const core::CompiledRoutes* {
-    if (failed.empty()) return state->healthy.get();
+       opt](std::vector<xgft::LinkId> failed) -> const core::CompiledRoutes& {
+    if (failed.empty()) return *state->healthy;
     auto it = state->tables.find(failed);
     if (it == state->tables.end()) {
       const DegradedTopology view(net.topology(), failed);
@@ -54,12 +54,12 @@ std::shared_ptr<void> installFaultPlan(
                             .table)
                .first;
     }
-    return it->second.get();
+    return *it->second;
   };
 
   if (opt.applyStatic) {
     const std::vector<xgft::LinkId> atStart = plan.failedAt(0);
-    if (!atStart.empty()) resolver->setCompiled(tableFor(atStart));
+    if (!atStart.empty()) resolver->setTable(tableFor(atStart));
   }
   // Scheduled after scheduleOn's link events, so at an equal instant the
   // swap runs once the links have actually transitioned.  The failed set
@@ -68,7 +68,7 @@ std::shared_ptr<void> installFaultPlan(
   for (const sim::TimeNs t : plan.transitionTimes()) {
     net.scheduleCallback(t, [resolver, tableFor,
                              failed = plan.failedAt(t)] {
-      resolver->setCompiled(tableFor(failed));
+      resolver->setTable(tableFor(failed));
     });
   }
   return state;

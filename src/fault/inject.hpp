@@ -21,8 +21,8 @@
 // describes.  Identical failed-link sets share one patched table.
 //
 // The returned handle owns the patched tables and keeps the healthy one
-// alive; keep it until the run completes, because the resolver holds a
-// raw pointer to the table it currently reads.
+// alive; keep it until the run completes, because the resolver's Routing
+// value refers to the table it currently reads.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +58,11 @@ struct InstallOptions {
 /// Installs @p plan on @p net as described above.  @p resolver may be null:
 /// link events still fire and the fault policy still applies, but no table
 /// is patched (per-segment schemes, or closed-loop runs that pre-compiled a
-/// static degraded table).  When @p resolver is non-null it must be in
-/// compiled mode and @p healthy must be the healthy table it was built
-/// with (throws std::invalid_argument when it is null).  Returns the
-/// keep-alive handle owning every patched table.
+/// static degraded table).  When @p resolver is non-null it must route
+/// through a table (trace::Routing's table mode) and @p healthy must be
+/// the healthy table that one was patched from (throws
+/// std::invalid_argument when it is null).  Returns the keep-alive handle
+/// owning every patched table.
 std::shared_ptr<void> installFaultPlan(
     sim::Network& net, const FaultPlan& plan,
     std::shared_ptr<const core::CompiledRoutes> healthy,

@@ -60,11 +60,12 @@ ColoredRouter::ColoredRouter(const Topology& topo,
   optimize(app);
 }
 
-xgft::Count ColoredRouter::choice(NodeIndex s, NodeIndex d) const {
+xgft::Count ColoredRouter::choice(NodeIndex s, NodeIndex d,
+                                  std::uint32_t level) const {
   const auto it = choices_.find(key(s, d));
   if (it != choices_.end()) return it->second;
   // D-mod-k fallback for pairs the pattern never exercises.
-  return fallback_.choice(topo_->ncaLevel(s, d), d);
+  return fallback_.choice(level, d);
 }
 
 void ColoredRouter::optimize(const patterns::PhasedPattern& app) {

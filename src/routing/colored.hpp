@@ -62,7 +62,8 @@ class ColoredRouter final : public Router {
                 ColoredOptions options = {});
 
   /// The stored choice of an optimized pair, else D-mod-k's.
-  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d,
+                                   std::uint32_t level) const override;
   [[nodiscard]] std::string name() const override { return "colored"; }
   [[nodiscard]] bool isOblivious() const override { return false; }
 

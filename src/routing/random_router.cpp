@@ -4,8 +4,9 @@
 
 namespace routing {
 
-xgft::Count RandomRouter::choice(NodeIndex s, NodeIndex d) const {
-  return xgft::hashMix(seed_, s, d) % topo_->numNcas(s, d);
+xgft::Count RandomRouter::choice(NodeIndex s, NodeIndex d,
+                                 std::uint32_t level) const {
+  return xgft::hashMix(seed_, s, d) % topo_->ncaChoices(level);
 }
 
 RouterPtr makeRandom(const Topology& topo, std::uint64_t seed) {

@@ -24,7 +24,8 @@ class RandomRouter final : public Router {
       : Router(topo), seed_(seed) {}
 
   /// hashMix(seed, s, d) mod numNcas(s, d).
-  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override;
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d,
+                                   std::uint32_t level) const override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }

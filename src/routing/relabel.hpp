@@ -117,10 +117,11 @@ class RelabelRouter final : public Router {
   RelabelRouter(const Topology& topo, RelabelScheme scheme, Guide guide,
                 std::string name);
 
-  /// scheme().choice(ncaLevel(s, d), guide leaf), read from the array.
-  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d) const override {
+  /// scheme().choice(level, guide leaf), read from the array.
+  [[nodiscard]] xgft::Count choice(NodeIndex s, NodeIndex d,
+                                   std::uint32_t level) const override {
     const NodeIndex leaf = guide_ == Guide::Source ? s : d;
-    return choices_[leaf * levels_ + topo_->ncaLevel(s, d)];
+    return choices_[leaf * levels_ + level];
   }
   [[nodiscard]] std::string name() const override { return name_; }
   /// choice() reads only the guide leaf's digits and the NCA level.

@@ -18,11 +18,12 @@
 // is its range: ascentOf() is that check, and every consumer (table
 // compile and patch, router-mode resolution, route()) goes through it.
 //
-// Choices are required to be deterministic: calling choice(s, d) twice
-// returns the same value.  Randomized schemes derive their choices from an
-// explicit seed.
+// Choices are required to be deterministic: calling choice(s, d, level)
+// twice returns the same value.  Randomized schemes derive their choices
+// from an explicit seed.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,10 +55,13 @@ class Router {
   Router& operator=(const Router&) = delete;
 
   /// The NCA the ordered pair (s, d) climbs to, in [0, numNcas(s, d)) —
-  /// the index of its ascent among the topology's level-ncaLevel(s, d)
-  /// ascents.  Must be deterministic; 0 for s == d.  Consumers read it
-  /// through ascentOf(), which rejects a value out of range.
-  [[nodiscard]] virtual xgft::Count choice(NodeIndex s, NodeIndex d) const = 0;
+  /// the index of its ascent among the topology's level-@p level ascents.
+  /// @p level must be ncaLevel(s, d), which every caller already holds, so
+  /// no scheme walks the labels again.  Must be deterministic; 0 for
+  /// s == d.  Consumers read it through ascentOf(), which rejects a value
+  /// out of range.
+  [[nodiscard]] virtual xgft::Count choice(NodeIndex s, NodeIndex d,
+                                           std::uint32_t level) const = 0;
 
   /// Short identifier used in reports ("s-mod-k", "r-NCA-u", ...).
   [[nodiscard]] virtual std::string name() const = 0;
@@ -68,6 +72,8 @@ class Router {
   /// unless c < ncaChoices(level).  The span lives as long as the topology.
   [[nodiscard]] std::span<const std::uint32_t> ascentOf(
       NodeIndex s, NodeIndex d, std::uint32_t level, xgft::Count c) const {
+    // Checked where it is free; release builds trust the caller's level.
+    assert(level == topo_->ncaLevel(s, d));
     if (c >= topo_->ncaChoices(level)) throwBadChoice(s, d, level, c);
     return topo_->ascent(level, c);
   }
@@ -76,15 +82,16 @@ class Router {
   /// its choice(), materialized for analysis-style callers.  s == d yields
   /// the empty route.
   [[nodiscard]] Route route(NodeIndex s, NodeIndex d) const {
+    const std::uint32_t level = topo_->ncaLevel(s, d);
     const std::span<const std::uint32_t> up =
-        ascentOf(s, d, topo_->ncaLevel(s, d), choice(s, d));
+        ascentOf(s, d, level, choice(s, d, level));
     return Route{{up.begin(), up.end()}};
   }
 
   /// The endpoint whose label alone picks the up-ports, for self-routing
-  /// schemes.  When set, choice(s, d) depends on the other endpoint only
-  /// through ncaLevel(s, d) — the contract core::CompiledRoutes relies on
-  /// to ask once per NCA-level run instead of once per pair.
+  /// schemes.  When set, choice(s, d, level) depends on the other endpoint
+  /// only through the NCA level — the contract core::CompiledRoutes relies
+  /// on to ask once per NCA-level run instead of once per pair.
   /// std::nullopt (the default) promises nothing.
   [[nodiscard]] virtual std::optional<Guide> ascentGuide() const {
     return std::nullopt;

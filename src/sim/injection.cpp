@@ -9,9 +9,9 @@ InjectionProcess::InjectionProcess(Network& net,
                                    patterns::TrafficSource& source,
                                    InjectionOptions opt)
     : net_(&net), src_(&source), opt_(std::move(opt)) {
-  if (!opt_.adaptive && !opt_.routeSet) {
+  if (!opt_.addMessage) {
     throw std::invalid_argument(
-        "InjectionProcess: need a route-set resolver unless adaptive");
+        "InjectionProcess: need an addMessage callback");
   }
   net_->setSink(this);
 }
@@ -19,32 +19,25 @@ InjectionProcess::InjectionProcess(Network& net,
 void InjectionProcess::inject(const patterns::SourceMessage& m) {
   const xgft::NodeIndex src = opt_.hostOf ? opt_.hostOf(m.src) : m.src;
   const xgft::NodeIndex dst = opt_.hostOf ? opt_.hostOf(m.dst) : m.dst;
-  MsgId id = 0;
-  if (opt_.adaptive) {
-    id = net_->addMessageAdaptive(src, dst, m.bytes);
-  } else {
-    const RouteSet routes = opt_.routeSet(src, dst);
-    if (routes.empty() && src != dst) {
-      // The degraded forwarding table has no path for this pair: refuse the
-      // message before it exists.  Closed-loop callers (which would
-      // deadlock awaiting the delivery) must opt in via onDrop.
-      if (!opt_.onDrop) {
-        throw std::runtime_error(
-            "InjectionProcess: pair " + std::to_string(src) + " -> " +
-            std::to_string(dst) +
-            " is unroutable and no onDrop handler is installed");
-      }
-      net_->noteMessageDropped();
-      opt_.onDrop(m.token, m.bytes, src, dst);
-      return;
+  const std::optional<MsgId> id = opt_.addMessage(src, dst, m.bytes);
+  if (!id) {
+    // The degraded forwarding table has no path for this pair: refuse the
+    // message before it exists.  Closed-loop callers (which would deadlock
+    // awaiting the delivery) must opt in via onDrop.
+    if (!opt_.onDrop) {
+      throw std::runtime_error(
+          "InjectionProcess: pair " + std::to_string(src) + " -> " +
+          std::to_string(dst) +
+          " is unroutable and no onDrop handler is installed");
     }
-    id = net_->addMessageSet(src, dst, m.bytes, routes, opt_.policy,
-                             opt_.spraySeed);
+    net_->noteMessageDropped();
+    opt_.onDrop(m.token, m.bytes, src, dst);
+    return;
   }
   // The record carries the token to onMessageDelivered; release() stamps
   // the release time next to it.
-  net_->messages_[id].token = m.token;
-  net_->release(id, net_->now());
+  net_->messages_[*id].token = m.token;
+  net_->release(*id, net_->now());
 }
 
 void InjectionProcess::pump() {

@@ -4,8 +4,8 @@
 // InjectionProcess pumps a patterns::TrafficSource and turns its actions
 // into Network calls, scheduled on the event queue —
 //
-//  * kMessage at the current time injects immediately (addMessageSet /
-//    addMessageAdaptive + release);
+//  * kMessage at the current time injects immediately (the caller's
+//    addMessage callback + release);
 //  * kMessage with a future time parks until a queued callback reaches
 //    it, so the source is asked for its next message only when the
 //    previous one's injection time arrived — open-loop streams are never
@@ -29,14 +29,16 @@
 // run's memory therefore follows the messages in flight, however long the
 // source streams.
 //
-// Route construction stays out of this layer: the caller supplies a
-// resolver mapping (src, dst) host pairs to route sets (NCA choices; see
-// trace::RouteSetResolver) or opts into per-hop adaptive routing.
+// Routing stays out of this layer: the caller supplies one callback that
+// adds a (src, dst) host pair's message to the network however the run
+// routes (trace::RouteSetResolver::add), so the process has one injection
+// path and keeps no copy of the routing mode.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 
 #include "patterns/source.hpp"
 #include "sim/network.hpp"
@@ -44,21 +46,17 @@
 namespace sim {
 
 struct InjectionOptions {
-  /// Spray policy/seed applied to multi-route sets (single-route sets
-  /// ignore them), mirroring trace::SprayConfig.
-  SprayPolicy policy = SprayPolicy::kRoundRobin;
-  std::uint64_t spraySeed = 1;
-  /// Per-hop minimally-adaptive routing instead of resolved route sets.
-  bool adaptive = false;
-
   /// Maps a source rank to its host node; identity when null.
   std::function<xgft::NodeIndex(patterns::Rank)> hostOf;
 
-  /// Route set for a (src, dst) host pair; required unless adaptive.
-  /// Called once per injected message.  An empty set for src != dst means
-  /// the active (degraded) forwarding table cannot reach the pair — the
-  /// message is then refused, not enqueued.
-  std::function<RouteSet(xgft::NodeIndex, xgft::NodeIndex)> routeSet;
+  /// Adds a message of the given bytes for a (src, dst) host pair to the
+  /// network, routed as the caller routes, and returns its id; required.
+  /// Called once per injected message.  std::nullopt means the active
+  /// (degraded) forwarding table cannot reach the pair — the message is
+  /// then refused, not enqueued.
+  std::function<std::optional<MsgId>(xgft::NodeIndex, xgft::NodeIndex,
+                                     Bytes)>
+      addMessage;
 
   /// Invoked for every refused message: (source token, bytes, src host,
   /// dst host).  The refusal is counted in NetworkStats::messagesDropped

@@ -11,46 +11,22 @@
 
 namespace trace {
 
-RunResult runApp(const xgft::Topology& topo, const routing::Router& router,
+RunResult runApp(const xgft::Topology& topo, Routing mode,
                  const patterns::PhasedPattern& app, const Mapping& mapping,
                  const sim::SimConfig& cfg) {
   sim::Network net(topo, cfg);
   const Trace t = traceFromPhases(app);
-  Replayer replayer(net, t, mapping, router);
+  Replayer replayer(net, t, mapping, mode);
   RunResult result;
   result.makespanNs = replayer.run();
   result.stats = net.stats();
   return result;
 }
 
-RunResult runApp(const xgft::Topology& topo, const routing::Router& router,
+RunResult runApp(const xgft::Topology& topo, Routing mode,
                  const patterns::PhasedPattern& app,
                  const sim::SimConfig& cfg) {
-  return runApp(topo, router, app, Mapping::sequential(app.numRanks), cfg);
-}
-
-RunResult runAppSprayed(const xgft::Topology& topo,
-                        const patterns::PhasedPattern& app,
-                        const SprayConfig& spray, const sim::SimConfig& cfg) {
-  sim::Network net(topo, cfg);
-  const Trace t = traceFromPhases(app);
-  const Mapping mapping = Mapping::sequential(app.numRanks);
-  // The router is only consulted when spraying is disabled; D-mod-k serves
-  // as the inert default.
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  Replayer replayer(net, t, mapping, *router, spray);
-  RunResult result;
-  result.makespanNs = replayer.run();
-  result.stats = net.stats();
-  return result;
-}
-
-RunResult runAppAdaptive(const xgft::Topology& topo,
-                         const patterns::PhasedPattern& app,
-                         const sim::SimConfig& cfg) {
-  SprayConfig spray;
-  spray.adaptive = true;
-  return runAppSprayed(topo, app, spray, cfg);
+  return runApp(topo, mode, app, Mapping::sequential(app.numRanks), cfg);
 }
 
 RunResult runCrossbarReference(const patterns::PhasedPattern& app,
@@ -68,11 +44,10 @@ RunResult runCrossbarReference(const patterns::PhasedPattern& app,
   return runApp(crossbar, *router, app, ideal);
 }
 
-double slowdownVsCrossbar(const xgft::Topology& topo,
-                          const routing::Router& router,
+double slowdownVsCrossbar(const xgft::Topology& topo, Routing mode,
                           const patterns::PhasedPattern& app,
                           const sim::SimConfig& cfg) {
-  const RunResult network = runApp(topo, router, app, cfg);
+  const RunResult network = runApp(topo, mode, app, cfg);
   const RunResult reference = runCrossbarReference(app, cfg);
   if (reference.makespanNs == 0) return 1.0;
   return static_cast<double>(network.makespanNs) /

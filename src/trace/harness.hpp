@@ -3,13 +3,15 @@
 // Reproduces the paper's measurement loop (Sec. VI-B): replay an
 // application's phases on an XGFT under a routing scheme, replay the same
 // application on the ideal single-stage Full-Crossbar, and report the
-// slowdown ratio — the y-axis of Figs. 2 and 5.
+// slowdown ratio — the y-axis of Figs. 2 and 5.  A run routes as its
+// trace::Routing value says (route_resolver.hpp): a router or table for
+// the paper's static schemes, trace::Spray or trace::Adaptive for the
+// per-segment extensions.
 #pragma once
 
 #include <memory>
 
 #include "patterns/pattern.hpp"
-#include "routing/router.hpp"
 #include "sim/network.hpp"
 #include "trace/mapping.hpp"
 #include "trace/replayer.hpp"
@@ -22,33 +24,18 @@ struct RunResult {
   sim::NetworkStats stats;
 };
 
-/// Replays @p app on @p topo routed by @p router (sequential placement).
-[[nodiscard]] RunResult runApp(const xgft::Topology& topo,
-                               const routing::Router& router,
+/// Replays @p app on @p topo routed as @p mode says (a router converts
+/// implicitly; trace::Spray and trace::Adaptive route per segment), with
+/// sequential placement.
+[[nodiscard]] RunResult runApp(const xgft::Topology& topo, Routing mode,
                                const patterns::PhasedPattern& app,
                                const sim::SimConfig& cfg = {});
 
 /// As runApp with an explicit placement.
-[[nodiscard]] RunResult runApp(const xgft::Topology& topo,
-                               const routing::Router& router,
+[[nodiscard]] RunResult runApp(const xgft::Topology& topo, Routing mode,
                                const patterns::PhasedPattern& app,
                                const Mapping& mapping,
                                const sim::SimConfig& cfg);
-
-/// Replays @p app with per-segment multipath spraying instead of a static
-/// per-pair route (the packet-granular randomized routing extension; see
-/// SprayConfig in replayer.hpp).  Sequential placement.
-[[nodiscard]] RunResult runAppSprayed(const xgft::Topology& topo,
-                                      const patterns::PhasedPattern& app,
-                                      const SprayConfig& spray,
-                                      const sim::SimConfig& cfg = {});
-
-/// Replays @p app with minimally-adaptive per-hop routing (least-occupied
-/// up-port at every switch) instead of a precomputed route.  Sequential
-/// placement.
-[[nodiscard]] RunResult runAppAdaptive(const xgft::Topology& topo,
-                                       const patterns::PhasedPattern& app,
-                                       const sim::SimConfig& cfg = {});
 
 /// Replays @p app on the ideal single-stage crossbar connecting exactly
 /// app.numRanks hosts: same link speed and segmentation, unbounded switch
@@ -56,9 +43,9 @@ struct RunResult {
 [[nodiscard]] RunResult runCrossbarReference(const patterns::PhasedPattern& app,
                                              const sim::SimConfig& cfg = {});
 
-/// makespan(topo, router) / makespan(Full-Crossbar): the paper's slowdown.
+/// makespan(topo, mode) / makespan(Full-Crossbar): the paper's slowdown.
 [[nodiscard]] double slowdownVsCrossbar(const xgft::Topology& topo,
-                                        const routing::Router& router,
+                                        Routing mode,
                                         const patterns::PhasedPattern& app,
                                         const sim::SimConfig& cfg = {});
 

@@ -1,5 +1,6 @@
 #include "trace/openloop.hpp"
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -7,8 +8,7 @@
 
 namespace trace {
 
-OpenLoopResult runOpenLoop(const xgft::Topology& topo,
-                           const routing::Router& router,
+OpenLoopResult runOpenLoop(const xgft::Topology& topo, Routing mode,
                            patterns::TrafficSource& source,
                            const OpenLoopOptions& opt,
                            const sim::SimConfig& cfg) {
@@ -23,13 +23,14 @@ OpenLoopResult runOpenLoop(const xgft::Topology& topo,
   }
   sim::Network net(topo, cfg);
   if (opt.probe != nullptr) net.setProbe(opt.probe);
-  RouteSetResolver resolver(net, router, opt.spray, opt.compiled);
+  RouteSetResolver resolver(net, mode);
   if (opt.prepare) opt.prepare(net, resolver);
-  // Ranks map to hosts identically (no hostOf), so the resolver's options
-  // serve as-is.  Under a fault plan, refused (unroutable-pair) messages
-  // are already counted by NetworkStats::messagesDropped; open-loop
-  // sources never await a delivery, so a counting-only handler suffices.
-  sim::InjectionOptions injOpt = injectionOptions(resolver);
+  // Ranks map to hosts identically (no hostOf).  Under a fault plan,
+  // refused (unroutable-pair) messages are already counted by
+  // NetworkStats::messagesDropped; open-loop sources never await a
+  // delivery, so a counting-only handler suffices.
+  sim::InjectionOptions injOpt;
+  injOpt.addMessage = std::bind_front(&RouteSetResolver::add, &resolver);
   if (opt.prepare) {
     injOpt.onDrop = [](std::uint64_t, sim::Bytes, xgft::NodeIndex,
                        xgft::NodeIndex) {};

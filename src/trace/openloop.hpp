@@ -11,16 +11,17 @@
 //
 // The execution stack is the shared streaming mechanism (DESIGN.md §8):
 // sim::InjectionProcess pumps the source on the event queue and
-// trace::RouteSetResolver resolves each message's route set, so an
-// open-loop run exercises exactly the injection/routing paths that phase
-// replay does.  Window boundaries are Network::run(until) partial runs —
-// the process is resumed across them with all queue state intact.
+// trace::RouteSetResolver adds each message as the run's Routing value
+// says, so an open-loop run exercises exactly the injection/routing paths
+// that phase replay does.  Window boundaries are Network::run(until)
+// partial runs — the process is resumed across them with all queue state
+// intact.
 #pragma once
 
+#include <functional>
+
 #include "analysis/latency.hpp"
-#include "core/compiled_routes.hpp"
 #include "patterns/source.hpp"
-#include "routing/router.hpp"
 #include "sim/network.hpp"
 #include "trace/route_resolver.hpp"
 
@@ -33,10 +34,6 @@ struct OpenLoopOptions {
   /// (engine::RunnerOptions and Scenario::makeSource do).
   sim::TimeNs warmupNs = 500'000;
   sim::TimeNs measureNs = 2'000'000;
-
-  /// Routing mode, exactly as for trace::Replayer.
-  SprayConfig spray = {};
-  const core::CompiledRoutes* compiled = nullptr;
 
   /// Latency histogram shape (see analysis::LatencyHistogram).
   std::uint64_t histBucketNs = 512;
@@ -80,11 +77,10 @@ struct OpenLoopResult {
 };
 
 /// Runs @p source (ranks map to hosts sequentially; numRanks() must not
-/// exceed the topology's hosts) on @p topo routed by @p router.  The
-/// router is ignored by per-segment modes (spray/adaptive), mirroring the
-/// Replayer contract.
+/// exceed the topology's hosts) on @p topo routed as @p mode says, exactly
+/// as for trace::Replayer.
 [[nodiscard]] OpenLoopResult runOpenLoop(const xgft::Topology& topo,
-                                         const routing::Router& router,
+                                         Routing mode,
                                          patterns::TrafficSource& source,
                                          const OpenLoopOptions& opt = {},
                                          const sim::SimConfig& cfg = {});

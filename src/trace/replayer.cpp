@@ -1,5 +1,6 @@
 #include "trace/replayer.hpp"
 
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -17,20 +18,20 @@ sim::InjectionOptions driverOptions(const Trace& trace,
   if (mapping.numRanks() != trace.numRanks) {
     throw std::invalid_argument("Replayer: mapping/trace rank mismatch");
   }
-  sim::InjectionOptions opt = injectionOptions(resolver);
+  sim::InjectionOptions opt;
   opt.hostOf = [&mapping](patterns::Rank r) { return mapping.hostOf(r); };
+  opt.addMessage = std::bind_front(&RouteSetResolver::add, &resolver);
   return opt;
 }
 
 }  // namespace
 
 Replayer::Replayer(sim::Network& net, const Trace& trace,
-                   const Mapping& mapping, const routing::Router& router,
-                   SprayConfig spray, const core::CompiledRoutes* compiled)
+                   const Mapping& mapping, Routing mode)
     : net_(&net),
       trace_(&trace),
       mapping_(&mapping),
-      resolver_(net, router, spray, compiled),
+      resolver_(net, mode),
       driver_(net, *this, driverOptions(trace, mapping, resolver_)) {
   ranks_.resize(trace.numRanks);
   finishNs_.resize(trace.numRanks, 0);

@@ -19,11 +19,12 @@
 // patterns::TrafficSource — the rank state machine emits messages (and
 // kWake timers for compute bursts) as it unblocks — and run() drives it
 // through a sim::InjectionProcess, the same process that runs open-loop
-// streams.  Route material resolves through trace::RouteSetResolver (one
-// router choice, compiled-table lookup or spray list per message, each an
-// NCA choice): no per-message route construction on any path.  The engine
-// hands a replay a table only when a fault plan patched one; a healthy
-// replay asks its router.
+// streams.  Every message is added through trace::RouteSetResolver, which
+// routes it as the run's Routing value says: one router choice, table
+// lookup or spray list per message (each an NCA choice), or per-hop
+// adaptive choices — no per-message route construction on any path.  The
+// engine hands a replay a table only when a fault plan patched one; a
+// healthy replay asks its router.
 //
 // The replayer is single-use: construct, run(), read the makespan.  A
 // second run() throws std::logic_error; results of the first run stay
@@ -35,9 +36,7 @@
 #include <map>
 #include <vector>
 
-#include "core/compiled_routes.hpp"
 #include "patterns/source.hpp"
-#include "routing/router.hpp"
 #include "sim/injection.hpp"
 #include "sim/network.hpp"
 #include "trace/mapping.hpp"
@@ -48,14 +47,12 @@ namespace trace {
 
 class Replayer final : public patterns::TrafficSource {
  public:
-  /// All references must outlive the replayer.  The replayer's injection
-  /// process installs itself as the network's sink.  When @p compiled is
-  /// given (and no per-segment mode is active) pairs route through the
-  /// compiled forwarding table, which must be compiled against @p net's
-  /// topology; without one each message costs one router.choice().
+  /// All references, and the router or table @p mode routes through, must
+  /// outlive the replayer.  The replayer's injection process installs
+  /// itself as the network's sink.  A table must be compiled against
+  /// @p net's topology.
   Replayer(sim::Network& net, const Trace& trace, const Mapping& mapping,
-           const routing::Router& router, SprayConfig spray = {},
-           const core::CompiledRoutes* compiled = nullptr);
+           Routing mode);
 
   /// Replays the whole trace; returns the time the last rank finished.
   /// Throws std::runtime_error if ranks are left blocked when the network

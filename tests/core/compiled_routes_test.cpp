@@ -115,7 +115,7 @@ TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
     sim::Network net(*topo, sc.sim);
     const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-    trace::Replayer replayer(net, t, mapping, *router, {}, table.get());
+    trace::Replayer replayer(net, t, mapping, *table);
     const sim::TimeNs makespan = replayer.run();
 
     EXPECT_EQ(makespan, virtualRun.makespanNs) << scheme;
@@ -161,9 +161,9 @@ class PerPairRouter final : public routing::Router {
   explicit PerPairRouter(std::shared_ptr<const routing::Router> inner)
       : Router(inner->topology()), inner_(std::move(inner)) {}
 
-  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
-                                   routing::NodeIndex d) const override {
-    return inner_->choice(s, d);
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s, routing::NodeIndex d,
+                                   std::uint32_t level) const override {
+    return inner_->choice(s, d, level);
   }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
 
@@ -243,9 +243,10 @@ class OutOfRangeGuidedRouter final : public routing::Router {
  public:
   using Router::Router;
 
-  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
-                                   routing::NodeIndex d) const override {
-    return topology().numNcas(s, d);
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex /*s*/,
+                                   routing::NodeIndex /*d*/,
+                                   std::uint32_t level) const override {
+    return topology().ncaChoices(level);
   }
   [[nodiscard]] std::string name() const override { return "out-of-range"; }
   [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
@@ -302,10 +303,10 @@ class CountingRouter final : public routing::Router {
   explicit CountingRouter(std::shared_ptr<const routing::Router> inner)
       : Router(inner->topology()), inner_(std::move(inner)) {}
 
-  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
-                                   routing::NodeIndex d) const override {
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex s, routing::NodeIndex d,
+                                   std::uint32_t level) const override {
     ++calls_;
-    return inner_->choice(s, d);
+    return inner_->choice(s, d, level);
   }
   [[nodiscard]] std::string name() const override { return inner_->name(); }
   [[nodiscard]] std::optional<routing::Guide> ascentGuide() const override {
@@ -355,13 +356,11 @@ TEST(CompiledRoutes, RejectsForeignTopologies) {
   sc.topo = other.params();
   sc.pattern = "ring:16";
   const patterns::PhasedPattern app = sc.makeWorkload();
-  const routing::RouterPtr router = sc.makeRouter(other, app);
   sim::Network net(other, sc.sim);
   const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-  EXPECT_THROW(
-      trace::Replayer(net, t, mapping, *router, {}, table.get()),
-      std::invalid_argument);
+  EXPECT_THROW(trace::Replayer(net, t, mapping, *table),
+               std::invalid_argument);
 }
 
 }  // namespace

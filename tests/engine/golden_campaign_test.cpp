@@ -1,18 +1,28 @@
-// Golden-CSV regression for the registry-driven Scenario path: replays the
-// "smoke" builtin campaign through the engine and byte-compares the CSV
-// against a checked-in fixture.  This pins the engine's determinism
-// contract across construction-path refactors: topology, pattern and
-// router construction, router-mode route resolution, the simulator's event
-// ordering, and the CSV formatting all feed this byte stream.
+// Golden-CSV regressions for the registry-driven Scenario path: campaigns
+// replayed through the engine and byte-compared against checked-in
+// fixtures.  They pin the engine's determinism contract across
+// construction-path refactors: topology, pattern and router construction,
+// route resolution in every mode, the simulator's event ordering, and the
+// CSV formatting all feed these byte streams.
 //
-// Regenerate the fixture ONLY for an intentional behaviour change:
+//  * smoke — the "smoke" builtin: router-mode table schemes and adaptive.
+//  * route modes — what no other fixture covers: open-loop spray jobs, and
+//    spray pairs with more NCAs than maxPaths (level-3 pairs of
+//    xgft3:8:8:8:4:4:2 have 32), whose lists are seeded per-pair draws;
+//    adaptive jobs beside them on the same tree.
+//
+// Regenerate a fixture ONLY for an intentional behaviour change:
 //   ./build/campaign_cli --builtin smoke --seeds 2 --msg-scale 0.0625
 //       --quiet --out tests/engine/data/smoke_campaign.csv   (one line)
+//   ./build/campaign_cli --quiet
+//       --out tests/engine/data/route_modes_campaign.csv -   (one line,
+//       with the two lines of kRouteModesCampaign below on stdin)
 // and explain the change in the commit message.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "engine/campaigns.hpp"
 #include "engine/runner.hpp"
@@ -25,30 +35,42 @@
 namespace engine {
 namespace {
 
-std::string fixturePath() {
-  return std::string(XGFT_TESTS_DIR) + "/engine/data/smoke_campaign.csv";
-}
+constexpr const char* kRouteModesCampaign =
+    "topo=xgft3:8:8:8:4:4:2 source=poisson:uniform load=0.3 msg_scale=1 "
+    "routing={spray,adaptive} seed=1\n"
+    "topo=xgft3:8:8:8:4:4:2 pattern=cg128 msg_scale=0.0625 "
+    "routing={spray,adaptive} seed=1\n";
 
-TEST(GoldenCampaign, SmokeCsvIsByteIdenticalToTheFixture) {
-  std::ifstream fixture(fixturePath(), std::ios::binary);
-  ASSERT_TRUE(fixture) << "missing fixture " << fixturePath();
+/// Runs @p specs at campaign_cli's defaults (contention on) and compares
+/// the CSV with tests/engine/data/@p fixture.
+void expectCsvMatchesFixture(const std::vector<ExperimentSpec>& specs,
+                             const std::string& fixture) {
+  const std::string path =
+      std::string(XGFT_TESTS_DIR) + "/engine/data/" + fixture;
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture " << path;
   std::ostringstream want;
-  want << fixture.rdbuf();
+  want << in.rdbuf();
 
-  const CampaignOptions copt{/*seeds=*/2, /*msgScale=*/0.0625};
-  const std::vector<ExperimentSpec> specs =
-      parseCampaign(builtinCampaign("smoke", copt));
   ASSERT_FALSE(specs.empty());
-
-  RunnerOptions ropt;  // campaign_cli defaults: contention on.
-  const CampaignResults results = Runner(ropt).run(specs);
+  const CampaignResults results = Runner(RunnerOptions{}).run(specs);
   for (const JobResult& job : results.jobs) {
     EXPECT_TRUE(job.ok) << job.spec.toLine() << ": " << job.error;
   }
   EXPECT_EQ(results.toCsv(), want.str())
-      << "smoke campaign CSV drifted from the checked-in fixture — if this "
-         "is an intentional behaviour change, regenerate it (see the "
-         "comment at the top of this test)";
+      << fixture << " drifted — if this is an intentional behaviour change, "
+      << "regenerate it (see the comment at the top of this test)";
+}
+
+TEST(GoldenCampaign, SmokeCsvIsByteIdenticalToTheFixture) {
+  const CampaignOptions copt{/*seeds=*/2, /*msgScale=*/0.0625};
+  expectCsvMatchesFixture(parseCampaign(builtinCampaign("smoke", copt)),
+                          "smoke_campaign.csv");
+}
+
+TEST(GoldenCampaign, RouteModesCsvIsByteIdenticalToTheFixture) {
+  expectCsvMatchesFixture(parseCampaign(kRouteModesCampaign),
+                          "route_modes_campaign.csv");
 }
 
 }  // namespace

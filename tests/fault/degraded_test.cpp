@@ -465,7 +465,7 @@ TEST(InstallFaultPlan, RestorePutsTheHealthyTableBack) {
   const FaultPlan plan = makeFaultPlan(
       "timed:" + std::to_string(link) + ":1000:2000", topo, 1);
   sim::Network net(topo, sim::SimConfig{});
-  trace::RouteSetResolver resolver(net, *router, {}, healthy.get());
+  trace::RouteSetResolver resolver(net, *healthy);
   const std::shared_ptr<void> installed =
       installFaultPlan(net, plan, healthy, &resolver);
   net.run(1500);
@@ -493,7 +493,7 @@ TEST(InstallFaultPlan, ResolverNeedsTheHealthyTable) {
   const auto router = buildScheme("d-mod-k", topo);
   const auto healthy = core::CompiledRoutes::compile(router);
   sim::Network net(topo, sim::SimConfig{});
-  trace::RouteSetResolver resolver(net, *router, {}, healthy.get());
+  trace::RouteSetResolver resolver(net, *healthy);
   EXPECT_THROW((void)installFaultPlan(net, makeFaultPlan("links:25", topo, 1),
                                       nullptr, &resolver),
                std::invalid_argument);

@@ -1,8 +1,8 @@
 // Tests for routes as NCA choices.  For every registered table scheme on
 // three trees — XGFT(2;4,4;1,2), paper-slim and xgft3:8:8:8:4:4:2 (w1 = 4)
-// — choice(s, d) is below numNcas(s, d) and its catalogue ascent equals a
-// test-local copy of the per-pair arithmetic each scheme's route() ran
-// before routes were choices; Colored's optimized routes match digests
+// — choice(s, d, level) is below numNcas(s, d) and its catalogue ascent
+// equals a test-local copy of the per-pair arithmetic each scheme's route()
+// ran before routes were choices; Colored's optimized routes match digests
 // taken from that older build; and tables compiled at 1 and 4 threads hold
 // the reference ascent on every ordered pair.
 #include "routing/router.hpp"
@@ -146,10 +146,10 @@ TEST(Choices, InRangeAndEqualToTheSchemesArithmetic) {
       const std::string label = scheme + " on " + topo.params().toString();
       for (xgft::NodeIndex s = 0; s < topo.numHosts(); ++s) {
         for (xgft::NodeIndex d = 0; d < topo.numHosts(); ++d) {
-          const xgft::Count c = b.router->choice(s, d);
+          const std::uint32_t level = topo.ncaLevel(s, d);
+          const xgft::Count c = b.router->choice(s, d, level);
           ASSERT_LT(c, topo.numNcas(s, d)) << label << " " << s << "->" << d;
-          const std::span<const std::uint32_t> up =
-              topo.ascent(topo.ncaLevel(s, d), c);
+          const std::span<const std::uint32_t> up = topo.ascent(level, c);
           ASSERT_EQ(std::vector<std::uint32_t>(up.begin(), up.end()),
                     ref.ascent(s, d))
               << label << " " << s << "->" << d;

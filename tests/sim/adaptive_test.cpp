@@ -91,7 +91,8 @@ TEST(Adaptive, AvoidsTheCgCongruencePathology) {
   const double reference = static_cast<double>(
       trace::runCrossbarReference(phase5).makespanNs);
   const double adaptive =
-      static_cast<double>(trace::runAppAdaptive(topo, phase5).makespanNs) /
+      static_cast<double>(
+          trace::runApp(topo, trace::Adaptive{}, phase5).makespanNs) /
       reference;
   const double dmodk =
       static_cast<double>(
@@ -139,7 +140,7 @@ TEST(Adaptive, HarnessRunsEndToEnd) {
   const Topology topo(xgft::xgft2(8, 8, 4));
   const auto app =
       trace::scaleMessages(patterns::wrfHalo(8, 8, 64 * 1024), 0.5);
-  const trace::RunResult r = trace::runAppAdaptive(topo, app);
+  const trace::RunResult r = trace::runApp(topo, trace::Adaptive{}, app);
   EXPECT_GT(r.makespanNs, 0u);
   EXPECT_EQ(r.stats.messagesDelivered, app.phases[0].size());
 }

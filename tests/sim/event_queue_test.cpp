@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <queue>
 #include <vector>
 
@@ -316,7 +317,10 @@ TEST(EventQueueLanes, PaperSlimOpenLoopNeverOverflows) {
     cfg.stopNs = 300'000;
     cfg.seed = 1;
     patterns::OpenLoopSource src(cfg);
-    InjectionProcess process(net, src, trace::injectionOptions(resolver));
+    InjectionOptions opt;
+    opt.addMessage =
+        std::bind_front(&trace::RouteSetResolver::add, &resolver);
+    InjectionProcess process(net, src, opt);
     process.run();
     EXPECT_GT(net.stats().eventsProcessed, 100'000u) << "load " << load;
     EXPECT_EQ(net.queueOverflowPushes(), 0u) << "load " << load;

@@ -4,15 +4,18 @@
 // NCA level L.  The runs are the route sources campaign jobs use:
 // paper-slim open-loop d-mod-k and Random jobs asking their router per
 // message, the same jobs on a links:10 degraded table with a timed outage
-// on top, and a cg128 replay per table scheme.  A planted violation of
-// each invariant shows the probe fires.
+// on top, a cg128 replay per table scheme, and spray and adaptive runs,
+// open-loop and cg128, on xgft3:8:8:8:4:4:2.  A planted violation of each
+// invariant shows the probe fires.
 #include "invariant_probe.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiled_routes.hpp"
@@ -53,35 +56,16 @@ void expectClean(const InvariantProbe& probe, const std::string& label) {
   }
 }
 
-/// One paper-slim open-loop run at load 0.6 under the probe: router mode
-/// when @p plan is empty, else on the plan's t = 0 degraded table with the
-/// plan installed as the engine installs it.
-trace::OpenLoopResult runProbedOpenLoop(const xgft::Topology& topo,
-                                        const std::string& scheme,
-                                        const fault::FaultPlan& plan,
-                                        InvariantProbe& probe) {
-  const std::shared_ptr<const routing::Router> router =
-      makeRouter(topo, scheme);
+/// One open-loop run at load 0.6 under the probe, routed as @p mode says.
+/// @p prepare, when set, installs a fault plan as the engine does.
+trace::OpenLoopResult runProbedOpenLoop(
+    const xgft::Topology& topo, trace::Routing mode, InvariantProbe& probe,
+    std::function<void(Network&, trace::RouteSetResolver&)> prepare = {}) {
   trace::OpenLoopOptions opt;
   opt.warmupNs = kWarmupNs;
   opt.measureNs = kMeasureNs;
   opt.probe = &probe;
-  std::shared_ptr<const core::CompiledRoutes> healthy;
-  std::shared_ptr<const core::CompiledRoutes> degraded;
-  std::shared_ptr<void> installed;
-  if (!plan.empty()) {
-    healthy = core::CompiledRoutes::compile(router);
-    degraded = fault::compileDegraded(
-                   healthy, fault::DegradedTopology(topo, plan.failedAt(0)),
-                   fault::UnreachablePolicy::kDrop)
-                   .table;
-    opt.compiled = degraded.get();
-    opt.prepare = [&](Network& net, trace::RouteSetResolver& resolver) {
-      fault::InstallOptions io;
-      io.applyStatic = false;  // The t = 0 table is already opt.compiled.
-      installed = fault::installFaultPlan(net, plan, healthy, &resolver, io);
-    };
-  }
+  opt.prepare = std::move(prepare);
   patterns::OpenLoopConfig cfg;
   cfg.numRanks = static_cast<patterns::Rank>(topo.numHosts());
   cfg.load = 0.6;
@@ -89,7 +73,20 @@ trace::OpenLoopResult runProbedOpenLoop(const xgft::Topology& topo,
   cfg.stopNs = kWarmupNs + kMeasureNs;
   cfg.seed = 1;
   patterns::OpenLoopSource source(cfg);
-  return trace::runOpenLoop(topo, *router, source, opt);
+  return trace::runOpenLoop(topo, mode, source, opt);
+}
+
+/// The per-segment modes as campaign jobs of seed 1 run them.
+std::vector<std::pair<std::string, trace::Routing>> perSegmentModes() {
+  trace::Spray spray;
+  spray.seed = core::deriveSeed(1, "spray");
+  return {{"spray", spray}, {"adaptive", trace::Adaptive{}}};
+}
+
+/// xgft3:8:8:8:4:4:2: a level-3 pair has 32 NCAs, more than a spray's 16
+/// paths, so spraying draws per pair there.
+xgft::Topology perSegmentTree() {
+  return xgft::Topology(xgft::Params({8, 8, 8}, {4, 4, 2}));
 }
 
 TEST(InvariantProbe, OpenLoopJobsInRouterMode) {
@@ -97,9 +94,19 @@ TEST(InvariantProbe, OpenLoopJobsInRouterMode) {
   for (const char* scheme : {"d-mod-k", "Random"}) {
     InvariantProbe probe;
     const trace::OpenLoopResult r =
-        runProbedOpenLoop(topo, scheme, {}, probe);
+        runProbedOpenLoop(topo, *makeRouter(topo, scheme), probe);
     EXPECT_EQ(probe.delivered(), r.stats.messagesDelivered) << scheme;
     expectClean(probe, scheme);
+  }
+}
+
+TEST(InvariantProbe, OpenLoopJobsSprayedAndAdaptive) {
+  const xgft::Topology topo = perSegmentTree();
+  for (const auto& [label, mode] : perSegmentModes()) {
+    InvariantProbe probe;
+    const trace::OpenLoopResult r = runProbedOpenLoop(topo, mode, probe);
+    EXPECT_EQ(probe.delivered(), r.stats.messagesDelivered) << label;
+    expectClean(probe, label);
   }
 }
 
@@ -121,9 +128,23 @@ TEST(InvariantProbe, OpenLoopJobsOnADegradedTableWithATimedOutage) {
                          kWarmupNs + kMeasureNs * 3 / 4});
   plan.validate(topo);
   for (const char* scheme : {"d-mod-k", "Random"}) {
+    const auto healthy =
+        core::CompiledRoutes::compile(makeRouter(topo, scheme));
+    const auto degraded =
+        fault::compileDegraded(healthy,
+                               fault::DegradedTopology(topo, plan.failedAt(0)),
+                               fault::UnreachablePolicy::kDrop)
+            .table;
+    std::shared_ptr<void> installed;
     InvariantProbe probe;
-    const trace::OpenLoopResult r =
-        runProbedOpenLoop(topo, scheme, plan, probe);
+    const trace::OpenLoopResult r = runProbedOpenLoop(
+        topo, *degraded, probe,
+        [&](Network& net, trace::RouteSetResolver& resolver) {
+          fault::InstallOptions io;
+          io.applyStatic = false;  // The run starts on the t = 0 table.
+          installed =
+              fault::installFaultPlan(net, plan, healthy, &resolver, io);
+        });
     EXPECT_GT(r.stats.linkDownNs, 0u) << scheme;
     EXPECT_GT(r.stats.segmentsRerouted + r.stats.segmentsStranded, 0u)
         << scheme;
@@ -132,28 +153,46 @@ TEST(InvariantProbe, OpenLoopJobsOnADegradedTableWithATimedOutage) {
   }
 }
 
-TEST(InvariantProbe, Cg128ReplayOfEveryTableScheme) {
-  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+/// cg128 at msg_scale 0.03125.
+patterns::PhasedPattern cg128App() {
   core::Scenario sc;
-  sc.topo = topo.params();
   sc.pattern = "cg128";
   sc.msgScale = 0.03125;
-  const patterns::PhasedPattern app = sc.makeWorkload();
+  return sc.makeWorkload();
+}
+
+/// Replays @p app on @p topo under the probe, routed as @p mode says.
+void expectCleanReplay(const xgft::Topology& topo,
+                       const patterns::PhasedPattern& app,
+                       trace::Routing mode, const std::string& label) {
   const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-  for (const std::string& scheme : *core::schemeRegistry().names()) {
+  Network net(topo, SimConfig{});
+  InvariantProbe probe;
+  net.setProbe(&probe);
+  trace::Replayer replayer(net, t, mapping, mode);
+  (void)replayer.run();
+  EXPECT_EQ(probe.delivered(), net.stats().messagesDelivered) << label;
+  expectClean(probe, label);
+}
+
+TEST(InvariantProbe, Cg128ReplayOfEveryTableScheme) {
+  const xgft::Topology topo(xgft::xgft2(16, 16, 10));
+  const patterns::PhasedPattern app = cg128App();
+  const auto names = core::schemeRegistry().names();
+  for (const std::string& scheme : *names) {
     if (core::schemeRegistry().at(scheme).mode != core::RouteMode::kTable) {
       continue;
     }
-    const std::shared_ptr<const routing::Router> router =
-        makeRouter(topo, scheme, app);
-    Network net(topo, SimConfig{});
-    InvariantProbe probe;
-    net.setProbe(&probe);
-    trace::Replayer replayer(net, t, mapping, *router);
-    (void)replayer.run();
-    EXPECT_EQ(probe.delivered(), net.stats().messagesDelivered) << scheme;
-    expectClean(probe, scheme);
+    expectCleanReplay(topo, app, *makeRouter(topo, scheme, app), scheme);
+  }
+}
+
+TEST(InvariantProbe, Cg128ReplaySprayedAndAdaptive) {
+  const xgft::Topology topo = perSegmentTree();
+  const patterns::PhasedPattern app = cg128App();
+  for (const auto& [label, mode] : perSegmentModes()) {
+    expectCleanReplay(topo, app, mode, label);
   }
 }
 

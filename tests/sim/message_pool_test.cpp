@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "patterns/source.hpp"
@@ -106,7 +107,9 @@ TEST(InjectionProcess, DeliveryReadsItsRecordAfterTheSourceAddsAPage) {
   net.setProbe(&probe);
   BurstOnDelivery src;
   InjectionOptions opt;
-  opt.adaptive = true;
+  opt.addMessage = [&net](xgft::NodeIndex s, xgft::NodeIndex d, Bytes bytes) {
+    return std::optional<MsgId>(net.addMessageAdaptive(s, d, bytes));
+  };
   InjectionProcess process(net, src, opt);
   std::vector<bool> seen(BurstOnDelivery::kBurst + 1, false);
   std::uint64_t wrong = 0;

@@ -216,10 +216,9 @@ TEST(Multipath, MaxPathsAboveRouteCountUsesEveryRouteOnce) {
   const auto app = trace::scaleMessages(
       patterns::wrfHalo(4, 4, 64 * 1024), 0.5);
   const auto runWith = [&](std::uint32_t maxPaths) {
-    trace::SprayConfig spray;
-    spray.enabled = true;
+    trace::Spray spray;
     spray.maxPaths = maxPaths;
-    return trace::runAppSprayed(topo, app, spray);
+    return trace::runApp(topo, spray, app);
   };
   const trace::RunResult wide = runWith(64);
   const trace::RunResult exact = runWith(4);
@@ -235,10 +234,9 @@ TEST(Multipath, MaxPathsOfOneDegeneratesToSingleRoute) {
   const Topology topo(xgft::xgft2(4, 4, 4));
   const auto app = trace::scaleMessages(
       patterns::wrfHalo(4, 4, 64 * 1024), 0.5);
-  trace::SprayConfig spray;
-  spray.enabled = true;
+  trace::Spray spray;
   spray.maxPaths = 1;
-  const trace::RunResult r = trace::runAppSprayed(topo, app, spray);
+  const trace::RunResult r = trace::runApp(topo, spray, app);
   EXPECT_GT(r.makespanNs, 0u);
   EXPECT_EQ(r.stats.messagesDelivered, app.phases[0].size());
 }
@@ -247,9 +245,7 @@ TEST(Multipath, HarnessSprayRunsEndToEnd) {
   const Topology topo(xgft::xgft2(8, 8, 4));
   const auto app = trace::scaleMessages(
       patterns::wrfHalo(8, 8, 64 * 1024), 0.5);
-  trace::SprayConfig spray;
-  spray.enabled = true;
-  const trace::RunResult r = trace::runAppSprayed(topo, app, spray);
+  const trace::RunResult r = trace::runApp(topo, trace::Spray{}, app);
   EXPECT_GT(r.makespanNs, 0u);
   EXPECT_EQ(r.stats.messagesDelivered, app.phases[0].size());
 }

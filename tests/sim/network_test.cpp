@@ -355,7 +355,7 @@ TEST(Network, AddMessageSetValidatesItsArguments) {
   DeliveryRecorder rec;
   net.setSink(&rec);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const RouteSet set = RouteSet::one(2, router->choice(0, 9));
+  const RouteSet set = RouteSet::one(2, router->choice(0, 9, 2));
   // The empty set is only for local (src == dst) messages, and vice versa.
   EXPECT_THROW((void)net.addMessageSet(0, 9, 100, RouteSet{}),
                std::invalid_argument);

@@ -63,9 +63,6 @@ OpenLoopResult runJob(const Shared& shared, const Job& job) {
   OpenLoopOptions opt;
   opt.warmupNs = kWarmupNs;
   opt.measureNs = kMeasureNs;
-  opt.compiled = job.routes == Routes::kHealthy    ? shared.healthy.get()
-                 : job.routes == Routes::kDegraded ? shared.degraded.get()
-                                                   : nullptr;
   fault::FaultPlan plan;
   std::shared_ptr<void> installed;  // Owns the patched table.
   if (job.timedFault) {
@@ -87,7 +84,11 @@ OpenLoopResult runJob(const Shared& shared, const Job& job) {
   cfg.stopNs = kWarmupNs + kMeasureNs;
   cfg.seed = job.seed;
   patterns::OpenLoopSource source(cfg);
-  return runOpenLoop(shared.topo, *shared.router, source, opt);
+  const Routing mode =
+      job.routes == Routes::kHealthy    ? Routing{*shared.healthy}
+      : job.routes == Routes::kDegraded ? Routing{*shared.degraded}
+                                        : Routing{*shared.router};
+  return runOpenLoop(shared.topo, mode, source, opt);
 }
 
 void expectSameResult(const OpenLoopResult& alone,

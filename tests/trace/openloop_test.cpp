@@ -141,13 +141,12 @@ TEST(OpenLoop, SpraySourcesAlsoStream) {
   // Per-segment modes run through the same process: spraying an open-loop
   // stream must work and deliver everything.
   const Topology topo(xgft::xgft2(4, 4, 4));
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  OpenLoopOptions opt = fastWindows();
-  opt.spray.enabled = true;
-  opt.spray.seed = 3;
+  const OpenLoopOptions opt = fastWindows();
+  Spray spray;
+  spray.seed = 3;
   patterns::OpenLoopSource src =
       makeSource(topo, 0.3, opt.warmupNs + opt.measureNs);
-  const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
+  const OpenLoopResult r = runOpenLoop(topo, spray, src, opt);
   EXPECT_NEAR(r.acceptedLoad, 0.3, 0.05);
   EXPECT_GT(r.latency.samples, 0u);
 }
@@ -224,12 +223,11 @@ TEST(OpenLoop, RouterModeRunMatchesTheTableBackedRun) {
       routing::makeRandom(topo, 3);
   const auto table = core::CompiledRoutes::compile(router);
   std::vector<OpenLoopResult> runs;
-  for (const bool tabled : {true, false}) {
-    OpenLoopOptions opt = fastWindows();
-    opt.compiled = tabled ? table.get() : nullptr;
+  for (const Routing& mode : {Routing{*table}, Routing{*router}}) {
+    const OpenLoopOptions opt = fastWindows();
     patterns::OpenLoopSource src =
         makeSource(topo, 0.3, opt.warmupNs + opt.measureNs);
-    runs.push_back(runOpenLoop(topo, *router, src, opt));
+    runs.push_back(runOpenLoop(topo, mode, src, opt));
   }
   EXPECT_GT(runs[0].stats.messagesDelivered, 1'000u);
   EXPECT_EQ(runs[0].stats.eventsProcessed, runs[1].stats.eventsProcessed);
@@ -269,7 +267,6 @@ TEST(OpenLoop, TimedTableSwapKeepsEarlierMessagesOnTheOldTable) {
   const sim::TimeNs downNs = opt.warmupNs + opt.measureNs / 2;
   fault::FaultPlan plan;
   plan.faults.push_back({topo.upLink(1, 0, 0), downNs, fault::kNeverNs});
-  opt.compiled = healthy.get();
   std::shared_ptr<void> installed;  // Owns the degraded table.
   opt.prepare = [&](sim::Network& net, RouteSetResolver& resolver) {
     fault::InstallOptions io;
@@ -280,7 +277,7 @@ TEST(OpenLoop, TimedTableSwapKeepsEarlierMessagesOnTheOldTable) {
   opt.probe = &watch;
   patterns::OpenLoopSource src =
       makeSource(topo, 0.6, opt.warmupNs + opt.measureNs);
-  const OpenLoopResult r = runOpenLoop(topo, *router, src, opt);
+  const OpenLoopResult r = runOpenLoop(topo, *healthy, src, opt);
 
   // Every released message delivered or dropped; a single dead up-link of
   // ten partitions no pair, so nothing was refused.

@@ -2,18 +2,20 @@
 // Hop decode: over 50k SplitMix64 pairs, the output ports every segment
 // takes equal xgft::hopsOf of the same route — for a d-mod-k table,
 // router-mode d-mod-k at 4096 hosts, router-mode Random and colored, and
-// spray sets.  Compiled mode hands out the table's (level, choice);
+// spray sets.  Table mode hands out the table's (level, choice);
 // swapping in a degraded table changes later answers while earlier sets
-// keep their choices.  Router mode: every pair resolves to the choice a
-// table of the same router holds, and an out-of-range NCA choice is
-// rejected by the router's range check.  Spray sets hold
-// min(maxPaths, n) NCA-distinct choices.
+// keep their choices, and only table mode takes a swap.  Router mode: every
+// pair resolves to the choice a table of the same router holds, and an
+// out-of-range NCA choice is rejected by the router's range check.  Spray
+// sets hold min(maxPaths, n) NCA-distinct choices.  Adaptive mode adds
+// messages without a route set.
 #include "trace/route_resolver.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -52,20 +54,17 @@ class PathRecorder final : public sim::Probe {
   std::vector<std::vector<std::uint32_t>> paths;
 };
 
-/// Sends 50k single-segment messages over SplitMix64 pairs, each on the
-/// route set @p resolver gives, and checks the gports each one crossed
-/// against hopsOf(expected(s, d, seq)) mapped through globalPort.
+/// Sends 50k single-segment messages over SplitMix64 pairs, each added by
+/// a resolver routing as @p mode says, and checks the gports each one
+/// crossed against hopsOf(expected(s, d, seq)) mapped through globalPort.
 template <typename Expected>
-void expectHopsMatchReference(const xgft::Topology& topo,
-                              const routing::Router& router,
-                              SprayConfig spray,
-                              const core::CompiledRoutes* table,
+void expectHopsMatchReference(const xgft::Topology& topo, Routing mode,
+                              const std::string& label,
                               const Expected& expected) {
   sim::Network net(topo, sim::SimConfig{});
   PathRecorder recorder;
   net.setProbe(&recorder);
-  RouteSetResolver resolver(net, router, spray, table);
-  const sim::InjectionOptions opt = injectionOptions(resolver);
+  RouteSetResolver resolver(net, mode);
   struct Sent {
     xgft::NodeIndex s = 0;
     xgft::NodeIndex d = 0;
@@ -76,10 +75,10 @@ void expectHopsMatchReference(const xgft::Topology& topo,
   for (int i = 0; i < 50'000; ++i) {
     const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
     const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
-    const sim::MsgId m =
-        net.addMessageSet(s, d, net.config().segmentBytes, resolver.setFor(s, d),
-                          opt.policy, opt.spraySeed);
-    net.release(m, 0);
+    const std::optional<sim::MsgId> m =
+        resolver.add(s, d, net.config().segmentBytes);
+    ASSERT_TRUE(m.has_value());
+    net.release(*m, 0);
     sent.push_back({s, d});
   }
   net.run();
@@ -93,8 +92,7 @@ void expectHopsMatchReference(const xgft::Topology& topo,
       want.push_back(net.globalPort(hop.level, hop.node, hop.outPort));
     }
     ASSERT_EQ(recorder.paths[seq], want)
-        << router.name() << " message " << seq << " (" << s << " -> " << d
-        << ")";
+        << label << " message " << seq << " (" << s << " -> " << d << ")";
   }
 }
 
@@ -102,7 +100,7 @@ TEST(RouteDecode, FlatTableOnPaperSlim) {
   const Fixture f(xgft::xgft2(16, 16, 10));
   const auto table = core::CompiledRoutes::compile(f.router, 1);
   expectHopsMatchReference(
-      f.topo, *f.router, {}, table.get(),
+      f.topo, *table, "d-mod-k table",
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
         return f.router->route(s, d);
       });
@@ -116,7 +114,7 @@ TEST(RouteDecode, RouterModeDModKAt4096Hosts) {
   const routing::RelabelScheme& scheme =
       dynamic_cast<const routing::RelabelRouter&>(*f.router).scheme();
   expectHopsMatchReference(
-      f.topo, *f.router, {}, nullptr,
+      f.topo, *f.router, f.router->name(),
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
         return xgft::routeViaNca(f.topo, s, d,
                                  scheme.choice(f.topo.ncaLevel(s, d), d));
@@ -127,7 +125,7 @@ TEST(RouteDecode, RouterModeRandom) {
   const xgft::Topology topo(xgft::xgft2(16, 16, 10));
   const auto router = routing::makeRandom(topo, 3);
   expectHopsMatchReference(
-      topo, *router, {}, nullptr,
+      topo, *router, router->name(),
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
         return router->route(s, d);
       });
@@ -137,7 +135,7 @@ TEST(RouteDecode, RouterModeColored) {
   const xgft::Topology topo(xgft::xgft2(16, 16, 10));
   const auto router = routing::makeColored(topo, patterns::cgD128());
   expectHopsMatchReference(
-      topo, *router, {}, nullptr,
+      topo, *router, router->name(),
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t) {
         return router->route(s, d);
       });
@@ -148,13 +146,11 @@ TEST(RouteDecode, SpraySets) {
   // seeded random spray picks candidate hashMix(seed, seq, 0) % 10 for a
   // one-segment message, which routeViaNca enumerates independently.
   const xgft::Topology topo(xgft::xgft2(16, 16, 10));
-  const auto router = routing::makeDModK(topo);
-  SprayConfig spray;
-  spray.enabled = true;
+  Spray spray;
   spray.policy = sim::SprayPolicy::kRandom;
   spray.seed = 7;
   expectHopsMatchReference(
-      topo, *router, spray, nullptr,
+      topo, spray, "spray",
       [&](xgft::NodeIndex s, xgft::NodeIndex d, std::uint32_t seq) {
         const xgft::Count n = topo.numNcas(s, d);
         return xgft::routeViaNca(topo, s, d, xgft::hashMix(7, seq, 0) % n);
@@ -165,7 +161,7 @@ TEST(RouteSetResolver, TableModeHandsOutTheTablesChoices) {
   const Fixture f(xgft::xgft2(16, 16, 10));  // paper-slim
   const auto table = core::CompiledRoutes::compile(f.router, 1);
   sim::Network net(f.topo, sim::SimConfig{});
-  RouteSetResolver resolver(net, *f.router, {}, table.get());
+  RouteSetResolver resolver(net, *table);
   xgft::Rng rng(42);
   const auto n = static_cast<std::uint64_t>(f.topo.numHosts());
   for (int i = 0; i < 50'000; ++i) {
@@ -182,7 +178,7 @@ TEST(RouteSetResolver, TableModeHandsOutTheTablesChoices) {
   }
 }
 
-TEST(RouteSetResolver, SetCompiledSwapsTheTable) {
+TEST(RouteSetResolver, SetTableSwapsTheTable) {
   const Fixture f(xgft::xgft2(4, 4, 2));
   const auto healthy = core::CompiledRoutes::compile(f.router, 1);
   const auto degraded = healthy->patched(
@@ -193,10 +189,10 @@ TEST(RouteSetResolver, SetCompiledSwapsTheTable) {
         return core::CompiledRoutes::kUnroutable;
       });
   sim::Network net(f.topo, sim::SimConfig{});
-  RouteSetResolver resolver(net, *f.router, {}, healthy.get());
+  RouteSetResolver resolver(net, *healthy);
   const sim::RouteSet before = resolver.setFor(0, 15);
   ASSERT_FALSE(before.empty());
-  resolver.setCompiled(degraded.get());
+  resolver.setTable(*degraded);
   EXPECT_TRUE(resolver.setFor(0, 15).empty());
   EXPECT_FALSE(resolver.setFor(1, 15).empty());
   EXPECT_FALSE(resolver.setFor(15, 0).empty());
@@ -246,9 +242,10 @@ class OutOfRangeRouter final : public routing::Router {
  public:
   using Router::Router;
 
-  [[nodiscard]] xgft::Count choice(routing::NodeIndex s,
-                                   routing::NodeIndex d) const override {
-    return topology().numNcas(s, d);
+  [[nodiscard]] xgft::Count choice(routing::NodeIndex /*s*/,
+                                   routing::NodeIndex /*d*/,
+                                   std::uint32_t level) const override {
+    return topology().ncaChoices(level);
   }
   [[nodiscard]] std::string name() const override { return "out-of-range"; }
 };
@@ -280,9 +277,8 @@ TEST(RouteSetResolver, SpraySetsAreNcaDistinct) {
   const xgft::Topology topo(xgft::Params({16, 16, 16}, {1, 8, 8}));
   const auto router = routing::makeDModK(topo);
   sim::Network net(topo, sim::SimConfig{});
-  SprayConfig spray;
-  spray.enabled = true;
-  RouteSetResolver resolver(net, *router, spray);
+  const Spray spray;
+  RouteSetResolver resolver(net, spray);
   xgft::Rng rng(9);
   const auto n = static_cast<std::uint64_t>(topo.numHosts());
   std::size_t wide = 0;
@@ -312,7 +308,7 @@ TEST(RouteSetResolver, SpraySetsAreNcaDistinct) {
 
 /// Completion times and final stats of 400 messages resolved on paper-slim
 /// through a d-mod-k table (the first 200) and a degraded patch
-/// of it (the rest, after a setCompiled swap).  With @p dropTables the
+/// of it (the rest, after a setTable swap).  With @p dropTables the
 /// resolver and the last handles to both tables are gone before
 /// Network::run, so a message that still read its table would read freed
 /// memory (the ASan+UBSan build reports that).
@@ -336,16 +332,16 @@ TableFreeRun runResolvedThroughTables(bool dropTables) {
   sim::DeliveryRecorder recorder;
   net.setSink(&recorder);
   {
-    RouteSetResolver resolver(net, *router, {}, healthy.get());
+    RouteSetResolver resolver(net, *healthy);
     xgft::Rng rng(5);
     const auto n = static_cast<std::uint64_t>(topo.numHosts());
     for (std::uint32_t i = 0; i < 400; ++i) {
-      if (i == 200) resolver.setCompiled(degraded.get());
+      if (i == 200) resolver.setTable(*degraded);
       const auto s = static_cast<xgft::NodeIndex>(rng.below(n));
       const auto d = static_cast<xgft::NodeIndex>(rng.below(n));
-      const sim::RouteSet set = resolver.setFor(s, d);
-      if (set.empty() && s != d) continue;  // Partitioned by the failures.
-      net.release(net.addMessageSet(s, d, 4 * 1024, set), i * 100);
+      const std::optional<sim::MsgId> m = resolver.add(s, d, 4 * 1024);
+      if (!m) continue;  // Partitioned by the failures.
+      net.release(*m, i * 100);
     }
   }
   if (dropTables) {
@@ -371,12 +367,39 @@ TEST(RouteSetResolver, MessagesNeedNoTable) {
 
 TEST(RouteSetResolver, SprayingWithoutPathsIsRefused) {
   const xgft::Topology topo(xgft::xgft2(4, 4, 2));
-  const auto router = routing::makeDModK(topo);
   sim::Network net(topo, sim::SimConfig{});
-  SprayConfig spray;
-  spray.enabled = true;
+  Spray spray;
   spray.maxPaths = 0;
-  EXPECT_THROW(RouteSetResolver(net, *router, spray), std::invalid_argument);
+  EXPECT_THROW(RouteSetResolver(net, spray), std::invalid_argument);
+}
+
+TEST(RouteSetResolver, TableModeAloneTakesTableSwaps) {
+  const Fixture f(xgft::xgft2(4, 4, 2));
+  const Fixture other(xgft::xgft2(4, 4, 2));
+  const auto table = core::CompiledRoutes::compile(f.router, 1);
+  const auto foreign = core::CompiledRoutes::compile(other.router, 1);
+  sim::Network net(f.topo, sim::SimConfig{});
+  EXPECT_THROW(RouteSetResolver(net, *foreign), std::invalid_argument);
+  for (const Routing& mode :
+       {Routing{*f.router}, Routing{Spray{}}, Routing{Adaptive{}}}) {
+    RouteSetResolver resolver(net, mode);
+    EXPECT_THROW(resolver.setTable(*table), std::invalid_argument)
+        << mode.index();
+  }
+  RouteSetResolver resolver(net, *table);
+  EXPECT_THROW(resolver.setTable(*foreign), std::invalid_argument);
+}
+
+TEST(RouteSetResolver, AdaptiveModeAddsWithoutARouteSet) {
+  const xgft::Topology topo(xgft::xgft2(4, 4, 2));
+  sim::Network net(topo, sim::SimConfig{});
+  RouteSetResolver resolver(net, Adaptive{});
+  EXPECT_THROW((void)resolver.setFor(0, 15), std::logic_error);
+  const std::optional<sim::MsgId> m = resolver.add(0, 15, 4 * 1024);
+  ASSERT_TRUE(m.has_value());
+  net.release(*m, 0);
+  net.run();
+  EXPECT_EQ(net.stats().messagesDelivered, 1u);
 }
 
 }  // namespace
