@@ -117,19 +117,19 @@ void BM_CrossbarReference(benchmark::State& state) {
 BENCHMARK(BM_CrossbarReference)->Unit(benchmark::kMillisecond);
 
 /// BM_EventCoreChurn's loop: @p width events pending, then 100k pops,
-/// each followed by a push delay(i) after the popped event.
-template <typename Delay>
-void churnQueue(benchmark::State& state, Delay delay) {
+/// each followed by a push delay(i) after the popped event, of kind(i).
+template <typename Delay, typename Kind>
+void churnQueue(benchmark::State& state, Delay delay, Kind kind) {
   const auto width = static_cast<std::uint32_t>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
     sim::EventQueue q;
-    for (std::uint32_t i = 0; i < width; ++i) q.push(delay(i), 0, i, 0);
+    for (std::uint32_t i = 0; i < width; ++i) q.push(delay(i), kind(i), i, 0);
     sim::EventRecord ev{};
     for (std::uint32_t i = 0; i < 100000; ++i) {
       benchmark::DoNotOptimize(
           q.popUntil(std::numeric_limits<sim::TimeNs>::max(), ev));
-      q.push(ev.t + delay(i), 0, ev.a, 0);
+      q.push(ev.t + delay(i), kind(i), ev.a, 0);
     }
     events += 100000;
     benchmark::DoNotOptimize(q.size());
@@ -141,18 +141,28 @@ void churnQueue(benchmark::State& state, Delay delay) {
 void BM_EventCoreChurn(benchmark::State& state) {
   // The event queue in isolation at the concurrency of arg 0.  Arg 1 picks
   // the delays: 0 = simulator-shaped (transfer latency, wire free, wire
-  // arrive), 1 = uniform random in [1, 8192] ns, where almost every push
-  // finds no lane for its delay and goes to the overflow heap — the lane
-  // design's worst case.  items = events popped.
-  if (state.range(1) == 0) {
+  // arrive) all pushed as kind 0; 2 = the same delays with the network's
+  // kinds (kTransfer 3, kWireFree 2, kWireArrive 1), so each kind keeps
+  // one delay as in a run; 1 = uniform random in [1, 8192] ns, where almost
+  // every push finds no lane for its delay and goes to the overflow heap —
+  // the lane design's worst case.  items = events popped.
+  const auto noKind = [](std::uint32_t) { return std::uint8_t{0}; };
+  if (state.range(1) != 1) {
     static constexpr sim::TimeNs kDeltas[] = {100, 4096, 4116};
-    churnQueue(state, [](std::uint32_t i) { return kDeltas[i % 3]; });
+    static constexpr std::uint8_t kKinds[] = {3, 2, 1};
+    const auto delay = [](std::uint32_t i) { return kDeltas[i % 3]; };
+    if (state.range(1) == 2) {
+      churnQueue(state, delay, [](std::uint32_t i) { return kKinds[i % 3]; });
+    } else {
+      churnQueue(state, delay, noKind);
+    }
     return;
   }
   std::vector<sim::TimeNs> random(4096);
   xgft::Rng rng(1);
   for (sim::TimeNs& d : random) d = 1 + rng.next() % 8192;
-  churnQueue(state, [&random](std::uint32_t i) { return random[i & 4095]; });
+  churnQueue(
+      state, [&random](std::uint32_t i) { return random[i & 4095]; }, noKind);
 }
 BENCHMARK(BM_EventCoreChurn)
     ->Args({8, 0})
@@ -160,7 +170,10 @@ BENCHMARK(BM_EventCoreChurn)
     ->Args({4096, 0})
     ->Args({8, 1})
     ->Args({256, 1})
-    ->Args({4096, 1});
+    ->Args({4096, 1})
+    ->Args({8, 2})
+    ->Args({256, 2})
+    ->Args({4096, 2});
 
 void BM_OpenLoopRun(benchmark::State& state) {
   // One open-loop job on paper-slim, XGFT(2; 16,16; 1,10), near the

@@ -1,6 +1,8 @@
 #include "patterns/source.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace patterns {
@@ -75,7 +77,12 @@ OpenLoopSource::OpenLoopSource(OpenLoopConfig cfg) : cfg_(cfg) {
       }
     }
   }
-  for (Rank r = 0; r < cfg_.numRanks; ++r) scheduleNext(r, cfg_.startNs);
+  arrivals_.reserve(cfg_.numRanks);
+  for (Rank r = 0; r < cfg_.numRanks; ++r) {
+    const sim::TimeNs t = cfg_.startNs + nextGap(r);
+    if (t < cfg_.stopNs) arrivals_.emplace_back(t, r);
+  }
+  std::make_heap(arrivals_.begin(), arrivals_.end(), std::greater<>{});
 }
 
 sim::TimeNs OpenLoopSource::nextGap(Rank r) {
@@ -117,21 +124,35 @@ Rank OpenLoopSource::drawDestination(Rank r) {
   return static_cast<Rank>((r + 1 + offset) % cfg_.numRanks);
 }
 
-void OpenLoopSource::scheduleNext(Rank r, sim::TimeNs from) {
-  const sim::TimeNs t = from + nextGap(r);
-  if (t < cfg_.stopNs) arrivals_.emplace(t, r);
+void OpenLoopSource::replaceEarliest(sim::TimeNs next) {
+  Arrival moving{next, arrivals_.front().second};
+  if (next >= cfg_.stopNs) {
+    moving = arrivals_.back();
+    arrivals_.pop_back();
+    if (arrivals_.empty()) return;
+  }
+  // Sift down from the top: (t, rank) keys are unique, so any valid heap
+  // yields the same pull sequence.
+  const std::size_t n = arrivals_.size();
+  std::size_t i = 0;
+  for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+    if (c + 1 < n && arrivals_[c + 1] < arrivals_[c]) ++c;
+    if (!(arrivals_[c] < moving)) break;
+    arrivals_[i] = arrivals_[c];
+    i = c;
+  }
+  arrivals_[i] = moving;
 }
 
 Pull OpenLoopSource::pull(sim::TimeNs /*now*/, SourceMessage& out) {
   if (arrivals_.empty()) return Pull::kExhausted;
-  const auto [t, r] = arrivals_.top();
-  arrivals_.pop();
+  const auto [t, r] = arrivals_.front();
   out.src = r;
   out.dst = drawDestination(r);
   out.bytes = cfg_.messageBytes;
   out.time = t;
   out.token = emitted_++;
-  scheduleNext(r, t);
+  replaceEarliest(t + nextGap(r));
   return Pull::kMessage;
 }
 

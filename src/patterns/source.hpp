@@ -34,7 +34,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "patterns/pattern.hpp"
@@ -135,7 +135,6 @@ class OpenLoopSource final : public TrafficSource {
   /// Next interarrival gap of rank @p r, in ns (>= 1).
   [[nodiscard]] sim::TimeNs nextGap(Rank r);
   [[nodiscard]] Rank drawDestination(Rank r);
-  void scheduleNext(Rank r, sim::TimeNs from);
 
   OpenLoopConfig cfg_;
   double meanGapNs_ = 0.0;  ///< messageBytes / (load * hostBytesPerNs).
@@ -146,11 +145,14 @@ class OpenLoopSource final : public TrafficSource {
   std::vector<std::uint32_t> burstLeft_;    ///< kBursty per-rank countdown.
   std::vector<Rank> permutation_;           ///< kPermutation target map.
 
-  /// (next arrival time, rank) min-heap; ties break by rank, so the merge
-  /// order is a pure function of the seed.
+  /// Replaces the earliest arrival with @p next, or drops it when @p next
+  /// is past stopNs, and restores the heap with one sift down.
+  void replaceEarliest(sim::TimeNs next);
+
+  /// (next arrival time, rank) binary min-heap, the earliest at the front;
+  /// ties break by rank, so the merge order is a pure function of the seed.
   using Arrival = std::pair<sim::TimeNs, Rank>;
-  std::priority_queue<Arrival, std::vector<Arrival>, std::greater<Arrival>>
-      arrivals_;
+  std::vector<Arrival> arrivals_;
 
   std::uint64_t emitted_ = 0;
 };

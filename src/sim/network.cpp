@@ -16,6 +16,15 @@ constexpr std::uint32_t kNoPeer = 0xffffffffu;
 Network::Network(const xgft::Topology& topo, SimConfig cfg)
     : topo_(&topo), cfg_(cfg),
       serFullNs_(cfg.serializationNs(cfg.segmentBytes)) {
+  // A segment stores its serialization time in 32 bits, and no payload
+  // serializes longer than a full segment's.
+  if (serFullNs_ > 0xffffffffull) {
+    throw std::invalid_argument(
+        "Network: a " + std::to_string(cfg.segmentBytes) +
+        "-byte segment serializes in " + std::to_string(serFullNs_) +
+        " ns — exceeds the 32-bit per-segment time; raise "
+        "SimConfig::linkGbps or lower SimConfig::segmentBytes");
+  }
   const std::uint32_t h = topo.height();
   // Port bases per global node (hosts first, then switches level by level).
   portBase_.resize(topo.numNodes());
@@ -566,7 +575,12 @@ std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t choice,
     idx = static_cast<std::uint32_t>(segments_.size());
     segments_.emplace_back();
   }
-  segments_[idx] = Segment{msg, choice, 0, bytes, 0, kNil};
+  // Full segments dominate; their time is precomputed, which keeps the
+  // floating-point flit arithmetic off the hot path.
+  const TimeNs ser =
+      bytes == cfg_.segmentBytes ? serFullNs_ : cfg_.serializationNs(bytes);
+  segments_[idx] =
+      Segment{msg, choice, 0, static_cast<std::uint32_t>(ser), 0, kNil};
   return idx;
 }
 
@@ -610,12 +624,7 @@ void Network::startTransmission(std::uint32_t gOutPort, std::uint32_t seg) {
   assert(!port.wireBusy && port.credits > 0);
   port.wireBusy = true;
   --port.credits;
-  // Full segments dominate; their serialization time is precomputed (the
-  // floating-point flit arithmetic is off the hot path).
-  const std::uint32_t payload = segments_[seg].payloadBytes;
-  const TimeNs ser = payload == cfg_.segmentBytes
-                         ? serFullNs_
-                         : cfg_.serializationNs(payload);
+  const TimeNs ser = segments_[seg].serNs;
   port.busyNs += ser;
   if (probe_ != nullptr) {
     probe_->onWireBusy(gOutPort, messages_[segments_[seg].msg].seq, now_,

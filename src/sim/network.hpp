@@ -297,6 +297,12 @@ class Network {
   [[nodiscard]] std::uint64_t queueOverflowPushes() const {
     return queue_.overflowPushes();
   }
+  /// Event pops that scanned the queue's lane heads instead of taking the
+  /// current lane's head (event_queue.hpp); a small share of the pops on
+  /// the paper's workloads, as tests/sim/event_queue_test bounds.
+  [[nodiscard]] std::uint64_t queueRescans() const {
+    return queue_.rescans();
+  }
   /// Slots the message pool has handed out: the most messages ever live at
   /// once, not the number ever sent (completed and dropped messages recycle
   /// their slots), nor the capacity of the pool's pages.
@@ -367,11 +373,12 @@ class Network {
     MsgId msg = 0;
     std::uint32_t choice = 0;   ///< The NCA choice this segment climbs to.
     std::uint32_t hop = 0;      ///< Hops completed so far.
-    std::uint32_t payloadBytes = 0;
+    std::uint32_t serNs = 0;    ///< Serialization time of its payload.
     std::uint32_t resolvedOut = 0;  ///< Output gport chosen at this switch.
     std::uint32_t next = kNil;      ///< Intrusive FIFO link / free-list link.
     std::uint32_t flags = 0;        ///< kSegEscaped.
   };
+  static_assert(sizeof(Segment) == 28, "Segment must stay 28 bytes");
 
   /// Where a message slot is in its life: release() and host injection
   /// move it forward, completion or a fault drop frees it.
@@ -547,6 +554,8 @@ class Network {
                   RouteSet routes, SprayPolicy policy, std::uint64_t spraySeed,
                   bool adaptive);
 
+  /// Takes a segment slot for @p bytes of @p msg's payload and stamps its
+  /// serialization time.
   [[nodiscard]] std::uint32_t allocSegment(MsgId msg, std::uint32_t choice,
                                            std::uint32_t bytes);
   /// The NCA choice @p m's next segment takes: the only one of a
@@ -617,7 +626,8 @@ class Network {
 
   const xgft::Topology* topo_;
   SimConfig cfg_;
-  TimeNs serFullNs_ = 0;  ///< serializationNs(segmentBytes), precomputed.
+  /// serializationNs(segmentBytes), precomputed; fits Segment::serNs.
+  TimeNs serFullNs_ = 0;
   TrafficSink* sink_ = nullptr;
   Probe* probe_ = nullptr;     ///< Cached enabled flag: null == disabled.
   bool samplePending_ = false; ///< A kSample event sits in the queue.

@@ -1,9 +1,11 @@
 // Tests for the per-delay FIFO lane event core: exact (t, insertion-seq)
 // service order against a std::priority_queue reference model — lanes
 // alone, lanes plus the overflow heap (more live delays than lanes, pushes
-// earlier than their lane's tail, equal-time ties across both), ring growth
-// and lane retagging — plus the until semantics Network::run(until) relies
-// on, and the claim that the paper's workloads never need the heap.
+// earlier than their lane's tail, equal-time ties across both), ring growth,
+// lane retagging, and every way a push can change the runner-up the
+// one-compare pop path trusts — plus the until semantics Network::run(until)
+// relies on, and the claims that the paper's workloads never need the heap
+// and rarely rescan the lanes.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -299,6 +301,132 @@ TEST(EventQueue, DrainedLaneIsRetaggedForANewDelay) {
   expectSameDrain(q, ref);
 }
 
+// The one-compare pop: the queue pops the current lane's head while it
+// beats the runner-up, the least head of every other lane and of the heap.
+// Each test below is a push that must lower the runner-up (or must not), or
+// a pop on that path; each drains against the reference model.
+
+TEST(EventQueueRunnerUp, PushIntoAnEmptyOtherLaneUndercutsIt) {
+  // The current lane's next head (1100) is later than a push into a new
+  // lane (1050): the pop must not take the current lane on the strength
+  // of a runner-up (5000) that predates the push.
+  EventQueue q;
+  Reference ref;
+  pushBoth(q, ref, 100, 0);
+  pushBoth(q, ref, 1000, 1);
+  pushBoth(q, ref, 5000, 2);
+  EXPECT_EQ(popBoth(q, ref).a, 0u);
+  pushBoth(q, ref, 1100, 3);  // Delay 1000: the lane of event 1.
+  EXPECT_EQ(popBoth(q, ref).a, 1u);
+  pushBoth(q, ref, 1050, 4);  // Delay 50: a new lane, ahead of 1100.
+  EXPECT_EQ(popBoth(q, ref).a, 4u);
+  EXPECT_EQ(popBoth(q, ref).a, 3u);
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueueRunnerUp, PushIntoTheCurrentLaneAfterItDrained) {
+  EventQueue q;
+  Reference ref;
+  pushBoth(q, ref, 100, 0);
+  pushBoth(q, ref, 300, 1);
+  EXPECT_EQ(popBoth(q, ref).a, 0u);  // Drains the current (delay-100) lane.
+  const std::uint64_t scans = q.rescans();
+  pushBoth(q, ref, 200, 2);  // Delay 100 again: refills the current lane.
+  EXPECT_EQ(popBoth(q, ref).a, 2u);
+  EXPECT_EQ(q.rescans(), scans) << "200 beats the runner-up: one compare";
+  // Refilled again at 300, where the runner-up already waits: the tie goes
+  // to the earlier push, so this pop must scan.
+  pushBoth(q, ref, 300, 3);
+  EXPECT_EQ(popBoth(q, ref).a, 1u);
+  EXPECT_EQ(popBoth(q, ref).a, 3u);
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueueRunnerUp, HeapPushUndercutsIt) {
+  EventQueue q;
+  Reference ref;
+  pushBoth(q, ref, 100, 0);   // Lane tagged 100.
+  pushBoth(q, ref, 1000, 1);  // Lane tagged 1000.
+  EXPECT_EQ(popBoth(q, ref).a, 0u);
+  pushBoth(q, ref, 1100, 2);  // Delay 1000: behind event 1.
+  // Seven more delays fill every lane.
+  for (std::uint32_t k = 0; k < 7; ++k) pushBoth(q, ref, 5000 + k, 10 + k);
+  EXPECT_EQ(popBoth(q, ref).a, 1u);  // Current: the 1000 lane, head 1100.
+  // A ninth live delay goes to the heap, ahead of the current lane's head.
+  pushBoth(q, ref, 1050, 3);
+  EXPECT_EQ(q.overflowPushes(), 1u);
+  EXPECT_EQ(popBoth(q, ref).a, 3u);
+  EXPECT_EQ(popBoth(q, ref).a, 2u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueueRunnerUp, BlockedPopOnTheFastPathConsumesNothing) {
+  EventQueue q;
+  Reference ref;
+  pushBoth(q, ref, 100, 0);
+  pushBoth(q, ref, 100, 1);
+  pushBoth(q, ref, 500, 2);
+  EXPECT_EQ(popBoth(q, ref).a, 0u);  // Current lane: event 1 is its head.
+  const std::uint64_t scans = q.rescans();
+  EventRecord out{};
+  EXPECT_FALSE(q.popUntil(99, out));
+  EXPECT_EQ(q.size(), 2u);
+  ASSERT_TRUE(q.popUntil(100, out));
+  EXPECT_EQ(out.a, 1u);
+  EXPECT_EQ(q.rescans(), scans) << "both pops took the one-compare path";
+  EXPECT_EQ(ref.pop().a, 1u);
+  EXPECT_FALSE(q.popUntil(499, out));  // The scan blocks too.
+  EXPECT_EQ(q.size(), 1u);
+  expectSameDrain(q, ref);
+}
+
+TEST(EventQueueRunnerUp, SameInstantBurstsOverThreeLanesWithInterleavedKinds) {
+  // The network's lock-step shape on 64 ports: a transfer (kind 3, one
+  // switch latency) starts a transmission, which schedules its wire-free
+  // (kind 2, one serialization time) and wire-arrive (kind 1, plus the wire
+  // latency); an arrival schedules the next hop's transfer.  Every port
+  // starts at t = 0, so each instant holds a burst of 64 same-kind events,
+  // and pushes of the three kinds interleave.
+  EventQueue q;
+  Reference ref;
+  std::vector<std::uint8_t> kindOf;
+  const auto push = [&](TimeNs t, std::uint8_t kind) {
+    const auto id = static_cast<std::uint32_t>(kindOf.size());
+    kindOf.push_back(kind);
+    q.push(t, kind, id, 0);
+    ref.push(t, id);
+  };
+  for (int port = 0; port < 64; ++port) push(0, 3);
+  std::uint64_t pops = 0;
+  EventRecord got{};
+  while (!ref.empty() && pops < 200'000) {
+    const RefEvent want = ref.pop();
+    ASSERT_TRUE(q.popUntil(std::numeric_limits<TimeNs>::max(), got));
+    ASSERT_EQ(got.t, want.t);
+    ASSERT_EQ(got.a, want.a);
+    ASSERT_EQ(got.kind(), kindOf[got.a]);
+    ++pops;
+    switch (got.kind()) {
+      case 3:
+        push(got.t + 4096, 2);
+        push(got.t + 4116, 1);
+        break;
+      case 1:
+        push(got.t + 100, 3);
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(pops, 200'000u);
+  EXPECT_EQ(q.overflowPushes(), 0u);
+  // Each instant's burst costs one scan at most.
+  EXPECT_LT(q.rescans() * 20, pops) << q.rescans() << " rescans";
+  expectSameDrain(q, ref);
+}
+
 // The lane design rests on the paper's network model scheduling nearly
 // every event a constant delay after `now`.  These runs pin that the
 // heap stays unused on the benchmark's two traffic shapes, so a change
@@ -339,6 +467,10 @@ TEST(EventQueueLanes, ScaledCgReplayNeverOverflows) {
   EXPECT_GT(replayer.run(), 0u);
   EXPECT_GT(net.stats().eventsProcessed, 100'000u);
   EXPECT_EQ(net.queueOverflowPushes(), 0u);
+  // Lock-step: most pops share an instant and a lane with the last one.
+  // 9,072 of 357,072 pops (2.5%) scan the lanes; the bound is 3%.
+  EXPECT_LE(net.queueRescans() * 100, net.stats().eventsProcessed * 3)
+      << net.queueRescans() << " rescans";
 }
 
 }  // namespace

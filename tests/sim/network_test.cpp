@@ -258,6 +258,37 @@ TEST(Network, WireBusyAccounting) {
   EXPECT_EQ(net.wireBusyNs(hostPort), 4u * 4096);
 }
 
+TEST(Network, PartialSegmentsSerializeForTheirPayload) {
+  // 1.5 KB: a full segment, then a 512-byte one that holds the wire half
+  // as long; each segment carries its own serialization time.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  Network net(topo, zeroLatencyConfig());
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const MsgId m = addRouted(net, 0, 1, 1536, router->route(0, 1));
+  net.release(m, 0);
+  net.run();
+  EXPECT_EQ(net.wireBusyNs(net.globalPort(0, 0, 0)), 4096u + 2048u);
+  EXPECT_EQ(net.stats().segmentsDelivered, 2u);
+}
+
+TEST(Network, SegmentSerializationTimeMustFit32Bits) {
+  // A segment stores its serialization time in 32 bits: 1032 bytes at
+  // 1e-6 Gbit/s take 8.3 s, past 2^32 ns; at 2e-6 Gbit/s 4.1 s still fit.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  SimConfig slow;
+  slow.linkGbps = 1e-6;
+  try {
+    const Network net(topo, slow);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit per-segment time"),
+              std::string::npos)
+        << e.what();
+  }
+  slow.linkGbps = 2e-6;
+  EXPECT_NO_THROW(Network(topo, slow));
+}
+
 TEST(Network, RunUntilPausesAndResumes) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Network net(topo, zeroLatencyConfig());
