@@ -143,10 +143,20 @@ void BM_EventCoreChurn(benchmark::State& state) {
   // the delays: 0 = simulator-shaped (transfer latency, wire free, wire
   // arrive) all pushed as kind 0; 2 = the same delays with the network's
   // kinds (kTransfer 3, kWireFree 2, kWireArrive 1), so each kind keeps
-  // one delay as in a run; 1 = uniform random in [1, 8192] ns, where almost
-  // every push finds no lane for its delay and goes to the overflow heap —
-  // the lane design's worst case.  items = events popped.
+  // one delay as in a run; 3 = those three with a zero-delay kRelease
+  // (kind 0) before each, so every other pop takes the record pushed just
+  // before it, as a release is; 1 = uniform random in [1, 8192] ns, where
+  // almost every push finds no lane for its delay and goes to the overflow
+  // heap — the lane design's worst case.  items = events popped.
   const auto noKind = [](std::uint32_t) { return std::uint8_t{0}; };
+  if (state.range(1) == 3) {
+    static constexpr sim::TimeNs kDeltas[] = {0, 100, 0, 4096, 0, 4116};
+    static constexpr std::uint8_t kKinds[] = {0, 3, 0, 2, 0, 1};
+    churnQueue(
+        state, [](std::uint32_t i) { return kDeltas[i % 6]; },
+        [](std::uint32_t i) { return kKinds[i % 6]; });
+    return;
+  }
   if (state.range(1) != 1) {
     static constexpr sim::TimeNs kDeltas[] = {100, 4096, 4116};
     static constexpr std::uint8_t kKinds[] = {3, 2, 1};
@@ -173,7 +183,10 @@ BENCHMARK(BM_EventCoreChurn)
     ->Args({4096, 1})
     ->Args({8, 2})
     ->Args({256, 2})
-    ->Args({4096, 2});
+    ->Args({4096, 2})
+    ->Args({8, 3})
+    ->Args({256, 3})
+    ->Args({4096, 3});
 
 void BM_OpenLoopRun(benchmark::State& state) {
   // One open-loop job on paper-slim, XGFT(2; 16,16; 1,10), near the

@@ -59,7 +59,7 @@ class EventQueue {
  public:
   void push(TimeNs t, std::uint8_t kind, std::uint32_t a, std::uint32_t seg) {
     assert(kind < 8 && "EventQueue: kind must fit the 3-bit tag field");
-    const EventRecord e{t, (seq_++ << 3) | kind, a, seg};
+    const std::uint64_t tag = (seq_++ << 3) | kind;
     // Wraps for t < lastPop_: still a usable key, the tail check decides.
     const TimeNs d = t - lastPop_;
     unsigned i = hint_[kind];
@@ -67,7 +67,7 @@ class EventQueue {
       // Delay tags are unique, so a hit is the lane the scan would find.
       i = laneFor(d);
       if (i == kLanes) {
-        pushHeap(e);
+        pushHeap(t, tag, a, seg);
         return;
       }
       hint_[kind] = static_cast<std::uint8_t>(i);
@@ -75,13 +75,20 @@ class EventQueue {
     Lane& lane = lanes_[i];
     const bool idle = lane.head == lane.tail;
     if (!idle && lane.ring[(lane.tail - 1) & lane.mask].t > t) [[unlikely]] {
-      pushHeap(e);
+      pushHeap(t, tag, a, seg);
       return;
     }
     if (lane.tail - lane.head == lane.mask + 1) [[unlikely]] grow(lane);
-    lane.ring[lane.tail++ & lane.mask] = e;
+    // Field by field into the slot: a record built on the stack and copied
+    // in is stored in halves and reloaded whole, which the CPU cannot
+    // forward (DESIGN.md §7, hot-path rules).
+    EventRecord& slot = lane.ring[lane.tail++ & lane.mask];
+    slot.t = t;
+    slot.tag = tag;
+    slot.a = a;
+    slot.seg = seg;
     if (idle) {
-      const Key key = keyOf(e);
+      const Key key = keyOf(t, tag);
       head_[i] = key;
       occupied_ |= 1u << i;
       // The new head can undercut the runner-up only by an earlier time:
@@ -126,8 +133,11 @@ class EventQueue {
   /// An empty lane's key: later than any event's.
   static constexpr Key kNone = ~Key{0};
 
+  [[nodiscard]] static Key keyOf(TimeNs t, std::uint64_t tag) {
+    return (static_cast<Key>(t) << 64) | tag;
+  }
   [[nodiscard]] static Key keyOf(const EventRecord& e) {
-    return (static_cast<Key>(e.t) << 64) | e.tag;
+    return keyOf(e.t, e.tag);
   }
   [[nodiscard]] static TimeNs timeOf(Key key) {
     return static_cast<TimeNs>(key >> 64);
@@ -163,17 +173,29 @@ class EventQueue {
     return i;
   }
 
+  /// Copies the record in @p slot to @p out, field by field, and makes it
+  /// the last pop.  Nothing out of line sees @p out, so the caller keeps the
+  /// fields in registers and reads each with a load no wider than the
+  /// store that wrote it, which the CPU forwards even when the record was
+  /// pushed a moment ago (a zero-delay release).
+  void take(const EventRecord& slot, EventRecord& out) {
+    out.t = slot.t;
+    out.tag = slot.tag;
+    out.a = slot.a;
+    out.seg = slot.seg;
+    lastPop_ = slot.t;
+  }
+
   /// Moves lane @p i's head into @p out and caches the next head's key.
   void popLane(unsigned i, EventRecord& out) {
     Lane& lane = lanes_[i];
-    out = lane.ring[lane.head++ & lane.mask];
+    take(lane.ring[lane.head++ & lane.mask], out);
     if (lane.head == lane.tail) {
       head_[i] = kNone;
       occupied_ &= ~(1u << i);
     } else {
       head_[i] = keyOf(lane.ring[lane.head & lane.mask]);
     }
-    lastPop_ = out.t;
   }
 
   /// The slow pop: finds the least and second-least of the occupied lanes'
@@ -201,7 +223,8 @@ class EventQueue {
     if (from < kLanes) {
       popLane(from, out);
     } else {
-      popHeap(out);
+      take(heap_.front(), out);
+      popHeap();
     }
     return true;
   }
@@ -209,20 +232,21 @@ class EventQueue {
   // The heap and ring growth are off the hot paths; kept out of line, they
   // leave push and the pop loop few registers to save.
 
-  /// A push no lane can take.
-  [[gnu::noinline]] void pushHeap(const EventRecord& e) {
-    heap_.push_back(e);
+  /// A push no lane can take.  The fields come by value, so push never
+  /// takes the address of a record.
+  [[gnu::noinline]] void pushHeap(TimeNs t, std::uint64_t tag, std::uint32_t a,
+                                  std::uint32_t seg) {
+    heap_.push_back(EventRecord{t, tag, a, seg});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    const Key key = keyOf(e);
+    const Key key = keyOf(t, tag);
     if (key < runnerUp_) runnerUp_ = key;
     ++overflowPushes_;
   }
 
-  [[gnu::noinline]] void popHeap(EventRecord& out) {
-    out = heap_.front();
+  /// Drops the heap top, which the caller has taken.
+  [[gnu::noinline]] void popHeap() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
-    lastPop_ = out.t;
   }
 
   /// Doubles a full ring, unwrapping it so the head restarts at slot 0.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "sim/probe.hpp"
 #include <stdexcept>
@@ -54,7 +55,10 @@ Network::Network(const xgft::Topology& topo, SimConfig cfg)
     }
   }
   adaptiveRR_.assign(topo.numNodes(), 0);
-  // Message::level holds an NCA level in one byte.
+  // Message::level and Segment::level hold an NCA level in one byte, and
+  // Segment::hop counts the at most 2h hops of a minimal route.
+  static_assert(2 * 0xff <= std::numeric_limits<decltype(Segment::hop)>::max(),
+                "Segment::hop must count 2h hops for every accepted h");
   if (h > 0xff) {
     throw std::invalid_argument("Network: tree higher than 255 levels");
   }
@@ -269,7 +273,51 @@ void Network::run(TimeNs until) {
   while (queue_.popUntil(until, ev)) {
     const TimeNs before = now_;
     now_ = ev.t;
-    handle(ev, before);
+    switch (static_cast<Kind>(ev.kind())) {
+      case Kind::kRelease:
+        handleRelease(ev.a);
+        break;
+      case Kind::kWireArrive:
+        handleWireArrive(ev.a, ev.seg);
+        break;
+      case Kind::kWireFree:
+        handleWireFree(ev.a);
+        break;
+      case Kind::kTransfer:
+        handleTransfer(ev.a, ev.seg);
+        break;
+      case Kind::kCallback: {
+        // Move the closure out before invoking: the slot is recycled, and
+        // the callback may itself schedule new callbacks into it.
+        std::function<void()> fn = std::move(callbacks_[ev.a]);
+        freeCallbackSlots_.push_back(ev.a);
+        fn();
+        break;
+      }
+      case Kind::kSample:
+        samplePending_ = false;
+        if (probe_ != nullptr) {
+          probe_->onSample(*this, now_);
+          // Reschedule only while other events remain: the sampler can
+          // never keep an otherwise drained queue alive, so termination
+          // and the stranded-traffic check are unaffected.
+          if (probe_->samplePeriodNs() > 0 && !queue_.empty()) {
+            scheduleSample();
+          }
+        }
+        // Sampling must not perturb measured results: a tick is not
+        // counted in eventsProcessed, and the clock goes back to the last
+        // event's time, so a trailing tick neither lengthens an outage
+        // nor moves now().
+        now_ = before;
+        continue;
+      case Kind::kLinkDown:
+        handleLinkDown(ev.a);
+        break;
+      case Kind::kLinkUp:
+        handleLinkUp(ev.a);
+        break;
+    }
     ++stats_.eventsProcessed;
   }
   // Stats are valid at every run() boundary: fold pending outage time in.
@@ -314,56 +362,6 @@ void Network::accrueLinkDownTo(TimeNs t) {
 
 TimeNs Network::wireBusyNs(std::uint32_t gport) const {
   return ports_.at(gport).busyNs;
-}
-
-void Network::handle(const EventRecord& ev, TimeNs before) {
-  switch (static_cast<Kind>(ev.kind())) {
-    case Kind::kRelease:
-      handleRelease(ev.a);
-      break;
-    case Kind::kWireArrive:
-      handleWireArrive(ev.a, ev.seg);
-      break;
-    case Kind::kWireFree:
-      handleWireFree(ev.a);
-      break;
-    case Kind::kTransfer:
-      handleTransfer(ev.a, ev.seg);
-      break;
-    case Kind::kCallback: {
-      // Move the closure out before invoking: the slot is recycled, and the
-      // callback may itself schedule new callbacks into it.
-      std::function<void()> fn = std::move(callbacks_[ev.a]);
-      freeCallbackSlots_.push_back(ev.a);
-      fn();
-      break;
-    }
-    case Kind::kSample: {
-      samplePending_ = false;
-      if (probe_ != nullptr) {
-        probe_->onSample(*this, now_);
-        // Reschedule only while other events remain: the sampler can never
-        // keep an otherwise drained queue alive, so termination and the
-        // stranded-traffic check are unaffected.
-        if (probe_->samplePeriodNs() > 0 && !queue_.empty()) scheduleSample();
-      }
-      // Sampling must not perturb measured results: pre-compensate the ++
-      // the run() loop applies after handle(), so eventsProcessed never
-      // counts probe ticks (unsigned wrap on the first-ever event is
-      // well-defined and immediately undone), and put the clock back to
-      // the last event's time, so a trailing tick neither lengthens an
-      // outage nor moves now().
-      --stats_.eventsProcessed;
-      now_ = before;
-      break;
-    }
-    case Kind::kLinkDown:
-      handleLinkDown(ev.a);
-      break;
-    case Kind::kLinkUp:
-      handleLinkUp(ev.a);
-      break;
-  }
 }
 
 void Network::handleLinkDown(std::uint32_t link) {
@@ -481,7 +479,7 @@ void Network::processDeadOutput(std::uint32_t gOutPort) {
       strandSegment(gOutPort, seg);
       continue;
     }
-    segments_[seg].flags |= kSegEscaped;
+    segments_[seg].adaptive = true;
     segments_[seg].resolvedOut = alt;
     ++stats_.segmentsRerouted;
     PortState& altPort = ports_[alt];
@@ -561,8 +559,7 @@ std::uint32_t Network::segmentPayload(const Message& m,
       std::min<Bytes>(remaining, cfg_.segmentBytes));
 }
 
-std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t choice,
-                                    std::uint32_t bytes) {
+std::uint32_t Network::allocSegment(MsgId msg, const Message& m) {
   std::uint32_t idx;
   if (freeSegments_ != kNil) {
     idx = freeSegments_;
@@ -577,10 +574,18 @@ std::uint32_t Network::allocSegment(MsgId msg, std::uint32_t choice,
   }
   // Full segments dominate; their time is precomputed, which keeps the
   // floating-point flit arithmetic off the hot path.
+  const std::uint32_t bytes = segmentPayload(m, m.injectedSegments);
   const TimeNs ser =
       bytes == cfg_.segmentBytes ? serFullNs_ : cfg_.serializationNs(bytes);
-  segments_[idx] =
-      Segment{msg, choice, 0, static_cast<std::uint32_t>(ser), 0, kNil};
+  segments_[idx] = Segment{.msg = msg,
+                           .choice = pickChoice(m),
+                           .hop = 0,
+                           .level = m.level,
+                           .adaptive = m.adaptive,
+                           .serNs = static_cast<std::uint32_t>(ser),
+                           .resolvedOut = 0,
+                           .next = kNil,
+                           .dst = m.dst};
   return idx;
 }
 
@@ -605,8 +610,7 @@ void Network::tryInjectHost(std::uint32_t gOutPort) {
   assert(m.state == MsgState::kQueued);
   port.activeHead = m.nextActive;
   if (port.activeHead == kNil) port.activeTail = kNil;
-  const std::uint32_t payload = segmentPayload(m, m.injectedSegments);
-  const std::uint32_t seg = allocSegment(msgId, pickChoice(m), payload);
+  const std::uint32_t seg = allocSegment(msgId, m);
   ++m.injectedSegments;
   ++stats_.segmentsInjected;
   // Round robin: messages with segments left rejoin the tail, so concurrent
@@ -723,12 +727,7 @@ void Network::tryAdvanceInput(std::uint32_t gInPort) {
 }
 
 std::uint32_t Network::nextOutput(std::uint32_t gInPort, const Segment& seg) {
-  // Reads only fields fixed when the message was added, so unlike the
-  // adaptive resolve it asserts nothing about the slot's state.
-  const Message& m = messages_[seg.msg];
-  if (m.adaptive || (seg.flags & kSegEscaped) != 0) {
-    return resolveAdaptive(gInPort, seg);
-  }
+  if (seg.adaptive) return resolveAdaptive(gInPort, seg);
   // A node's ports are contiguous gports, so this switch's port p is
   // gInPort - localPort + p.  hop counts the arrivals so far (>= 1 here):
   // hops 1 .. level - 1 arrive at levels 1 .. level - 1 on the way up and
@@ -736,11 +735,11 @@ std::uint32_t Network::nextOutput(std::uint32_t gInPort, const Segment& seg) {
   // level descends.
   const PortOwner& at = portOwner_[gInPort];
   const std::uint32_t nodeBase = gInPort - at.localPort;
-  if (seg.hop < m.level) {
+  if (seg.hop < seg.level) {
     return nodeBase + upPortBase_[at.level] +
-           ascent(m.level, seg.choice)[seg.hop];
+           ascent(seg.level, seg.choice)[seg.hop];
   }
-  return nodeBase + downPort(at.level, m.dst);
+  return nodeBase + downPort(at.level, seg.dst);
 }
 
 void Network::wakeInput(std::uint32_t gInPort) {
@@ -752,7 +751,7 @@ void Network::wakeInput(std::uint32_t gInPort) {
   // transfers pop), so a static route's resolved output is still right.
   // Adaptive segments re-pick against current queue occupancies.
   std::uint32_t out = segment.resolvedOut;
-  if (segAdaptive(segment)) {
+  if (segment.adaptive) {
     out = resolveAdaptive(gInPort, segment);
     segment.resolvedOut = out;
   }
@@ -769,7 +768,7 @@ void Network::advanceInputTo(std::uint32_t gInPort, std::uint32_t seg,
       const std::uint32_t alt = rerouteAlternative(out);
       if (alt != kNil) {
         Segment& segment = segments_[seg];
-        segment.flags |= kSegEscaped;
+        segment.adaptive = true;
         segment.resolvedOut = alt;
         ++stats_.segmentsRerouted;
         if (probe_ != nullptr) {
@@ -834,19 +833,17 @@ std::uint32_t Network::resolveAdaptive(std::uint32_t gInPort,
                                        const Segment& seg) {
   const PortOwner owner = portOwner_[gInPort];
   const std::uint32_t level = owner.level;
-  const Message& m = messages_[seg.msg];
-  assert(m.state != MsgState::kFree);
   // Descend as soon as this switch is an ancestor of the destination: all
   // label digits above the switch's level must match the destination's.
   bool ancestor = true;
   for (std::uint32_t i = level + 1; i <= topo_->height(); ++i) {
-    if (topo_->digit(level, owner.node, i) != downPort(i, m.dst)) {
+    if (topo_->digit(level, owner.node, i) != downPort(i, seg.dst)) {
       ancestor = false;
       break;
     }
   }
   if (ancestor) {
-    return gInPort - owner.localPort + downPort(level, m.dst);
+    return gInPort - owner.localPort + downPort(level, seg.dst);
   }
   // Ascend through the least-occupied up-port; a per-switch rotor breaks
   // ties round-robin so symmetric traffic does not herd onto port 0.

@@ -34,11 +34,11 @@
 // segments in a contiguous slot pool whose FIFO queues are intrusive
 // `next` links (no per-port deques, no allocation after warm-up), and
 // routes as NCA choices: a message carries its level and its candidate
-// choices, a segment the choice it took, and every up-port is read from
-// the topology's catalogue.  Messages
-// live in a second recycled slot pool: a record is freed once its message
-// completed or was dropped, has no segment in flight and sits on no NIC's
-// active list, so memory follows the traffic in flight, not the run
+// choices, a segment the choice it took and what its hops read of its
+// message, and every up-port is read from the topology's catalogue.
+// Messages live in a second recycled slot pool: a record is freed once its
+// message completed or was dropped, has no segment in flight and sits on no
+// NIC's active list, so memory follows the traffic in flight, not the run
 // length.  That pool is paged (paged_vector.hpp): it grows a fixed-size
 // page at a time and a record never moves, so a reference to a live record
 // stays valid across anything that adds messages, a sink call included.
@@ -363,20 +363,24 @@ class Network {
 
   /// One in-flight segment in the contiguous slot pool.  `next` threads the
   /// FIFO queue (input or output buffer) the segment currently sits in — a
-  /// segment is in at most one queue at a time, so one link suffices.
-  /// Segment::flags bit: the segment escaped a dead output port
-  /// (FaultPolicy::kReroute) and finishes its journey adaptively — its
-  /// choice no longer describes the remaining hops.
-  static constexpr std::uint32_t kSegEscaped = 1u;
-
+  /// segment is in at most one queue at a time, so one link suffices.  The
+  /// segment carries a copy of what its hops read of its message (`level`,
+  /// `dst`, `adaptive`), so routing a hop never reads the message record;
+  /// injection, delivery, probe hooks and fault handling do.
   struct Segment {
     MsgId msg = 0;
     std::uint32_t choice = 0;   ///< The NCA choice this segment climbs to.
-    std::uint32_t hop = 0;      ///< Hops completed so far.
+    /// Hops completed so far: a minimal route has at most 2h <= 510.
+    std::uint16_t hop = 0;
+    std::uint8_t level = 0;     ///< Its message's NCA level.
+    /// Picks every output on the fly: the segment of an adaptive message,
+    /// or one that escaped a dead output port (FaultPolicy::kReroute), whose
+    /// choice no longer describes the remaining hops.
+    bool adaptive = false;
     std::uint32_t serNs = 0;    ///< Serialization time of its payload.
     std::uint32_t resolvedOut = 0;  ///< Output gport chosen at this switch.
     std::uint32_t next = kNil;      ///< Intrusive FIFO link / free-list link.
-    std::uint32_t flags = 0;        ///< kSegEscaped.
+    std::uint32_t dst = 0;          ///< Its message's destination host.
   };
   static_assert(sizeof(Segment) == 28, "Segment must stay 28 bytes");
 
@@ -459,9 +463,6 @@ class Network {
   void schedule(TimeNs t, Kind kind, std::uint32_t a, std::uint32_t seg = 0) {
     queue_.push(t, static_cast<std::uint8_t>(kind), a, seg);
   }
-  /// Handles @p ev, popped with the clock at @p before; a probe tick puts
-  /// the clock back there.
-  void handle(const EventRecord& ev, TimeNs before);
   /// (Re)schedules the probe's next sampling tick at now_ + period.
   void scheduleSample();
 
@@ -515,9 +516,6 @@ class Network {
   /// Folds the pending down-time of currently-down links up to @p t into
   /// stats_.linkDownNs (called at run() boundaries).
   void accrueLinkDownTo(TimeNs t);
-  [[nodiscard]] bool segAdaptive(const Segment& seg) const {
-    return messages_[seg.msg].adaptive || (seg.flags & kSegEscaped) != 0;
-  }
 
   // Intrusive FIFO helpers over the segment pool / message table.
   void segPushBack(std::uint32_t& head, std::uint32_t& tail,
@@ -554,10 +552,10 @@ class Network {
                   RouteSet routes, SprayPolicy policy, std::uint64_t spraySeed,
                   bool adaptive);
 
-  /// Takes a segment slot for @p bytes of @p msg's payload and stamps its
-  /// serialization time.
-  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, std::uint32_t choice,
-                                           std::uint32_t bytes);
+  /// Takes a segment slot for the next segment of message @p msg, record
+  /// @p m: its payload's serialization time, its route choice and the
+  /// header its hops read.
+  [[nodiscard]] std::uint32_t allocSegment(MsgId msg, const Message& m);
   /// The NCA choice @p m's next segment takes: the only one of a
   /// single-route message, else the spray policy's pick among its
   /// candidates for segment number injectedSegments.  The one route pick.
@@ -583,11 +581,11 @@ class Network {
   /// segments, otherwise the static decode — before the NCA (hop < level)
   /// the switch sits at level hop and leaves through word hop of its
   /// choice's ascent, from the NCA on through dst's down-port at its level.
-  /// The one next-hop read.
+  /// The one next-hop read; it reads the segment and the ports only.
   [[nodiscard]] std::uint32_t nextOutput(std::uint32_t gInPort,
                                          const Segment& seg);
   /// Picks the output gport for an adaptive segment sitting at the node
-  /// owning @p gInPort.
+  /// owning @p gInPort; reads the segment's header, not its message.
   [[nodiscard]] std::uint32_t resolveAdaptive(std::uint32_t gInPort,
                                               const Segment& seg);
   /// Local down-port a level-@p level switch above @p dst leaves through

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "delivery_recorder.hpp"
+#include "invariant_probe.hpp"
 #include "route_sets.hpp"
 #include "routing/random_router.hpp"
 #include "routing/relabel.hpp"
@@ -84,6 +85,47 @@ TEST(Network, TwoLevelPathLatency) {
   net.release(m, 0);
   net.run();
   EXPECT_EQ(rec.timeOf(m), 4u * 4096 + 4u * 20 + 3u * 100);
+}
+
+/// XGFT(h; 1,...,1,2; 1,...,1): two hosts whose one nearest common
+/// ancestor is the root.
+Topology twoHostTower(std::uint32_t h) {
+  std::vector<std::uint32_t> m(h, 1);
+  m.back() = 2;
+  return Topology(xgft::Params(m, std::vector<std::uint32_t>(h, 1)));
+}
+
+TEST(Network, TallestTreesRouteAcrossTheirRoot) {
+  // A message between the two hosts of a tower climbs h wires to the root
+  // and descends h.  h = 255 is the tallest tree the Network accepts, and
+  // its route is 510 hops long, so a segment's hop counter must not wrap
+  // at 256.
+  for (const std::uint32_t h : {128u, 255u}) {
+    SCOPED_TRACE(h);
+    const Topology topo = twoHostTower(h);
+    const SimConfig cfg;
+    Network net(topo, cfg);
+    InvariantProbe probe;  // Checks the 2h wires the segment crosses.
+    net.setProbe(&probe);
+    DeliveryRecorder rec;
+    net.setSink(&rec);
+    const MsgId m =
+        addRouted(net, 0, 1, 1024, xgft::Route{std::vector<std::uint32_t>(h)});
+    net.release(m, 0);
+    net.run();
+    ASSERT_EQ(rec.deliveries.size(), 1u);
+    const TimeNs wire = cfg.serializationNs(1024) + cfg.linkLatencyNs;
+    EXPECT_EQ(rec.timeOf(m),
+              2 * h * wire + (2 * h - 1) * TimeNs{cfg.switchLatencyNs});
+    EXPECT_EQ(rec.timeOf(m), h == 128 ? 1'087'388u : 2'166'380u);
+    // The release, then a wire-free and an arrival per wire and a
+    // transfer per switch.
+    EXPECT_EQ(net.stats().eventsProcessed, 6u * h);
+    EXPECT_TRUE(probe.violations().empty()) << probe.violations().front();
+    EXPECT_EQ(probe.delivered(), 1u);
+  }
+  const Topology tooTall = twoHostTower(256);
+  EXPECT_THROW(Network(tooTall, SimConfig{}), std::invalid_argument);
 }
 
 TEST(Network, PipeliningOverlapsSegments) {
