@@ -91,11 +91,15 @@ void writeJob(JsonLines& json, const JobResult& job,
   json.u64("max_in_queue", job.net.maxInputQueueDepth);
   if (opt.includeHost) {
     json.dbl("wall_ms", static_cast<double>(job.wallNs) / 1e6);
+    // Events the job's handlers ran: a reused epoch's events cost nothing.
     const double wallSec = static_cast<double>(job.wallNs) / 1e9;
     json.dbl("events_per_sec",
              wallSec > 0.0
-                 ? static_cast<double>(job.net.eventsProcessed) / wallSec
+                 ? static_cast<double>(job.eventsSimulated) / wallSec
                  : 0.0);
+    json.u64("epochs_reused", job.epochsReused);
+    json.u64("epochs_simulated", job.epochsSimulated);
+    json.u64("events_simulated", job.eventsSimulated);
   }
   if (job.openLoop) {
     json.openKeyed("open_loop", "{");
@@ -165,6 +169,8 @@ std::string manifestToJson(const CampaignResults& results,
   if (opt.includeHost) {
     json.u64("threads", results.threadsUsed);
     json.dbl("wall_ms", static_cast<double>(results.wallTimeNs) / 1e6);
+    json.u64("epoch_memo_entries", results.epochMemo.entries);
+    json.u64("epoch_memo_bytes", results.epochMemo.bytes);
   }
   json.openKeyed("cache", "{");
   json.u64("topology_hits", results.cache.topologyHits);

@@ -25,8 +25,9 @@
 namespace engine {
 
 struct ManifestOptions {
-  /// Include host-side (non-deterministic) fields: campaign threads and
-  /// wall time, per-job wall time and events/sec.
+  /// Include host-side (non-deterministic) fields: campaign threads, wall
+  /// time and epoch-memo size; per-job wall time, events/sec and epochs
+  /// reused and simulated.
   bool includeHost = true;
 };
 

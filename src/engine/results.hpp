@@ -15,6 +15,7 @@
 
 #include "engine/spec.hpp"
 #include "sim/network.hpp"
+#include "trace/epoch_memo.hpp"
 
 namespace obs {
 class Recorder;
@@ -71,6 +72,15 @@ struct JobResult {
   /// progress line; never a CSV column — it is not deterministic).
   std::uint64_t wallNs = 0;
 
+  /// Closed-loop epochs (barrier-to-barrier stretches) the job reused from
+  /// the campaign's epoch memo and simulated, and the events its handlers
+  /// actually ran: net.eventsProcessed less the reused epochs' events.
+  /// Which of two concurrent jobs records a shared epoch first depends on
+  /// timing, so these are host-volatile, like wallNs.
+  std::uint32_t epochsReused = 0;
+  std::uint32_t epochsSimulated = 0;
+  std::uint64_t eventsSimulated = 0;
+
   /// The recorder that observed this job, when its effective telemetry
   /// level was > off (summary series, event log, digest); null otherwise.
   std::shared_ptr<const obs::Recorder> telemetry;
@@ -107,6 +117,8 @@ struct CampaignResults {
   std::uint32_t simThreadsUsed = 0;
   std::uint64_t wallTimeNs = 0;  ///< Host wall-clock of the pool run.
   CacheStats cache;
+  /// The campaign cache's epoch memo after the run; host-volatile.
+  trace::EpochMemoStats epochMemo;
   ForwardingStats forwarding;  ///< bench/e2e only; delete with the type.
 
   /// Sorts jobs by index (idempotent; run() already leaves them sorted).

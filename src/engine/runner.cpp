@@ -22,18 +22,6 @@ namespace engine {
 
 namespace {
 
-/// Serializes the simulator parameters that affect measured times, for use
-/// in reference-cache keys (campaigns normally share one SimConfig, but the
-/// cache must stay correct if a caller varies it).
-std::string configKey(const sim::SimConfig& cfg) {
-  std::ostringstream os;
-  os << formatShortest(cfg.linkGbps) << '/' << cfg.segmentBytes << '/'
-     << cfg.headerBytes
-     << '/' << cfg.switchLatencyNs << '/' << cfg.linkLatencyNs << '/'
-     << cfg.inputBufferSegments << '/' << cfg.outputBufferSegments;
-  return os.str();
-}
-
 /// Cache key identifying a table scheme's router (and therefore its
 /// compiled forwarding table): topology, scheme, and — only where they
 /// matter — seed, workload and scale.
@@ -160,9 +148,11 @@ std::shared_ptr<const core::CompiledRoutes> CampaignCache::degradedRoutes(
 sim::TimeNs CampaignCache::crossbarMakespan(const ExperimentSpec& spec,
                                             const patterns::PhasedPattern& app,
                                             const sim::SimConfig& cfg) {
+  // The sim config is in the key: campaigns normally share one, but the
+  // cache must stay correct if a caller varies it.
   std::ostringstream key;
   key << spec.pattern << '|' << formatShortest(spec.msgScale) << '|'
-      << configKey(cfg);
+      << cfg.key();
   if (core::patternRegistry().at(core::splitSpec(spec.pattern).name).seeded) {
     key << "|pseed=" << deriveSeed(spec.seed, "pattern");
   }
@@ -342,6 +332,7 @@ void runOpenLoopJob(const ExperimentSpec& spec, CampaignCache& cache,
 
   result.makespanNs = r.lastDeliveryNs;
   result.net = r.stats;
+  result.eventsSimulated = r.stats.eventsProcessed;
   result.utilMax = r.utilMax;
   result.utilMean = r.utilMean;
   result.openLoop = true;
@@ -411,10 +402,19 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     result.telemetry = recorder;
     const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
+    // A probe would miss the events of a reused epoch, and a fault plan
+    // routes through a table; the replayer checks the rest.
+    trace::EpochMemo* memo =
+        recorder || !plan.empty() ? nullptr : &cache.epochs();
     trace::Replayer replayer(net, t, mapping,
-                             routingFor(scheme, spec, router, forwarding));
+                             routingFor(scheme, spec, router, forwarding),
+                             memo);
     result.makespanNs = replayer.run();
     result.net = net.stats();
+    result.epochsReused = replayer.epochsReused();
+    result.epochsSimulated = replayer.epochsSimulated();
+    result.eventsSimulated =
+        result.net.eventsProcessed - replayer.eventsReused();
 
     const sim::WireUtilization util =
         sim::wireUtilization(net, result.makespanNs);
@@ -519,6 +519,7 @@ CampaignResults Runner::run(const std::vector<ExperimentSpec>& specs) {
 
   results.threadsUsed = threads;
   results.cache = cache_.stats();
+  results.epochMemo = cache_.epochs().stats();
   results.wallTimeNs = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

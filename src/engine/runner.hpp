@@ -13,7 +13,9 @@
 //    dominates cold-start cost).  Only jobs with a fault plan take a
 //    forwarding table; a healthy job asks its router (see runJob).
 //    In-flight builds are shared: two workers missing on the same key wait
-//    on one build instead of duplicating it.
+//    on one build instead of duplicating it.  Replay epochs are memoized
+//    too (trace/epoch_memo.hpp): a barrier-to-barrier stretch that several
+//    closed-loop jobs share is simulated once per campaign.
 //
 //  * Determinism.  Every job's result is a pure function of its spec, and
 //    results are keyed by job index, so the aggregated CSV is byte-identical
@@ -36,6 +38,7 @@
 #include "obs/recorder.hpp"
 #include "routing/router.hpp"
 #include "sim/config.hpp"
+#include "trace/epoch_memo.hpp"
 #include "xgft/topology.hpp"
 
 namespace engine {
@@ -102,6 +105,10 @@ class CampaignCache {
 
   [[nodiscard]] CacheStats stats() const;
 
+  /// The replay epochs every healthy closed-loop job without a probe
+  /// reuses and records (runJob); thread-safe on its own.
+  [[nodiscard]] trace::EpochMemo& epochs() { return epochs_; }
+
   /// bench/e2e only; delete at the next benchmark change.
   [[nodiscard]] ForwardingStats forwardingStats() const { return {}; }
 
@@ -129,6 +136,7 @@ class CampaignCache {
   Memo<std::shared_ptr<const core::CompiledRoutes>> tables_;
   Memo<std::shared_ptr<const core::CompiledRoutes>> degraded_;
   Memo<sim::TimeNs> references_;
+  trace::EpochMemo epochs_;
 };
 
 struct RunnerOptions {
@@ -183,7 +191,8 @@ struct RunnerOptions {
 /// scheduling.  Both job kinds share one forwarding rule: a healthy job
 /// asks its router per message and takes no table; a job with a fault plan
 /// starts on its router's cached table, patched around the failures
-/// present at t = 0 (kThrow closed-loop, kDrop open-loop).
+/// present at t = 0 (kThrow closed-loop, kDrop open-loop).  A healthy
+/// closed-loop job without a probe replays through the cache's epoch memo.
 [[nodiscard]] JobResult runJob(const ExperimentSpec& spec,
                                std::uint32_t jobIndex, CampaignCache& cache,
                                const RunnerOptions& opt);

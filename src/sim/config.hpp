@@ -7,7 +7,9 @@
 // preserves the bandwidth-contention behaviour the paper measures).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <string>
 
 namespace sim {
 
@@ -40,6 +42,19 @@ struct SimConfig {
   std::uint32_t outputBufferSegments = 4;
 
   friend bool operator==(const SimConfig&, const SimConfig&) = default;
+
+  /// Every parameter, '/'-separated, the rate in shortest round-trip form:
+  /// equal keys mean equal configurations (cache and memo keys).
+  [[nodiscard]] std::string key() const {
+    char rate[32];
+    const auto [end, ec] = std::to_chars(rate, rate + sizeof rate, linkGbps);
+    (void)ec;  // 32 chars hold any double's shortest form.
+    return std::string(rate, end) + '/' + std::to_string(segmentBytes) + '/' +
+           std::to_string(headerBytes) + '/' + std::to_string(switchLatencyNs) +
+           '/' + std::to_string(linkLatencyNs) + '/' +
+           std::to_string(inputBufferSegments) + '/' +
+           std::to_string(outputBufferSegments);
+  }
 
   /// Serialization time of one segment carrying @p payloadBytes.
   [[nodiscard]] TimeNs serializationNs(std::uint32_t payloadBytes) const {

@@ -268,12 +268,34 @@ void Network::scheduleSample() {
   samplePending_ = true;
 }
 
+void Network::handleSample(TimeNs t) {
+  samplePending_ = false;
+  if (probe_ == nullptr) return;
+  // Sampling must not perturb measured results: a tick is not counted in
+  // eventsProcessed, and the clock goes back to the last event's time, so a
+  // trailing tick neither lengthens an outage nor moves now().
+  const TimeNs before = now_;
+  now_ = t;
+  probe_->onSample(*this, now_);
+  // Reschedule only while other events remain: the sampler can never keep
+  // an otherwise drained queue alive, so termination and the
+  // stranded-traffic check are unaffected.
+  if (probe_->samplePeriodNs() > 0 && !queue_.empty()) scheduleSample();
+  now_ = before;
+}
+
 void Network::run(TimeNs until) {
   EventRecord ev;
   while (queue_.popUntil(until, ev)) {
-    const TimeNs before = now_;
+    const auto kind = static_cast<Kind>(ev.kind());
+    if (kind == Kind::kSample) [[unlikely]] {
+      handleSample(ev.t);
+      continue;
+    }
     now_ = ev.t;
-    switch (static_cast<Kind>(ev.kind())) {
+    // Counted as its handling starts: see NetworkStats::eventsProcessed.
+    ++stats_.eventsProcessed;
+    switch (kind) {
       case Kind::kRelease:
         handleRelease(ev.a);
         break;
@@ -294,23 +316,8 @@ void Network::run(TimeNs until) {
         fn();
         break;
       }
-      case Kind::kSample:
-        samplePending_ = false;
-        if (probe_ != nullptr) {
-          probe_->onSample(*this, now_);
-          // Reschedule only while other events remain: the sampler can
-          // never keep an otherwise drained queue alive, so termination
-          // and the stranded-traffic check are unaffected.
-          if (probe_->samplePeriodNs() > 0 && !queue_.empty()) {
-            scheduleSample();
-          }
-        }
-        // Sampling must not perturb measured results: a tick is not
-        // counted in eventsProcessed, and the clock goes back to the last
-        // event's time, so a trailing tick neither lengthens an outage
-        // nor moves now().
-        now_ = before;
-        continue;
+      case Kind::kSample:  // Handled above.
+        break;
       case Kind::kLinkDown:
         handleLinkDown(ev.a);
         break;
@@ -318,7 +325,6 @@ void Network::run(TimeNs until) {
         handleLinkUp(ev.a);
         break;
     }
-    ++stats_.eventsProcessed;
   }
   // Stats are valid at every run() boundary: fold pending outage time in.
   if (!downLinks_.empty()) accrueLinkDownTo(now_);
@@ -362,6 +368,101 @@ void Network::accrueLinkDownTo(TimeNs t) {
 
 TimeNs Network::wireBusyNs(std::uint32_t gport) const {
   return ports_.at(gport).busyNs;
+}
+
+NetworkStats Network::stats() const {
+  NetworkStats s = stats_;
+  s.maxOutputQueueDepth =
+      std::max(s.maxOutputQueueDepth, heldMaxOutputQueueDepth_);
+  s.maxInputQueueDepth = std::max(s.maxInputQueueDepth, heldMaxInputQueueDepth_);
+  return s;
+}
+
+bool Network::idle() const {
+  // A message completes only after its last segment left the network, and
+  // a wire, a transfer or a release always has an event pending.
+  return queue_.empty() && stats_.messagesDelivered == nextSeq_;
+}
+
+void Network::markIdle() {
+  if (!idle()) throw std::logic_error("markIdle: the network is not idle");
+  // The stretch keeps its own queue high-water marks from here on.
+  heldMaxOutputQueueDepth_ =
+      std::max(heldMaxOutputQueueDepth_, stats_.maxOutputQueueDepth);
+  heldMaxInputQueueDepth_ =
+      std::max(heldMaxInputQueueDepth_, stats_.maxInputQueueDepth);
+  stats_.maxOutputQueueDepth = 0;
+  stats_.maxInputQueueDepth = 0;
+  markNs_ = now_;
+  markStats_ = stats_;
+  markBusyNs_.resize(ports_.size());
+  for (std::size_t g = 0; g < ports_.size(); ++g) {
+    markBusyNs_[g] = ports_[g].busyNs;
+  }
+}
+
+IdleDelta Network::sinceMark() const {
+  if (markBusyNs_.empty()) throw std::logic_error("sinceMark: no markIdle");
+  if (!idle() || stats_.lastDeliveryNs != now_ ||
+      stats_.messagesDelivered == markStats_.messagesDelivered) {
+    throw std::logic_error(
+        "sinceMark: the stretch must end idle with its last delivery");
+  }
+  IdleDelta d;
+  d.durationNs = now_ - markNs_;
+  d.segmentsInjected = stats_.segmentsInjected - markStats_.segmentsInjected;
+  d.segmentsDelivered = stats_.segmentsDelivered - markStats_.segmentsDelivered;
+  d.messagesDelivered = stats_.messagesDelivered - markStats_.messagesDelivered;
+  d.eventsProcessed = stats_.eventsProcessed - markStats_.eventsProcessed;
+  d.maxOutputQueueDepth = stats_.maxOutputQueueDepth;
+  d.maxInputQueueDepth = stats_.maxInputQueueDepth;
+  constexpr TimeNs kChunk = std::numeric_limits<std::uint32_t>::max();
+  std::size_t entries = 0;
+  for (std::size_t g = 0; g < ports_.size(); ++g) {
+    entries += (ports_[g].busyNs - markBusyNs_[g] + kChunk - 1) / kChunk;
+  }
+  d.busy.reserve(entries);
+  for (std::size_t g = 0; g < ports_.size(); ++g) {
+    for (TimeNs left = ports_[g].busyNs - markBusyNs_[g]; left > 0;) {
+      const TimeNs ns = std::min(left, kChunk);
+      d.busy.push_back({static_cast<std::uint32_t>(g),
+                        static_cast<std::uint32_t>(ns)});
+      left -= ns;
+    }
+  }
+  return d;
+}
+
+void Network::advanceIdle(const IdleDelta& d) {
+  if (!idle()) throw std::logic_error("advanceIdle: the network is not idle");
+  if (probe_ != nullptr) {
+    throw std::logic_error(
+        "advanceIdle: the attached probe would miss the skipped events");
+  }
+  for (const IdleDelta::PortBusy& b : d.busy) {
+    if (b.port >= ports_.size()) {
+      throw std::invalid_argument("advanceIdle: port " +
+                                  std::to_string(b.port) + " out of range");
+    }
+  }
+  if (d.messagesDelivered > kNil - nextSeq_) {
+    throw std::length_error(
+        "Network: message-id space exhausted (2^32 - 1 messages)");
+  }
+  now_ += d.durationNs;
+  stats_.segmentsInjected += d.segmentsInjected;
+  stats_.segmentsDelivered += d.segmentsDelivered;
+  stats_.messagesDelivered += d.messagesDelivered;
+  stats_.eventsProcessed += d.eventsProcessed;
+  if (d.messagesDelivered > 0) stats_.lastDeliveryNs = now_;
+  stats_.maxOutputQueueDepth =
+      std::max(stats_.maxOutputQueueDepth, d.maxOutputQueueDepth);
+  stats_.maxInputQueueDepth =
+      std::max(stats_.maxInputQueueDepth, d.maxInputQueueDepth);
+  for (const IdleDelta::PortBusy& b : d.busy) ports_[b.port].busyNs += b.ns;
+  // The skipped messages took their sequence numbers, so every later one
+  // keeps the number it has in a full run.
+  nextSeq_ += static_cast<MsgId>(d.messagesDelivered);
 }
 
 void Network::handleLinkDown(std::uint32_t link) {

@@ -173,7 +173,9 @@ class TrafficSink {
 ///    After a clean full drain the two are equal.
 ///  * messagesDelivered — cumulative completions, including src == dst
 ///    local deliveries (which never touch segment counters).
-///  * eventsProcessed — queue events handled.  Telemetry sampling events
+///  * eventsProcessed — queue events handled, the one in hand included: an
+///    event counts from the moment its handler starts, so a sink or probe
+///    called from a handler sees it counted.  Telemetry sampling events
 ///    (Probe) are explicitly excluded, so the count is identical with and
 ///    without a probe attached; it feeds the campaign CSV `events` column.
 ///  * lastDeliveryNs — time of the latest completion so far; only after the
@@ -200,6 +202,32 @@ struct NetworkStats {
   std::uint64_t segmentsStranded = 0;
   std::uint64_t messagesDropped = 0;
   TimeNs linkDownNs = 0;
+};
+
+/// What a network did over a stretch that starts idle and ends idle with
+/// its last delivery (Network::markIdle to Network::sinceMark), in the
+/// terms Network::advanceIdle needs to stand in for it: the counters it
+/// added, its own queue high-water marks and each wire's busy time.  An
+/// idle network keeps nothing else that changes how the next traffic is
+/// served, as long as no probe watches it and no link fails (DESIGN.md §2,
+/// "Epoch reuse").
+struct IdleDelta {
+  TimeNs durationNs = 0;
+  std::uint64_t segmentsInjected = 0;
+  std::uint64_t segmentsDelivered = 0;
+  std::uint64_t messagesDelivered = 0;
+  std::uint64_t eventsProcessed = 0;
+  std::uint32_t maxOutputQueueDepth = 0;
+  std::uint32_t maxInputQueueDepth = 0;
+  /// Busy nanoseconds the stretch added to one wire, in 8 bytes: a wire
+  /// busy for 2^32 ns or more takes one entry per 2^32 - 1 ns.
+  struct PortBusy {
+    std::uint32_t port = 0;  ///< Global output port.
+    std::uint32_t ns = 0;
+  };
+  /// The wires that serialized, by ascending port: O(ports touched), not
+  /// O(messages).
+  std::vector<PortBusy> busy;
 };
 
 class Network {
@@ -288,8 +316,36 @@ class Network {
   /// counts instead (faulted runs report, never hang or throw).
   void run(TimeNs until = std::numeric_limits<TimeNs>::max());
 
+  // ---- Idle stretches (trace::Replayer's epoch memo drives these) ---------
+
+  /// Nothing is scheduled and every message added so far has completed: no
+  /// segment is in flight, every wire is idle, every buffer is empty and
+  /// every credit is home.
+  [[nodiscard]] bool idle() const;
+  /// Starts a stretch on an idle network (throws std::logic_error
+  /// otherwise); sinceMark() reads what the network did since.
+  void markIdle();
+  /// What the network did since markIdle().  The stretch must end idle, at
+  /// the instant of its last delivery (throws std::logic_error otherwise).
+  [[nodiscard]] IdleDelta sinceMark() const;
+  /// Moves an idle network forward as if it had run @p delta: the clock by
+  /// its duration, the counters and wire busy times by its sums, the queue
+  /// high-water marks to the larger of the two, lastDeliveryNs to the new
+  /// time.  The result equals running the stretch's traffic only when the
+  /// delta was read on the same topology and configuration from the same
+  /// messages released in the same order, routed alike, with no probe and
+  /// no link fault (DESIGN.md §2); so it throws std::logic_error on a
+  /// network that is not idle or has a probe attached.
+  void advanceIdle(const IdleDelta& delta);
+  /// A probe is attached (setProbe).
+  [[nodiscard]] bool observed() const { return probe_ != nullptr; }
+  /// A link went down at some point of the run (scheduleLinkDown).
+  [[nodiscard]] bool faultsSeen() const { return faultsSeen_; }
+
   [[nodiscard]] TimeNs now() const { return now_; }
-  [[nodiscard]] const NetworkStats& stats() const { return stats_; }
+  /// The counters so far; by value, because the queue high-water marks
+  /// combine the stretch since the last markIdle() with those before it.
+  [[nodiscard]] NetworkStats stats() const;
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
   [[nodiscard]] const xgft::Topology& topology() const { return *topo_; }
   /// Event pushes the queue's delay lanes could not take (event_queue.hpp);
@@ -466,6 +522,8 @@ class Network {
   /// (Re)schedules the probe's next sampling tick at now_ + period.
   void scheduleSample();
 
+  /// A probe sampling tick due at @p t: not an event of the simulation.
+  void handleSample(TimeNs t);
   void handleRelease(MsgId msg);
   void handleWireArrive(std::uint32_t gInPort, std::uint32_t seg);
   void handleWireFree(std::uint32_t gOutPort);
@@ -657,7 +715,16 @@ class Network {
   std::vector<std::function<void()>> callbacks_;
   std::vector<std::uint32_t> freeCallbackSlots_;
   TimeNs now_ = 0;
+  /// The counters; the queue high-water marks here cover only the stretch
+  /// since the last markIdle(), and the ones before it are held below.
   NetworkStats stats_;
+  std::uint32_t heldMaxOutputQueueDepth_ = 0;
+  std::uint32_t heldMaxInputQueueDepth_ = 0;
+
+  // The last markIdle(): its time, its counters and every wire's busy time.
+  TimeNs markNs_ = 0;
+  NetworkStats markStats_;
+  std::vector<TimeNs> markBusyNs_;  ///< Empty until the first mark.
 
   /// A currently-down link and when its latest outage started (or the last
   /// run() boundary that already accrued it).

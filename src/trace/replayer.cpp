@@ -1,8 +1,12 @@
 #include "trace/replayer.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "xgft/rng.hpp"
 
 namespace trace {
 
@@ -27,12 +31,23 @@ sim::InjectionOptions driverOptions(const Trace& trace,
 }  // namespace
 
 Replayer::Replayer(sim::Network& net, const Trace& trace,
-                   const Mapping& mapping, Routing mode)
+                   const Mapping& mapping, Routing mode, EpochMemo* memo)
     : net_(&net),
       trace_(&trace),
       mapping_(&mapping),
       resolver_(net, mode),
-      driver_(net, *this, driverOptions(trace, mapping, resolver_)) {
+      driver_(net, *this, driverOptions(trace, mapping, resolver_)),
+      // Spray picks hash a message's global sequence number and adaptive
+      // picks read per-switch rotors, both carried across barriers; a
+      // table runs only under a fault plan.
+      memo_(std::holds_alternative<
+                std::reference_wrapper<const routing::Router>>(mode)
+                ? memo
+                : nullptr) {
+  if (memo_ != nullptr) {
+    networkKey_ = net.topology().params().toString() + '|' +
+                  net.config().key();
+  }
   ranks_.resize(trace.numRanks);
   finishNs_.resize(trace.numRanks, 0);
   postedRecvs_.resize(trace.numRanks);
@@ -66,6 +81,12 @@ patterns::Pull Replayer::pull(sim::TimeNs /*now*/,
   if (!started_) {
     started_ = true;
     for (patterns::Rank r = 0; r < trace_->numRanks; ++r) progress(r);
+    epochStarts_ = true;
+  }
+  // A fast-forward passes the closing barrier, which starts the next epoch.
+  while (epochStarts_) {
+    epochStarts_ = false;
+    if (!pending_.empty()) startEpoch();
   }
   if (pending_.empty()) {
     return finishedRanks_ == trace_->numRanks ? patterns::Pull::kExhausted
@@ -130,32 +151,17 @@ void Replayer::progress(patterns::Rank r) {
         if (state.pendingSends > 0 || state.outstandingRecvs > 0) return;
         ++state.pc;
         break;
-      case OpKind::kBarrier: {
-        const std::uint32_t index = state.barriersPassed;
-        auto [it, inserted] = barrierArrivals_.emplace(index, 0);
-        if (++it->second == trace_->numRanks) {
-          // Last arrival releases everyone (including this rank).
-          barrierArrivals_.erase(it);
-          if (barrierNs_.size() <= index) barrierNs_.resize(index + 1);
-          barrierNs_[index] = net_->now();
-          ++state.barriersPassed;
-          ++state.pc;
-          for (patterns::Rank other = 0; other < trace_->numRanks; ++other) {
-            if (other == r) continue;
-            RankState& os = ranks_[other];
-            const std::vector<Op>& oprog = trace_->programs[other];
-            if (!os.finished && os.pc < oprog.size() &&
-                oprog[os.pc].kind == OpKind::kBarrier &&
-                os.barriersPassed == index) {
-              ++os.barriersPassed;
-              ++os.pc;
-              progress(other);
-            }
-          }
-          break;
+      case OpKind::kBarrier:
+        // A rank woken while it waits here (a delivery to it) is not
+        // counted again.
+        if (!state.atBarrier) {
+          state.atBarrier = true;
+          ++arrivals_;
         }
-        return;  // Blocked at the barrier.
-      }
+        if (arrivals_ < trace_->numRanks) return;  // Blocked at the barrier.
+        // The last arrival releases everyone else, then moves on itself.
+        passBarrier(r);
+        break;
       case OpKind::kCompute: {
         state.inCompute = true;
         ++state.pc;
@@ -171,6 +177,164 @@ void Replayer::progress(patterns::Rank r) {
   state.finished = true;
   ++finishedRanks_;
   finishNs_[r] = net_->now();
+}
+
+void Replayer::passBarrier(patterns::Rank closing) {
+  arrivals_ = 0;
+  barrierNs_.push_back(net_->now());
+  if (recording_) {
+    // The epoch is reusable only if it ends as it began: nothing in flight
+    // and nothing left unexpected.
+    const bool clean = std::all_of(
+        unexpected_.begin(), unexpected_.end(),
+        [](const auto& buffered) { return buffered.empty(); });
+    if (clean && net_->idle()) {
+      memo_->record(*recording_,
+                    Epoch{net_->sinceMark(), mapping_->hostOf(closing)});
+    }
+    recording_.reset();
+  }
+  for (patterns::Rank r = 0; r < trace_->numRanks; ++r) {
+    RankState& state = ranks_[r];
+    state.atBarrier = false;
+    ++state.pc;
+    if (r != closing) progress(r);
+  }
+  epochStarts_ = true;
+}
+
+void Replayer::startEpoch() {
+  if (memo_ != nullptr && reusable()) {
+    EpochKey key = pendingKey();
+    if (const Epoch* epoch = memo_->find(key)) {
+      if (receivesMatch()) {
+        fastForward(*epoch);
+        return;
+      }
+    } else {
+      // A recording needs no receivesMatch(): an epoch whose receives do
+      // not pair up with its messages leaves a message unexpected or a
+      // rank blocked, so passBarrier never records it.
+      net_->markIdle();
+      recording_ = std::move(key);
+    }
+  }
+  ++epochsSimulated_;
+}
+
+bool Replayer::reusable() const {
+  // A probe would miss the skipped events; a link fault may leave a port
+  // dead or have turned the reroute rotors.
+  if (net_->observed() || net_->faultsSeen() || !net_->idle() ||
+      finishedRanks_ > 0) {
+    return false;
+  }
+  // Every rank waits at a waitAll followed by a barrier, or at the barrier
+  // itself with nothing outstanding; none computes or blocks in a send or
+  // receive, and none holds an unexpected message.
+  for (patterns::Rank r = 0; r < trace_->numRanks; ++r) {
+    const RankState& state = ranks_[r];
+    if (state.inCompute || state.blockingRecv || state.blockingSend >= 0 ||
+        !unexpected_[r].empty()) {
+      return false;
+    }
+    if (state.atBarrier) {
+      if (state.pendingSends > 0 || state.outstandingRecvs > 0) return false;
+      continue;
+    }
+    const std::vector<Op>& program = trace_->programs[r];
+    if (state.pc + 1 >= program.size() ||
+        program[state.pc].kind != OpKind::kWaitAll ||
+        program[state.pc + 1].kind != OpKind::kBarrier) {
+      return false;
+    }
+  }
+  // Every pending entry is a message at the current time.
+  return std::all_of(pending_.begin(), pending_.end(),
+                     [this](const Pending& entry) {
+                       return !entry.wake && entry.m.time == net_->now();
+                     });
+}
+
+bool Replayer::receivesMatch() const {
+  // The posted receives are exactly the pending messages, as multisets:
+  // each delivery then matches, and a rank reaches its barrier when its
+  // last message is delivered.
+  std::vector<std::pair<patterns::Rank, std::uint64_t>> sent;
+  sent.reserve(pending_.size());
+  for (const Pending& entry : pending_) {
+    const MsgInfo& info = msgInfo_[entry.m.token];
+    sent.emplace_back(info.dst, matchKey(info.src, info.tag));
+  }
+  std::sort(sent.begin(), sent.end());
+  std::size_t i = 0;
+  for (patterns::Rank r = 0; r < trace_->numRanks; ++r) {
+    for (const auto& [key, count] : postedRecvs_[r]) {
+      for (std::uint32_t c = 0; c < count; ++c, ++i) {
+        if (i == sent.size() || sent[i] != std::pair{r, key}) return false;
+      }
+    }
+  }
+  return i == sent.size();
+}
+
+EpochKey Replayer::pendingKey() {
+  EpochKey key;
+  key.network = networkKey_;
+  // Two chains with distinct seeds and word orders make the 128-bit digest.
+  std::uint64_t lo = 0x6a09e667f3bcc908ULL;
+  std::uint64_t hi = 0xbb67ae8584caa73bULL;
+  for (const Pending& entry : pending_) {
+    const xgft::NodeIndex src = mapping_->hostOf(entry.m.src);
+    const xgft::NodeIndex dst = mapping_->hostOf(entry.m.dst);
+    const sim::RouteSet route = resolver_.setFor(src, dst);
+    const std::uint64_t pair = (static_cast<std::uint64_t>(src) << 32) | dst;
+    const std::uint64_t hop =
+        (static_cast<std::uint64_t>(route.level) << 32) | route.choice;
+    lo = xgft::hashMix(lo, pair, entry.m.bytes, hop);
+    hi = xgft::hashMix(hi, hop, pair, entry.m.bytes);
+    ++key.messages;
+    key.bytes += entry.m.bytes;
+  }
+  key.digestLo = lo;
+  key.digestHi = hi;
+  return key;
+}
+
+void Replayer::fastForward(const Epoch& epoch) {
+  // The closing rank is the one on the recorded closing host; it moves on
+  // last, after the barrier released every other rank in index order.
+  std::optional<patterns::Rank> closing;
+  for (const Pending& entry : pending_) {
+    for (const patterns::Rank r : {entry.m.src, entry.m.dst}) {
+      if (mapping_->hostOf(r) == epoch.closingHost) closing = r;
+    }
+  }
+  if (!closing) {
+    throw std::logic_error(
+        "Replayer: a memo entry's closing host sends or receives nothing in "
+        "the epoch it was found for (an epoch-key collision)");
+  }
+  pending_.clear();
+  // Every send is delivered and every posted receive matched (reusable()
+  // checked that they pair up), so each rank passes its waitAll and waits
+  // at the barrier.
+  for (patterns::Rank r = 0; r < trace_->numRanks; ++r) {
+    RankState& state = ranks_[r];
+    state.pendingSends = 0;
+    state.outstandingRecvs = 0;
+    postedRecvs_[r].clear();
+    if (!state.atBarrier) {
+      ++state.pc;
+      state.atBarrier = true;
+    }
+  }
+  arrivals_ = trace_->numRanks;
+  net_->advanceIdle(epoch.delta);
+  ++epochsReused_;
+  eventsReused_ += epoch.delta.eventsProcessed;
+  passBarrier(*closing);
+  progress(*closing);
 }
 
 void Replayer::onWake(std::uint64_t cookie, sim::TimeNs /*now*/) {

@@ -11,7 +11,8 @@
 //    arrivals before the post are buffered as unexpected messages.
 //  * kWaitAll blocks until the rank's outstanding sends are delivered and
 //    posted receives have arrived.
-//  * kBarrier blocks until every rank reached the same barrier index.
+//  * kBarrier blocks until every rank reached the same barrier index; a
+//    rank arrives once, however often it is woken while it waits.
 //  * kCompute advances the rank after a fixed local delay.
 //
 // Since the streaming refactor (DESIGN.md §8) the replayer is the
@@ -26,6 +27,13 @@
 // engine hands a replay a table only when a fault plan patched one; a
 // healthy replay asks its router.
 //
+// Given a trace::EpochMemo, the replayer simulates each barrier-to-barrier
+// epoch the memo does not hold and records it, and fast-forwards through
+// each one it holds: the network advances by the recorded delta and every
+// rank passes the closing barrier (epoch_memo.hpp; DESIGN.md §2, "Epoch
+// reuse").  Only epochs that provably replay alike are looked up; every
+// other one simulates as without a memo.
+//
 // The replayer is single-use: construct, run(), read the makespan.  A
 // second run() throws std::logic_error; results of the first run stay
 // readable.
@@ -34,11 +42,14 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "patterns/source.hpp"
 #include "sim/injection.hpp"
 #include "sim/network.hpp"
+#include "trace/epoch_memo.hpp"
 #include "trace/mapping.hpp"
 #include "trace/route_resolver.hpp"
 #include "trace/trace.hpp"
@@ -47,12 +58,12 @@ namespace trace {
 
 class Replayer final : public patterns::TrafficSource {
  public:
-  /// All references, and the router or table @p mode routes through, must
-  /// outlive the replayer.  The replayer's injection process installs
-  /// itself as the network's sink.  A table must be compiled against
-  /// @p net's topology.
+  /// All references, the router or table @p mode routes through and
+  /// @p memo must outlive the replayer.  The replayer's injection process
+  /// installs itself as the network's sink.  A table must be compiled
+  /// against @p net's topology.  Without a memo every epoch simulates.
   Replayer(sim::Network& net, const Trace& trace, const Mapping& mapping,
-           Routing mode);
+           Routing mode, EpochMemo* memo = nullptr);
 
   /// Replays the whole trace; returns the time the last rank finished.
   /// Throws std::runtime_error if ranks are left blocked when the network
@@ -73,6 +84,16 @@ class Replayer final : public patterns::TrafficSource {
     return barrierNs_;
   }
 
+  /// Epochs (barrier-to-barrier stretches that released messages) the run
+  /// fast-forwarded through the memo, and epochs it simulated.
+  [[nodiscard]] std::uint32_t epochsReused() const { return epochsReused_; }
+  [[nodiscard]] std::uint32_t epochsSimulated() const {
+    return epochsSimulated_;
+  }
+  /// The events of the reused epochs: NetworkStats::eventsProcessed counts
+  /// them, but no handler ran them.
+  [[nodiscard]] std::uint64_t eventsReused() const { return eventsReused_; }
+
   // ---- patterns::TrafficSource (the closed-loop source) --------------------
 
   [[nodiscard]] patterns::Rank numRanks() const override {
@@ -91,7 +112,7 @@ class Replayer final : public patterns::TrafficSource {
     std::int64_t blockingSend = -1;       ///< Token a kSend waits on.
     bool blockingRecv = false;            ///< A kRecv waits for a match.
     bool inCompute = false;
-    std::uint32_t barriersPassed = 0;
+    bool atBarrier = false;  ///< Arrived at its next barrier, still there.
     bool finished = false;
   };
 
@@ -106,6 +127,24 @@ class Replayer final : public patterns::TrafficSource {
 
   /// Advances rank r until it blocks or finishes, queueing its actions.
   void progress(patterns::Rank r);
+  /// Completes the barrier every rank has arrived at: records the epoch it
+  /// closes if it was simulated for the memo, then releases the ranks other
+  /// than @p closing in index order.  @p closing moves on after the call.
+  void passBarrier(patterns::Rank closing);
+
+  /// Starts the epoch whose messages pending_ holds: fast-forwards through
+  /// it when the memo holds it, else simulates it, marking the network to
+  /// record it when it may be reused.
+  void startEpoch();
+  /// The conditions under which the pending epoch's outcome is a function
+  /// of its key (DESIGN.md §2, "Epoch reuse"), but receivesMatch().
+  [[nodiscard]] bool reusable() const;
+  /// The posted receives pair up with the pending messages: checked before
+  /// a reuse, and shown by a recorded epoch that ends clean.
+  [[nodiscard]] bool receivesMatch() const;
+  [[nodiscard]] EpochKey pendingKey();
+  /// Passes every rank through the pending epoch as @p epoch recorded it.
+  void fastForward(const Epoch& epoch);
 
   [[nodiscard]] std::uint64_t matchKey(patterns::Rank src,
                                        std::uint32_t tag) const;
@@ -115,6 +154,9 @@ class Replayer final : public patterns::TrafficSource {
   const Mapping* mapping_;
   RouteSetResolver resolver_;
   sim::InjectionProcess driver_;
+  /// Null unless the run routes through a router (DESIGN.md §2).
+  EpochMemo* memo_;
+  std::string networkKey_;  ///< EpochKey::network, when memo_ is set.
 
   std::vector<RankState> ranks_;
   std::vector<sim::TimeNs> finishNs_;
@@ -132,10 +174,19 @@ class Replayer final : public patterns::TrafficSource {
   // Per receiving rank: (src, tag) -> counts.
   std::vector<std::map<std::uint64_t, std::uint32_t>> postedRecvs_;
   std::vector<std::map<std::uint64_t, std::uint32_t>> unexpected_;
-  // Barrier accounting: barrier index -> arrivals so far.
-  std::map<std::uint32_t, std::uint32_t> barrierArrivals_;
+  // Barrier accounting.  Every rank must pass barrier i before any can
+  // arrive at barrier i + 1, so one count covers the pending barrier.
+  std::uint32_t arrivals_ = 0;
   std::vector<sim::TimeNs> barrierNs_;  ///< Completion time per barrier.
   bool ran_ = false;
+
+  // Epochs.
+  bool epochStarts_ = false;  ///< The next pull() starts an epoch.
+  /// The simulated epoch's key while it is to be recorded at its barrier.
+  std::optional<EpochKey> recording_;
+  std::uint32_t epochsReused_ = 0;
+  std::uint32_t epochsSimulated_ = 0;
+  std::uint64_t eventsReused_ = 0;
 };
 
 }  // namespace trace

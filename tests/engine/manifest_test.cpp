@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
 #include <string>
 
@@ -43,6 +44,8 @@ TEST(Manifest, ByteIdenticalAcrossThreadCountsWithoutHostFields) {
   EXPECT_EQ(one.find("wall_ms"), std::string::npos);
   EXPECT_EQ(one.find("threads"), std::string::npos);
   EXPECT_EQ(one.find("events_per_sec"), std::string::npos);
+  EXPECT_EQ(one.find("epoch"), std::string::npos);
+  EXPECT_EQ(one.find("events_simulated"), std::string::npos);
 }
 
 TEST(Manifest, HostFieldsAppearWhenRequested) {
@@ -53,9 +56,45 @@ TEST(Manifest, HostFieldsAppearWhenRequested) {
   EXPECT_NE(json.find("\"threads\": 2"), std::string::npos);
   EXPECT_NE(json.find("wall_ms"), std::string::npos);
   EXPECT_NE(json.find("events_per_sec"), std::string::npos);
+  EXPECT_NE(json.find("\"epochs_reused\": "), std::string::npos);
+  EXPECT_NE(json.find("\"epochs_simulated\": 1"), std::string::npos);
+  EXPECT_NE(json.find("\"events_simulated\": "), std::string::npos);
+  EXPECT_NE(json.find("\"epoch_memo_entries\": "), std::string::npos);
+  EXPECT_NE(json.find("\"epoch_memo_bytes\": "), std::string::npos);
   // No recorder attached: no telemetry blocks.
   EXPECT_EQ(json.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
+}
+
+TEST(Manifest, EventsPerSecCountsOnlySimulatedEvents) {
+  // A second run of a campaign reuses every epoch the first simulated: its
+  // jobs report their events but handled none of them.
+  RunnerOptions opt;
+  opt.threads = 1;
+  Runner runner(opt);
+  (void)runner.run(smallCampaign());
+  const CampaignResults again = runner.run(smallCampaign());
+  for (const JobResult& job : again.jobs) {
+    EXPECT_GT(job.net.eventsProcessed, 0u);
+    EXPECT_EQ(job.eventsSimulated, 0u);
+  }
+  const std::string json = manifestToJson(again, ManifestOptions{});
+  // Every job's value of @p key reads 0.
+  const auto allZero = [&](const std::string& key) {
+    const std::string field = "\"" + key + "\": ";
+    std::size_t n = 0;
+    for (std::size_t at = json.find(field); at != std::string::npos;
+         at = json.find(field, at + 1), ++n) {
+      const std::size_t value = at + field.size();
+      if (json[value] != '0' || std::isdigit(json[value + 1]) != 0) {
+        return false;
+      }
+    }
+    return n == again.jobs.size();
+  };
+  EXPECT_TRUE(allZero("events_per_sec"));
+  EXPECT_TRUE(allZero("events_simulated"));
+  EXPECT_TRUE(allZero("epochs_simulated"));
 }
 
 TEST(Manifest, JobsAreOrderedAndKeyedBySpecLine) {

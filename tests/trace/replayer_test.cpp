@@ -94,6 +94,31 @@ TEST(Replayer, BarrierSynchronizesUnequalRanks) {
   }
 }
 
+TEST(Replayer, ARankArrivesAtABarrierOnce) {
+  // Rank 0 waits at the barrier when its isend is delivered, and the
+  // delivery wakes it there; rank 2 is still computing.  The barrier must
+  // wait for rank 2 (regression: the wake counted rank 0 a second time, so
+  // the barrier completed at the delivery, 20,780 ns, and passed rank 2
+  // while it computed — rank 2 never arrived at all).
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  Trace t;
+  t.numRanks = 3;
+  t.programs.resize(3);
+  t.programs[0] = {Op::isend(1, 4096, 0), Op::barrier(), Op::waitAll()};
+  t.programs[1] = {Op::barrier(), Op::irecv(0, 0), Op::waitAll()};
+  t.programs[2] = {Op::compute(1'000'000), Op::barrier()};
+  sim::Network net(topo, sim::SimConfig{});
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const Mapping mapping = Mapping::sequential(3);
+  Replayer replayer(net, t, mapping, *router);
+  EXPECT_EQ(replayer.run(), 1'000'000u);
+  EXPECT_EQ(net.stats().lastDeliveryNs, 20'780u);
+  EXPECT_EQ(replayer.barrierTimes(), std::vector<sim::TimeNs>{1'000'000});
+  for (patterns::Rank r = 0; r < 3; ++r) {
+    EXPECT_EQ(replayer.finishTimeOf(r), 1'000'000u) << "rank " << r;
+  }
+}
+
 TEST(Replayer, BlockingSendRecvPair) {
   const Topology topo(xgft::xgft2(4, 4, 2));
   Trace t;
