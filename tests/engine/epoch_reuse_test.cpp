@@ -119,6 +119,36 @@ TEST(EpochReuse, ASecondRunReusesEveryEpochAndWritesTheSameCsv) {
   EXPECT_GT(first.epochMemo.bytes, 0u);
 }
 
+TEST(EpochReuse, ReusesTheMeasuredShareOfTheFigureWorkloads) {
+  // Pins how much the memo saves, not only that it is exact: a slip in
+  // the key or the release order that keeps every CSV but stops reuse
+  // fails here.  One worker fixes which job records and which reuses.
+  // Memo bytes are left out: they follow the platform's string and map
+  // layout.
+  const std::vector<ExperimentSpec> specs = parseCampaign(
+      "pattern={cg128,wrf256} msg_scale=0.03125 w2={16,10,4,1} "
+      "routing={s-mod-k,d-mod-k,Random,r-NCA-u,r-NCA-d,colored} seed=1\n");
+  RunnerOptions opt;
+  opt.threads = 1;
+  const CampaignResults results = Runner(opt).run(specs);
+  std::uint64_t reused = 0;
+  std::uint64_t simulated = 0;
+  std::uint64_t eventsSimulated = 0;
+  std::uint64_t events = 0;
+  for (const JobResult& job : results.jobs) {
+    ASSERT_TRUE(job.ok) << job.spec.toLine() << ": " << job.error;
+    reused += job.epochsReused;
+    simulated += job.epochsSimulated;
+    eventsSimulated += job.eventsSimulated;
+    events += job.net.eventsProcessed;
+  }
+  EXPECT_EQ(reused, 95u);
+  EXPECT_EQ(simulated, 49u);
+  EXPECT_EQ(eventsSimulated, 2'001'168u);
+  EXPECT_EQ(events, 4'238'208u);
+  EXPECT_EQ(results.epochMemo.entries, 49u);
+}
+
 /// Runs @p line twice on one cache and once on a fresh one: no run reuses
 /// an epoch or records one, and all three agree.
 void expectNoReuse(const std::string& line) {

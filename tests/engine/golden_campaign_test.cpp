@@ -10,6 +10,9 @@
 //    spray pairs with more NCAs than maxPaths (level-3 pairs of
 //    xgft3:8:8:8:4:4:2 have 32), whose lists are seeded per-pair draws;
 //    adaptive jobs beside them on the same tree.
+//  * replay shapes — the release order of closed-loop phases: alltoall:64
+//    sends 63 flows per rank in one phase, shift:64 moves the closing rank
+//    over 63 phases, and wrf256 sends up to two halo flows per rank.
 //
 // Regenerate a fixture ONLY for an intentional behaviour change:
 //   ./build/campaign_cli --builtin smoke --seeds 2 --msg-scale 0.0625
@@ -17,6 +20,9 @@
 //   ./build/campaign_cli --quiet
 //       --out tests/engine/data/route_modes_campaign.csv -   (one line,
 //       with the two lines of kRouteModesCampaign below on stdin)
+//   ./build/campaign_cli --quiet
+//       --out tests/engine/data/replay_shapes_campaign.csv -   (one line,
+//       with the line of kReplayShapesCampaign below on stdin)
 // and explain the change in the commit message.
 #include <gtest/gtest.h>
 
@@ -40,6 +46,11 @@ constexpr const char* kRouteModesCampaign =
     "routing={spray,adaptive} seed=1\n"
     "topo=xgft3:8:8:8:4:4:2 pattern=cg128 msg_scale=0.0625 "
     "routing={spray,adaptive} seed=1\n";
+
+constexpr const char* kReplayShapesCampaign =
+    "pattern={wrf256,alltoall:64,shift:64} m1=16 m2=16 w2={16,4,1} "
+    "routing={s-mod-k,d-mod-k,Random,colored,adaptive,spray} "
+    "msg_scale=0.002 seed=1\n";
 
 /// Runs @p specs at campaign_cli's defaults (contention on) and compares
 /// the CSV with tests/engine/data/@p fixture.
@@ -71,6 +82,11 @@ TEST(GoldenCampaign, SmokeCsvIsByteIdenticalToTheFixture) {
 TEST(GoldenCampaign, RouteModesCsvIsByteIdenticalToTheFixture) {
   expectCsvMatchesFixture(parseCampaign(kRouteModesCampaign),
                           "route_modes_campaign.csv");
+}
+
+TEST(GoldenCampaign, ReplayShapesCsvIsByteIdenticalToTheFixture) {
+  expectCsvMatchesFixture(parseCampaign(kReplayShapesCampaign),
+                          "replay_shapes_campaign.csv");
 }
 
 }  // namespace

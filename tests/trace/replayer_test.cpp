@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "../sim/route_sets.hpp"
 #include "patterns/applications.hpp"
 #include "routing/relabel.hpp"
+#include "sim/probe.hpp"
 #include "trace/harness.hpp"
 
 namespace trace {
@@ -35,6 +38,66 @@ TEST(Trace, SelfFlowsAreDropped) {
   p.add(0, 1, 100);
   const Trace t = traceFromPattern(p);
   EXPECT_EQ(t.numMessages(), 1u);
+}
+
+/// Records the (src, dst) hosts of every released message, in order.
+class ReleaseRecorder : public sim::Probe {
+ public:
+  void onMessageReleased(std::uint32_t /*msg*/, xgft::NodeIndex src,
+                         xgft::NodeIndex dst, std::uint64_t /*bytes*/,
+                         sim::TimeNs /*t*/) override {
+    released.emplace_back(src, dst);
+  }
+
+  std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> released;
+};
+
+TEST(Replayer, ReleasesRankByRankWithTheClosingRankLast) {
+  // Phase 0's one delivery closes it at its receiver, rank 1.  The empty
+  // phase 1 completes at that instant and keeps rank 1 closing, so phase 2
+  // releases ranks 0, 2 and 3, then rank 1, each rank's flows in pattern
+  // order.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  patterns::PhasedPattern app;
+  app.numRanks = 4;
+  app.phases.assign(3, patterns::Pattern(4));
+  app.phases[0].add(0, 1, 4096);
+  for (const auto& [src, dst] : std::vector<std::pair<patterns::Rank,
+                                                      patterns::Rank>>{
+           {3, 0}, {1, 2}, {0, 2}, {2, 3}, {1, 3}, {0, 3}}) {
+    app.phases[2].add(src, dst, 4096);
+  }
+  sim::Network net(topo, sim::SimConfig{});
+  ReleaseRecorder probe;
+  net.setProbe(&probe);
+  const Trace t = traceFromPhases(app);
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const Mapping mapping = Mapping::sequential(4);
+  Replayer replayer(net, t, mapping, *router);
+  (void)replayer.run();
+  const std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> expected{
+      {0, 1}, {0, 2}, {0, 3}, {2, 3}, {3, 0}, {1, 2}, {1, 3}};
+  EXPECT_EQ(probe.released, expected);
+  const std::vector<sim::TimeNs>& barriers = replayer.barrierTimes();
+  ASSERT_EQ(barriers.size(), 3u);
+  EXPECT_GT(barriers[0], 0u);
+  EXPECT_EQ(barriers[1], barriers[0]);
+  EXPECT_GT(barriers[2], barriers[1]);
+}
+
+TEST(Replayer, SelfFlowsAreNeverSent) {
+  // The network delivers a src == dst message locally, so one that was
+  // sent would count.
+  const Topology topo(xgft::xgft2(4, 4, 2));
+  patterns::PhasedPattern app;
+  app.numRanks = 4;
+  app.phases.emplace_back(4);
+  app.phases[0].add(2, 2, 100);
+  app.phases[0].add(0, 1, 100);
+  app.phases[0].add(3, 3, 100);
+  EXPECT_EQ(runApp(topo, *routing::makeDModK(topo), app)
+                .stats.messagesDelivered,
+            1u);
 }
 
 TEST(Replayer, SingleExchangeCompletes) {
