@@ -73,7 +73,6 @@ void BM_PermutationTelemetry(benchmark::State& state) {
   patterns::PhasedPattern app;
   app.numRanks = 256;
   app.phases.push_back(perm);
-  const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -82,7 +81,7 @@ void BM_PermutationTelemetry(benchmark::State& state) {
     obs::Recorder recorder(cfg);
     sim::Network net(topo, sim::SimConfig{});
     if (level > 0) net.setProbe(&recorder);
-    trace::Replayer replayer(net, t, mapping, *router);
+    trace::Replayer replayer(net, app, mapping, *router);
     benchmark::DoNotOptimize(replayer.run());
     events += net.stats().eventsProcessed;
   }

@@ -16,7 +16,6 @@
 #include "trace/mapping.hpp"
 #include "trace/openloop.hpp"
 #include "trace/replayer.hpp"
-#include "trace/trace.hpp"
 
 namespace engine {
 
@@ -400,13 +399,12 @@ JobResult runJob(const ExperimentSpec& spec, std::uint32_t jobIndex,
     const std::shared_ptr<obs::Recorder> recorder = makeRecorder(spec, opt);
     if (recorder) net.setProbe(recorder.get());
     result.telemetry = recorder;
-    const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
     // A probe would miss the events of a reused epoch, and a fault plan
     // routes through a table; the replayer checks the rest.
     trace::EpochMemo* memo =
         recorder || !plan.empty() ? nullptr : &cache.epochs();
-    trace::Replayer replayer(net, t, mapping,
+    trace::Replayer replayer(net, app, mapping,
                              routingFor(scheme, spec, router, forwarding),
                              memo);
     result.makespanNs = replayer.run();

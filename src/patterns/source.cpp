@@ -9,8 +9,6 @@ namespace patterns {
 
 void TrafficSource::onDelivered(std::uint64_t /*token*/, sim::TimeNs /*now*/) {}
 
-void TrafficSource::onWake(std::uint64_t /*cookie*/, sim::TimeNs /*now*/) {}
-
 namespace {
 
 /// 53 uniform mantissa bits mapped into (0, 1] — never 0, so -log(u) is

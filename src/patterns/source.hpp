@@ -1,23 +1,20 @@
 // source.hpp — Streaming traffic sources (the open-loop injection model).
 //
-// The paper evaluates routing only in closed-loop phase replay: a workload
-// is materialized as a trace and run to drainage.  The classic interconnect
-// methodology of the random-traffic literature it cites (Sec. VII-C, and
-// Zahavi et al. [9]) instead *streams* traffic: every host injects
-// messages with a stochastic arrival process at a configured offered load,
-// and the network answers with an accepted-throughput/latency operating
+// The paper evaluates routing only in closed-loop phase replay: a workload's
+// phases are released one after another and run to drainage.  The classic
+// interconnect methodology of the random-traffic literature it cites
+// (Sec. VII-C, and Zahavi et al. [9]) instead *streams* traffic: every host
+// injects messages with a stochastic arrival process at a configured offered
+// load, and the network answers with an accepted-throughput/latency operating
 // point.  This module is the source side of that model.
 //
 // A TrafficSource is pull-based: the driver (sim::InjectionProcess) asks
-// for the next action only when simulated time reaches it, so no trace is
+// for the next message only when simulated time reaches it, so no trace is
 // materialized up front — the source side of an arbitrarily long run is
 // O(ranks) state.  (The simulator still accrues per-injected-message
 // bookkeeping over the run.)  One pull yields one of:
 //
 //  * kMessage    — inject `out` (src/dst rank, bytes) at `out.time` >= now.
-//  * kWake       — schedule a timer at `out.time`; the driver calls
-//                  onWake(out.token) when it fires (closed-loop sources use
-//                  this for compute delays).
 //  * kBlocked    — nothing until an in-flight message completes; the driver
 //                  re-pulls after every onDelivered().
 //  * kExhausted  — the source will never produce again.
@@ -43,9 +40,8 @@
 
 namespace patterns {
 
-/// One action pulled from a source.  For kMessage, `token` is a
-/// source-chosen id echoed back by onDelivered(); for kWake it is the
-/// cookie echoed by onWake().
+/// One message pulled from a source.  `token` is a source-chosen id echoed
+/// back by onDelivered().
 struct SourceMessage {
   Rank src = 0;
   Rank dst = 0;
@@ -56,7 +52,6 @@ struct SourceMessage {
 
 enum class Pull : std::uint8_t {
   kMessage,
-  kWake,
   kBlocked,
   kExhausted,
 };
@@ -67,15 +62,12 @@ class TrafficSource {
 
   [[nodiscard]] virtual Rank numRanks() const = 0;
 
-  /// Produces the next action at or after @p now.  Actions must be
+  /// Produces the next message at or after @p now.  Messages must be
   /// non-decreasing in time.
   [[nodiscard]] virtual Pull pull(sim::TimeNs now, SourceMessage& out) = 0;
 
   /// A previously pulled message (its `token`) completed end-to-end.
   virtual void onDelivered(std::uint64_t token, sim::TimeNs now);
-
-  /// A previously requested kWake timer (its `token` cookie) fired.
-  virtual void onWake(std::uint64_t cookie, sim::TimeNs now);
 };
 
 /// How an open-loop source spaces injections.

@@ -59,14 +59,6 @@ void InjectionProcess::pump() {
         }
         inject(m);
         break;
-      case patterns::Pull::kWake: {
-        const std::uint64_t cookie = m.token;
-        net_->scheduleCallback(m.time, [this, cookie] {
-          src_->onWake(cookie, net_->now());
-          pump();
-        });
-        break;
-      }
       case patterns::Pull::kBlocked:
         return;
       case patterns::Pull::kExhausted:

@@ -1,7 +1,7 @@
 // injection.hpp — The pull-based injection process.
 //
 // One mechanism drives every traffic shape through the simulator: an
-// InjectionProcess pumps a patterns::TrafficSource and turns its actions
+// InjectionProcess pumps a patterns::TrafficSource and turns its pulls
 // into Network calls, scheduled on the event queue —
 //
 //  * kMessage at the current time injects immediately (the caller's
@@ -10,8 +10,6 @@
 //    it, so the source is asked for its next message only when the
 //    previous one's injection time arrived — open-loop streams are never
 //    materialized;
-//  * kWake schedules a timer callback that re-enters the source
-//    (closed-loop compute delays);
 //  * kBlocked pauses the pump until a completion re-triggers it (the
 //    process is the network's TrafficSink and re-pumps after forwarding
 //    every delivery to the source).

@@ -1,13 +1,12 @@
 // epoch_memo.hpp — Replay epochs simulated once and reused.
 //
-// An epoch is the stretch of a closed-loop replay from one global barrier
-// to the next (or from the start to the first), begun on an idle network.
-// When nothing else survives the barrier that could change how its messages
-// are served, the epoch's outcome is a function of its EpochKey: the network
-// it runs on and the messages it releases, in release order, with their
-// routes.  trace::Replayer records the outcome of every such epoch it
-// simulates and fast-forwards through every one it finds here; DESIGN.md
-// §2 ("Epoch reuse") has the conditions and why they suffice.
+// An epoch is a phase of a closed-loop replay that releases messages, from its
+// release on an idle network to its last delivery.  When no probe watches the
+// network and no link went down, the epoch's outcome is a function of its
+// EpochKey: the network it runs on and the messages it releases, in release
+// order, with their routes.  trace::Replayer records the outcome of every such
+// epoch it simulates and fast-forwards through every one it finds here;
+// DESIGN.md §2 ("Epoch reuse") has the conditions and why they suffice.
 //
 // The memo is thread-safe: workers of one campaign share it.  An entry is
 // written once and never changed or erased, so find() hands out a pointer
@@ -45,8 +44,8 @@ struct EpochKey {
 };
 
 /// A simulated epoch's outcome: the network's delta over it, and the host
-/// whose rank completed its closing barrier — the rank released last, which
-/// fixes the next epoch's release order.
+/// of its closing rank, the receiver of its last delivery — the rank the
+/// next phase releases last, which fixes that phase's release order.
 struct Epoch {
   sim::IdleDelta delta;
   xgft::NodeIndex closingHost = 0;

@@ -15,8 +15,7 @@ RunResult runApp(const xgft::Topology& topo, Routing mode,
                  const patterns::PhasedPattern& app, const Mapping& mapping,
                  const sim::SimConfig& cfg) {
   sim::Network net(topo, cfg);
-  const Trace t = traceFromPhases(app);
-  Replayer replayer(net, t, mapping, mode);
+  Replayer replayer(net, app, mapping, mode);
   RunResult result;
   result.makespanNs = replayer.run();
   result.stats = net.stats();

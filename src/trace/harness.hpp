@@ -1,12 +1,11 @@
 // harness.hpp — One-call experiment driver.
 //
-// Reproduces the paper's measurement loop (Sec. VI-B): replay an
-// application's phases on an XGFT under a routing scheme, replay the same
-// application on the ideal single-stage Full-Crossbar, and report the
-// slowdown ratio — the y-axis of Figs. 2 and 5.  A run routes as its
-// trace::Routing value says (route_resolver.hpp): a router or table for
-// the paper's static schemes, trace::Spray or trace::Adaptive for the
-// per-segment extensions.
+// Reproduces the paper's measurement loop (Sec. VI-B): replay an application's
+// phases (trace::Replayer) on an XGFT under a routing scheme, replay the same
+// phases on the ideal single-stage Full-Crossbar, and report the slowdown
+// ratio — the y-axis of Figs. 2 and 5.  A run routes as its trace::Routing
+// value says (route_resolver.hpp): a router or table for the paper's static
+// schemes, trace::Spray or trace::Adaptive for the per-segment extensions.
 #pragma once
 
 #include <memory>
@@ -15,7 +14,6 @@
 #include "sim/network.hpp"
 #include "trace/mapping.hpp"
 #include "trace/replayer.hpp"
-#include "trace/trace.hpp"
 
 namespace trace {
 

@@ -113,9 +113,8 @@ TEST(CompiledRoutes, CompiledReplayMatchesVirtualReplayExactly) {
         router.get(), [](const routing::Router*) {});
     const auto table = CompiledRoutes::compile(shared, 2);
     sim::Network net(*topo, sc.sim);
-    const trace::Trace t = trace::traceFromPhases(app);
     const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-    trace::Replayer replayer(net, t, mapping, *table);
+    trace::Replayer replayer(net, app, mapping, *table);
     const sim::TimeNs makespan = replayer.run();
 
     EXPECT_EQ(makespan, virtualRun.makespanNs) << scheme;
@@ -357,9 +356,8 @@ TEST(CompiledRoutes, RejectsForeignTopologies) {
   sc.pattern = "ring:16";
   const patterns::PhasedPattern app = sc.makeWorkload();
   sim::Network net(other, sc.sim);
-  const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-  EXPECT_THROW(trace::Replayer(net, t, mapping, *table),
+  EXPECT_THROW(trace::Replayer(net, app, mapping, *table),
                std::invalid_argument);
 }
 

@@ -34,7 +34,6 @@ struct Outcome {
   sim::TimeNs makespan = 0;
   sim::NetworkStats stats;
   std::vector<sim::TimeNs> barriers;
-  std::vector<sim::TimeNs> finish;
   std::vector<sim::TimeNs> busy;
   std::uint32_t reused = 0;
 };
@@ -42,16 +41,12 @@ struct Outcome {
 Outcome replay(const xgft::Topology& topo, const patterns::PhasedPattern& app,
                const routing::Router& router, trace::EpochMemo* memo) {
   sim::Network net(topo, sim::SimConfig{});
-  const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
-  trace::Replayer replayer(net, t, mapping, router, memo);
+  trace::Replayer replayer(net, app, mapping, router, memo);
   Outcome out;
   out.makespan = replayer.run();
   out.stats = net.stats();
   out.barriers = replayer.barrierTimes();
-  for (patterns::Rank r = 0; r < app.numRanks; ++r) {
-    out.finish.push_back(replayer.finishTimeOf(r));
-  }
   for (std::uint32_t g = 0; g < net.numGlobalPorts(); ++g) {
     out.busy.push_back(net.wireBusyNs(g));
   }
@@ -89,7 +84,6 @@ TEST(EpochReuse, SharedCacheReplaysEqualMemoLessOnes) {
     EXPECT_EQ(shared.stats.messagesDropped, plain.stats.messagesDropped);
     EXPECT_EQ(shared.stats.linkDownNs, plain.stats.linkDownNs);
     EXPECT_EQ(shared.barriers, plain.barriers);
-    EXPECT_EQ(shared.finish, plain.finish);
     EXPECT_EQ(shared.busy, plain.busy);
   }
   EXPECT_GT(reused, specs.size());
@@ -108,7 +102,7 @@ TEST(EpochReuse, ASecondRunReusesEveryEpochAndWritesTheSameCsv) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(specs[i].toLine());
     ASSERT_TRUE(first.jobs[i].ok) << first.jobs[i].error;
-    // cg128 runs five phases, each one barrier-to-barrier epoch.
+    // cg128 runs five phases, each one epoch.
     EXPECT_EQ(first.jobs[i].epochsReused + first.jobs[i].epochsSimulated, 5u);
     EXPECT_LE(first.jobs[i].eventsSimulated, first.jobs[i].net.eventsProcessed);
     EXPECT_EQ(second.jobs[i].epochsReused, 5u);

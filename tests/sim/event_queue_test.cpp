@@ -23,7 +23,6 @@
 #include "trace/mapping.hpp"
 #include "trace/replayer.hpp"
 #include "trace/route_resolver.hpp"
-#include "trace/trace.hpp"
 #include "xgft/rng.hpp"
 #include "xgft/topology.hpp"
 
@@ -460,10 +459,9 @@ TEST(EventQueueLanes, ScaledCgReplayNeverOverflows) {
   const routing::RouterPtr router = routing::makeDModK(topo);
   const patterns::PhasedPattern cg =
       trace::scaleMessages(patterns::cgD128(), 0.125);
-  const trace::Trace t = trace::traceFromPhases(cg);
   const trace::Mapping mapping = trace::Mapping::sequential(cg.numRanks);
   Network net(topo, SimConfig{});
-  trace::Replayer replayer(net, t, mapping, *router);
+  trace::Replayer replayer(net, cg, mapping, *router);
   EXPECT_GT(replayer.run(), 0u);
   EXPECT_GT(net.stats().eventsProcessed, 100'000u);
   EXPECT_EQ(net.queueOverflowPushes(), 0u);

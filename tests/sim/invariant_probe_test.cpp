@@ -27,7 +27,6 @@
 #include "trace/mapping.hpp"
 #include "trace/openloop.hpp"
 #include "trace/replayer.hpp"
-#include "trace/trace.hpp"
 #include "xgft/params.hpp"
 
 namespace sim {
@@ -165,12 +164,11 @@ patterns::PhasedPattern cg128App() {
 void expectCleanReplay(const xgft::Topology& topo,
                        const patterns::PhasedPattern& app,
                        trace::Routing mode, const std::string& label) {
-  const trace::Trace t = trace::traceFromPhases(app);
   const trace::Mapping mapping = trace::Mapping::sequential(app.numRanks);
   Network net(topo, SimConfig{});
   InvariantProbe probe;
   net.setProbe(&probe);
-  trace::Replayer replayer(net, t, mapping, mode);
+  trace::Replayer replayer(net, app, mapping, mode);
   (void)replayer.run();
   EXPECT_EQ(probe.delivered(), net.stats().messagesDelivered) << label;
   expectClean(probe, label);

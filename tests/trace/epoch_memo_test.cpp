@@ -2,14 +2,12 @@
 // fast-forwards through recorded epochs ends exactly where one that
 // simulates them ends, whichever end of a delivery an epoch was recorded
 // and reused at; reuse stays off where an epoch's outcome is not a
-// function of its key (a compute, a blocking call, an unmatched or
-// unexpected message, a probe, a link fault); and an entry's size follows
+// function of its key (a probe, a link fault); and an entry's size follows
 // the ports an epoch touched, not its messages.
 #include "trace/epoch_memo.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -27,25 +25,21 @@ struct Outcome {
   sim::TimeNs makespan = 0;
   sim::NetworkStats stats;
   std::vector<sim::TimeNs> barriers;
-  std::vector<sim::TimeNs> finish;
   std::vector<sim::TimeNs> busy;
   std::uint32_t reused = 0;
   std::uint32_t simulated = 0;
   std::uint64_t eventsReused = 0;
 };
 
-Outcome replay(const Topology& topo, const Trace& trace,
+Outcome replay(const Topology& topo, const patterns::PhasedPattern& app,
                const routing::Router& router, EpochMemo* memo) {
   sim::Network net(topo, sim::SimConfig{});
-  const Mapping mapping = Mapping::sequential(trace.numRanks);
-  Replayer replayer(net, trace, mapping, router, memo);
+  const Mapping mapping = Mapping::sequential(app.numRanks);
+  Replayer replayer(net, app, mapping, router, memo);
   Outcome out;
   out.makespan = replayer.run();
   out.stats = net.stats();
   out.barriers = replayer.barrierTimes();
-  for (patterns::Rank r = 0; r < trace.numRanks; ++r) {
-    out.finish.push_back(replayer.finishTimeOf(r));
-  }
   for (std::uint32_t g = 0; g < net.numGlobalPorts(); ++g) {
     out.busy.push_back(net.wireBusyNs(g));
   }
@@ -64,9 +58,11 @@ void expectSame(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.stats.lastDeliveryNs, b.stats.lastDeliveryNs);
   EXPECT_EQ(a.stats.maxOutputQueueDepth, b.stats.maxOutputQueueDepth);
   EXPECT_EQ(a.stats.maxInputQueueDepth, b.stats.maxInputQueueDepth);
+  EXPECT_EQ(a.stats.segmentsRerouted, b.stats.segmentsRerouted);
+  EXPECT_EQ(a.stats.segmentsStranded, b.stats.segmentsStranded);
   EXPECT_EQ(a.stats.messagesDropped, b.stats.messagesDropped);
+  EXPECT_EQ(a.stats.linkDownNs, b.stats.linkDownNs);
   EXPECT_EQ(a.barriers, b.barriers);
-  EXPECT_EQ(a.finish, b.finish);
   EXPECT_EQ(a.busy, b.busy);
 }
 
@@ -88,13 +84,13 @@ TEST(EpochReuse, CountsEventsAlikeAtTheStartAndInsideADelivery) {
   p.add(2, 3, 4096);
   patterns::Pattern q(4);
   q.add(1, 3, 8192);
-  const Trace pq = traceFromPhases(phases({p, q}));
-  const Trace qp = traceFromPhases(phases({q, p}));
+  const patterns::PhasedPattern pq = phases({p, q});
+  const patterns::PhasedPattern qp = phases({q, p});
 
   for (const bool pqFirst : {true, false}) {
     SCOPED_TRACE(pqFirst ? "P,Q then Q,P" : "Q,P then P,Q");
-    const Trace& first = pqFirst ? pq : qp;
-    const Trace& second = pqFirst ? qp : pq;
+    const patterns::PhasedPattern& first = pqFirst ? pq : qp;
+    const patterns::PhasedPattern& second = pqFirst ? qp : pq;
     EpochMemo memo;
     const Outcome recorded = replay(topo, first, *router, &memo);
     EXPECT_EQ(recorded.reused, 0u);
@@ -110,56 +106,6 @@ TEST(EpochReuse, CountsEventsAlikeAtTheStartAndInsideADelivery) {
   }
 }
 
-/// A trace of four ranks whose one epoch cannot be reused, run twice on
-/// one memo: neither run records or reuses, and both equal a memo-less run.
-void expectNoReuse(const Trace& trace) {
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  EpochMemo memo;
-  const Outcome plain = replay(topo, trace, *router, nullptr);
-  for (int run = 0; run < 2; ++run) {
-    const Outcome withMemo = replay(topo, trace, *router, &memo);
-    EXPECT_EQ(withMemo.reused, 0u) << "run " << run;
-    expectSame(withMemo, plain);
-  }
-  EXPECT_EQ(memo.stats().entries, 0u);
-}
-
-/// Ranks 2 and 3 of a four-rank trace only meet the barriers.
-Trace withIdleRanks(std::vector<Op> rank0, std::vector<Op> rank1) {
-  Trace t;
-  t.numRanks = 4;
-  t.programs = {std::move(rank0), std::move(rank1), {Op::barrier()},
-                {Op::barrier()}};
-  return t;
-}
-
-TEST(EpochReuse, StaysOffForAComputeInsideTheEpoch) {
-  expectNoReuse(withIdleRanks(
-      {Op::isend(1, 4096, 0), Op::waitAll(), Op::compute(1'000),
-       Op::barrier()},
-      {Op::irecv(0, 0), Op::waitAll(), Op::barrier()}));
-}
-
-TEST(EpochReuse, StaysOffForABlockingSend) {
-  expectNoReuse(withIdleRanks(
-      {Op::send(1, 4096, 0), Op::waitAll(), Op::barrier()},
-      {Op::irecv(0, 0), Op::waitAll(), Op::barrier()}));
-}
-
-TEST(EpochReuse, StaysOffForABlockingReceive) {
-  expectNoReuse(withIdleRanks(
-      {Op::isend(1, 4096, 0), Op::waitAll(), Op::barrier()},
-      {Op::recv(0, 0), Op::waitAll(), Op::barrier()}));
-}
-
-TEST(EpochReuse, StaysOffForAMessageUnexpectedAtTheBarrier) {
-  // Rank 1 posts its receive only after the barrier.
-  expectNoReuse(withIdleRanks(
-      {Op::isend(1, 4096, 0), Op::waitAll(), Op::barrier()},
-      {Op::waitAll(), Op::barrier(), Op::irecv(0, 0), Op::waitAll()}));
-}
-
 TEST(EpochReuse, StaysOffUnderAProbeOrAfterALinkFault) {
   // The two phases share one recorded epoch; a replay with a probe
   // attached, or on a network whose unused link went down and came back,
@@ -168,9 +114,9 @@ TEST(EpochReuse, StaysOffUnderAProbeOrAfterALinkFault) {
   const routing::RouterPtr router = routing::makeDModK(topo);
   patterns::Pattern p(4);
   p.add(0, 1, 4096);
-  const Trace trace = traceFromPhases(phases({p, p}));
+  const patterns::PhasedPattern app = phases({p, p});
   EpochMemo memo;
-  (void)replay(topo, trace, *router, &memo);
+  (void)replay(topo, app, *router, &memo);
   ASSERT_EQ(memo.stats().entries, 1u);
 
   obs::Recorder recorder(obs::RecorderConfig{});
@@ -181,32 +127,11 @@ TEST(EpochReuse, StaysOffUnderAProbeOrAfterALinkFault) {
   faulted.scheduleLinkUp(1, topo.numLinks() - 1);
   for (sim::Network* net : {&observed, &faulted}) {
     const Mapping mapping = Mapping::sequential(4);
-    Replayer replayer(*net, trace, mapping, *router, &memo);
+    Replayer replayer(*net, app, mapping, *router, &memo);
     (void)replayer.run();
     EXPECT_EQ(replayer.epochsReused(), 0u);
     EXPECT_EQ(replayer.epochsSimulated(), 2u);
   }
-}
-
-TEST(EpochReuse, StaysOffWhenTheReceivesDoNotMatchTheMessages) {
-  // The second trace releases the same message as the recorded first, but
-  // rank 1 waits for another tag: that replay must stay blocked, as a
-  // memo-less one does, not pass the barrier the recorded epoch passed.
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Trace matched = withIdleRanks(
-      {Op::isend(1, 4096, 0), Op::waitAll(), Op::barrier()},
-      {Op::irecv(0, 0), Op::waitAll(), Op::barrier()});
-  const Trace mismatched = withIdleRanks(
-      {Op::isend(1, 4096, 0), Op::waitAll(), Op::barrier()},
-      {Op::irecv(0, 9), Op::waitAll(), Op::barrier()});
-  EpochMemo memo;
-  (void)replay(topo, matched, *router, &memo);
-  ASSERT_EQ(memo.stats().entries, 1u);
-  EXPECT_THROW((void)replay(topo, mismatched, *router, nullptr),
-               std::runtime_error);
-  EXPECT_THROW((void)replay(topo, mismatched, *router, &memo),
-               std::runtime_error);
 }
 
 TEST(EpochReuse, AnEntryHoldsThePortsAnEpochTouchedNotItsMessages) {
@@ -215,9 +140,9 @@ TEST(EpochReuse, AnEntryHoldsThePortsAnEpochTouchedNotItsMessages) {
   // busy time per wire at most.
   const Topology topo(xgft::xgft2(16, 16, 16));
   const routing::RouterPtr router = routing::makeDModK(topo);
-  const Trace trace = traceFromPattern(patterns::allToAll(256, 64));
+  const patterns::PhasedPattern app = phases({patterns::allToAll(256, 64)});
   EpochMemo memo;
-  const Outcome outcome = replay(topo, trace, *router, &memo);
+  const Outcome outcome = replay(topo, app, *router, &memo);
   ASSERT_EQ(outcome.stats.messagesDelivered, 65'280u);
   const EpochMemoStats stats = memo.stats();
   ASSERT_EQ(stats.entries, 1u);

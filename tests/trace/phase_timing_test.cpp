@@ -17,9 +17,8 @@ std::vector<sim::TimeNs> phaseDurations(const Topology& topo,
                                         const routing::Router& router,
                                         const patterns::PhasedPattern& app) {
   sim::Network net(topo, sim::SimConfig{});
-  const Trace t = traceFromPhases(app);
   const Mapping mapping = Mapping::sequential(app.numRanks);
-  Replayer replayer(net, t, mapping, router);
+  Replayer replayer(net, app, mapping, router);
   replayer.run();
   const std::vector<sim::TimeNs>& barriers = replayer.barrierTimes();
   std::vector<sim::TimeNs> durations(barriers.size());
@@ -69,10 +68,9 @@ TEST(PhaseTiming, BarrierTimesAreMonotone) {
   const Topology topo(xgft::xgft2(8, 8, 4));
   const auto app = scaleMessages(patterns::wrfHalo(8, 8, 64 * 1024), 0.5);
   sim::Network net(topo, sim::SimConfig{});
-  const Trace t = traceFromPhases(app);
   const Mapping mapping = Mapping::sequential(app.numRanks);
   const routing::RouterPtr router = routing::makeDModK(topo);
-  Replayer replayer(net, t, mapping, *router);
+  Replayer replayer(net, app, mapping, *router);
   const sim::TimeNs makespan = replayer.run();
   const auto& barriers = replayer.barrierTimes();
   ASSERT_FALSE(barriers.empty());

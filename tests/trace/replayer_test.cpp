@@ -1,14 +1,16 @@
-// Tests for the trace IR and the replay engine's MPI-like semantics.
+// Tests for the phase replay engine: release order, phase completion, the
+// drain check and construction.
 #include "trace/replayer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "../sim/route_sets.hpp"
-#include "patterns/applications.hpp"
 #include "routing/relabel.hpp"
 #include "sim/probe.hpp"
 #include "trace/harness.hpp"
@@ -18,26 +20,12 @@ namespace {
 
 using xgft::Topology;
 
-TEST(Trace, FromPhasesStructure) {
-  const patterns::PhasedPattern cg = patterns::cgD128(1024);
-  const Trace t = traceFromPhases(cg);
-  EXPECT_EQ(t.numRanks, 128u);
-  // Four full phases of 128 plus phase 5's 112 non-self flows.
-  EXPECT_EQ(t.numMessages(), 4u * 128u + 112u);
-  // Every rank's program ends with WaitAll + Barrier.
-  for (const auto& program : t.programs) {
-    ASSERT_GE(program.size(), 2u);
-    EXPECT_EQ(program[program.size() - 2].kind, OpKind::kWaitAll);
-    EXPECT_EQ(program.back().kind, OpKind::kBarrier);
-  }
-}
-
-TEST(Trace, SelfFlowsAreDropped) {
-  patterns::Pattern p(4);
-  p.add(2, 2, 100);
-  p.add(0, 1, 100);
-  const Trace t = traceFromPattern(p);
-  EXPECT_EQ(t.numMessages(), 1u);
+/// @p pattern as a one-phase application.
+patterns::PhasedPattern onePhase(const patterns::Pattern& pattern) {
+  patterns::PhasedPattern app;
+  app.numRanks = pattern.numRanks();
+  app.phases.push_back(pattern);
+  return app;
 }
 
 /// Records the (src, dst) hosts of every released message, in order.
@@ -70,10 +58,9 @@ TEST(Replayer, ReleasesRankByRankWithTheClosingRankLast) {
   sim::Network net(topo, sim::SimConfig{});
   ReleaseRecorder probe;
   net.setProbe(&probe);
-  const Trace t = traceFromPhases(app);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Mapping mapping = Mapping::sequential(4);
-  Replayer replayer(net, t, mapping, *router);
+  Replayer replayer(net, app, mapping, *router);
   (void)replayer.run();
   const std::vector<std::pair<xgft::NodeIndex, xgft::NodeIndex>> expected{
       {0, 1}, {0, 2}, {0, 3}, {2, 3}, {3, 0}, {1, 2}, {1, 3}};
@@ -89,13 +76,11 @@ TEST(Replayer, SelfFlowsAreNeverSent) {
   // The network delivers a src == dst message locally, so one that was
   // sent would count.
   const Topology topo(xgft::xgft2(4, 4, 2));
-  patterns::PhasedPattern app;
-  app.numRanks = 4;
-  app.phases.emplace_back(4);
-  app.phases[0].add(2, 2, 100);
-  app.phases[0].add(0, 1, 100);
-  app.phases[0].add(3, 3, 100);
-  EXPECT_EQ(runApp(topo, *routing::makeDModK(topo), app)
+  patterns::Pattern p(4);
+  p.add(2, 2, 100);
+  p.add(0, 1, 100);
+  p.add(3, 3, 100);
+  EXPECT_EQ(runApp(topo, *routing::makeDModK(topo), onePhase(p))
                 .stats.messagesDelivered,
             1u);
 }
@@ -105,16 +90,17 @@ TEST(Replayer, SingleExchangeCompletes) {
   patterns::Pattern p(16);
   p.add(0, 9, 4096);
   p.add(9, 0, 4096);
+  const patterns::PhasedPattern app = onePhase(p);
   sim::Network net(topo, sim::SimConfig{});
-  const Trace t = traceFromPattern(p);
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Mapping mapping = Mapping::sequential(16);
-  Replayer replayer(net, t, mapping, *router);
+  Replayer replayer(net, app, mapping, *router);
   const sim::TimeNs makespan = replayer.run();
   EXPECT_GT(makespan, 0u);
   EXPECT_EQ(net.stats().messagesDelivered, 2u);
-  // Both ranks finish at the barrier, i.e. at the same time.
-  EXPECT_EQ(replayer.finishTimeOf(0), replayer.finishTimeOf(9));
+  // The phase completes at its last delivery.
+  EXPECT_EQ(makespan, net.stats().lastDeliveryNs);
+  EXPECT_EQ(replayer.barrierTimes(), std::vector<sim::TimeNs>{makespan});
 }
 
 TEST(Replayer, PhasesDoNotOverlap) {
@@ -136,140 +122,51 @@ TEST(Replayer, PhasesDoNotOverlap) {
               0.02 * static_cast<double>(one));
 }
 
-TEST(Replayer, BarrierSynchronizesUnequalRanks) {
-  // Rank 0 computes for 1 ms while the others idle at the barrier; all
-  // finish together at ~1 ms.
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 4;
-  t.programs.resize(4);
-  t.programs[0].push_back(Op::compute(1'000'000));
-  for (patterns::Rank r = 0; r < 4; ++r) {
-    t.programs[r].push_back(Op::barrier());
+TEST(Replayer, ADroppedMessageFailsItsPhaseWhenTheNetworkDrains) {
+  // w2 = 1: rank 0's one message to rank 4 must climb the only up-link of
+  // its level-1 switch, which is down from t = 0, so kStrand drops it.
+  // The phase can never complete; the network drains and run() names it.
+  const Topology topo(xgft::xgft2(4, 4, 1));
+  patterns::Pattern p(8);
+  p.add(0, 4, 4096);
+  const patterns::PhasedPattern app = onePhase(p);
+  sim::Network net(topo, sim::SimConfig{});
+  net.setFaultPolicy(sim::FaultPolicy::kStrand);
+  net.scheduleLinkDown(0, topo.upLink(1, 0, 0));
+  const routing::RouterPtr router = routing::makeDModK(topo);
+  const Mapping mapping = Mapping::sequential(8);
+  Replayer replayer(net, app, mapping, *router);
+  try {
+    (void)replayer.run();
+    ADD_FAILURE() << "run() returned with phase 0 unfinished";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("phase 0"), std::string::npos)
+        << e.what();
   }
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(4);
-  Replayer replayer(net, t, mapping, *router);
-  EXPECT_EQ(replayer.run(), 1'000'000u);
-  for (patterns::Rank r = 0; r < 4; ++r) {
-    EXPECT_EQ(replayer.finishTimeOf(r), 1'000'000u);
-  }
-}
-
-TEST(Replayer, ARankArrivesAtABarrierOnce) {
-  // Rank 0 waits at the barrier when its isend is delivered, and the
-  // delivery wakes it there; rank 2 is still computing.  The barrier must
-  // wait for rank 2 (regression: the wake counted rank 0 a second time, so
-  // the barrier completed at the delivery, 20,780 ns, and passed rank 2
-  // while it computed — rank 2 never arrived at all).
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 3;
-  t.programs.resize(3);
-  t.programs[0] = {Op::isend(1, 4096, 0), Op::barrier(), Op::waitAll()};
-  t.programs[1] = {Op::barrier(), Op::irecv(0, 0), Op::waitAll()};
-  t.programs[2] = {Op::compute(1'000'000), Op::barrier()};
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(3);
-  Replayer replayer(net, t, mapping, *router);
-  EXPECT_EQ(replayer.run(), 1'000'000u);
-  EXPECT_EQ(net.stats().lastDeliveryNs, 20'780u);
-  EXPECT_EQ(replayer.barrierTimes(), std::vector<sim::TimeNs>{1'000'000});
-  for (patterns::Rank r = 0; r < 3; ++r) {
-    EXPECT_EQ(replayer.finishTimeOf(r), 1'000'000u) << "rank " << r;
-  }
-}
-
-TEST(Replayer, BlockingSendRecvPair) {
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 2;
-  t.programs.resize(2);
-  t.programs[0].push_back(Op::send(1, 1024, 7));
-  t.programs[0].push_back(Op::compute(100));
-  t.programs[1].push_back(Op::recv(0, 7));
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(2);
-  Replayer replayer(net, t, mapping, *router);
-  const sim::TimeNs makespan = replayer.run();
-  // Rank 0's compute starts only after the delivery.
-  EXPECT_EQ(makespan, net.stats().lastDeliveryNs + 100);
-}
-
-TEST(Replayer, UnexpectedMessagesBufferUntilPosted) {
-  // The receive is posted after a compute delay longer than the message's
-  // flight time: the arrival must be buffered and matched on post.
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 2;
-  t.programs.resize(2);
-  t.programs[0].push_back(Op::isend(1, 1024, 0));
-  t.programs[0].push_back(Op::waitAll());
-  t.programs[1].push_back(Op::compute(10'000'000));
-  t.programs[1].push_back(Op::recv(0, 0));
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(2);
-  Replayer replayer(net, t, mapping, *router);
-  EXPECT_EQ(replayer.run(), 10'000'000u);
-}
-
-TEST(Replayer, UnmatchedReceiveThrows) {
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 2;
-  t.programs.resize(2);
-  t.programs[1].push_back(Op::recv(0, 0));  // Nobody sends.
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(2);
-  Replayer replayer(net, t, mapping, *router);
-  EXPECT_THROW(replayer.run(), std::runtime_error);
+  EXPECT_EQ(net.stats().messagesDropped, 1u);
+  EXPECT_EQ(net.stats().messagesDelivered, 0u);
+  EXPECT_TRUE(replayer.barrierTimes().empty());
 }
 
 TEST(Replayer, SingleUse) {
   // The replayer is documented single-use: a second run() must throw
-  // (regression: it used to re-walk consumed rank state and return silent
-  // garbage) and must leave the first run's results readable.
+  // (regression: a second run once re-walked consumed state and returned
+  // silent garbage) and must leave the first run's results readable.
   const Topology topo(xgft::xgft2(4, 4, 2));
   patterns::Pattern p(4);
   p.add(0, 3, 4096);
-  const Trace t = traceFromPattern(p);
+  const patterns::PhasedPattern app = onePhase(p);
   sim::Network net(topo, sim::SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Mapping mapping = Mapping::sequential(4);
-  Replayer replayer(net, t, mapping, *router);
+  Replayer replayer(net, app, mapping, *router);
   const sim::TimeNs makespan = replayer.run();
   EXPECT_GT(makespan, 0u);
   EXPECT_THROW(replayer.run(), std::logic_error);
   EXPECT_THROW(replayer.run(), std::logic_error);  // Still, on every retry.
   // The failed re-runs perturbed nothing.
-  EXPECT_EQ(replayer.finishTimeOf(0), makespan);
+  EXPECT_EQ(replayer.barrierTimes(), std::vector<sim::TimeNs>{makespan});
   EXPECT_EQ(net.stats().messagesDelivered, 1u);
-}
-
-TEST(Replayer, TagsDisambiguateSameSourceMessages) {
-  // Two messages of different sizes with distinct tags; the receiver posts
-  // them in reverse order — counts must still match up.
-  const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 2;
-  t.programs.resize(2);
-  t.programs[0].push_back(Op::isend(1, 1024, 1));
-  t.programs[0].push_back(Op::isend(1, 2048, 2));
-  t.programs[0].push_back(Op::waitAll());
-  t.programs[1].push_back(Op::irecv(0, 2));
-  t.programs[1].push_back(Op::irecv(0, 1));
-  t.programs[1].push_back(Op::waitAll());
-  sim::Network net(topo, sim::SimConfig{});
-  const routing::RouterPtr router = routing::makeDModK(topo);
-  const Mapping mapping = Mapping::sequential(2);
-  Replayer replayer(net, t, mapping, *router);
-  EXPECT_GT(replayer.run(), 0u);
-  EXPECT_EQ(net.stats().messagesDelivered, 2u);
 }
 
 TEST(Replayer, RejectedConstructionLeavesNoSinkBehind) {
@@ -277,13 +174,12 @@ TEST(Replayer, RejectedConstructionLeavesNoSinkBehind) {
   // destroyed replayer's injection process (regression: the rank-mismatch
   // check used to run after the sink was installed).
   const Topology topo(xgft::xgft2(4, 4, 2));
-  Trace t;
-  t.numRanks = 2;
-  t.programs.resize(2);
+  patterns::PhasedPattern app;
+  app.numRanks = 2;
   sim::Network net(topo, sim::SimConfig{});
   const routing::RouterPtr router = routing::makeDModK(topo);
   const Mapping tooSmall = Mapping::sequential(1);
-  EXPECT_THROW(Replayer(net, t, tooSmall, *router), std::invalid_argument);
+  EXPECT_THROW(Replayer(net, app, tooSmall, *router), std::invalid_argument);
   // Driving the network directly afterwards must not touch a dangling
   // sink.
   const sim::MsgId m = sim::addRouted(net, 0, 1, 1024, router->route(0, 1));
